@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,11 +29,22 @@ PLATEAU_RTOL = 5e-3
 
 @dataclass(frozen=True)
 class Constraint:
-    """One affine equality: apply(X) == target, with adjoint of the map."""
+    """One affine equality: apply(X) == target, with adjoint of the map.
+
+    The map's structure drives the batched descent rows (constraint_rows):
+    X is lifted to lift @ X @ lift^dag when lift is given, traced down to
+    the factors `keep` of the tensor product with factor dimensions `dims`,
+    and compressed to lower^dag @ Y @ lower when lower is given.  apply and
+    adjoint compute the same map and its adjoint.
+    """
 
     target: np.ndarray
     apply: Callable[[np.ndarray], np.ndarray]
     adjoint: Callable[[np.ndarray], np.ndarray]
+    dims: tuple[int, ...]
+    keep: tuple[int, ...]
+    lift: np.ndarray | None = None
+    lower: np.ndarray | None = None
     label: str = ""
 
 
@@ -80,7 +91,6 @@ class ReductionStep:
     rank_after: int
     step_length: float
     sign: int
-    direction_norm: float
     residual_before_repair: float
     residual_after: float
 
@@ -275,14 +285,26 @@ def solve_feasible(system: ConstraintSystem, *, start: np.ndarray | None = None,
 # Real coordinates on the Hermitian matrices: diagonal entries, then sqrt(2)
 # times the real and imaginary parts of the strict upper triangle.  The map
 # is a linear isometry between (R^{r^2}, l2) and (Herm(r), Frobenius).
+#
+# The descent system's rows are built in these coordinates without a loop
+# over basis elements.  For a constraint that traces a state down to its
+# kept factors, with support basis V of rho and target support basis V_c,
+# the compressed adjoint image of |a><b| is
+# G_ab = V^dag (|a><b| (x) I) V = w_a^dag w_b, where w_a holds <a|V with the
+# traced-out factors as rows.  G_ba = G_ab^dag, so the products for a <= b
+# give the image of every target basis element: G_aa, then
+# (G_ab + G_ab^dag)/sqrt(2) and i(G_ab - G_ab^dag)/sqrt(2) for a < b.  Their
+# coordinates are the constraint's rows.
 # ---------------------------------------------------------------------------
 
 def _herm_coords(m: np.ndarray) -> np.ndarray:
-    r = m.shape[0]
-    iu = np.triu_indices(r, 1)
-    off = m[iu]
-    return np.concatenate([np.diag(m).real, math.sqrt(2) * off.real,
-                           math.sqrt(2) * off.imag])
+    """Coordinates of Hermitian matrices stacked along the leading axes."""
+    r = m.shape[-1]
+    iu, ju = np.triu_indices(r, 1)
+    off = m[..., iu, ju]
+    return np.concatenate([m[..., np.arange(r), np.arange(r)].real,
+                           math.sqrt(2) * off.real, math.sqrt(2) * off.imag],
+                          axis=-1)
 
 
 def _coords_to_herm(y: np.ndarray, r: int) -> np.ndarray:
@@ -295,56 +317,89 @@ def _coords_to_herm(y: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-def _constraint_rows(system: ConstraintSystem, v: np.ndarray,
-                     compress: bool, rank_tol: float) -> list[np.ndarray]:
-    """Rows of the descent linear system in support coordinates.
+def constraint_rows(c: Constraint, v: np.ndarray, vc: np.ndarray) -> np.ndarray:
+    """Rows of one constraint in the descent linear system, shape (rc^2, r^2).
 
-    Each row is the Riesz vector of one scalar equality <F, M(H)> = 0, where
-    M is a constraint map compressed onto the target support (compress=True)
-    or taken in full (compress=False), and F runs over a Hermitian basis.
+    Row a is the coordinate vector of V^dag M*(F_a) V, the Riesz vector of
+    the scalar equality <F_a, M(H)> = 0 for H = V herm(y) V^dag, where F_a
+    runs over the Hermitian basis of operators on span(vc): vc is the target
+    support basis for the compressed rows, the identity for the full ones.
     """
-    rows = []
-    for c in system.constraints:
-        if compress:
-            vc, _ = support_basis(c.target, rank_tol)
-        else:
-            vc = np.eye(c.target.shape[0], dtype=complex)
-        rc = vc.shape[1]
-        for a in range(rc * rc):
-            unit = np.zeros(rc * rc)
-            unit[a] = 1.0
-            f = vc @ _coords_to_herm(unit, rc) @ vc.conj().T
-            rows.append(_herm_coords(v.conj().T @ c.adjoint(f) @ v))
-    return rows
+    if c.lift is not None:
+        v = c.lift @ v
+    if c.lower is not None:
+        vc = c.lower @ vc
+    n, r, rc = len(c.dims), v.shape[1], vc.shape[1]
+    rest = tuple(i for i in range(n) if i not in c.keep)
+    d_rest = math.prod(c.dims[i] for i in rest)
+    t = v.reshape(c.dims + (r,)).transpose(c.keep + rest + (n,))
+    w = (vc.conj().T @ t.reshape(vc.shape[0], d_rest * r)).reshape(rc, d_rest, r)
+    wh = w.conj().transpose(0, 2, 1)
+    a, b = np.triu_indices(rc, 1)
+    g = wh[a] @ w[b]
+    gh = g.conj().transpose(0, 2, 1)
+    return np.concatenate([_herm_coords(wh @ w),
+                           _herm_coords((g + gh) / math.sqrt(2)),
+                           _herm_coords(1j * (g - gh) / math.sqrt(2))])
+
+
+def _row_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the row space of a, from eigh(a a^T).
+
+    Eigenvalues at or below 1e-12 * lambda_max count as zero, i.e. singular
+    values below 1e-6 * sigma_max.  The cutoff is not the square of an SVD
+    rcond such as 1e-8: squaring puts rounding-level singular values near
+    1e-16 * lambda_max, where a 1e-16 cutoff admits them as row directions.
+    The rows' singular values sit either near sigma_max or at rounding level
+    (on 5 qubits they fall from 0.27 sigma_max straight to 7e-16 sigma_max),
+    so the wide cutoff loses no real row.
+    """
+    lam, u = np.linalg.eigh(a @ a.T)
+    keep = lam > 1e-12 * lam[-1]
+    q = a.T @ u[:, keep]
+    q /= np.sqrt(lam[keep])
+    return q
 
 
 def descent_direction_core(rho: np.ndarray, system: ConstraintSystem,
                            rng: np.random.Generator, *,
                            rank_tol: float = DEFAULT_RANK_TOL,
                            deriv_tol: float = DEFAULT_DERIV_TOL,
-                           max_tries: int = 3) -> np.ndarray | None:
+                           max_tries: int = 3,
+                           target_bases: Sequence[np.ndarray] | None = None
+                           ) -> np.ndarray | None:
     """Random unit-norm traceless Hermitian direction that moves no constraint.
 
-    Parametrizes candidates on the support of rho, projects a random seed
-    onto the null space of the constraint rows (targets compressed onto
-    their supports, plus an explicit trace row), and verifies the result:
-    |Tr H| and every full partial-constraint image must stay below deriv_tol.
-    If the compressed rows are not enough to control a full image, the rows
-    for that check are appended and the projection is repeated.  Returns
-    None when the null space is (numerically) empty.
+    Parametrizes candidates on the support of rho and builds the linear
+    system they must satisfy: an explicit trace row plus, per constraint,
+    the rows of its map compressed onto the target support (constraint_rows;
+    target_bases holds those supports, computed here when not given).  The
+    null space of the rows is the orthogonal complement of their row space,
+    which comes from one eigendecomposition of the m x m Gram matrix
+    (_row_space); a random seed is projected onto it.  The result is
+    verified: |Tr H| and every full constraint image must stay below
+    deriv_tol.  If the compressed rows are not enough to control a full
+    image, the full rows are appended and the projection is repeated.
+    Returns None when the null space is (numerically) empty.
     """
     v, _ = support_basis(rho, rank_tol)
     r = v.shape[1]
     if r <= 1:
         return None
-    trace_row = _herm_coords(np.eye(r, dtype=complex))
-    base = np.array([trace_row] + _constraint_rows(system, v, True, rank_tol))
-    augmented = None
+    if target_bases is None:
+        target_bases = [support_basis(c.target, rank_tol)[0]
+                        for c in system.constraints]
+    trace_row = _herm_coords(np.eye(r))
+    base = np.vstack([trace_row] + [constraint_rows(c, v, vc) for c, vc
+                                    in zip(system.constraints, target_bases)])
+    q_base = _row_space(base)
+    if q_base.shape[1] >= r * r:
+        return None
+    q_full = None
     id_dir = trace_row / np.linalg.norm(trace_row)
 
-    def attempt(mat_l: np.ndarray, y0: np.ndarray) -> np.ndarray | None:
-        sol, *_ = np.linalg.lstsq(mat_l, mat_l @ y0, rcond=1e-8)
-        y = y0 - sol
+    def attempt(q: np.ndarray, y0: np.ndarray) -> np.ndarray | None:
+        y = y0 - q @ (q.T @ y0)
         y -= (y @ id_dir) * id_dir
         nrm = np.linalg.norm(y)
         if nrm < 1e-10 * np.linalg.norm(y0):
@@ -360,16 +415,16 @@ def descent_direction_core(rho: np.ndarray, system: ConstraintSystem,
 
     for _ in range(max_tries):
         y0 = rng.standard_normal(r * r)
-        h = attempt(base, y0)
+        h = attempt(q_base, y0)
         if h is None:
             continue
         if posts_hold(h):
             return h
-        if augmented is None:
-            augmented = np.vstack([base, np.array(
-                _constraint_rows(system, v, False, rank_tol))]) \
-                if system.constraints else base
-        h = attempt(augmented, y0)
+        if q_full is None:
+            q_full = _row_space(np.vstack([base] + [
+                constraint_rows(c, v, np.eye(c.target.shape[0]))
+                for c in system.constraints]))
+        h = attempt(q_full, y0)
         if h is not None and posts_hold(h):
             return h
     return None
@@ -508,6 +563,8 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
                          rank_tol=rank_tol, cg_tol=cg_tol,
                          cg_max_iters=cg_max_iters)
     steps: list[ReductionStep] = []
+    # targets are fixed, so their supports are computed once per reduction
+    target_bases = [support_basis(c.target, rank_tol)[0] for c in system.constraints]
 
     def finish(exhausted: bool) -> tuple[np.ndarray, ReductionTrace]:
         trace = ReductionTrace(steps, numerical_rank(x, rank_tol), bound, exhausted)
@@ -530,8 +587,8 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
             except ReductionError as err:
                 raise ReductionError(str(err), partial_trace_record()) from None
         rank_before = numerical_rank(x, rank_tol)
-        h = descent_direction_core(x, system, rng,
-                                   rank_tol=rank_tol, deriv_tol=deriv_tol)
+        h = descent_direction_core(x, system, rng, rank_tol=rank_tol,
+                                   deriv_tol=deriv_tol, target_bases=target_bases)
         if h is None:
             return finish(True)
         lam, sign = step_length_core(x, h, rank_tol=rank_tol)
@@ -547,7 +604,6 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
                 f"step did not reduce rank ({rank_before} -> {rank_after})",
                 partial_trace_record())
         after = residual_report(system, y).max_residual
-        steps.append(ReductionStep(rank_before, rank_after, lam, sign,
-                                   float(np.linalg.norm(h)), pre, after))
+        steps.append(ReductionStep(rank_before, rank_after, lam, sign, pre, after))
         x = y
     return finish(False)

@@ -139,13 +139,11 @@ class SectorEmbedding:
         return len(self.occupations)
 
 
-def sector_isometry(statistics: str, particles: int, levels: int) -> SectorEmbedding:
-    """Build the isometry whose columns are normalized (anti)symmetrized basis states.
+def sector_size(statistics: str, particles: int, levels: int) -> int:
+    """Dimension of the N-particle sector: C(d, N) fermionic, C(d+N-1, N) bosonic.
 
-    Fermionic column for levels k_1 < ... < k_N is the normalized wedge product
-    (1/sqrt(N!)) sum_P sign(P) |k_{P(1)} ... k_{P(N)}>; the bosonic column for a
-    non-decreasing tuple is the uniform superposition of its distinct
-    arrangements, normalized.
+    Equals sector_isometry(...).sector_dim without building the d^N-row
+    isometry, and rejects the same arguments.
     """
     if statistics not in ("fermionic", "bosonic"):
         raise ValueError(f"statistics must be 'fermionic' or 'bosonic', got {statistics!r}")
@@ -158,6 +156,21 @@ def sector_isometry(statistics: str, particles: int, levels: int) -> SectorEmbed
         if n > d:
             raise PauliExclusionError(
                 f"cannot antisymmetrize {n} fermions over {d} levels")
+        return math.comb(d, n)
+    return math.comb(d + n - 1, n)
+
+
+def sector_isometry(statistics: str, particles: int, levels: int) -> SectorEmbedding:
+    """Build the isometry whose columns are normalized (anti)symmetrized basis states.
+
+    Fermionic column for levels k_1 < ... < k_N is the normalized wedge product
+    (1/sqrt(N!)) sum_P sign(P) |k_{P(1)} ... k_{P(N)}>; the bosonic column for a
+    non-decreasing tuple is the uniform superposition of its distinct
+    arrangements, normalized.
+    """
+    sector_size(statistics, particles, levels)
+    n, d = int(particles), int(levels)
+    if statistics == "fermionic":
         occs = tuple(combinations(range(d), n))
     else:
         occs = tuple(combinations_with_replacement(range(d), n))

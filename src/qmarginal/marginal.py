@@ -87,6 +87,7 @@ def engine_system(instance: ConsistencyInstance) -> _engine.ConstraintSystem:
             target=mc.target,
             apply=lambda x, s=mc.subsystems: partial_trace(x, dims, s),
             adjoint=lambda y, s=mc.subsystems: embed_with_identity(y, dims, s),
+            dims=dims, keep=mc.subsystems,
             label=",".join(map(str, mc.subsystems))))
     return _engine.ConstraintSystem(instance.dim, tuple(cons))
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import _engine
 from ._engine import (DEFAULT_RANK_TOL, DEFAULT_REPAIR_TOL, FeasibilityResult,
                       ReductionTrace)
-from .hilbert import embed_with_identity, partial_trace, sector_isometry
+from .hilbert import embed_with_identity, partial_trace, sector_isometry, sector_size
 from .numerics import as_hermitian, numerical_rank
 
 __all__ = ["SectorInstance", "reduce_rank_sector", "find_feasible_sector",
@@ -41,9 +41,8 @@ class SectorInstance:
             raise ValueError(
                 f"marginal particle count must be in 1..{self.particles}, "
                 f"got {self.marginal_particles}")
-        emb = sector_isometry(self.statistics, self.marginal_particles, self.levels)
         self.target = as_hermitian(self.target)
-        want = emb.sector_dim
+        want = sector_size(self.statistics, self.marginal_particles, self.levels)
         if self.target.shape != (want, want):
             raise ValueError(
                 f"target for a {self.marginal_particles}-particle "
@@ -58,7 +57,7 @@ class SectorInstance:
 
     @property
     def sector_dim(self) -> int:
-        return sector_isometry(self.statistics, self.particles, self.levels).sector_dim
+        return sector_size(self.statistics, self.particles, self.levels)
 
 
 def engine_system(instance: SectorInstance) -> _engine.ConstraintSystem:
@@ -82,7 +81,8 @@ def engine_system(instance: SectorInstance) -> _engine.ConstraintSystem:
         return wn.conj().T @ lifted @ wn
 
     con = _engine.Constraint(target=instance.target, apply=apply,
-                             adjoint=adjoint, label=f"{k}-particle")
+                             adjoint=adjoint, dims=dims, keep=front, lift=wn,
+                             lower=wk, label=f"{k}-particle")
     return _engine.ConstraintSystem(wn.shape[1], (con,))
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qmarginal.hilbert import sector_isometry, sector_partial_trace
+from qmarginal.hilbert import sector_isometry, sector_partial_trace, sector_size
 from qmarginal.numerics import numerical_rank
 from qmarginal.sector import (SectorInstance, admissible_sigma_range,
                               bosonic_maximally_mixed_2, bosonic_sigma_p,
@@ -109,6 +109,22 @@ def test_sector_instance_validation():
         SectorInstance("spin", 3, 4, 2, eye6)
     with pytest.raises(ValueError):
         SectorInstance("fermionic", 3, 4, 2, np.eye(6))  # trace 6
+
+
+def test_sector_sizes_match_isometry_columns():
+    for statistics, n, d in (("fermionic", 1, 2), ("fermionic", 3, 4),
+                             ("fermionic", 4, 4), ("fermionic", 2, 6),
+                             ("bosonic", 1, 3), ("bosonic", 4, 2),
+                             ("bosonic", 3, 3), ("bosonic", 2, 5)):
+        want = sector_isometry(statistics, n, d).sector_dim
+        assert sector_size(statistics, n, d) == want
+        dk = sector_size(statistics, 1, d)
+        inst = SectorInstance(statistics, n, d, 1, np.eye(dk) / dk)
+        assert inst.sector_dim == want
+    with pytest.raises(ValueError):
+        sector_size("fermionic", 5, 4)
+    with pytest.raises(ValueError):
+        sector_size("spin", 2, 4)
 
 
 def test_sector_engine_adjoint_identity():
