@@ -1,19 +1,22 @@
 """Shared feasibility and rank-reduction engine.
 
-Everything here is phrased against an abstract list of linear constraints
-(forward map, adjoint map, target), so the same code serves plain marginal
-instances, symmetry-sector instances, and channel instances.  State-space
-operators are dense complex Hermitian matrices.
+Everything here is phrased against a list of linear constraints, each given
+by the structure of its map (an optional isometry in, a partial trace onto
+kept tensor factors, an optional isometry out) and a target.  The forward
+map, its adjoint and the descent rows are all derived from that structure,
+so the same code serves plain marginal instances, symmetry-sector instances,
+and channel instances.  State-space operators are dense complex Hermitian
+matrices.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .hilbert import support_basis
+from .hilbert import embed_with_identity, partial_trace, support_basis
 from .numerics import hermitian_part, numerical_rank, psd_project
 
 DEFAULT_TOL = 1e-8
@@ -29,23 +32,39 @@ PLATEAU_RTOL = 5e-3
 
 @dataclass(frozen=True)
 class Constraint:
-    """One affine equality: apply(X) == target, with adjoint of the map.
+    """One affine equality M(X) == target, with M given by its structure.
 
-    The map's structure drives the batched descent rows (constraint_rows):
-    X is lifted to lift @ X @ lift^dag when lift is given, traced down to
+    M lifts X to lift @ X @ lift^dag when lift is given, traces it down to
     the factors `keep` of the tensor product with factor dimensions `dims`,
-    and compressed to lower^dag @ Y @ lower when lower is given.  apply and
-    adjoint compute the same map and its adjoint.
+    and compresses the result to lower^dag @ Y @ lower when lower is given.
+    apply, adjoint and the batched descent rows (constraint_rows) all derive
+    from this one description.  label names the constraint in reports.
     """
 
     target: np.ndarray
-    apply: Callable[[np.ndarray], np.ndarray]
-    adjoint: Callable[[np.ndarray], np.ndarray]
     dims: tuple[int, ...]
     keep: tuple[int, ...]
     lift: np.ndarray | None = None
     lower: np.ndarray | None = None
     label: str = ""
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """M(x) = lower^dag Tr_rest(lift x lift^dag) lower."""
+        if self.lift is not None:
+            x = self.lift @ x @ self.lift.conj().T
+        y = partial_trace(x, self.dims, self.keep)
+        if self.lower is not None:
+            y = self.lower.conj().T @ y @ self.lower
+        return y
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """M*(y) = lift^dag ((lower y lower^dag) (x) I_rest) lift."""
+        if self.lower is not None:
+            y = self.lower @ y @ self.lower.conj().T
+        x = embed_with_identity(y, self.dims, self.keep)
+        if self.lift is not None:
+            x = self.lift.conj().T @ x @ self.lift
+        return x
 
 
 @dataclass(frozen=True)

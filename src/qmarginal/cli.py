@@ -7,10 +7,8 @@ that do not parse or validate).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
-from . import _engine, sector
 from ._engine import ReductionError
 from .channels import (ChannelFeasibilityError, kraus_count_bounds,
                        kraus_from_choi, reduce_kraus_rank, sub_channel)
@@ -22,8 +20,8 @@ from .documents import (DocumentError, channel_from_doc,
                         state_from_doc, state_to_doc)
 from .gallery import (maximally_mixed_klocal_instance,
                       random_feasible_instance, ring_graph_state)
-from .marginal import (ConsistencyInstance, barvinok_bound, check_consistency,
-                       find_feasible, theorem1_bound)
+from .marginal import (barvinok_bound, check_consistency, find_feasible,
+                       theorem1_bound)
 from .numerics import numerical_rank
 from .reduction import reduce_rank
 from .sector import (SectorInstance, bosonic_sigma_p, find_feasible_sector,
@@ -53,38 +51,17 @@ def _emit(doc: dict, out: str | None, summary: list[str]) -> None:
 
 
 def _report_lines(instance, report) -> list[str]:
-    lines = []
-    if isinstance(instance, SectorInstance):
-        labels = [f"{instance.marginal_particles}-particle marginal"]
-    else:
-        labels = ["subsystems " + ",".join(map(str, c.subsystems))
-                  for c in instance.constraints]
-    for label, res in zip(labels, report.residuals):
-        lines.append(f"constraint ({label}): residual {res:.3e}")
+    lines = [f"constraint ({c.label}): residual {res:.3e}"
+             for c, res in zip(instance.engine_system().constraints, report.residuals)]
     lines.append(f"psd violation: {report.psd_violation:.3e}")
     lines.append(f"trace error: {report.trace_error:.3e}")
     return lines
 
 
-def _bounds_for(instance, rank_tol: float) -> tuple[int, int]:
-    if isinstance(instance, SectorInstance):
-        # single sector constraint: rank bound and dimension-count bound
-        return (numerical_rank(instance.target, rank_tol),
-                math.isqrt(2 * instance.target.shape[0] ** 2))
-    return theorem1_bound(instance, rank_tol), barvinok_bound(instance)
-
-
 def cmd_check(args) -> int:
     instance = instance_from_doc(load_document(args.instance))
     state = state_from_doc(load_document(args.state))
-    if isinstance(instance, SectorInstance):
-        system = sector.engine_system(instance)
-        if state.shape != (system.dim, system.dim):
-            raise DocumentError(
-                f"state shape {state.shape} does not match sector dimension {system.dim}")
-        report = _engine.residual_report(system, state)
-    else:
-        report = check_consistency(instance, state, args.tol)
+    report = check_consistency(instance, state, args.tol)
     for line in _report_lines(instance, report):
         print(line)
     if report.is_consistent(args.tol):
@@ -97,23 +74,19 @@ def cmd_check(args) -> int:
 
 def cmd_bounds(args) -> int:
     instance = instance_from_doc(load_document(args.instance))
-    t, b = _bounds_for(instance, args.rank_tol)
-    degenerate = (not isinstance(instance, SectorInstance)
-                  and not instance.constraints)
-    marker = " (degenerate)" if degenerate else ""
+    t, b = theorem1_bound(instance, args.rank_tol), barvinok_bound(instance)
+    marker = "" if instance.engine_system().constraints else " (degenerate)"
     print(f"theorem1: {t}{marker}, barvinok: {b}")
     return 0
 
 
 def cmd_solve(args) -> int:
     instance = instance_from_doc(load_document(args.instance))
-    is_sector = isinstance(instance, SectorInstance)
-    if is_sector:
-        found = find_feasible_sector(instance, tol=args.tol,
-                                     max_iters=args.max_iters, seed=args.seed)
+    if isinstance(instance, SectorInstance):
+        find, reduce = find_feasible_sector, reduce_rank_sector
     else:
-        found = find_feasible(instance, tol=args.tol,
-                              max_iters=args.max_iters, seed=args.seed)
+        find, reduce = find_feasible, reduce_rank
+    found = find(instance, tol=args.tol, max_iters=args.max_iters, seed=args.seed)
     if not found.converged:
         _fail(found.message)
         for line in _report_lines(instance, found.report):
@@ -123,20 +96,13 @@ def cmd_solve(args) -> int:
     trace = None
     if not args.no_reduce:
         try:
-            if is_sector:
-                state, trace = reduce_rank_sector(
-                    state, instance, rank_tol=args.rank_tol, seed=args.seed)
-            else:
-                state, trace = reduce_rank(
-                    state, instance, rank_tol=args.rank_tol, seed=args.seed)
+            state, trace = reduce(state, instance, rank_tol=args.rank_tol,
+                                  seed=args.seed)
         except ReductionError as err:
             _fail(f"rank reduction aborted: {err}")
             return 1
-    if is_sector:
-        report = _engine.residual_report(sector.engine_system(instance), state)
-    else:
-        report = check_consistency(instance, state, args.tol)
-    t, b = _bounds_for(instance, args.rank_tol)
+    report = check_consistency(instance, state, args.tol)
+    t, b = theorem1_bound(instance, args.rank_tol), barvinok_bound(instance)
     rank = numerical_rank(state, args.rank_tol)
     bounds = {"theorem1": t, "barvinok": b, "achieved": rank}
     options = {"tol": args.tol, "rank_tol": args.rank_tol,
@@ -252,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("instance")
     p_check.add_argument("state")
     p_check.add_argument("--tol", type=float, default=1e-8)
-    p_check.add_argument("--rank-tol", type=float, default=1e-9)
     p_check.set_defaults(func=cmd_check)
 
     p_solve = sub.add_parser("solve", help="find a low-rank state meeting an instance")
@@ -260,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("-o", "--output", default=None)
     p_solve.add_argument("--no-reduce", action="store_true",
                          help="skip rank reduction after feasibility")
-    p_solve.add_argument("--format", choices=["json"], default="json")
     _add_common(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
@@ -284,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("-o", "--output", default=None)
     p_ex.add_argument("--state-out", default=None,
                       help="also write the witness state here (random-feasible)")
-    p_ex.add_argument("--format", choices=["json"], default="json")
     p_ex.set_defaults(func=cmd_example)
 
     p_ch = sub.add_parser("channel", help="channel utilities")
@@ -305,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_red = ch_sub.add_parser("reduce", help="match sub-channels, shrink Kraus count")
     p_red.add_argument("instance")
     p_red.add_argument("-o", "--output", default=None)
-    p_red.add_argument("--format", choices=["json"], default="json")
     _add_common(p_red, tol=1e-9)
     p_red.set_defaults(func=cmd_channel)
 

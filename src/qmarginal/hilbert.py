@@ -215,17 +215,3 @@ def sector_partial_trace(sigma, embedding: SectorEmbedding, k: int) -> np.ndarra
     wk = sector_isometry(embedding.statistics, k, d).isometry
     return wk.conj().T @ t @ wk
 
-
-def sector_marginal_adjoint(y, embedding: SectorEmbedding, k: int) -> np.ndarray:
-    """Adjoint of sector_partial_trace: lift a k-sector operator to the N-sector."""
-    n, d = embedding.particles, embedding.levels
-    k = int(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"marginal particle count must be in 1..{n}, got {k}")
-    if k == n:
-        return _as_operator(y, embedding.sector_dim).copy()
-    wk = sector_isometry(embedding.statistics, k, d).isometry
-    y = _as_operator(y, wk.shape[1])
-    lifted = embed_with_identity(wk @ y @ wk.conj().T, (d,) * n, range(k))
-    wn = embedding.isometry
-    return wn.conj().T @ lifted @ wn

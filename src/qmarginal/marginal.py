@@ -9,18 +9,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _engine
 from ._engine import (DEFAULT_MAX_ITERS, DEFAULT_TOL, FeasibilityResult,
                       ResidualReport)
-from .hilbert import (check_dims, check_subsystems, embed_with_identity,
-                      partial_trace, total_dim)
-from .numerics import DEFAULT_RANK_TOL, as_hermitian, numerical_rank
+from .hilbert import check_dims, check_subsystems, total_dim
+# unused here; kept as module attributes because bench/spans.py wraps them
+from .hilbert import embed_with_identity, partial_trace  # noqa: F401
+from .numerics import DEFAULT_RANK_TOL, check_target, numerical_rank
 
-TARGET_TRACE_TOL = 1e-9
-TARGET_PSD_TOL = 1e-8
+if TYPE_CHECKING:
+    from .sector import SectorInstance
 
 __all__ = ["MarginalConstraint", "ConsistencyInstance", "ResidualReport",
            "FeasibilityResult", "check_consistency", "theorem1_bound",
@@ -43,16 +45,7 @@ class MarginalConstraint:
                 f"subsystems must be strictly increasing, got {self.subsystems}")
         if self.subsystems[0] < 0:
             raise ValueError("subsystem indices must be nonnegative")
-        self.target = as_hermitian(self.target)
-        tr = np.trace(self.target)
-        if abs(tr - 1.0) > TARGET_TRACE_TOL:
-            raise ValueError(f"constraint target must have unit trace, got {tr:.12g}")
-        w = np.linalg.eigvalsh(self.target)
-        scale = max(1.0, float(np.abs(w).max()))
-        if w.min() < -TARGET_PSD_TOL * scale:
-            raise ValueError(
-                f"constraint target is not positive semidefinite "
-                f"(min eigenvalue {w.min():.3e})")
+        self.target = check_target(self.target)
 
 
 @dataclass
@@ -77,51 +70,47 @@ class ConsistencyInstance:
     def dim(self) -> int:
         return total_dim(self.dims)
 
-
-def engine_system(instance: ConsistencyInstance) -> _engine.ConstraintSystem:
-    """Wire an instance into the generic constraint engine."""
-    dims = instance.dims
-    cons = []
-    for mc in instance.constraints:
-        cons.append(_engine.Constraint(
-            target=mc.target,
-            apply=lambda x, s=mc.subsystems: partial_trace(x, dims, s),
-            adjoint=lambda y, s=mc.subsystems: embed_with_identity(y, dims, s),
-            dims=dims, keep=mc.subsystems,
-            label=",".join(map(str, mc.subsystems))))
-    return _engine.ConstraintSystem(instance.dim, tuple(cons))
+    def engine_system(self) -> _engine.ConstraintSystem:
+        """The instance as engine constraints: one partial trace each."""
+        return _engine.ConstraintSystem(self.dim, tuple(
+            _engine.Constraint(c.target, self.dims, c.subsystems,
+                               label="subsystems " + ",".join(map(str, c.subsystems)))
+            for c in self.constraints))
 
 
-def check_consistency(instance: ConsistencyInstance, rho: np.ndarray,
-                      tol: float = DEFAULT_TOL) -> ResidualReport:
+def check_consistency(instance: ConsistencyInstance | SectorInstance,
+                      rho: np.ndarray, tol: float = DEFAULT_TOL) -> ResidualReport:
     """Residuals of rho against the instance; consistent iff all are <= tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    system = instance.engine_system()
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (instance.dim, instance.dim):
-        raise ValueError(f"state shape {rho.shape} does not match dimension {instance.dim}")
-    return _engine.residual_report(engine_system(instance), rho)
+    if rho.shape != (system.dim, system.dim):
+        raise ValueError(f"state shape {rho.shape} does not match dimension {system.dim}")
+    return _engine.residual_report(system, rho)
 
 
-def theorem1_bound(instance: ConsistencyInstance,
+def theorem1_bound(instance: ConsistencyInstance | SectorInstance,
                    rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """floor(sqrt(sum of squared numerical target ranks)).
 
     Whenever the instance is satisfiable at all, it is satisfiable by a state
-    of at most this rank; 0 for the degenerate empty instance.
+    of at most this rank; 0 for the degenerate empty instance.  A sector
+    instance has one constraint, so its bound is the target rank.
     """
-    total = sum(numerical_rank(c.target, rank_tol) ** 2 for c in instance.constraints)
+    total = sum(numerical_rank(c.target, rank_tol) ** 2
+                for c in instance.engine_system().constraints)
     return math.isqrt(total)
 
 
-def barvinok_bound(instance: ConsistencyInstance) -> int:
+def barvinok_bound(instance: ConsistencyInstance | SectorInstance) -> int:
     """floor(sqrt(2 * sum of squared constraint dimensions)).
 
     Rank bound from counting scalar equations only, ignoring target ranks;
     never tighter than theorem1_bound.
     """
     total = 0
-    for c in instance.constraints:
+    for c in instance.engine_system().constraints:
         total += c.target.shape[0] ** 2
     return math.isqrt(2 * total)
 
@@ -137,5 +126,5 @@ def find_feasible(instance: ConsistencyInstance, *, tol: float = DEFAULT_TOL,
     best iterate and a plateau or iteration-budget message.
     """
     del seed
-    return _engine.solve_feasible(engine_system(instance), tol=tol,
+    return _engine.solve_feasible(instance.engine_system(), tol=tol,
                                   max_iters=max_iters)

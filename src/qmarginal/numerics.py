@@ -10,6 +10,8 @@ import numpy as np
 
 DEFAULT_HERM_TOL = 1e-8
 DEFAULT_RANK_TOL = 1e-9
+TARGET_TRACE_TOL = 1e-9
+TARGET_PSD_TOL = 1e-8
 
 
 def _as_square(a) -> np.ndarray:
@@ -38,6 +40,24 @@ def as_hermitian(a, herm_tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
     if asym > herm_tol * max(1.0, np.linalg.norm(a)):
         raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e}")
     return (a + a.conj().T) / 2
+
+
+def check_target(a) -> np.ndarray:
+    """Validate a prescribed reduced state and return it exactly Hermitian.
+
+    It must be Hermitian (as_hermitian), have unit trace within
+    TARGET_TRACE_TOL and no eigenvalue below -TARGET_PSD_TOL * max(1, max|w|).
+    """
+    a = as_hermitian(a)
+    tr = np.trace(a)
+    if abs(tr - 1.0) > TARGET_TRACE_TOL:
+        raise ValueError(f"target must have unit trace, got {tr:.12g}")
+    w = np.linalg.eigvalsh(a)
+    scale = max(1.0, float(np.abs(w).max()))
+    if w.min() < -TARGET_PSD_TOL * scale:
+        raise ValueError(
+            f"target is not positive semidefinite (min eigenvalue {w.min():.3e})")
+    return a
 
 
 def eig_hermitian(a, herm_tol: float = DEFAULT_HERM_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ import numpy as np
 from . import _engine
 from ._engine import (DEFAULT_DERIV_TOL, DEFAULT_RANK_TOL, DEFAULT_REPAIR_TOL,
                       ReductionError, ReductionStep, ReductionTrace)
-from .marginal import ConsistencyInstance, engine_system, theorem1_bound
+from .marginal import ConsistencyInstance, theorem1_bound
 
 __all__ = ["ReductionStep", "ReductionTrace", "ReductionError",
            "descent_direction", "step_length", "reduce_rank"]
@@ -29,7 +29,7 @@ def descent_direction(rho: np.ndarray, instance: ConsistencyInstance, *,
     """
     rng = np.random.default_rng(seed)
     return _engine.descent_direction_core(
-        np.asarray(rho, dtype=complex), engine_system(instance), rng,
+        np.asarray(rho, dtype=complex), instance.engine_system(), rng,
         rank_tol=rank_tol, deriv_tol=deriv_tol)
 
 
@@ -51,6 +51,6 @@ def reduce_rank(rho0: np.ndarray, instance: ConsistencyInstance, *,
     ReductionError (with a partial trace attached) if a repair fails.
     """
     return _engine.reduce_core(
-        np.asarray(rho0, dtype=complex), engine_system(instance),
+        np.asarray(rho0, dtype=complex), instance.engine_system(),
         bound=theorem1_bound(instance, rank_tol), rank_tol=rank_tol,
         repair_tol=repair_tol, seed=seed, max_steps=max_steps)

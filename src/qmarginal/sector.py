@@ -9,14 +9,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import _engine
 from ._engine import (DEFAULT_RANK_TOL, DEFAULT_REPAIR_TOL, FeasibilityResult,
                       ReductionTrace)
-from .hilbert import embed_with_identity, partial_trace, sector_isometry, sector_size
-from .numerics import as_hermitian, numerical_rank
+from .hilbert import sector_isometry, sector_size
+# unused here; kept as module attributes because bench/spans.py wraps them
+from .hilbert import embed_with_identity, partial_trace  # noqa: F401
+from .marginal import theorem1_bound
+from .numerics import check_target
 
 __all__ = ["SectorInstance", "reduce_rank_sector", "find_feasible_sector",
            "bosonic_sigma_p", "bosonic_maximally_mixed_2",
@@ -41,56 +45,40 @@ class SectorInstance:
             raise ValueError(
                 f"marginal particle count must be in 1..{self.particles}, "
                 f"got {self.marginal_particles}")
-        self.target = as_hermitian(self.target)
         want = sector_size(self.statistics, self.marginal_particles, self.levels)
+        self.target = check_target(self.target)
         if self.target.shape != (want, want):
             raise ValueError(
                 f"target for a {self.marginal_particles}-particle "
                 f"{self.statistics} sector over {self.levels} levels must be "
                 f"{want}x{want}, got {self.target.shape}")
-        tr = np.trace(self.target)
-        if abs(tr - 1.0) > 1e-9:
-            raise ValueError(f"target must have unit trace, got {tr:.12g}")
-        w = np.linalg.eigvalsh(self.target)
-        if w.min() < -1e-8 * max(1.0, float(np.abs(w).max())):
-            raise ValueError("target is not positive semidefinite")
 
     @property
     def sector_dim(self) -> int:
         return sector_size(self.statistics, self.particles, self.levels)
 
+    @cached_property
+    def _isometries(self) -> tuple[np.ndarray, np.ndarray]:
+        """W_N and W_k, built on first use and then kept with the instance."""
+        return tuple(sector_isometry(self.statistics, n, self.levels).isometry
+                     for n in (self.particles, self.marginal_particles))
 
-def engine_system(instance: SectorInstance) -> _engine.ConstraintSystem:
-    """The sector marginal map and its adjoint, wired for the engine."""
-    n, d, k = instance.particles, instance.levels, instance.marginal_particles
-    wn = sector_isometry(instance.statistics, n, d).isometry
-    wk = sector_isometry(instance.statistics, k, d).isometry
-    dims = (d,) * n
-    front = tuple(range(k))
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        if k == n:
-            return x
-        t = partial_trace(wn @ x @ wn.conj().T, dims, front)
-        return wk.conj().T @ t @ wk
-
-    def adjoint(y: np.ndarray) -> np.ndarray:
-        if k == n:
-            return y
-        lifted = embed_with_identity(wk @ y @ wk.conj().T, dims, front)
-        return wn.conj().T @ lifted @ wn
-
-    con = _engine.Constraint(target=instance.target, apply=apply,
-                             adjoint=adjoint, dims=dims, keep=front, lift=wn,
-                             lower=wk, label=f"{k}-particle")
-    return _engine.ConstraintSystem(wn.shape[1], (con,))
+    def engine_system(self) -> _engine.ConstraintSystem:
+        """The k-particle marginal map: lift by W_N, trace out particles
+        k..N-1, compress by W_k."""
+        wn, wk = self._isometries
+        k = self.marginal_particles
+        con = _engine.Constraint(self.target, (self.levels,) * self.particles,
+                                 tuple(range(k)), lift=wn, lower=wk,
+                                 label=f"{k}-particle marginal")
+        return _engine.ConstraintSystem(wn.shape[1], (con,))
 
 
 def find_feasible_sector(instance: SectorInstance, *, tol: float = 1e-8,
                          max_iters: int = 5000, seed: int = 0) -> FeasibilityResult:
     """Alternating-projection search inside the sector, from its mixed state."""
     del seed
-    return _engine.solve_feasible(engine_system(instance), tol=tol,
+    return _engine.solve_feasible(instance.engine_system(), tol=tol,
                                   max_iters=max_iters)
 
 
@@ -105,8 +93,8 @@ def reduce_rank_sector(sigma0: np.ndarray, instance: SectorInstance, *,
     value of the general square-sum bound).
     """
     return _engine.reduce_core(
-        np.asarray(sigma0, dtype=complex), engine_system(instance),
-        bound=numerical_rank(instance.target, rank_tol), rank_tol=rank_tol,
+        np.asarray(sigma0, dtype=complex), instance.engine_system(),
+        bound=theorem1_bound(instance, rank_tol), rank_tol=rank_tol,
         repair_tol=repair_tol, seed=seed, max_steps=max_steps)
 
 

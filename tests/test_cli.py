@@ -142,6 +142,38 @@ def test_solve_sector_instance(tmp_path, capsys):
     assert max(doc["residuals"]) <= 1e-7
 
 
+def boson_mm_path(tmp_path):
+    """Four bosons in two levels, maximally mixed two-particle target."""
+    from qmarginal.sector import SectorInstance
+    inst = SectorInstance("bosonic", 4, 2, 2, np.eye(3, dtype=complex) / 3)
+    return write_instance(tmp_path / "sector.json", inst)
+
+
+def test_bounds_sector_instance(tmp_path, capsys):
+    assert main(["bounds", boson_mm_path(tmp_path)]) == 0
+    assert capsys.readouterr().out.strip() == "theorem1: 3, barvinok: 4"
+
+
+def test_check_sector_solution(tmp_path, capsys):
+    inst_path = boson_mm_path(tmp_path)
+    out_path = tmp_path / "sol.json"
+    assert main(["solve", inst_path, "-o", str(out_path)]) == 0
+    capsys.readouterr()
+    assert main(["check", inst_path, str(out_path)]) == 0
+    out = capsys.readouterr().out
+    assert "constraint (2-particle marginal): residual " in out
+    assert "consistent within tol" in out
+
+
+def test_check_sector_wrong_shape(tmp_path, capsys):
+    inst_path = boson_mm_path(tmp_path)
+    state_path = tmp_path / "wrong.json"
+    dump_document(state_to_doc(np.eye(4, dtype=complex) / 4, (4,)),
+                  str(state_path))
+    assert main(["check", inst_path, str(state_path)]) == 2
+    assert "does not match" in capsys.readouterr().err
+
+
 def test_example_ring_graph(tmp_path, capsys):
     out_path = tmp_path / "ring.json"
     assert main(["example", "ring-graph", "--n", "5", "-o", str(out_path)]) == 0

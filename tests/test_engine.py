@@ -8,9 +8,7 @@ from qmarginal.channels import (ChannelInstance, LocalChannel,
 from qmarginal.gallery import random_feasible_instance
 from qmarginal.hilbert import sector_size, support_basis
 from qmarginal.marginal import ConsistencyInstance, MarginalConstraint
-from qmarginal.marginal import engine_system as marginal_system
 from qmarginal.sector import SectorInstance
-from qmarginal.sector import engine_system as sector_system
 
 
 def herm_basis(r):
@@ -67,7 +65,7 @@ def sector_pair(rng, statistics, n, d, k, rank):
     dk = sector_size(statistics, k, d)
     probe = SectorInstance(statistics, n, d, k, np.eye(dk) / dk)
     sigma = low_rank_state(rng, probe.sector_dim, rank)
-    target = sector_system(probe).constraints[0].apply(sigma)
+    target = probe.engine_system().constraints[0].apply(sigma)
     return SectorInstance(statistics, n, d, k, target), sigma
 
 
@@ -78,7 +76,7 @@ def test_rows_match_reference_qudit():
                                          seed=7)
     assert any(np.linalg.matrix_rank(c.target) < c.target.shape[0]
                for c in inst.constraints)
-    assert_rows_match(marginal_system(inst), rho)
+    assert_rows_match(inst.engine_system(), rho)
 
 
 def test_rows_match_reference_sectors():
@@ -89,7 +87,7 @@ def test_rows_match_reference_sectors():
                                       ("bosonic", 3, 3, 2, 5),
                                       ("bosonic", 3, 2, 3, 2)):
         inst, sigma = sector_pair(rng, statistics, n, d, k, rank)
-        assert_rows_match(sector_system(inst), sigma)
+        assert_rows_match(inst.engine_system(), sigma)
 
 
 def test_rows_match_reference_channel_with_tp_row():
@@ -104,7 +102,7 @@ def test_rows_match_reference_channel_with_tp_row():
     inst = channel_instance_to_marginal(
         ChannelInstance((2, 2), (2, 2), locs), include_tp=True)
     assert inst.constraints[-1].subsystems == (0, 1)
-    assert_rows_match(marginal_system(inst), joint.choi)
+    assert_rows_match(inst.engine_system(), joint.choi)
 
 
 def test_row_space_projector_matches_svd_with_duplicate_rows():
@@ -113,7 +111,7 @@ def test_row_space_projector_matches_svd_with_duplicate_rows():
     inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 6, seed=3)
     v, _ = support_basis(rho)
     first, second = (_engine.constraint_rows(c, v, support_basis(c.target)[0])
-                     for c in marginal_system(inst).constraints)
+                     for c in inst.engine_system().constraints)
     a = np.vstack([first, second, first])
     q = _engine._row_space(a)
     _, s, vt = np.linalg.svd(a)
@@ -127,7 +125,7 @@ def test_row_space_projector_matches_svd_with_duplicate_rows():
 def test_duplicated_constraint_still_gives_a_direction():
     inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 6, seed=4)
     twice = ConsistencyInstance(inst.dims, inst.constraints + inst.constraints[:1])
-    system = marginal_system(twice)
+    system = twice.engine_system()
     h = _engine.descent_direction_core(rho, system, np.random.default_rng(0))
     assert h is not None
     assert abs(np.trace(h)) <= 1e-9
@@ -147,23 +145,23 @@ def assert_none_without_draws(rho, system):
 def test_empty_null_space_pure_state():
     rng = np.random.default_rng(2)
     inst, sigma = sector_pair(rng, "fermionic", 3, 5, 2, 1)
-    assert_none_without_draws(sigma, sector_system(inst))
+    assert_none_without_draws(sigma, inst.engine_system())
 
 
 def test_empty_null_space_fully_pinned():
     """A constraint on every factor pins the whole state: on qubits, and as
     a sector marginal with k == N."""
     inst, rho = random_feasible_instance((2, 2), [(0, 1)], 3, seed=1)
-    assert_none_without_draws(rho, marginal_system(inst))
+    assert_none_without_draws(rho, inst.engine_system())
     inst, sigma = sector_pair(np.random.default_rng(3), "bosonic", 3, 3, 3, 4)
-    assert_none_without_draws(sigma, sector_system(inst))
+    assert_none_without_draws(sigma, inst.engine_system())
 
 
 def test_full_rows_retry_when_compressed_rows_miss_an_image():
     """Target bases that miss part of a target's support leave the compressed
     rows blind to it; the posts check fails and the full rows take over."""
     inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 8, seed=6)
-    system = marginal_system(inst)
+    system = inst.engine_system()
     narrow = [support_basis(c.target)[0][:, :1] for c in system.constraints]
     h = _engine.descent_direction_core(rho, system, np.random.default_rng(0),
                                        target_bases=narrow)

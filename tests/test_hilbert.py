@@ -4,8 +4,8 @@ import pytest
 
 from qmarginal.hilbert import (PauliExclusionError, embed_with_identity,
                                partial_trace, sector_isometry,
-                               sector_marginal_adjoint, sector_partial_trace,
-                               support_basis, support_projector)
+                               sector_partial_trace, support_basis,
+                               support_projector)
 
 
 def random_matrix(rng, d):
@@ -236,16 +236,3 @@ def test_sector_maximally_mixed_marginals():
         m = sector_partial_trace(mixed, emb_n, k)
         assert np.linalg.norm(m - np.eye(emb_k.sector_dim) / emb_k.sector_dim) <= 1e-12
 
-
-def test_sector_marginal_adjoint_identity():
-    rng = np.random.default_rng(9)
-    for stat, n, d, k in (("fermionic", 3, 4, 2), ("bosonic", 4, 2, 2),
-                          ("bosonic", 3, 3, 1)):
-        emb_n = sector_isometry(stat, n, d)
-        emb_k = sector_isometry(stat, k, d)
-        for _ in range(5):
-            sigma = random_matrix(rng, emb_n.sector_dim)
-            y = random_matrix(rng, emb_k.sector_dim)
-            lhs = np.trace(sector_partial_trace(sigma, emb_n, k) @ y)
-            rhs = np.trace(sigma @ sector_marginal_adjoint(y, emb_n, k))
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))

@@ -8,8 +8,7 @@ from qmarginal.hilbert import sector_isometry, sector_partial_trace, sector_size
 from qmarginal.numerics import numerical_rank
 from qmarginal.sector import (SectorInstance, admissible_sigma_range,
                               bosonic_maximally_mixed_2, bosonic_sigma_p,
-                              engine_system, find_feasible_sector,
-                              reduce_rank_sector)
+                              find_feasible_sector, reduce_rank_sector)
 
 
 def dicke_overlap(n, m, j):
@@ -111,6 +110,14 @@ def test_sector_instance_validation():
         SectorInstance("fermionic", 3, 4, 2, np.eye(6))  # trace 6
 
 
+def test_sector_target_checks():
+    """The shared target checks: unit trace, then positivity."""
+    with pytest.raises(ValueError, match="unit trace"):
+        SectorInstance("bosonic", 4, 2, 2, 2 * np.eye(3) / 3)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        SectorInstance("bosonic", 4, 2, 2, np.diag([1.5, -0.5, 0.0]))
+
+
 def test_sector_sizes_match_isometry_columns():
     for statistics, n, d in (("fermionic", 1, 2), ("fermionic", 3, 4),
                              ("fermionic", 4, 4), ("fermionic", 2, 6),
@@ -128,16 +135,22 @@ def test_sector_sizes_match_isometry_columns():
 
 
 def test_sector_engine_adjoint_identity():
+    """<M(X), Y> == <X, M*(Y)> for the engine's sector map, and M agrees
+    with the independent sector_partial_trace."""
     rng = np.random.default_rng(29)
-    inst = SectorInstance("bosonic", 4, 2, 2, np.eye(3, dtype=complex) / 3)
-    system = engine_system(inst)
-    con = system.constraints[0]
-    for _ in range(5):
-        x = (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-        y = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        lhs = np.trace(con.apply(x) @ y)
-        rhs = np.trace(x @ con.adjoint(y))
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+    for stat, n, d, k in (("fermionic", 3, 4, 2), ("bosonic", 4, 2, 2),
+                          ("bosonic", 3, 3, 1)):
+        dn, dk = sector_size(stat, n, d), sector_size(stat, k, d)
+        inst = SectorInstance(stat, n, d, k, np.eye(dk, dtype=complex) / dk)
+        con = inst.engine_system().constraints[0]
+        emb = sector_isometry(stat, n, d)
+        for _ in range(5):
+            x = rng.standard_normal((dn, dn)) + 1j * rng.standard_normal((dn, dn))
+            y = rng.standard_normal((dk, dk)) + 1j * rng.standard_normal((dk, dk))
+            lhs = np.trace(con.apply(x) @ y)
+            rhs = np.trace(x @ con.adjoint(y))
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+            assert np.linalg.norm(con.apply(x) - sector_partial_trace(x, emb, k)) <= 1e-12
 
 
 def test_fermionic_sector_reduction():
@@ -174,7 +187,7 @@ def test_bosonic_sector_reduction():
 def test_sigma_p_solves_its_own_instance():
     """sigma_p members are feasible points of the maximally mixed pair target."""
     inst = SectorInstance("bosonic", 7, 2, 2, np.eye(3, dtype=complex) / 3)
-    system = engine_system(inst)
+    system = inst.engine_system()
     for p in range(2, 6):
         sigma = bosonic_sigma_p(7, p)
         res = np.linalg.norm(system.constraints[0].apply(sigma) - inst.target)
