@@ -6,6 +6,7 @@ from qmarginal.hilbert import (PauliExclusionError, embed_with_identity,
                                partial_trace, sector_isometry,
                                sector_partial_trace, support_basis,
                                support_projector)
+from qmarginal.sector import SectorInstance
 
 
 def random_matrix(rng, d):
@@ -236,3 +237,23 @@ def test_sector_maximally_mixed_marginals():
         m = sector_partial_trace(mixed, emb_n, k)
         assert np.linalg.norm(m - np.eye(emb_k.sector_dim) / emb_k.sector_dim) <= 1e-12
 
+
+def test_sector_marginal_adjoint_identity():
+    """<M(X), Y> == <X, M*(Y)> for the engine's sector marginal map, and M
+    agrees with the independent sector_partial_trace."""
+    rng = np.random.default_rng(9)
+    for stat, n, d, k in (("fermionic", 3, 4, 2), ("bosonic", 4, 2, 2),
+                          ("bosonic", 3, 3, 1)):
+        emb_n = sector_isometry(stat, n, d)
+        emb_k = sector_isometry(stat, k, d)
+        dk = emb_k.sector_dim
+        inst = SectorInstance(stat, n, d, k, np.eye(dk, dtype=complex) / dk)
+        con = inst.engine_system().constraints[0]
+        for _ in range(5):
+            sigma = random_matrix(rng, emb_n.sector_dim)
+            y = random_matrix(rng, dk)
+            lhs = np.trace(con.apply(sigma) @ y)
+            rhs = np.trace(sigma @ con.adjoint(y))
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+            assert np.linalg.norm(con.apply(sigma)
+                                  - sector_partial_trace(sigma, emb_n, k)) <= 1e-12
