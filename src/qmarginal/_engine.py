@@ -3,15 +3,18 @@
 Everything here is phrased against a list of linear constraints, each given
 by the structure of its map (an optional isometry in, a partial trace onto
 kept tensor factors, an optional isometry out) and a target.  The forward
-map, its adjoint and the descent rows are all derived from that structure,
-so the same code serves plain marginal instances, symmetry-sector instances,
-and channel instances.  State-space operators are dense complex Hermitian
-matrices.
+map, its adjoint and the constraint rows are all derived from that
+structure, so the same code serves plain marginal instances, symmetry-sector
+instances, and channel instances.  The rows feed both exact linear solves:
+the affine projection (a pseudo-inverse of their Gram matrix) and the descent
+null space (a basis of their row space), each from one eigendecomposition.
+State-space operators are dense complex Hermitian matrices.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -24,8 +27,6 @@ DEFAULT_MAX_ITERS = 5000
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_REPAIR_TOL = 1e-8
 DEFAULT_DERIV_TOL = 1e-9
-CG_TOL = 1e-12
-CG_MAX_ITERS = 500
 PLATEAU_WINDOW = 500
 PLATEAU_RTOL = 5e-3
 
@@ -71,6 +72,12 @@ class Constraint:
 class ConstraintSystem:
     dim: int
     constraints: tuple[Constraint, ...]
+
+    @cached_property
+    def affine_pinv(self) -> np.ndarray:
+        """Gram pseudo-inverse of the full-space affine projection, built on
+        first use and then kept with the system (see project_affine)."""
+        return _affine_pinv(self, np.eye(self.dim, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -140,97 +147,54 @@ def residual_report(system: ConstraintSystem, x: np.ndarray) -> ResidualReport:
 
 
 # ---------------------------------------------------------------------------
-# Affine projection: conjugate gradient on the constraint Gram system.
-# The unit-trace condition rides along as an explicit 1x1 block even though
-# the marginal rows imply it; this keeps the projected point exactly on the
-# trace-one slice regardless of rounding in the other blocks.
+# Affine projection: one exact least-squares solve on the constraint rows.
+# The rows A are the unit-trace row plus constraint_rows(c, V, I) for every
+# constraint, in the coordinates of corrections V herm(y) V^dag.  The trace
+# row rides along even though the marginal rows imply it; this keeps the
+# projected point exactly on the trace-one slice regardless of rounding in
+# the other rows.  Only the m x m pseudo-inverse of G = A A^T is kept, and
+# the correction A^T G^+ r is applied through Constraint.adjoint.
 # ---------------------------------------------------------------------------
 
-def _bdot(za, zb) -> float:
-    return float(sum(np.vdot(a, b).real for a, b in zip(za, zb)))
-
-
-def _residual_blocks(system: ConstraintSystem, x: np.ndarray) -> list[np.ndarray]:
-    out = [c.target - c.apply(x) for c in system.constraints]
-    out.append(np.array([[1.0 - np.trace(x)]], dtype=complex))
-    return out
-
-
-def _lift(system: ConstraintSystem, z) -> np.ndarray:
-    y = z[-1][0, 0] * np.eye(system.dim, dtype=complex)
-    for c, zb in zip(system.constraints, z):
-        y = y + c.adjoint(zb)
-    return y
-
-
-def _forward_blocks(system: ConstraintSystem, y: np.ndarray) -> list[np.ndarray]:
-    out = [c.apply(y) for c in system.constraints]
-    out.append(np.array([[np.trace(y)]], dtype=complex))
-    return out
+def _affine_pinv(system: ConstraintSystem, v: np.ndarray) -> np.ndarray:
+    """G^+ for the affine rows on span(v).  G is built block by block from
+    the products of row groups, and the rows are dropped before G is
+    factored, so only m x m matrices outlive the assembly."""
+    rows = [_herm_coords(np.eye(v.shape[1]))[None]]
+    rows += [constraint_rows(c, v, np.eye(c.target.shape[0]))
+             for c in system.constraints]
+    g = np.block([[ri @ rj.T for rj in rows] for ri in rows])
+    del rows
+    lam, u = _gram_eig(g)
+    u /= np.sqrt(lam)
+    return u @ u.T
 
 
 def project_affine(system: ConstraintSystem, x: np.ndarray, *,
-                   warm=None, support: np.ndarray | None = None,
-                   cg_tol: float = CG_TOL, cg_max_iters: int = CG_MAX_ITERS):
+                   support: np.ndarray | None = None) -> np.ndarray:
     """Least-squares projection of x onto the affine constraint slice.
 
-    Solves the Gram system G z = (targets - forward(x)) by conjugate gradient
-    and returns (x + adjoint(z), z).  When `support` (an isometry) is given,
-    the correction is confined to operators on that subspace, i.e. the Gram
-    map becomes L P L* with P the support compression.
+    With r the residual of the trace row and of every constraint at x, the
+    correction is the minimum-norm solution of A delta = r in the least-squares
+    sense, A^T G^+ r; on a contradictory system that is the least-squares
+    point.  When `support` (an isometry V) is given, the correction is
+    confined to operators on span(V) and G is built for that V; otherwise the
+    full-space factor of the system is used, built once on first use.
     """
-    b = _residual_blocks(system, x)
-    bnorm = math.sqrt(_bdot(b, b))
-
-    def gram(z):
-        y = _lift(system, z)
-        if support is not None:
-            y = support @ (support.conj().T @ y @ support) @ support.conj().T
-        return _forward_blocks(system, y)
-
-    if warm is not None:
-        z = [zb.copy() for zb in warm]
-        r = [rb - gb for rb, gb in zip(b, gram(z))]
-    else:
-        z = [np.zeros_like(rb) for rb in b]
-        r = [rb.copy() for rb in b]
-    rs = _bdot(r, r)
-    best_rs, best_z = rs, [zb.copy() for zb in z]
-    threshold = (cg_tol * max(1.0, bnorm)) ** 2
-    d = [rb.copy() for rb in r]
-    stalled = 0
-    for _ in range(cg_max_iters):
-        if rs <= threshold:
-            break
-        gd = gram(d)
-        dgd = _bdot(d, gd)
-        if dgd <= 0.0:
-            break
-        alpha = rs / dgd
-        for zb, db in zip(z, d):
-            zb += alpha * db
-        for rb, gb in zip(r, gd):
-            rb -= alpha * gb
-        rs_new = _bdot(r, r)
-        if rs_new < best_rs * (1.0 - 1e-3):
-            best_rs, best_z = rs_new, [zb.copy() for zb in z]
-            stalled = 0
-        else:
-            # mutually inconsistent rows leave an unreachable residual
-            # component; give up once progress stops instead of burning
-            # the full budget on it
-            stalled += 1
-            if rs_new < best_rs:
-                best_rs, best_z = rs_new, [zb.copy() for zb in z]
-            if stalled >= 60:
-                break
-        beta = rs_new / rs
-        rs = rs_new
-        d = [rb + beta * db for rb, db in zip(r, d)]
-    correction = _lift(system, best_z)
+    pinv = system.affine_pinv if support is None else _affine_pinv(system, support)
+    r = np.concatenate([[1.0 - np.trace(x).real]] + [
+        _herm_coords(c.target - c.apply(x)) for c in system.constraints])
+    z = pinv @ r
+    correction = z[0] * np.eye(system.dim, dtype=complex)
+    start = 1
+    for c in system.constraints:
+        dc = c.target.shape[0]
+        correction += c.adjoint(_coords_to_herm(z[start:start + dc * dc], dc))
+        start += dc * dc
     if support is not None:
-        correction = support @ (support.conj().T @ correction @ support) @ support.conj().T
-    return hermitian_part(x + correction), best_z
+        vh = support.conj().T
+        correction = support @ (vh @ correction @ support) @ vh
+    return hermitian_part(x + correction)
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +203,17 @@ def project_affine(system: ConstraintSystem, x: np.ndarray, *,
 # ---------------------------------------------------------------------------
 
 def solve_feasible(system: ConstraintSystem, *, start: np.ndarray | None = None,
-                   tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
-                   cg_tol: float = CG_TOL, cg_max_iters: int = CG_MAX_ITERS,
-                   plateau_window: int = PLATEAU_WINDOW,
-                   plateau_rtol: float = PLATEAU_RTOL) -> FeasibilityResult:
+                   tol: float = DEFAULT_TOL,
+                   max_iters: int = DEFAULT_MAX_ITERS) -> FeasibilityResult:
     """Find a state satisfying every constraint, or report failure.
 
     Dykstra's alternating projections between the affine slice and the PSD
-    cone, starting from the maximally mixed state.  Convergence is declared
-    when the trace-normalized PSD iterate meets every constraint within tol.
-    A long stretch without residual improvement is reported as a plateau;
-    that is evidence of infeasibility, never a certificate.
+    cone, starting from the maximally mixed state.  Every affine step is one
+    exact solve against the system's Gram factor, which is built once.
+    Convergence is declared when the trace-normalized PSD iterate meets every
+    constraint within tol.  No more than PLATEAU_RTOL relative improvement
+    over the last PLATEAU_WINDOW iterations is reported as a plateau; that is
+    evidence of infeasibility, never a certificate.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -261,15 +225,13 @@ def solve_feasible(system: ConstraintSystem, *, start: np.ndarray | None = None,
         raise ValueError(f"start shape {x.shape} does not match dimension {dim}")
     p = np.zeros_like(x)
     q = np.zeros_like(x)
-    warm = None
     best_res = math.inf
     best_x = x.copy()
     history: list[float] = []
     iterations = 0
     for it in range(1, max_iters + 1):
         iterations = it
-        y, warm = project_affine(system, x + p, warm=warm,
-                                 cg_tol=cg_tol, cg_max_iters=cg_max_iters)
+        y = project_affine(system, x + p)
         p = x + p - y
         w = y + q
         x = psd_project(w)
@@ -286,12 +248,12 @@ def solve_feasible(system: ConstraintSystem, *, start: np.ndarray | None = None,
         if res <= tol:
             return FeasibilityResult(cand, residual_report(system, cand), True, it,
                                      f"converged in {it} iterations")
-        if it > plateau_window and best_res > 10 * tol:
-            prev = history[it - plateau_window - 1]
-            if prev - best_res < plateau_rtol * prev:
+        if it > PLATEAU_WINDOW and best_res > 10 * tol:
+            prev = history[it - PLATEAU_WINDOW - 1]
+            if prev - best_res < PLATEAU_RTOL * prev:
                 msg = (f"residual plateau at {best_res:.3e} after {it} iterations "
-                       f"(< {plateau_rtol:.1%} improvement over the last "
-                       f"{plateau_window}); instance possibly infeasible")
+                       f"(< {PLATEAU_RTOL:.1%} improvement over the last "
+                       f"{PLATEAU_WINDOW}); instance possibly infeasible")
                 return FeasibilityResult(best_x, residual_report(system, best_x),
                                          False, it, msg)
     msg = (f"no convergence after {max_iters} iterations; "
@@ -305,10 +267,10 @@ def solve_feasible(system: ConstraintSystem, *, start: np.ndarray | None = None,
 # times the real and imaginary parts of the strict upper triangle.  The map
 # is a linear isometry between (R^{r^2}, l2) and (Herm(r), Frobenius).
 #
-# The descent system's rows are built in these coordinates without a loop
-# over basis elements.  For a constraint that traces a state down to its
-# kept factors, with support basis V of rho and target support basis V_c,
-# the compressed adjoint image of |a><b| is
+# The rows of the affine projection and of the descent system are built in
+# these coordinates without a loop over basis elements.  For a constraint
+# that traces a state down to its kept factors, with support basis V of rho
+# and target support basis V_c, the compressed adjoint image of |a><b| is
 # G_ab = V^dag (|a><b| (x) I) V = w_a^dag w_b, where w_a holds <a|V with the
 # traced-out factors as rows.  G_ba = G_ab^dag, so the products for a <= b
 # give the image of every target basis element: G_aa, then
@@ -337,7 +299,7 @@ def _coords_to_herm(y: np.ndarray, r: int) -> np.ndarray:
 
 
 def constraint_rows(c: Constraint, v: np.ndarray, vc: np.ndarray) -> np.ndarray:
-    """Rows of one constraint in the descent linear system, shape (rc^2, r^2).
+    """Rows of one constraint in the engine's linear systems, shape (rc^2, r^2).
 
     Row a is the coordinate vector of V^dag M*(F_a) V, the Riesz vector of
     the scalar equality <F_a, M(H)> = 0 for H = V herm(y) V^dag, where F_a
@@ -362,21 +324,27 @@ def constraint_rows(c: Constraint, v: np.ndarray, vc: np.ndarray) -> np.ndarray:
                            _herm_coords(1j * (g - gh) / math.sqrt(2))])
 
 
-def _row_space(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the row space of a, from eigh(a a^T).
+def _gram_eig(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a row Gram matrix g = a a^T that count as nonzero.
 
     Eigenvalues at or below 1e-12 * lambda_max count as zero, i.e. singular
-    values below 1e-6 * sigma_max.  The cutoff is not the square of an SVD
-    rcond such as 1e-8: squaring puts rounding-level singular values near
+    values of a below 1e-6 * sigma_max.  The cutoff is not the square of an
+    SVD rcond such as 1e-8: squaring puts rounding-level singular values near
     1e-16 * lambda_max, where a 1e-16 cutoff admits them as row directions.
     The rows' singular values sit either near sigma_max or at rounding level
     (on 5 qubits they fall from 0.27 sigma_max straight to 7e-16 sigma_max),
     so the wide cutoff loses no real row.
     """
-    lam, u = np.linalg.eigh(a @ a.T)
+    lam, u = np.linalg.eigh(g)
     keep = lam > 1e-12 * lam[-1]
-    q = a.T @ u[:, keep]
-    q /= np.sqrt(lam[keep])
+    return lam[keep], u[:, keep]
+
+
+def _row_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the row space of a, from eigh(a a^T)."""
+    lam, u = _gram_eig(a @ a.T)
+    q = a.T @ u
+    q /= np.sqrt(lam)
     return q
 
 
@@ -518,8 +486,7 @@ def _truncate_to_rank(x: np.ndarray, rank: int) -> np.ndarray:
 
 
 def _repair(x: np.ndarray, system: ConstraintSystem, *, inner_tol: float,
-            hard_tol: float, rank_tol: float, cg_tol: float,
-            cg_max_iters: int) -> np.ndarray:
+            hard_tol: float, rank_tol: float) -> np.ndarray:
     """Restore feasibility after a truncation, confined to supp(x)."""
 
     def confined_rounds(y: np.ndarray, rounds: int) -> tuple[np.ndarray, float]:
@@ -528,8 +495,7 @@ def _repair(x: np.ndarray, system: ConstraintSystem, *, inner_tol: float,
             if cur <= inner_tol:
                 break
             vsup, _ = support_basis(y, rank_tol)
-            y, _ = project_affine(system, y, support=vsup,
-                                  cg_tol=cg_tol, cg_max_iters=cg_max_iters)
+            y = project_affine(system, y, support=vsup)
             y = psd_project(y)
             t = float(np.trace(y).real)
             if t <= 0:
@@ -543,7 +509,7 @@ def _repair(x: np.ndarray, system: ConstraintSystem, *, inner_tol: float,
         return y
     # fallback: one unconstrained affine polish, clamp the rank back, retry
     rank = numerical_rank(y, rank_tol)
-    y2, _ = project_affine(system, y, cg_tol=cg_tol, cg_max_iters=cg_max_iters)
+    y2 = project_affine(system, y)
     y2 = _truncate_to_rank(psd_project(y2), rank)
     y2, cur2 = confined_rounds(y2, 3)
     if cur2 <= hard_tol:
@@ -557,9 +523,7 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
                 repair_tol: float = DEFAULT_REPAIR_TOL,
                 deriv_tol: float = DEFAULT_DERIV_TOL,
                 seed: int = 0, max_steps: int | None = None,
-                feas_tol: float = 1e-6,
-                cg_tol: float = CG_TOL,
-                cg_max_iters: int = CG_MAX_ITERS) -> tuple[np.ndarray, ReductionTrace]:
+                feas_tol: float = 1e-6) -> tuple[np.ndarray, ReductionTrace]:
     """Greedy boundary-step loop; stops when no null-space direction remains.
 
     Each step multiplies out to: direction, boundary step length, eigenvalue
@@ -579,8 +543,7 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
     inner_tol = repair_tol / 10
     guard_floor = 1e3 * rank_tol
     repair_kwargs = dict(inner_tol=inner_tol, hard_tol=repair_tol,
-                         rank_tol=rank_tol, cg_tol=cg_tol,
-                         cg_max_iters=cg_max_iters)
+                         rank_tol=rank_tol)
     steps: list[ReductionStep] = []
     # targets are fixed, so their supports are computed once per reduction
     target_bases = [support_basis(c.target, rank_tol)[0] for c in system.constraints]

@@ -236,7 +236,7 @@ def reduce_kraus_rank(instance: ChannelInstance, *, tol: float = 1e-9,
     """
     marginal_instance = channel_instance_to_marginal(instance, include_tp=True)
     found = find_feasible(marginal_instance, tol=min(tol, repair_tol),
-                          max_iters=max_iters, seed=seed)
+                          max_iters=max_iters)
     if not found.converged:
         raise ChannelFeasibilityError(found)
     reduced, trace = reduce_rank(found.state, marginal_instance,

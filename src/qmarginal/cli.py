@@ -75,7 +75,7 @@ def cmd_check(args) -> int:
 def cmd_bounds(args) -> int:
     instance = instance_from_doc(load_document(args.instance))
     t, b = theorem1_bound(instance, args.rank_tol), barvinok_bound(instance)
-    marker = "" if instance.engine_system().constraints else " (degenerate)"
+    marker = "" if instance.targets else " (degenerate)"
     print(f"theorem1: {t}{marker}, barvinok: {b}")
     return 0
 
@@ -86,7 +86,7 @@ def cmd_solve(args) -> int:
         find, reduce = find_feasible_sector, reduce_rank_sector
     else:
         find, reduce = find_feasible, reduce_rank
-    found = find(instance, tol=args.tol, max_iters=args.max_iters, seed=args.seed)
+    found = find(instance, tol=args.tol, max_iters=args.max_iters)
     if not found.converged:
         _fail(found.message)
         for line in _report_lines(instance, found.report):

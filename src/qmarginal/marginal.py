@@ -70,6 +70,10 @@ class ConsistencyInstance:
     def dim(self) -> int:
         return total_dim(self.dims)
 
+    @property
+    def targets(self) -> tuple[np.ndarray, ...]:
+        return tuple(c.target for c in self.constraints)
+
     def engine_system(self) -> _engine.ConstraintSystem:
         """The instance as engine constraints: one partial trace each."""
         return _engine.ConstraintSystem(self.dim, tuple(
@@ -98,8 +102,7 @@ def theorem1_bound(instance: ConsistencyInstance | SectorInstance,
     of at most this rank; 0 for the degenerate empty instance.  A sector
     instance has one constraint, so its bound is the target rank.
     """
-    total = sum(numerical_rank(c.target, rank_tol) ** 2
-                for c in instance.engine_system().constraints)
+    total = sum(numerical_rank(t, rank_tol) ** 2 for t in instance.targets)
     return math.isqrt(total)
 
 
@@ -109,22 +112,16 @@ def barvinok_bound(instance: ConsistencyInstance | SectorInstance) -> int:
     Rank bound from counting scalar equations only, ignoring target ranks;
     never tighter than theorem1_bound.
     """
-    total = 0
-    for c in instance.engine_system().constraints:
-        total += c.target.shape[0] ** 2
-    return math.isqrt(2 * total)
+    return math.isqrt(2 * sum(t.shape[0] ** 2 for t in instance.targets))
 
 
 def find_feasible(instance: ConsistencyInstance, *, tol: float = DEFAULT_TOL,
-                  max_iters: int = DEFAULT_MAX_ITERS,
-                  seed: int = 0) -> FeasibilityResult:
+                  max_iters: int = DEFAULT_MAX_ITERS) -> FeasibilityResult:
     """Search for a state meeting every constraint within tol.
 
-    Alternating projections from the maximally mixed state.  The run is
-    deterministic; seed is accepted for interface uniformity with the
-    reduction options but not consumed.  A non-converged result carries the
-    best iterate and a plateau or iteration-budget message.
+    Alternating projections from the maximally mixed state; the run is
+    deterministic.  A non-converged result carries the best iterate and a
+    plateau or iteration-budget message.
     """
-    del seed
     return _engine.solve_feasible(instance.engine_system(), tol=tol,
                                   max_iters=max_iters)

@@ -57,6 +57,10 @@ class SectorInstance:
     def sector_dim(self) -> int:
         return sector_size(self.statistics, self.particles, self.levels)
 
+    @property
+    def targets(self) -> tuple[np.ndarray, ...]:
+        return (self.target,)
+
     @cached_property
     def _isometries(self) -> tuple[np.ndarray, np.ndarray]:
         """W_N and W_k, built on first use and then kept with the instance."""
@@ -75,9 +79,8 @@ class SectorInstance:
 
 
 def find_feasible_sector(instance: SectorInstance, *, tol: float = 1e-8,
-                         max_iters: int = 5000, seed: int = 0) -> FeasibilityResult:
+                         max_iters: int = 5000) -> FeasibilityResult:
     """Alternating-projection search inside the sector, from its mixed state."""
-    del seed
     return _engine.solve_feasible(instance.engine_system(), tol=tol,
                                   max_iters=max_iters)
 

@@ -154,6 +154,25 @@ def test_bounds_sector_instance(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "theorem1: 3, barvinok: 4"
 
 
+def test_sector_bounds_build_no_isometry(tmp_path, capsys, monkeypatch):
+    """Both bounds read the target only; building W_N would cost d^N rows."""
+    from qmarginal import sector
+    from qmarginal.marginal import barvinok_bound, theorem1_bound
+    calls = []
+    real = sector.sector_isometry
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sector, "sector_isometry", spy)
+    inst = sector.SectorInstance("fermionic", 4, 8, 2, np.eye(28) / 28)
+    assert (theorem1_bound(inst), barvinok_bound(inst)) == (28, 39)
+    assert main(["bounds", write_instance(tmp_path / "f.json", inst)]) == 0
+    assert capsys.readouterr().out.strip() == "theorem1: 28, barvinok: 39"
+    assert calls == []
+
+
 def test_check_sector_solution(tmp_path, capsys):
     inst_path = boson_mm_path(tmp_path)
     out_path = tmp_path / "sol.json"

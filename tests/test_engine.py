@@ -1,4 +1,5 @@
-"""The descent linear system: batched constraint rows and the Gram projection."""
+"""The engine's linear algebra on the constraint map: batched constraint rows,
+the Gram null-space projector of the descent and the exact affine projection."""
 import numpy as np
 
 from qmarginal import _engine
@@ -90,7 +91,9 @@ def test_rows_match_reference_sectors():
         assert_rows_match(inst.engine_system(), sigma)
 
 
-def test_rows_match_reference_channel_with_tp_row():
+def channel_pair():
+    """A two-qubit channel instance with its trace-preservation row, and the
+    Choi state of the joint channel it was cut from."""
     rng = np.random.default_rng(5)
     kraus = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
              for _ in range(2)]
@@ -102,7 +105,12 @@ def test_rows_match_reference_channel_with_tp_row():
     inst = channel_instance_to_marginal(
         ChannelInstance((2, 2), (2, 2), locs), include_tp=True)
     assert inst.constraints[-1].subsystems == (0, 1)
-    assert_rows_match(inst.engine_system(), joint.choi)
+    return inst, joint.choi
+
+
+def test_rows_match_reference_channel_with_tp_row():
+    inst, choi = channel_pair()
+    assert_rows_match(inst.engine_system(), choi)
 
 
 def test_row_space_projector_matches_svd_with_duplicate_rows():
@@ -168,3 +176,79 @@ def test_full_rows_retry_when_compressed_rows_miss_an_image():
     assert h is not None
     for c in system.constraints:
         assert np.linalg.norm(c.apply(h)) <= 1e-9
+
+
+def coords(m):
+    """Coordinates of a Hermitian matrix in the herm_basis order."""
+    return np.array([np.vdot(e, m).real for e in herm_basis(m.shape[0])])
+
+
+def reference_correction(system, x, v):
+    """y - x of the least-squares projection with corrections on span(v),
+    from a dense pinv of the trace row and the per-basis adjoint rows."""
+    r = v.shape[1]
+    a = np.vstack([coords(np.eye(r))] + [
+        reference_rows(c, v, np.eye(c.target.shape[0])) for c in system.constraints])
+    res = np.concatenate([[1.0 - np.trace(x).real]] + [
+        coords(c.target - c.apply(x)) for c in system.constraints])
+    delta = np.linalg.pinv(a, rcond=1e-10) @ res
+    return v @ sum(d * e for d, e in zip(delta, herm_basis(r))) @ v.conj().T
+
+
+def random_hermitian(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (g + g.conj().T) / 2
+
+
+def random_isometry(rng, d, r):
+    g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    return np.linalg.qr(g)[0]
+
+
+def projection_cases():
+    inst, _ = random_feasible_instance((2, 3, 2), [(0, 1), (1, 2), (0, 2)], 2,
+                                       seed=7)
+    sector, _ = sector_pair(np.random.default_rng(13), "fermionic", 3, 5, 2, 4)
+    channel, _ = channel_pair()
+    return [inst.engine_system(), sector.engine_system(), channel.engine_system()]
+
+
+def test_projection_lands_on_the_slice_with_the_least_norm_correction():
+    """On a qudit, a sector and a channel instance with its TP row: every
+    constraint and the trace hold exactly, and the correction is the
+    minimum-norm one of the dense reference."""
+    rng = np.random.default_rng(17)
+    for system in projection_cases():
+        x = random_hermitian(rng, system.dim)
+        y = _engine.project_affine(system, x)
+        for c in system.constraints:
+            assert np.abs(c.apply(y) - c.target).max() <= 1e-12
+        assert abs(np.trace(y) - 1.0) <= 1e-12
+        eye = np.eye(system.dim, dtype=complex)
+        assert np.abs((y - x) - reference_correction(system, x, eye)).max() <= 1e-10
+
+
+def test_projection_confined_to_a_support():
+    """With a support V the correction lies on span(V) and is the reference
+    correction with the rows restricted to V."""
+    rng = np.random.default_rng(19)
+    for system in projection_cases():
+        v = random_isometry(rng, system.dim, system.dim - 3)
+        x = random_hermitian(rng, system.dim)
+        y = _engine.project_affine(system, x, support=v)
+        p = v @ v.conj().T
+        assert np.abs(p @ (y - x) @ p - (y - x)).max() <= 1e-12
+        assert np.abs((y - x) - reference_correction(system, x, v)).max() <= 1e-10
+
+
+def test_projection_on_a_contradictory_instance_is_least_squares():
+    """A pure single-qubit marginal against a maximally mixed pair: no state
+    meets both, and the projection is the reference least-squares point."""
+    ket0 = np.diag([1.0, 0.0]).astype(complex)
+    inst = ConsistencyInstance((2, 2), (MarginalConstraint((0,), ket0),
+                                        MarginalConstraint((0, 1), np.eye(4) / 4)))
+    system = inst.engine_system()
+    x = random_hermitian(np.random.default_rng(23), 4)
+    y = _engine.project_affine(system, x)
+    assert max(np.linalg.norm(c.apply(y) - c.target) for c in system.constraints) > 0.1
+    assert np.abs((y - x) - reference_correction(system, x, np.eye(4))).max() <= 1e-10
