@@ -8,14 +8,17 @@ structure, so the same code serves plain marginal instances, symmetry-sector
 instances, and channel instances.  The rows feed both exact linear solves:
 the affine projection (a pseudo-inverse of their Gram matrix) and the descent
 null space (a basis of their row space), each from one eigendecomposition.
-State-space operators are dense complex Hermitian matrices.
+The full-space rows and their pseudo-inverse are kept with the system, so the
+feasibility loop projects and measures its residual by matrix products in
+real Hermitian coordinates, without calling the maps.  State-space operators
+are dense complex Hermitian matrices.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,16 +71,31 @@ class Constraint:
         return x
 
 
+class AffineFactor(NamedTuple):
+    """The affine rows on a span and what the projection needs with them.
+
+    rows is A, the unit-trace row then the full rows of every constraint;
+    pinv is G^+ for G = A A^T; target is b, the right-hand side of A y = b in
+    the same row order; offsets are the first rows of the trace block and of
+    each constraint's block.
+    """
+
+    rows: np.ndarray
+    pinv: np.ndarray
+    target: np.ndarray
+    offsets: np.ndarray
+
+
 @dataclass(frozen=True)
 class ConstraintSystem:
     dim: int
     constraints: tuple[Constraint, ...]
 
     @cached_property
-    def affine_pinv(self) -> np.ndarray:
-        """Gram pseudo-inverse of the full-space affine projection, built on
-        first use and then kept with the system (see project_affine)."""
-        return _affine_pinv(self, np.eye(self.dim, dtype=complex))
+    def affine(self) -> AffineFactor:
+        """The full-space affine rows and their Gram factor, built on first
+        use and then kept with the system (see project_affine)."""
+        return _affine_factor(self, np.eye(self.dim, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -101,7 +119,8 @@ class FeasibilityResult:
     """Outcome of the alternating-projection solver.
 
     When converged is False, state holds the best iterate found; it is a
-    diagnostic, not a solution.
+    diagnostic, not a solution.  residual_history holds, per iteration, the
+    best residual reached so far, so it never increases.
     """
 
     state: np.ndarray
@@ -109,6 +128,7 @@ class FeasibilityResult:
     converged: bool
     iterations: int
     message: str
+    residual_history: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -152,49 +172,60 @@ def residual_report(system: ConstraintSystem, x: np.ndarray) -> ResidualReport:
 # constraint, in the coordinates of corrections V herm(y) V^dag.  The trace
 # row rides along even though the marginal rows imply it; this keeps the
 # projected point exactly on the trace-one slice regardless of rounding in
-# the other rows.  Only the m x m pseudo-inverse of G = A A^T is kept, and
-# the correction A^T G^+ r is applied through Constraint.adjoint.
+# the other rows.  A and the pseudo-inverse of G = A A^T are kept together:
+# in the full space (V = I) the whole projection, and the feasibility loop's
+# residual, are products with them in Hermitian coordinates, with no call of
+# the constraint maps.
 # ---------------------------------------------------------------------------
 
-def _affine_pinv(system: ConstraintSystem, v: np.ndarray) -> np.ndarray:
-    """G^+ for the affine rows on span(v).  G is built block by block from
-    the products of row groups, and the rows are dropped before G is
-    factored, so only m x m matrices outlive the assembly."""
-    rows = [_herm_coords(np.eye(v.shape[1]))[None]]
-    rows += [constraint_rows(c, v, np.eye(c.target.shape[0]))
-             for c in system.constraints]
-    g = np.block([[ri @ rj.T for rj in rows] for ri in rows])
-    del rows
-    lam, u = _gram_eig(g)
+def _affine_factor(system: ConstraintSystem, v: np.ndarray) -> AffineFactor:
+    """A, G^+, b and the block offsets of the affine rows on span(v)."""
+    r = v.shape[1]
+    sizes = [1] + [c.target.shape[0] ** 2 for c in system.constraints]
+    offsets = np.cumsum([0] + sizes[:-1])
+    rows = np.empty((sum(sizes), r * r))
+    rows[0] = _herm_coords(np.eye(r))
+    for c, start, size in zip(system.constraints, offsets[1:], sizes[1:]):
+        rows[start:start + size] = constraint_rows(c, v, np.eye(c.target.shape[0]))
+    lam, u = _gram_eig(rows @ rows.T)
     u /= np.sqrt(lam)
-    return u @ u.T
+    target = np.concatenate([[1.0]] + [_herm_coords(c.target)
+                                       for c in system.constraints])
+    return AffineFactor(rows, u @ u.T, target, offsets)
+
+
+def _row_residuals(factor: AffineFactor, xc: np.ndarray) -> np.ndarray:
+    """Block norms of A xc - b: the trace defect, then the Frobenius residual
+    of every constraint, at the Hermitian matrix with coordinates xc (the
+    coordinates are an isometry, so these are the norms of M(x) - target)."""
+    dev = factor.rows @ xc - factor.target
+    return np.sqrt(np.add.reduceat(dev * dev, factor.offsets))
 
 
 def project_affine(system: ConstraintSystem, x: np.ndarray, *,
                    support: np.ndarray | None = None) -> np.ndarray:
-    """Least-squares projection of x onto the affine constraint slice.
+    """Least-squares projection of Hermitian x onto the affine constraint slice.
 
     With r the residual of the trace row and of every constraint at x, the
     correction is the minimum-norm solution of A delta = r in the least-squares
     sense, A^T G^+ r; on a contradictory system that is the least-squares
-    point.  When `support` (an isometry V) is given, the correction is
-    confined to operators on span(V) and G is built for that V; otherwise the
-    full-space factor of the system is used, built once on first use.
+    point.  Without `support` the system's full-space factor is used, built
+    once on first use, and the projection is y = x + A^T G^+ (b - A x) in
+    coordinates.  When `support` (an isometry V) is given, the correction is
+    confined to operators on span(V) and the rows are built for that V; r
+    still comes from the constraint maps, because x may carry weight off
+    span(V) that V's rows cannot see.
     """
-    pinv = system.affine_pinv if support is None else _affine_pinv(system, support)
+    if support is None:
+        f = system.affine
+        xc = _herm_coords(x)
+        return _coords_to_herm(xc + f.rows.T @ (f.pinv @ (f.target - f.rows @ xc)),
+                               system.dim)
+    f = _affine_factor(system, support)
     r = np.concatenate([[1.0 - np.trace(x).real]] + [
         _herm_coords(c.target - c.apply(x)) for c in system.constraints])
-    z = pinv @ r
-    correction = z[0] * np.eye(system.dim, dtype=complex)
-    start = 1
-    for c in system.constraints:
-        dc = c.target.shape[0]
-        correction += c.adjoint(_coords_to_herm(z[start:start + dc * dc], dc))
-        start += dc * dc
-    if support is not None:
-        vh = support.conj().T
-        correction = support @ (vh @ correction @ support) @ vh
-    return hermitian_part(x + correction)
+    delta = _coords_to_herm(f.rows.T @ (f.pinv @ r), support.shape[1])
+    return hermitian_part(x + support @ delta @ support.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +240,13 @@ def solve_feasible(system: ConstraintSystem, *, start: np.ndarray | None = None,
 
     Dykstra's alternating projections between the affine slice and the PSD
     cone, starting from the maximally mixed state.  Every affine step is one
-    exact solve against the system's Gram factor, which is built once.
-    Convergence is declared when the trace-normalized PSD iterate meets every
-    constraint within tol.  No more than PLATEAU_RTOL relative improvement
-    over the last PLATEAU_WINDOW iterations is reported as a plateau; that is
-    evidence of infeasibility, never a certificate.
+    exact solve against the system's rows and Gram factor, which are built
+    once; the same rows give each iteration's residuals.  Convergence is
+    declared when the trace-normalized PSD iterate meets every constraint
+    within tol.  No more than PLATEAU_RTOL relative improvement over the last
+    PLATEAU_WINDOW iterations is reported as a plateau; that is evidence of
+    infeasibility, never a certificate.  The result carries the best
+    residual after every iteration.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -225,6 +258,7 @@ def solve_feasible(system: ConstraintSystem, *, start: np.ndarray | None = None,
         raise ValueError(f"start shape {x.shape} does not match dimension {dim}")
     p = np.zeros_like(x)
     q = np.zeros_like(x)
+    factor = system.affine
     best_res = math.inf
     best_x = x.copy()
     history: list[float] = []
@@ -238,16 +272,14 @@ def solve_feasible(system: ConstraintSystem, *, start: np.ndarray | None = None,
         q = w - x
         t = float(np.trace(x).real)
         cand = x / t if t > 0.5 else x
-        res = max((float(np.linalg.norm(c.apply(cand) - c.target))
-                   for c in system.constraints), default=0.0)
-        res = max(res, float(abs(np.trace(cand) - 1.0)))
+        res = float(_row_residuals(factor, _herm_coords(cand)).max())
         if res < best_res:
             best_res = res
             best_x = cand.copy()
         history.append(best_res)
         if res <= tol:
             return FeasibilityResult(cand, residual_report(system, cand), True, it,
-                                     f"converged in {it} iterations")
+                                     f"converged in {it} iterations", tuple(history))
         if it > PLATEAU_WINDOW and best_res > 10 * tol:
             prev = history[it - PLATEAU_WINDOW - 1]
             if prev - best_res < PLATEAU_RTOL * prev:
@@ -255,11 +287,11 @@ def solve_feasible(system: ConstraintSystem, *, start: np.ndarray | None = None,
                        f"(< {PLATEAU_RTOL:.1%} improvement over the last "
                        f"{PLATEAU_WINDOW}); instance possibly infeasible")
                 return FeasibilityResult(best_x, residual_report(system, best_x),
-                                         False, it, msg)
+                                         False, it, msg, tuple(history))
     msg = (f"no convergence after {max_iters} iterations; "
            f"best residual {best_res:.3e}")
     return FeasibilityResult(best_x, residual_report(system, best_x),
-                             False, iterations, msg)
+                             False, iterations, msg, tuple(history))
 
 
 # ---------------------------------------------------------------------------
@@ -278,23 +310,37 @@ def solve_feasible(system: ConstraintSystem, *, start: np.ndarray | None = None,
 # coordinates are the constraint's rows.
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=32)
+def _coord_index(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal and strict-upper-triangle index arrays of an r x r matrix.
+
+    Cached because every projection and descent step needs them; a run uses
+    only a handful of sizes at a time (the state, its support, the targets
+    and their supports).  The arrays are shared, so they are read-only.
+    """
+    diag = np.arange(r)
+    iu, ju = np.triu_indices(r, 1)
+    for a in (diag, iu, ju):
+        a.flags.writeable = False
+    return diag, iu, ju
+
+
 def _herm_coords(m: np.ndarray) -> np.ndarray:
     """Coordinates of Hermitian matrices stacked along the leading axes."""
-    r = m.shape[-1]
-    iu, ju = np.triu_indices(r, 1)
+    diag, iu, ju = _coord_index(m.shape[-1])
     off = m[..., iu, ju]
-    return np.concatenate([m[..., np.arange(r), np.arange(r)].real,
+    return np.concatenate([m[..., diag, diag].real,
                            math.sqrt(2) * off.real, math.sqrt(2) * off.imag],
                           axis=-1)
 
 
 def _coords_to_herm(y: np.ndarray, r: int) -> np.ndarray:
-    iu = np.triu_indices(r, 1)
-    noff = iu[0].size
+    diag, iu, ju = _coord_index(r)
+    noff = iu.size
     out = np.zeros((r, r), dtype=complex)
-    out[iu] = (y[r:r + noff] + 1j * y[r + noff:]) / math.sqrt(2)
+    out[iu, ju] = (y[r:r + noff] + 1j * y[r + noff:]) / math.sqrt(2)
     out = out + out.conj().T
-    out[np.diag_indices(r)] = y[:r]
+    out[diag, diag] = y[:r]
     return out
 
 
@@ -316,7 +362,7 @@ def constraint_rows(c: Constraint, v: np.ndarray, vc: np.ndarray) -> np.ndarray:
     t = v.reshape(c.dims + (r,)).transpose(c.keep + rest + (n,))
     w = (vc.conj().T @ t.reshape(vc.shape[0], d_rest * r)).reshape(rc, d_rest, r)
     wh = w.conj().transpose(0, 2, 1)
-    a, b = np.triu_indices(rc, 1)
+    _, a, b = _coord_index(rc)
     g = wh[a] @ w[b]
     gh = g.conj().transpose(0, 2, 1)
     return np.concatenate([_herm_coords(wh @ w),

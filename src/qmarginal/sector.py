@@ -14,8 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _engine
-from ._engine import (DEFAULT_RANK_TOL, DEFAULT_REPAIR_TOL, FeasibilityResult,
-                      ReductionTrace)
+from ._engine import (DEFAULT_MAX_ITERS, DEFAULT_RANK_TOL, DEFAULT_REPAIR_TOL,
+                      DEFAULT_TOL, FeasibilityResult, ReductionTrace)
 from .hilbert import sector_isometry, sector_size
 # unused here; kept as module attributes because bench/spans.py wraps them
 from .hilbert import embed_with_identity, partial_trace  # noqa: F401
@@ -78,8 +78,8 @@ class SectorInstance:
         return _engine.ConstraintSystem(wn.shape[1], (con,))
 
 
-def find_feasible_sector(instance: SectorInstance, *, tol: float = 1e-8,
-                         max_iters: int = 5000) -> FeasibilityResult:
+def find_feasible_sector(instance: SectorInstance, *, tol: float = DEFAULT_TOL,
+                         max_iters: int = DEFAULT_MAX_ITERS) -> FeasibilityResult:
     """Alternating-projection search inside the sector, from its mixed state."""
     return _engine.solve_feasible(instance.engine_system(), tol=tol,
                                   max_iters=max_iters)

@@ -1,6 +1,10 @@
 """The engine's linear algebra on the constraint map: batched constraint rows,
-the Gram null-space projector of the descent and the exact affine projection."""
+the Gram null-space projector of the descent, the exact affine projection and
+the feasibility loop built on it."""
+from itertools import combinations
+
 import numpy as np
+import pytest
 
 from qmarginal import _engine
 from qmarginal.channels import (ChannelInstance, LocalChannel,
@@ -252,3 +256,93 @@ def test_projection_on_a_contradictory_instance_is_least_squares():
     y = _engine.project_affine(system, x)
     assert max(np.linalg.norm(c.apply(y) - c.target) for c in system.constraints) > 0.1
     assert np.abs((y - x) - reference_correction(system, x, np.eye(4))).max() <= 1e-10
+
+
+def test_row_residuals_match_the_maps():
+    """The feasibility loop's residuals, block norms of A coords(x) - b, are
+    the trace defect and the Frobenius residual of every constraint map."""
+    rng = np.random.default_rng(29)
+    for system in projection_cases():
+        x = random_hermitian(rng, system.dim)
+        got = _engine._row_residuals(system.affine, _engine._herm_coords(x))
+        want = [abs(np.trace(x) - 1.0)] + [np.linalg.norm(c.apply(x) - c.target)
+                                           for c in system.constraints]
+        assert got.shape == (len(want),)
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def map_calls(monkeypatch, system, max_iters):
+    """Calls of the engine's partial trace and its adjoint during one
+    feasibility run."""
+    counts = dict.fromkeys(("partial_trace", "embed_with_identity"), 0)
+    with monkeypatch.context() as m:
+        for name in counts:
+            def spy(*args, _fn=getattr(_engine, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            m.setattr(_engine, name, spy)
+        found = _engine.solve_feasible(system, max_iters=max_iters)
+    assert not found.converged and found.iterations == max_iters
+    return counts
+
+
+def test_feasibility_iterations_call_no_constraint_map(monkeypatch):
+    """A rank-1 four-qubit witness with every pair pinned does not converge
+    in 40 iterations; doubling the budget must not add a single map call."""
+    inst, _ = random_feasible_instance((2,) * 4, list(combinations(range(4), 2)),
+                                       1, seed=0)
+    short = map_calls(monkeypatch, inst.engine_system(), 20)
+    assert short == map_calls(monkeypatch, inst.engine_system(), 40)
+
+
+def assert_history(found):
+    history = found.residual_history
+    assert len(history) == found.iterations
+    assert all(type(h) is float for h in history)
+    assert all(b <= a for a, b in zip(history, history[1:]))
+
+
+def test_residual_history_of_a_converged_run():
+    inst, _ = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 3, seed=2)
+    found = _engine.solve_feasible(inst.engine_system())
+    assert found.converged
+    assert_history(found)
+    assert found.residual_history[-1] <= _engine.DEFAULT_TOL
+
+
+def test_residual_history_of_a_plateau():
+    """The contradictory two-qubit instance stops on the plateau rule; its
+    history ends at the best residual the report recomputes."""
+    ket0 = np.diag([1.0, 0.0]).astype(complex)
+    inst = ConsistencyInstance((2, 2), (MarginalConstraint((0,), ket0),
+                                        MarginalConstraint((0, 1), np.eye(4) / 4)))
+    found = _engine.solve_feasible(inst.engine_system())
+    assert not found.converged and "plateau" in found.message
+    assert found.iterations > _engine.PLATEAU_WINDOW
+    assert_history(found)
+    assert found.residual_history[-1] == pytest.approx(found.report.max_residual,
+                                                       rel=1e-9)
+
+
+def test_repair_fallback_uses_one_full_space_projection(monkeypatch):
+    """|00><00| against two maximally mixed qubit marginals: no state on its
+    support is feasible, so the confined rounds fail, the fallback makes one
+    full-space projection, clamps the rank back to 1 and fails again."""
+    ket00 = np.zeros((4, 4), dtype=complex)
+    ket00[0, 0] = 1.0
+    half = np.eye(2) / 2
+    system = ConsistencyInstance((2, 2), (MarginalConstraint((0,), half),
+                                          MarginalConstraint((1,), half))
+                                 ).engine_system()
+    full_space = []
+    project = _engine.project_affine
+
+    def spy(system, x, *, support=None):
+        full_space.append(support is None)
+        return project(system, x, support=support)
+
+    monkeypatch.setattr(_engine, "project_affine", spy)
+    with pytest.raises(_engine.ReductionError, match="^feasibility repair failed: "):
+        _engine._repair(ket00, system, inner_tol=1e-9, hard_tol=1e-8, rank_tol=1e-9)
+    assert full_space.count(True) == 1
+    assert full_space.count(False) == 7
