@@ -8,10 +8,11 @@ structure, so the same code serves plain marginal instances, symmetry-sector
 instances, and channel instances.  The rows feed both exact linear solves:
 the affine projection (a pseudo-inverse of their Gram matrix) and the descent
 null space (a basis of their row space), each from one eigendecomposition.
-The full-space rows and their pseudo-inverse are kept with the system, so the
-feasibility loop projects and measures its residual by matrix products in
-real Hermitian coordinates, without calling the maps.  State-space operators
-are dense complex Hermitian matrices.
+The full-space pseudo-inverse is kept with the system, and so are the rows
+while they are small: then the feasibility loop projects and measures its
+residual by matrix products in real Hermitian coordinates, without calling
+the maps; above AFFINE_ROW_LIMIT it calls the maps, which is cheaper there.
+State-space operators are dense complex Hermitian matrices.
 """
 from __future__ import annotations
 
@@ -32,6 +33,15 @@ DEFAULT_REPAIR_TOL = 1e-8
 DEFAULT_DERIV_TOL = 1e-9
 PLATEAU_WINDOW = 500
 PLATEAU_RTOL = 5e-3
+# Most entries of the affine rows A (m x r^2 on an r-dimensional span) that
+# are kept with their factor, 8 MB of float64.  A product with A costs
+# m r^2; a map call costs a fixed Python overhead plus O(D^2) work.  Per
+# Dykstra iteration on one core, at or below the limit keeping A was up to
+# 4.5x faster than the maps (5 qubits with all pairs) and at worst 3%
+# slower (one constraint); above it the maps were up to 3.7x faster
+# (7 qubits with all triples) and A at most 4% faster.  Larger rows are
+# dropped before G is factored, so the factorisation never holds both.
+AFFINE_ROW_LIMIT = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -74,13 +84,14 @@ class Constraint:
 class AffineFactor(NamedTuple):
     """The affine rows on a span and what the projection needs with them.
 
-    rows is A, the unit-trace row then the full rows of every constraint;
-    pinv is G^+ for G = A A^T; target is b, the right-hand side of A y = b in
-    the same row order; offsets are the first rows of the trace block and of
-    each constraint's block.
+    rows is A, the unit-trace row then the full rows of every constraint, or
+    None when A has more than AFFINE_ROW_LIMIT entries; pinv is G^+ for
+    G = A A^T; target is b, the right-hand side of A y = b in the same row
+    order; offsets are the first rows of the trace block and of each
+    constraint's block.
     """
 
-    rows: np.ndarray
+    rows: np.ndarray | None
     pinv: np.ndarray
     target: np.ndarray
     offsets: np.ndarray
@@ -93,8 +104,8 @@ class ConstraintSystem:
 
     @cached_property
     def affine(self) -> AffineFactor:
-        """The full-space affine rows and their Gram factor, built on first
-        use and then kept with the system (see project_affine)."""
+        """The full-space affine factor, built on first use and then kept
+        with the system (see project_affine)."""
         return _affine_factor(self, np.eye(self.dim, dtype=complex))
 
 
@@ -172,14 +183,17 @@ def residual_report(system: ConstraintSystem, x: np.ndarray) -> ResidualReport:
 # constraint, in the coordinates of corrections V herm(y) V^dag.  The trace
 # row rides along even though the marginal rows imply it; this keeps the
 # projected point exactly on the trace-one slice regardless of rounding in
-# the other rows.  A and the pseudo-inverse of G = A A^T are kept together:
-# in the full space (V = I) the whole projection, and the feasibility loop's
-# residual, are products with them in Hermitian coordinates, with no call of
-# the constraint maps.
+# the other rows.  A is kept with the pseudo-inverse of G = A A^T up to
+# AFFINE_ROW_LIMIT entries; larger rows are dropped before G is factored, and
+# A^T z then comes from the adjoint maps.  In the full space (V = I) the
+# factor is kept with the system, and with A the whole projection, and the
+# feasibility loop's residual, are products in Hermitian coordinates with no
+# call of the constraint maps.
 # ---------------------------------------------------------------------------
 
 def _affine_factor(system: ConstraintSystem, v: np.ndarray) -> AffineFactor:
-    """A, G^+, b and the block offsets of the affine rows on span(v)."""
+    """A (None above AFFINE_ROW_LIMIT entries), G^+, b and the block
+    offsets of the affine rows on span(v)."""
     r = v.shape[1]
     sizes = [1] + [c.target.shape[0] ** 2 for c in system.constraints]
     offsets = np.cumsum([0] + sizes[:-1])
@@ -187,19 +201,30 @@ def _affine_factor(system: ConstraintSystem, v: np.ndarray) -> AffineFactor:
     rows[0] = _herm_coords(np.eye(r))
     for c, start, size in zip(system.constraints, offsets[1:], sizes[1:]):
         rows[start:start + size] = constraint_rows(c, v, np.eye(c.target.shape[0]))
-    lam, u = _gram_eig(rows @ rows.T)
+    g = rows @ rows.T
+    if rows.size > AFFINE_ROW_LIMIT:
+        rows = None
+    lam, u = _gram_eig(g)
     u /= np.sqrt(lam)
     target = np.concatenate([[1.0]] + [_herm_coords(c.target)
                                        for c in system.constraints])
     return AffineFactor(rows, u @ u.T, target, offsets)
 
 
-def _row_residuals(factor: AffineFactor, xc: np.ndarray) -> np.ndarray:
-    """Block norms of A xc - b: the trace defect, then the Frobenius residual
-    of every constraint, at the Hermitian matrix with coordinates xc (the
-    coordinates are an isometry, so these are the norms of M(x) - target)."""
-    dev = factor.rows @ xc - factor.target
-    return np.sqrt(np.add.reduceat(dev * dev, factor.offsets))
+def _map_image(system: ConstraintSystem, x: np.ndarray) -> np.ndarray:
+    """A coords(x) through the maps: Tr x, then the coordinates of every M(x)."""
+    return np.concatenate([[np.trace(x).real]] + [_herm_coords(c.apply(x))
+                                                  for c in system.constraints])
+
+
+def _affine_residuals(system: ConstraintSystem, x: np.ndarray) -> np.ndarray:
+    """Block norms of A coords(x) - b: the trace defect, then the Frobenius
+    residual of every constraint (the coordinates are an isometry, so these
+    are the norms of M(x) - target).  From the kept rows if there are any."""
+    f = system.affine
+    image = _map_image(system, x) if f.rows is None else f.rows @ _herm_coords(x)
+    dev = image - f.target
+    return np.sqrt(np.add.reduceat(dev * dev, f.offsets))
 
 
 def project_affine(system: ConstraintSystem, x: np.ndarray, *,
@@ -210,22 +235,30 @@ def project_affine(system: ConstraintSystem, x: np.ndarray, *,
     correction is the minimum-norm solution of A delta = r in the least-squares
     sense, A^T G^+ r; on a contradictory system that is the least-squares
     point.  Without `support` the system's full-space factor is used, built
-    once on first use, and the projection is y = x + A^T G^+ (b - A x) in
-    coordinates.  When `support` (an isometry V) is given, the correction is
-    confined to operators on span(V) and the rows are built for that V; r
-    still comes from the constraint maps, because x may carry weight off
-    span(V) that V's rows cannot see.
+    once on first use, and with A kept the projection is
+    y = x + A^T G^+ (b - A x) in coordinates.  When `support` (an isometry V)
+    is given, the correction is confined to operators on span(V) and the
+    factor is built for that V; r comes from the constraint maps, because x
+    may carry weight off span(V) that V's rows cannot see.  Without A, r
+    comes from the maps and the correction from their adjoints.
     """
-    if support is None:
-        f = system.affine
+    f = system.affine if support is None else _affine_factor(system, support)
+    if support is None and f.rows is not None:
         xc = _herm_coords(x)
         return _coords_to_herm(xc + f.rows.T @ (f.pinv @ (f.target - f.rows @ xc)),
                                system.dim)
-    f = _affine_factor(system, support)
-    r = np.concatenate([[1.0 - np.trace(x).real]] + [
-        _herm_coords(c.target - c.apply(x)) for c in system.constraints])
-    delta = _coords_to_herm(f.rows.T @ (f.pinv @ r), support.shape[1])
-    return hermitian_part(x + support @ delta @ support.conj().T)
+    z = f.pinv @ (f.target - _map_image(system, x))
+    if f.rows is not None:
+        delta = _coords_to_herm(f.rows.T @ z, support.shape[1])
+        return hermitian_part(x + support @ delta @ support.conj().T)
+    correction = z[0] * np.eye(system.dim, dtype=complex)
+    for c, start in zip(system.constraints, f.offsets[1:]):
+        dc = c.target.shape[0]
+        correction += c.adjoint(_coords_to_herm(z[start:start + dc * dc], dc))
+    if support is not None:
+        p = support @ support.conj().T
+        correction = p @ correction @ p
+    return hermitian_part(x + correction)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +273,8 @@ def solve_feasible(system: ConstraintSystem, *, start: np.ndarray | None = None,
 
     Dykstra's alternating projections between the affine slice and the PSD
     cone, starting from the maximally mixed state.  Every affine step is one
-    exact solve against the system's rows and Gram factor, which are built
-    once; the same rows give each iteration's residuals.  Convergence is
+    exact solve against the system's Gram factor, which is built once, and
+    the same factor gives each iteration's residuals.  Convergence is
     declared when the trace-normalized PSD iterate meets every constraint
     within tol.  No more than PLATEAU_RTOL relative improvement over the last
     PLATEAU_WINDOW iterations is reported as a plateau; that is evidence of
@@ -258,7 +291,6 @@ def solve_feasible(system: ConstraintSystem, *, start: np.ndarray | None = None,
         raise ValueError(f"start shape {x.shape} does not match dimension {dim}")
     p = np.zeros_like(x)
     q = np.zeros_like(x)
-    factor = system.affine
     best_res = math.inf
     best_x = x.copy()
     history: list[float] = []
@@ -272,7 +304,7 @@ def solve_feasible(system: ConstraintSystem, *, start: np.ndarray | None = None,
         q = w - x
         t = float(np.trace(x).real)
         cand = x / t if t > 0.5 else x
-        res = float(_row_residuals(factor, _herm_coords(cand)).max())
+        res = float(_affine_residuals(system, cand).max())
         if res < best_res:
             best_res = res
             best_x = cand.copy()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qmarginal import _engine
+from qmarginal._engine import ConstraintSystem
 from qmarginal.channels import (ChannelInstance, LocalChannel,
                                 channel_instance_to_marginal, choi_from_kraus,
                                 sub_channel)
@@ -264,11 +265,75 @@ def test_row_residuals_match_the_maps():
     rng = np.random.default_rng(29)
     for system in projection_cases():
         x = random_hermitian(rng, system.dim)
-        got = _engine._row_residuals(system.affine, _engine._herm_coords(x))
+        got = _engine._affine_residuals(system, x)
         want = [abs(np.trace(x) - 1.0)] + [np.linalg.norm(c.apply(x) - c.target)
                                            for c in system.constraints]
         assert got.shape == (len(want),)
         assert np.abs(got - want).max() <= 1e-12
+
+
+def contradictory_system():
+    ket0 = np.diag([1.0, 0.0]).astype(complex)
+    return ConsistencyInstance((2, 2), (MarginalConstraint((0,), ket0),
+                                        MarginalConstraint((0, 1), np.eye(4) / 4))
+                               ).engine_system()
+
+
+def test_rows_are_kept_up_to_the_limit(monkeypatch):
+    """Five qubits with every pair pinned keep their rows; with the limit one
+    entry below their size the rows are dropped and the rest is the same."""
+    inst, _ = random_feasible_instance((2,) * 5, list(combinations(range(5), 2)),
+                                       1, seed=0)
+    kept = inst.engine_system().affine
+    assert kept.rows is not None and kept.rows.size <= _engine.AFFINE_ROW_LIMIT
+    monkeypatch.setattr(_engine, "AFFINE_ROW_LIMIT", kept.rows.size - 1)
+    dropped = inst.engine_system().affine
+    assert dropped.rows is None
+    for a, b in zip(kept[1:], dropped[1:]):
+        assert np.array_equal(a, b)
+
+
+def test_map_path_matches_the_row_path(monkeypatch):
+    """Without the rows, the projections, in the full space and confined to
+    a support, and the residuals come from the maps and agree with the row
+    products."""
+    rng = np.random.default_rng(31)
+    systems = projection_cases() + [contradictory_system()]
+    cases = [(random_hermitian(rng, s.dim), random_isometry(rng, s.dim, s.dim - 2))
+             for s in systems]
+
+    def results(system, x, v):
+        return (_engine.project_affine(system, x),
+                _engine.project_affine(system, x, support=v),
+                _engine._affine_residuals(system, x))
+
+    by_rows = [results(system, x, v) for system, (x, v) in zip(systems, cases)]
+    monkeypatch.setattr(_engine, "AFFINE_ROW_LIMIT", 0)
+    for system, (x, v), want in zip(systems, cases, by_rows):
+        system = ConstraintSystem(system.dim, system.constraints)
+        assert system.affine.rows is None
+        for got, ref in zip(results(system, x, v), want):
+            assert np.abs(got - ref).max() <= 1e-12
+
+
+def test_feasibility_runs_agree_on_both_paths(monkeypatch):
+    """A converging and a non-converging run take the same iterations and
+    record the same best residuals with and without the rows."""
+    runs = [((2, 2, 2), [(0, 1), (1, 2)], 3, 2, _engine.DEFAULT_MAX_ITERS),
+            ((2,) * 4, list(combinations(range(4), 2)), 1, 0, 40)]
+    systems = [(random_feasible_instance(dims, sites, rank, seed=seed)[0]
+                .engine_system(), max_iters)
+               for dims, sites, rank, seed, max_iters in runs]
+    by_rows = [_engine.solve_feasible(s, max_iters=n) for s, n in systems]
+    monkeypatch.setattr(_engine, "AFFINE_ROW_LIMIT", 0)
+    for (system, max_iters), want in zip(systems, by_rows):
+        system = ConstraintSystem(system.dim, system.constraints)
+        got = _engine.solve_feasible(system, max_iters=max_iters)
+        assert system.affine.rows is None
+        assert (got.converged, got.iterations) == (want.converged, want.iterations)
+        assert np.allclose(got.residual_history, want.residual_history,
+                           rtol=1e-6, atol=1e-14)
+        assert np.abs(got.state - want.state).max() <= 1e-9
 
 
 def map_calls(monkeypatch, system, max_iters):
@@ -313,10 +378,7 @@ def test_residual_history_of_a_converged_run():
 def test_residual_history_of_a_plateau():
     """The contradictory two-qubit instance stops on the plateau rule; its
     history ends at the best residual the report recomputes."""
-    ket0 = np.diag([1.0, 0.0]).astype(complex)
-    inst = ConsistencyInstance((2, 2), (MarginalConstraint((0,), ket0),
-                                        MarginalConstraint((0, 1), np.eye(4) / 4)))
-    found = _engine.solve_feasible(inst.engine_system())
+    found = _engine.solve_feasible(contradictory_system())
     assert not found.converged and "plateau" in found.message
     assert found.iterations > _engine.PLATEAU_WINDOW
     assert_history(found)
