@@ -8,10 +8,10 @@ structure, so the same code serves plain marginal instances, symmetry-sector
 instances, and channel instances.  The rows feed both exact linear solves:
 the affine projection (a pseudo-inverse of their Gram matrix) and the descent
 null space (a basis of their row space), each from one eigendecomposition.
-The full-space pseudo-inverse is kept with the system, and so are the rows
-while they are small: then the feasibility loop projects and measures its
-residual by matrix products in real Hermitian coordinates, without calling
-the maps; above AFFINE_ROW_LIMIT it calls the maps, which is cheaper there.
+The full-space rows are sparse, and their nonzeros are kept with the system
+together with the pseudo-inverse: the feasibility loop projects and measures
+its residual by sparse products in real Hermitian coordinates, without
+calling the maps.
 State-space operators are dense complex Hermitian matrices.
 """
 from __future__ import annotations
@@ -33,15 +33,6 @@ DEFAULT_REPAIR_TOL = 1e-8
 DEFAULT_DERIV_TOL = 1e-9
 PLATEAU_WINDOW = 500
 PLATEAU_RTOL = 5e-3
-# Most entries of the affine rows A (m x r^2 on an r-dimensional span) that
-# are kept with their factor, 8 MB of float64.  A product with A costs
-# m r^2; a map call costs a fixed Python overhead plus O(D^2) work.  Per
-# Dykstra iteration on one core, at or below the limit keeping A was up to
-# 4.5x faster than the maps (5 qubits with all pairs) and at worst 3%
-# slower (one constraint); above it the maps were up to 3.7x faster
-# (7 qubits with all triples) and A at most 4% faster.  Larger rows are
-# dropped before G is factored, so the factorisation never holds both.
-AFFINE_ROW_LIMIT = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -82,19 +73,30 @@ class Constraint:
 
 
 class AffineFactor(NamedTuple):
-    """The affine rows on a span and what the projection needs with them.
+    """The full-space affine rows and what the projection needs with them.
 
-    rows is A, the unit-trace row then the full rows of every constraint, or
-    None when A has more than AFFINE_ROW_LIMIT entries; pinv is G^+ for
-    G = A A^T; target is b, the right-hand side of A y = b in the same row
-    order; offsets are the first rows of the trace block and of each
-    constraint's block.
+    A, the unit-trace row then the full rows of every constraint, is kept as
+    its nonzeros: A[row[i], col[i]] == val[i].  pinv is G^+ for G = A A^T;
+    target is b, the right-hand side of A y = b in the same row order;
+    offsets are the first rows of the trace block and of each constraint's
+    block.
     """
 
-    rows: np.ndarray | None
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
     pinv: np.ndarray
     target: np.ndarray
     offsets: np.ndarray
+
+    def matvec(self, xc: np.ndarray) -> np.ndarray:
+        """A xc for a coordinate vector xc."""
+        return np.bincount(self.row, self.val * xc[self.col],
+                           minlength=self.target.size)
+
+    def rmatvec(self, z: np.ndarray, n: int) -> np.ndarray:
+        """A^T z, a coordinate vector of length n."""
+        return np.bincount(self.col, self.val * z[self.row], minlength=n)
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,14 @@ class ConstraintSystem:
     def affine(self) -> AffineFactor:
         """The full-space affine factor, built on first use and then kept
         with the system (see project_affine)."""
-        return _affine_factor(self, np.eye(self.dim, dtype=complex))
+        rows = _affine_rows(self, np.eye(self.dim, dtype=complex))
+        g = rows @ rows.T
+        row, col = np.nonzero(rows)
+        val = rows[row, col]
+        del rows  # G is factored without the dense rows held
+        blocks = [[1.0]] + [_herm_coords(c.target) for c in self.constraints]
+        return AffineFactor(row, col, val, _gram_pinv(g), np.concatenate(blocks),
+                            np.cumsum([0] + [len(b) for b in blocks[:-1]]))
 
 
 @dataclass(frozen=True)
@@ -183,47 +192,49 @@ def residual_report(system: ConstraintSystem, x: np.ndarray) -> ResidualReport:
 # constraint, in the coordinates of corrections V herm(y) V^dag.  The trace
 # row rides along even though the marginal rows imply it; this keeps the
 # projected point exactly on the trace-one slice regardless of rounding in
-# the other rows.  A is kept with the pseudo-inverse of G = A A^T up to
-# AFFINE_ROW_LIMIT entries; larger rows are dropped before G is factored, and
-# A^T z then comes from the adjoint maps.  In the full space (V = I) the
-# factor is kept with the system, and with A the whole projection, and the
-# feasibility loop's residual, are products in Hermitian coordinates with no
-# call of the constraint maps.
+# the other rows.  A row of a partial-trace constraint has d_rest nonzeros
+# among its D^2 entries, so the full-space A (V = I) is kept as its
+# nonzeros with the pseudo-inverse of G = A A^T, and each product with A or
+# A^T is one bincount over them.  V's rows are A's rows compressed to
+# span(V), so a confined projection (V != I) takes its residual and A^T z
+# from the full-space A as well and needs only its own G_V^+; it reads the
+# residual at all of x because x may carry weight off span(V) that V's rows
+# cannot see.
 # ---------------------------------------------------------------------------
 
-def _affine_factor(system: ConstraintSystem, v: np.ndarray) -> AffineFactor:
-    """A (None above AFFINE_ROW_LIMIT entries), G^+, b and the block
-    offsets of the affine rows on span(v)."""
+def _affine_rows(system: ConstraintSystem, v: np.ndarray) -> np.ndarray:
+    """The dense affine rows on span(v): the trace row, then every
+    constraint's full rows."""
     r = v.shape[1]
     sizes = [1] + [c.target.shape[0] ** 2 for c in system.constraints]
-    offsets = np.cumsum([0] + sizes[:-1])
     rows = np.empty((sum(sizes), r * r))
     rows[0] = _herm_coords(np.eye(r))
-    for c, start, size in zip(system.constraints, offsets[1:], sizes[1:]):
+    start = 1
+    for c, size in zip(system.constraints, sizes[1:]):
         rows[start:start + size] = constraint_rows(c, v, np.eye(c.target.shape[0]))
-    g = rows @ rows.T
-    if rows.size > AFFINE_ROW_LIMIT:
-        rows = None
+        start += size
+    return rows
+
+
+def _gram_pinv(g: np.ndarray) -> np.ndarray:
+    """G^+ of a row Gram matrix, from its eigenpairs that count as nonzero."""
     lam, u = _gram_eig(g)
     u /= np.sqrt(lam)
-    target = np.concatenate([[1.0]] + [_herm_coords(c.target)
-                                       for c in system.constraints])
-    return AffineFactor(rows, u @ u.T, target, offsets)
+    return u @ u.T
 
 
-def _map_image(system: ConstraintSystem, x: np.ndarray) -> np.ndarray:
-    """A coords(x) through the maps: Tr x, then the coordinates of every M(x)."""
-    return np.concatenate([[np.trace(x).real]] + [_herm_coords(c.apply(x))
-                                                  for c in system.constraints])
+def _confined_pinv(system: ConstraintSystem, v: np.ndarray) -> np.ndarray:
+    """G_V^+ of the affine rows on span(v)."""
+    rows = _affine_rows(system, v)
+    return _gram_pinv(rows @ rows.T)
 
 
 def _affine_residuals(system: ConstraintSystem, x: np.ndarray) -> np.ndarray:
     """Block norms of A coords(x) - b: the trace defect, then the Frobenius
     residual of every constraint (the coordinates are an isometry, so these
-    are the norms of M(x) - target).  From the kept rows if there are any."""
+    are the norms of M(x) - target)."""
     f = system.affine
-    image = _map_image(system, x) if f.rows is None else f.rows @ _herm_coords(x)
-    dev = image - f.target
+    dev = f.matvec(_herm_coords(x)) - f.target
     return np.sqrt(np.add.reduceat(dev * dev, f.offsets))
 
 
@@ -231,34 +242,25 @@ def project_affine(system: ConstraintSystem, x: np.ndarray, *,
                    support: np.ndarray | None = None) -> np.ndarray:
     """Least-squares projection of Hermitian x onto the affine constraint slice.
 
-    With r the residual of the trace row and of every constraint at x, the
-    correction is the minimum-norm solution of A delta = r in the least-squares
-    sense, A^T G^+ r; on a contradictory system that is the least-squares
-    point.  Without `support` the system's full-space factor is used, built
-    once on first use, and with A kept the projection is
-    y = x + A^T G^+ (b - A x) in coordinates.  When `support` (an isometry V)
-    is given, the correction is confined to operators on span(V) and the
-    factor is built for that V; r comes from the constraint maps, because x
-    may carry weight off span(V) that V's rows cannot see.  Without A, r
-    comes from the maps and the correction from their adjoints.
+    With r = b - A coords(x) the residual of the trace row and of every
+    constraint at x, the correction is the minimum-norm solution of
+    A delta = r in the least-squares sense, A^T G^+ r; on a contradictory
+    system that is the least-squares point.  Without `support` G^+ is the
+    system's full-space one.  When `support` (an isometry V) is given, the
+    correction is confined to operators on span(V): G_V^+ is built for V's
+    rows, and the correction H = coords^-1(A^T G_V^+ r) is compressed to
+    V (V^dag H V) V^dag.  r still reads all of x, so weight off span(V)
+    counts.  No constraint map is called.
     """
-    f = system.affine if support is None else _affine_factor(system, support)
-    if support is None and f.rows is not None:
-        xc = _herm_coords(x)
-        return _coords_to_herm(xc + f.rows.T @ (f.pinv @ (f.target - f.rows @ xc)),
-                               system.dim)
-    z = f.pinv @ (f.target - _map_image(system, x))
-    if f.rows is not None:
-        delta = _coords_to_herm(f.rows.T @ z, support.shape[1])
-        return hermitian_part(x + support @ delta @ support.conj().T)
-    correction = z[0] * np.eye(system.dim, dtype=complex)
-    for c, start in zip(system.constraints, f.offsets[1:]):
-        dc = c.target.shape[0]
-        correction += c.adjoint(_coords_to_herm(z[start:start + dc * dc], dc))
+    f = system.affine
+    pinv = f.pinv if support is None else _confined_pinv(system, support)
+    xc = _herm_coords(x)
+    delta = f.rmatvec(pinv @ (f.target - f.matvec(xc)), xc.size)
     if support is not None:
-        p = support @ support.conj().T
-        correction = p @ correction @ p
-    return hermitian_part(x + correction)
+        h = _coords_to_herm(delta, system.dim)
+        delta = _herm_coords(support @ (support.conj().T @ h @ support)
+                             @ support.conj().T)
+    return _coords_to_herm(xc + delta, system.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -626,44 +628,36 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
     # targets are fixed, so their supports are computed once per reduction
     target_bases = [support_basis(c.target, rank_tol)[0] for c in system.constraints]
 
-    def finish(exhausted: bool) -> tuple[np.ndarray, ReductionTrace]:
-        trace = ReductionTrace(steps, numerical_rank(x, rank_tol), bound, exhausted)
-        return x, trace
+    def record(exhausted: bool = False) -> ReductionTrace:
+        return ReductionTrace(steps, numerical_rank(x, rank_tol), bound, exhausted)
 
-    def partial_trace_record() -> ReductionTrace:
-        return ReductionTrace(steps, numerical_rank(x, rank_tol), bound, False)
-
+    limit = system.dim if max_steps is None else int(max_steps)
     try:
         x = _truncate(x, rank_tol)
         x = _repair(x, system, **repair_kwargs)
-    except ReductionError as err:
-        raise ReductionError(str(err), partial_trace_record()) from None
-    limit = system.dim if max_steps is None else int(max_steps)
-    while len(steps) < limit:
-        _, p = support_basis(x, rank_tol)
-        if p.size and p.min() < guard_floor * max(1.0, p.max()):
-            try:
+        while len(steps) < limit:
+            _, p = support_basis(x, rank_tol)
+            if p.size and p.min() < guard_floor * max(1.0, p.max()):
                 x = _repair(_truncate(x, guard_floor), system, **repair_kwargs)
-            except ReductionError as err:
-                raise ReductionError(str(err), partial_trace_record()) from None
-        rank_before = numerical_rank(x, rank_tol)
-        h = descent_direction_core(x, system, rng, rank_tol=rank_tol,
-                                   deriv_tol=deriv_tol, target_bases=target_bases)
-        if h is None:
-            return finish(True)
-        lam, sign = step_length_core(x, h, rank_tol=rank_tol)
-        y = _truncate(x - sign * lam * h, rank_tol)
-        pre = residual_report(system, y).max_residual
-        try:
+            rank_before = numerical_rank(x, rank_tol)
+            h = descent_direction_core(x, system, rng, rank_tol=rank_tol,
+                                       deriv_tol=deriv_tol, target_bases=target_bases)
+            if h is None:
+                return x, record(True)
+            lam, sign = step_length_core(x, h, rank_tol=rank_tol)
+            y = _truncate(x - sign * lam * h, rank_tol)
+            pre = residual_report(system, y).max_residual
             y = _repair(y, system, **repair_kwargs)
-        except ReductionError as err:
-            raise ReductionError(str(err), partial_trace_record()) from None
-        rank_after = numerical_rank(y, rank_tol)
-        if rank_after >= rank_before:
-            raise ReductionError(
-                f"step did not reduce rank ({rank_before} -> {rank_after})",
-                partial_trace_record())
-        after = residual_report(system, y).max_residual
-        steps.append(ReductionStep(rank_before, rank_after, lam, sign, pre, after))
-        x = y
-    return finish(False)
+            rank_after = numerical_rank(y, rank_tol)
+            if rank_after >= rank_before:
+                raise ReductionError(
+                    f"step did not reduce rank ({rank_before} -> {rank_after})",
+                    record())
+            after = residual_report(system, y).max_residual
+            steps.append(ReductionStep(rank_before, rank_after, lam, sign, pre, after))
+            x = y
+    except ReductionError as err:
+        if err.trace is None:
+            err.trace = record()
+        raise
+    return x, record()

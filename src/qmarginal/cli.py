@@ -9,7 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ._engine import ReductionError
+from ._engine import (DEFAULT_MAX_ITERS, DEFAULT_RANK_TOL, DEFAULT_TOL,
+                      ReductionError)
 from .channels import (ChannelFeasibilityError, kraus_count_bounds,
                        kraus_from_choi, reduce_kraus_rank, sub_channel)
 from .documents import (DocumentError, channel_from_doc,
@@ -197,13 +198,14 @@ def cmd_channel(args) -> int:
     raise DocumentError(f"unknown channel command {args.channel_cmd!r}")
 
 
-def _add_common(p: argparse.ArgumentParser, *, tol: float = 1e-8) -> None:
+def _add_common(p: argparse.ArgumentParser, *, tol: float = DEFAULT_TOL) -> None:
     p.add_argument("--tol", type=float, default=tol,
                    help=f"constraint residual tolerance (default {tol:g})")
-    p.add_argument("--rank-tol", type=float, default=1e-9,
-                   help="relative eigenvalue threshold for ranks (default 1e-9)")
-    p.add_argument("--max-iters", type=int, default=5000,
-                   help="projection iteration budget (default 5000)")
+    p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
+                   help="relative eigenvalue threshold for ranks "
+                        f"(default {DEFAULT_RANK_TOL:g})")
+    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS,
+                   help=f"projection iteration budget (default {DEFAULT_MAX_ITERS})")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the reduction directions (default 0)")
 
@@ -217,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="residuals of a state against an instance")
     p_check.add_argument("instance")
     p_check.add_argument("state")
-    p_check.add_argument("--tol", type=float, default=1e-8)
+    p_check.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_check.set_defaults(func=cmd_check)
 
     p_solve = sub.add_parser("solve", help="find a low-rank state meeting an instance")
@@ -230,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="print the two rank bounds")
     p_bounds.add_argument("instance")
-    p_bounds.add_argument("--rank-tol", type=float, default=1e-9)
+    p_bounds.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_ex = sub.add_parser("example", help="emit a gallery instance or state")
@@ -244,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--rank", type=int, default=None,
                       help="witness rank for random-feasible (default: full)")
     p_ex.add_argument("--seed", type=int, default=0)
-    p_ex.add_argument("--rank-tol", type=float, default=1e-9)
+    p_ex.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
     p_ex.add_argument("-o", "--output", default=None)
     p_ex.add_argument("--state-out", default=None,
                       help="also write the witness state here (random-feasible)")

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qmarginal.channels import choi_from_kraus, sub_channel, LocalChannel, ChannelInstance
-from qmarginal.cli import main
+from qmarginal import _engine
+from qmarginal.cli import build_parser, main
 from qmarginal.documents import (channel_instance_to_doc, channel_to_doc,
                                  dump_document, instance_to_doc, state_to_doc)
 from qmarginal.gallery import maximally_mixed_klocal_instance, ring_graph_state
@@ -299,3 +300,18 @@ def test_state_doc_where_instance_expected(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "qmarginal" in capsys.readouterr().out
+
+
+def test_parser_defaults_are_the_engine_defaults():
+    """Every tolerance and budget default of the parser is the engine's
+    constant, except channel reduce's tighter 1e-9 tolerance."""
+    parse = build_parser().parse_args
+    tol, rank_tol = _engine.DEFAULT_TOL, _engine.DEFAULT_RANK_TOL
+    max_iters = _engine.DEFAULT_MAX_ITERS
+    solve = parse(["solve", "i.json"])
+    assert (solve.tol, solve.rank_tol, solve.max_iters) == (tol, rank_tol, max_iters)
+    reduce = parse(["channel", "reduce", "i.json"])
+    assert (reduce.tol, reduce.rank_tol, reduce.max_iters) == (1e-9, rank_tol, max_iters)
+    assert parse(["check", "i.json", "s.json"]).tol == tol
+    assert parse(["bounds", "i.json"]).rank_tol == rank_tol
+    assert parse(["example", "ring-graph"]).rank_tol == rank_tol

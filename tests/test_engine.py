@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from qmarginal import _engine
-from qmarginal._engine import ConstraintSystem
 from qmarginal.channels import (ChannelInstance, LocalChannel,
                                 channel_instance_to_marginal, choi_from_kraus,
                                 sub_channel)
@@ -237,7 +236,7 @@ def test_projection_confined_to_a_support():
     """With a support V the correction lies on span(V) and is the reference
     correction with the rows restricted to V."""
     rng = np.random.default_rng(19)
-    for system in projection_cases():
+    for system in projection_cases() + [contradictory_system()]:
         v = random_isometry(rng, system.dim, system.dim - 3)
         x = random_hermitian(rng, system.dim)
         y = _engine.project_affine(system, x, support=v)
@@ -279,66 +278,17 @@ def contradictory_system():
                                ).engine_system()
 
 
-def test_rows_are_kept_up_to_the_limit(monkeypatch):
-    """Five qubits with every pair pinned keep their rows; with the limit one
-    entry below their size the rows are dropped and the rest is the same."""
-    inst, _ = random_feasible_instance((2,) * 5, list(combinations(range(5), 2)),
+def test_full_space_rows_keep_only_their_nonzeros():
+    """Six qubits with every pair pinned: each of a pair's d_c^2 rows has
+    d_rest nonzeros, so A keeps D (1 + sum d_c) of its 241 x 4096 entries."""
+    inst, _ = random_feasible_instance((2,) * 6, list(combinations(range(6), 2)),
                                        1, seed=0)
-    kept = inst.engine_system().affine
-    assert kept.rows is not None and kept.rows.size <= _engine.AFFINE_ROW_LIMIT
-    monkeypatch.setattr(_engine, "AFFINE_ROW_LIMIT", kept.rows.size - 1)
-    dropped = inst.engine_system().affine
-    assert dropped.rows is None
-    for a, b in zip(kept[1:], dropped[1:]):
-        assert np.array_equal(a, b)
+    f = inst.engine_system().affine
+    assert f.row.size == f.col.size == f.val.size == 64 * (1 + 15 * 4) == 3904
 
 
-def test_map_path_matches_the_row_path(monkeypatch):
-    """Without the rows, the projections, in the full space and confined to
-    a support, and the residuals come from the maps and agree with the row
-    products."""
-    rng = np.random.default_rng(31)
-    systems = projection_cases() + [contradictory_system()]
-    cases = [(random_hermitian(rng, s.dim), random_isometry(rng, s.dim, s.dim - 2))
-             for s in systems]
-
-    def results(system, x, v):
-        return (_engine.project_affine(system, x),
-                _engine.project_affine(system, x, support=v),
-                _engine._affine_residuals(system, x))
-
-    by_rows = [results(system, x, v) for system, (x, v) in zip(systems, cases)]
-    monkeypatch.setattr(_engine, "AFFINE_ROW_LIMIT", 0)
-    for system, (x, v), want in zip(systems, cases, by_rows):
-        system = ConstraintSystem(system.dim, system.constraints)
-        assert system.affine.rows is None
-        for got, ref in zip(results(system, x, v), want):
-            assert np.abs(got - ref).max() <= 1e-12
-
-
-def test_feasibility_runs_agree_on_both_paths(monkeypatch):
-    """A converging and a non-converging run take the same iterations and
-    record the same best residuals with and without the rows."""
-    runs = [((2, 2, 2), [(0, 1), (1, 2)], 3, 2, _engine.DEFAULT_MAX_ITERS),
-            ((2,) * 4, list(combinations(range(4), 2)), 1, 0, 40)]
-    systems = [(random_feasible_instance(dims, sites, rank, seed=seed)[0]
-                .engine_system(), max_iters)
-               for dims, sites, rank, seed, max_iters in runs]
-    by_rows = [_engine.solve_feasible(s, max_iters=n) for s, n in systems]
-    monkeypatch.setattr(_engine, "AFFINE_ROW_LIMIT", 0)
-    for (system, max_iters), want in zip(systems, by_rows):
-        system = ConstraintSystem(system.dim, system.constraints)
-        got = _engine.solve_feasible(system, max_iters=max_iters)
-        assert system.affine.rows is None
-        assert (got.converged, got.iterations) == (want.converged, want.iterations)
-        assert np.allclose(got.residual_history, want.residual_history,
-                           rtol=1e-6, atol=1e-14)
-        assert np.abs(got.state - want.state).max() <= 1e-9
-
-
-def map_calls(monkeypatch, system, max_iters):
-    """Calls of the engine's partial trace and its adjoint during one
-    feasibility run."""
+def map_calls(monkeypatch, run):
+    """Calls of the engine's partial trace and its adjoint during run()."""
     counts = dict.fromkeys(("partial_trace", "embed_with_identity"), 0)
     with monkeypatch.context() as m:
         for name in counts:
@@ -346,8 +296,7 @@ def map_calls(monkeypatch, system, max_iters):
                 counts[_name] += 1
                 return _fn(*args, **kwargs)
             m.setattr(_engine, name, spy)
-        found = _engine.solve_feasible(system, max_iters=max_iters)
-    assert not found.converged and found.iterations == max_iters
+        run()
     return counts
 
 
@@ -356,8 +305,25 @@ def test_feasibility_iterations_call_no_constraint_map(monkeypatch):
     in 40 iterations; doubling the budget must not add a single map call."""
     inst, _ = random_feasible_instance((2,) * 4, list(combinations(range(4), 2)),
                                        1, seed=0)
-    short = map_calls(monkeypatch, inst.engine_system(), 20)
-    assert short == map_calls(monkeypatch, inst.engine_system(), 40)
+
+    def run(max_iters):
+        found = _engine.solve_feasible(inst.engine_system(), max_iters=max_iters)
+        assert not found.converged and found.iterations == max_iters
+
+    short = map_calls(monkeypatch, lambda: run(20))
+    assert short == map_calls(monkeypatch, lambda: run(40))
+
+
+def test_confined_projection_calls_no_constraint_map(monkeypatch):
+    """The support-confined projection of the repair takes its residual and
+    its correction from the rows, built once, not from the maps."""
+    rng = np.random.default_rng(37)
+    for system in projection_cases():
+        v = random_isometry(rng, system.dim, system.dim - 2)
+        x = random_hermitian(rng, system.dim)
+        calls = map_calls(monkeypatch,
+                          lambda: _engine.project_affine(system, x, support=v))
+        assert calls == {"partial_trace": 0, "embed_with_identity": 0}
 
 
 def assert_history(found):
@@ -408,3 +374,31 @@ def test_repair_fallback_uses_one_full_space_projection(monkeypatch):
         _engine._repair(ket00, system, inner_tol=1e-9, hard_tol=1e-8, rank_tol=1e-9)
     assert full_space.count(True) == 1
     assert full_space.count(False) == 7
+
+
+def test_reduction_error_carries_the_partial_trace(monkeypatch):
+    """A repair that fails, at the start or after some steps, aborts the
+    reduction with a trace of the steps taken so far."""
+    inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 8, seed=1)
+    system = inst.engine_system()
+    repair = _engine._repair
+    for fail_at in (1, 3):
+        calls = []
+
+        def failing(*args, _fail_at=fail_at, **kwargs):
+            calls.append(None)
+            if len(calls) == _fail_at:
+                raise _engine.ReductionError("repair stopped")
+            return repair(*args, **kwargs)
+
+        monkeypatch.setattr(_engine, "_repair", failing)
+        with pytest.raises(_engine.ReductionError, match="^repair stopped$") as info:
+            _engine.reduce_core(rho, system, bound=8)
+        trace = info.value.trace
+        assert isinstance(trace, _engine.ReductionTrace)
+        assert not trace.null_space_exhausted and trace.bound == 8
+        if fail_at == 1:
+            assert trace.steps == [] and trace.final_rank == 8
+        else:
+            assert 1 <= len(trace.steps) <= 2
+            assert trace.final_rank <= trace.steps[-1].rank_after
