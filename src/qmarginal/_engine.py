@@ -268,8 +268,7 @@ def project_affine(system: ConstraintSystem, x: np.ndarray, *,
 # affine slice and the positive semidefinite cone.
 # ---------------------------------------------------------------------------
 
-def solve_feasible(system: ConstraintSystem, *, start: np.ndarray | None = None,
-                   tol: float = DEFAULT_TOL,
+def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
                    max_iters: int = DEFAULT_MAX_ITERS) -> FeasibilityResult:
     """Find a state satisfying every constraint, or report failure.
 
@@ -287,10 +286,7 @@ def solve_feasible(system: ConstraintSystem, *, start: np.ndarray | None = None,
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    dim = system.dim
-    x = np.eye(dim, dtype=complex) / dim if start is None else hermitian_part(start)
-    if x.shape != (dim, dim):
-        raise ValueError(f"start shape {x.shape} does not match dimension {dim}")
+    x = np.eye(system.dim, dtype=complex) / system.dim
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     best_res = math.inf
@@ -428,28 +424,26 @@ def _row_space(a: np.ndarray) -> np.ndarray:
     return q
 
 
-def descent_direction_core(rho: np.ndarray, system: ConstraintSystem,
+def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
                            rng: np.random.Generator, *,
                            rank_tol: float = DEFAULT_RANK_TOL,
                            deriv_tol: float = DEFAULT_DERIV_TOL,
-                           max_tries: int = 3,
                            target_bases: Sequence[np.ndarray] | None = None
                            ) -> np.ndarray | None:
     """Random unit-norm traceless Hermitian direction that moves no constraint.
 
-    Parametrizes candidates on the support of rho and builds the linear
-    system they must satisfy: an explicit trace row plus, per constraint,
-    the rows of its map compressed onto the target support (constraint_rows;
-    target_bases holds those supports, computed here when not given).  The
-    null space of the rows is the orthogonal complement of their row space,
-    which comes from one eigendecomposition of the m x m Gram matrix
-    (_row_space); a random seed is projected onto it.  The result is
-    verified: |Tr H| and every full constraint image must stay below
-    deriv_tol.  If the compressed rows are not enough to control a full
-    image, the full rows are appended and the projection is repeated.
+    Parametrizes candidates on span(v), v the state's support_basis, and
+    builds the linear system they must satisfy: an explicit trace row plus,
+    per constraint, the rows of its map compressed onto the target support
+    (constraint_rows; target_bases holds those supports, computed here when
+    not given).  The null space of the rows is the orthogonal complement of
+    their row space, which comes from one eigendecomposition of the m x m
+    Gram matrix (_row_space); a random seed is projected onto it.  The
+    result is verified: |Tr H| and every full constraint image must stay
+    below deriv_tol.  If the compressed rows are not enough to control a
+    full image, the full rows are appended and the projection is repeated.
     Returns None when the null space is (numerically) empty.
     """
-    v, _ = support_basis(rho, rank_tol)
     r = v.shape[1]
     if r <= 1:
         return None
@@ -480,7 +474,7 @@ def descent_direction_core(rho: np.ndarray, system: ConstraintSystem,
         return all(np.linalg.norm(c.apply(h)) <= deriv_tol
                    for c in system.constraints)
 
-    for _ in range(max_tries):
+    for _ in range(3):
         y0 = rng.standard_normal(r * r)
         h = attempt(q_base, y0)
         if h is None:
@@ -497,11 +491,10 @@ def descent_direction_core(rho: np.ndarray, system: ConstraintSystem,
     return None
 
 
-def step_length_core(rho: np.ndarray, h: np.ndarray, *,
-                     rank_tol: float = DEFAULT_RANK_TOL,
-                     pre_tol: float = 1e-8) -> tuple[float, int]:
+def step_length_core(v: np.ndarray, p: np.ndarray, h: np.ndarray) -> tuple[float, int]:
     """Largest step along -sign*H that keeps rho on the cone boundary.
 
+    rho enters as its support factor (v, p) = support_basis(rho).
     In the support eigenbasis of rho, B = diag(p)^{-1/2} H diag(p)^{-1/2}
     collects the constraint-free curvature: rho - lambda*H stays PSD up to
     lambda = 1/mu_plus (largest eigenvalue of B) and rho + lambda*H up to
@@ -509,19 +502,17 @@ def step_length_core(rho: np.ndarray, h: np.ndarray, *,
     The sign follows the larger extremal multiplicity (ties go to +1), so a
     degenerate crossing zeroes several eigenvalues in one step.
     """
-    rho = hermitian_part(np.asarray(rho, dtype=complex))
     h = hermitian_part(np.asarray(h, dtype=complex))
     hn = float(np.linalg.norm(h))
     if hn == 0.0:
         raise ValueError("direction must be nonzero")
-    if abs(np.trace(h)) > pre_tol * hn:
+    if abs(np.trace(h)) > 1e-8 * hn:
         raise ValueError(f"direction has nonzero trace {np.trace(h):.3e}")
-    v, p = support_basis(rho, rank_tol)
     if v.shape[1] == 0:
         raise ValueError("state has empty support")
     hr = v.conj().T @ h @ v
     leak = float(np.linalg.norm(h - v @ hr @ v.conj().T))
-    if leak > pre_tol * hn:
+    if leak > 1e-8 * hn:
         raise ValueError(f"direction leaves the support of the state (leak {leak:.3e})")
     scale = 1.0 / np.sqrt(p)
     b = hermitian_part(hr * scale[:, None] * scale[None, :])
@@ -545,6 +536,7 @@ def step_length_core(rho: np.ndarray, h: np.ndarray, *,
 # ---------------------------------------------------------------------------
 
 def _truncate(x: np.ndarray, floor: float) -> np.ndarray:
+    """Zero the eigenvalues that support_basis(x, floor) drops, renormalize."""
     w, v = np.linalg.eigh(hermitian_part(x))
     scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
     w = np.where(w > floor * scale, w, 0.0)
@@ -556,7 +548,6 @@ def _truncate(x: np.ndarray, floor: float) -> np.ndarray:
 
 def _truncate_to_rank(x: np.ndarray, rank: int) -> np.ndarray:
     w, v = np.linalg.eigh(hermitian_part(x))
-    w = w.copy()
     w[:-rank] = 0.0
     w = np.clip(w, 0.0, None)
     t = w.sum()
@@ -566,11 +557,12 @@ def _truncate_to_rank(x: np.ndarray, rank: int) -> np.ndarray:
 
 
 def _repair(x: np.ndarray, system: ConstraintSystem, *, inner_tol: float,
-            hard_tol: float, rank_tol: float) -> np.ndarray:
-    """Restore feasibility after a truncation, confined to supp(x)."""
+            hard_tol: float, rank_tol: float) -> tuple[np.ndarray, float, float]:
+    """Restore feasibility after a truncation, confined to supp(x); returns
+    the repaired state and the max residual before (at x) and after."""
 
-    def confined_rounds(y: np.ndarray, rounds: int) -> tuple[np.ndarray, float]:
-        cur = residual_report(system, y).max_residual
+    def confined_rounds(y: np.ndarray, cur: float,
+                        rounds: int) -> tuple[np.ndarray, float]:
         for _ in range(rounds):
             if cur <= inner_tol:
                 break
@@ -584,16 +576,15 @@ def _repair(x: np.ndarray, system: ConstraintSystem, *, inner_tol: float,
             cur = residual_report(system, y).max_residual
         return y, cur
 
-    y, cur = confined_rounds(x, 4)
+    before = residual_report(system, x).max_residual
+    y, cur = confined_rounds(x, before, 4)
     if cur <= hard_tol:
-        return y
+        return y, before, cur
     # fallback: one unconstrained affine polish, clamp the rank back, retry
-    rank = numerical_rank(y, rank_tol)
-    y2 = project_affine(system, y)
-    y2 = _truncate_to_rank(psd_project(y2), rank)
-    y2, cur2 = confined_rounds(y2, 3)
+    y2 = _truncate_to_rank(project_affine(system, y), numerical_rank(y, rank_tol))
+    y2, cur2 = confined_rounds(y2, residual_report(system, y2).max_residual, 3)
     if cur2 <= hard_tol:
-        return y2
+        return y2, before, cur2
     raise ReductionError(
         f"feasibility repair failed: residual {min(cur, cur2):.3e} exceeds {hard_tol:.1e}")
 
@@ -602,27 +593,27 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
                 rank_tol: float = DEFAULT_RANK_TOL,
                 repair_tol: float = DEFAULT_REPAIR_TOL,
                 deriv_tol: float = DEFAULT_DERIV_TOL,
-                seed: int = 0, max_steps: int | None = None,
-                feas_tol: float = 1e-6) -> tuple[np.ndarray, ReductionTrace]:
+                seed: int = 0,
+                max_steps: int | None = None) -> tuple[np.ndarray, ReductionTrace]:
     """Greedy boundary-step loop; stops when no null-space direction remains.
 
     Each step multiplies out to: direction, boundary step length, eigenvalue
     truncation at rank_tol (and at 1000*rank_tol when the support becomes
     ill-conditioned), support-confined feasibility repair, and a strict rank
-    comparison.  Continues below `bound` while directions exist.
+    comparison.  Continues below `bound` while directions exist.  The loop
+    carries (v, p) = support_basis(x, rank_tol), one eigh per step that gives
+    the direction's support, the step length and both ranks.
     """
     rng = np.random.default_rng(seed)
     x = hermitian_part(np.asarray(rho0, dtype=complex))
     if x.shape != (system.dim, system.dim):
         raise ValueError(f"state shape {x.shape} does not match dimension {system.dim}")
-    rep0 = residual_report(system, x)
-    if rep0.max_residual > feas_tol:
+    start_res = residual_report(system, x).max_residual
+    if start_res > 1e-6:
         raise ValueError(
-            f"starting state is not feasible: residual {rep0.max_residual:.3e} "
-            f"exceeds {feas_tol:.1e}")
-    inner_tol = repair_tol / 10
+            f"starting state is not feasible: residual {start_res:.3e} exceeds 1.0e-06")
     guard_floor = 1e3 * rank_tol
-    repair_kwargs = dict(inner_tol=inner_tol, hard_tol=repair_tol,
+    repair_kwargs = dict(inner_tol=repair_tol / 10, hard_tol=repair_tol,
                          rank_tol=rank_tol)
     steps: list[ReductionStep] = []
     # targets are fixed, so their supports are computed once per reduction
@@ -633,29 +624,26 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
 
     limit = system.dim if max_steps is None else int(max_steps)
     try:
-        x = _truncate(x, rank_tol)
-        x = _repair(x, system, **repair_kwargs)
+        x, _, _ = _repair(_truncate(x, rank_tol), system, **repair_kwargs)
+        v, p = support_basis(x, rank_tol)
         while len(steps) < limit:
-            _, p = support_basis(x, rank_tol)
             if p.size and p.min() < guard_floor * max(1.0, p.max()):
-                x = _repair(_truncate(x, guard_floor), system, **repair_kwargs)
-            rank_before = numerical_rank(x, rank_tol)
-            h = descent_direction_core(x, system, rng, rank_tol=rank_tol,
+                x, _, _ = _repair(_truncate(x, guard_floor), system, **repair_kwargs)
+                v, p = support_basis(x, rank_tol)
+            h = descent_direction_core(v, system, rng, rank_tol=rank_tol,
                                        deriv_tol=deriv_tol, target_bases=target_bases)
             if h is None:
                 return x, record(True)
-            lam, sign = step_length_core(x, h, rank_tol=rank_tol)
-            y = _truncate(x - sign * lam * h, rank_tol)
-            pre = residual_report(system, y).max_residual
-            y = _repair(y, system, **repair_kwargs)
-            rank_after = numerical_rank(y, rank_tol)
-            if rank_after >= rank_before:
+            lam, sign = step_length_core(v, p, h)
+            y, pre, after = _repair(_truncate(x - sign * lam * h, rank_tol), system,
+                                    **repair_kwargs)
+            v_next, p_next = support_basis(y, rank_tol)
+            if p_next.size >= p.size:
                 raise ReductionError(
-                    f"step did not reduce rank ({rank_before} -> {rank_after})",
+                    f"step did not reduce rank ({p.size} -> {p_next.size})",
                     record())
-            after = residual_report(system, y).max_residual
-            steps.append(ReductionStep(rank_before, rank_after, lam, sign, pre, after))
-            x = y
+            steps.append(ReductionStep(p.size, p_next.size, lam, sign, pre, after))
+            x, v, p = y, v_next, p_next
     except ReductionError as err:
         if err.trace is None:
             err.trace = record()

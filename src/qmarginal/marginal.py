@@ -115,13 +115,14 @@ def barvinok_bound(instance: ConsistencyInstance | SectorInstance) -> int:
     return math.isqrt(2 * sum(t.shape[0] ** 2 for t in instance.targets))
 
 
-def find_feasible(instance: ConsistencyInstance, *, tol: float = DEFAULT_TOL,
+def find_feasible(instance: ConsistencyInstance | SectorInstance, *,
+                  tol: float = DEFAULT_TOL,
                   max_iters: int = DEFAULT_MAX_ITERS) -> FeasibilityResult:
     """Search for a state meeting every constraint within tol.
 
-    Alternating projections from the maximally mixed state; the run is
-    deterministic.  A non-converged result carries the best iterate and a
-    plateau or iteration-budget message.
+    Takes a qudit or a sector instance.  Alternating projections from the
+    maximally mixed state; the run is deterministic.  A non-converged result
+    carries the best iterate and a plateau or iteration-budget message.
     """
     return _engine.solve_feasible(instance.engine_system(), tol=tol,
                                   max_iters=max_iters)

@@ -8,12 +8,18 @@ below that bound while the null space stays nonempty.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from . import _engine
 from ._engine import (DEFAULT_DERIV_TOL, DEFAULT_RANK_TOL, DEFAULT_REPAIR_TOL,
                       ReductionError, ReductionStep, ReductionTrace)
+from .hilbert import support_basis
 from .marginal import ConsistencyInstance, theorem1_bound
+
+if TYPE_CHECKING:
+    from .sector import SectorInstance
 
 __all__ = ["ReductionStep", "ReductionTrace", "ReductionError",
            "descent_direction", "step_length", "reduce_rank"]
@@ -29,7 +35,7 @@ def descent_direction(rho: np.ndarray, instance: ConsistencyInstance, *,
     """
     rng = np.random.default_rng(seed)
     return _engine.descent_direction_core(
-        np.asarray(rho, dtype=complex), instance.engine_system(), rng,
+        support_basis(rho, rank_tol)[0], instance.engine_system(), rng,
         rank_tol=rank_tol, deriv_tol=deriv_tol)
 
 
@@ -37,17 +43,18 @@ def step_length(rho: np.ndarray, h: np.ndarray, *,
                 rank_tol: float = DEFAULT_RANK_TOL) -> tuple[float, int]:
     """Boundary step (lambda, sign) so that rho - sign*lambda*h is PSD and
     loses at least one unit of rank."""
-    return _engine.step_length_core(rho, h, rank_tol=rank_tol)
+    return _engine.step_length_core(*support_basis(rho, rank_tol), h)
 
 
-def reduce_rank(rho0: np.ndarray, instance: ConsistencyInstance, *,
+def reduce_rank(rho0: np.ndarray, instance: ConsistencyInstance | SectorInstance, *,
                 rank_tol: float = DEFAULT_RANK_TOL,
                 repair_tol: float = DEFAULT_REPAIR_TOL,
                 seed: int = 0,
                 max_steps: int | None = None) -> tuple[np.ndarray, ReductionTrace]:
-    """Greedy rank reduction of a feasible state.
+    """Greedy rank reduction of a feasible state of a qudit or sector instance.
 
-    Raises ValueError when rho0 is not feasible for the instance, and
+    The trace records theorem1_bound(instance) as its bound.  Raises
+    ValueError when rho0 is not feasible for the instance, and
     ReductionError (with a partial trace attached) if a repair fails.
     """
     return _engine.reduce_core(

@@ -138,7 +138,8 @@ def test_duplicated_constraint_still_gives_a_direction():
     inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 6, seed=4)
     twice = ConsistencyInstance(inst.dims, inst.constraints + inst.constraints[:1])
     system = twice.engine_system()
-    h = _engine.descent_direction_core(rho, system, np.random.default_rng(0))
+    h = _engine.descent_direction_core(support_basis(rho)[0], system,
+                                       np.random.default_rng(0))
     assert h is not None
     assert abs(np.trace(h)) <= 1e-9
     for c in system.constraints:
@@ -150,7 +151,7 @@ def assert_none_without_draws(rho, system):
     random seed is drawn."""
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    assert _engine.descent_direction_core(rho, system, rng) is None
+    assert _engine.descent_direction_core(support_basis(rho)[0], system, rng) is None
     assert rng.bit_generator.state == before
 
 
@@ -175,7 +176,8 @@ def test_full_rows_retry_when_compressed_rows_miss_an_image():
     inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 8, seed=6)
     system = inst.engine_system()
     narrow = [support_basis(c.target)[0][:, :1] for c in system.constraints]
-    h = _engine.descent_direction_core(rho, system, np.random.default_rng(0),
+    h = _engine.descent_direction_core(support_basis(rho)[0], system,
+                                       np.random.default_rng(0),
                                        target_bases=narrow)
     assert h is not None
     for c in system.constraints:
@@ -402,3 +404,31 @@ def test_reduction_error_carries_the_partial_trace(monkeypatch):
         else:
             assert 1 <= len(trace.steps) <= 2
             assert trace.final_rank <= trace.steps[-1].rank_after
+
+
+def test_reduction_factors_the_state_once_per_step(monkeypatch):
+    """Each step of the walk takes one residual (the repair's) and one
+    support of the new state, which also gives the next step its support
+    and both ranks; numerical_rank runs once, for the final trace.  On a
+    full-rank 4-qubit all-pairs witness no repair round runs, so the call
+    sequence is exact: the feasibility check, the initial repair's residual
+    and the first support, then one residual and one support per step."""
+    inst, rho = random_feasible_instance((2,) * 4, list(combinations(range(4), 2)),
+                                         16, seed=0)
+    system = inst.engine_system()
+    events = []
+    for name in ("residual_report", "support_basis", "numerical_rank",
+                 "project_affine"):
+        def spy(*args, _fn=getattr(_engine, name), _name=name, **kwargs):
+            x = args[1] if _name in ("residual_report", "project_affine") else args[0]
+            if x.shape[0] == system.dim:  # state-sized, not a target support
+                events.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(_engine, name, spy)
+    _, trace = _engine.reduce_core(rho, system, bound=9)
+    steps = len(trace.steps)
+    assert steps >= 5 and trace.null_space_exhausted
+    assert events == (["residual_report"] * 2 + ["support_basis"]
+                      + ["residual_report", "support_basis"] * steps
+                      + ["numerical_rank"])

@@ -184,6 +184,19 @@ def test_reduce_rank_keeps_feasibility_throughout():
         assert step.residual_after <= 1e-7
 
 
+def test_reduce_rank_step_residuals_are_the_checked_ones():
+    """The residual a step records after its repair is the residual the
+    independent check reports for the returned state, to the last bit.  The
+    tight repair_tol makes the last step run a repair round, so the residual
+    before the repair differs from the one after it."""
+    for n, rank, seed in ((3, 8, 0), (4, 16, 1)):
+        inst, witness = pair_instance(n, rank, seed)
+        state, trace = reduce_rank(witness, inst, seed=seed, repair_tol=1e-14)
+        last = trace.steps[-1]
+        assert last.residual_before_repair != last.residual_after
+        assert last.residual_after == check_consistency(inst, state).max_residual
+
+
 def test_reduce_rank_rejects_infeasible_start():
     inst, _ = pair_instance(3, 8, 11)
     with pytest.raises(ValueError):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from qmarginal.hilbert import sector_isometry, sector_partial_trace, sector_size
+from qmarginal.marginal import find_feasible
 from qmarginal.numerics import numerical_rank
+from qmarginal.reduction import reduce_rank
 from qmarginal.sector import (SectorInstance, admissible_sigma_range,
                               bosonic_maximally_mixed_2, bosonic_sigma_p,
                               find_feasible_sector, reduce_rank_sector)
@@ -175,6 +177,20 @@ def test_bosonic_sector_reduction():
         assert step.rank_after < step.rank_before
     emb = sector_isometry("bosonic", 4, 2)
     assert np.linalg.norm(sector_partial_trace(state, emb, 2) - target) <= 1e-7
+
+
+def test_generic_entry_points_take_a_sector_instance():
+    """find_feasible and reduce_rank on a sector instance return exactly what
+    find_feasible_sector and reduce_rank_sector return."""
+    for inst in (SectorInstance("fermionic", 3, 6, 2, np.eye(15, dtype=complex) / 15),
+                 SectorInstance("bosonic", 5, 2, 2, np.eye(3, dtype=complex) / 3)):
+        found, found_sector = find_feasible(inst), find_feasible_sector(inst)
+        assert found.converged and found.iterations == found_sector.iterations
+        assert np.array_equal(found.state, found_sector.state)
+        state, trace = reduce_rank(found.state, inst)
+        state_sector, trace_sector = reduce_rank_sector(found.state, inst)
+        assert trace.steps and trace == trace_sector
+        assert np.array_equal(state, state_sector)
 
 
 def test_sigma_p_solves_its_own_instance():
