@@ -1,8 +1,9 @@
 """Local-consistency problems for density matrices.
 
 Decide whether prescribed reduced states admit a global state, construct
-one by alternating projections, and push its rank down to the square-sum
-bound, with fermionic/bosonic sector and quantum-channel variants.
+one as a factor G G^dag of width the square-sum rank bound (a least-squares
+search over G), and push its rank further down greedily, with
+fermionic/bosonic sector and quantum-channel variants.
 """
 from ._engine import (FeasibilityResult, ReductionError, ReductionStep,
                       ReductionTrace, ResidualReport)

@@ -5,13 +5,16 @@ by the structure of its map (an optional isometry in, a partial trace onto
 kept tensor factors, an optional isometry out) and a target.  The forward
 map, its adjoint and the constraint rows are all derived from that
 structure, so the same code serves plain marginal instances, symmetry-sector
-instances, and channel instances.  The rows feed both exact linear solves:
-the affine projection (a pseudo-inverse of their Gram matrix) and the descent
-null space (a basis of their row space), each from one eigendecomposition.
-The full-space rows are sparse, and their nonzeros are kept with the system
-together with the pseudo-inverse: the feasibility loop projects and measures
-its residual by sparse products in real Hermitian coordinates, without
-calling the maps.
+instances, and channel instances.  The full-space rows A (the unit-trace row
+and every constraint's rows) are sparse, and their nonzeros are kept with
+the system together with the pseudo-inverse of A A^T.  Feasibility is a
+least-squares problem over factors: minimise ||A coords(G G^dag) - b||^2 for
+G of size D x k, k the paper's square-sum rank bound, so every iteration is
+sparse products with A and A^T and dense products with G, without calling
+the maps or decomposing a state.  Rank reduction uses the rows twice more:
+the support-confined affine projection of its repair (a pseudo-inverse of
+their Gram matrix) and the descent null space (a basis of their row space),
+each from one eigendecomposition.
 State-space operators are dense complex Hermitian matrices.
 """
 from __future__ import annotations
@@ -33,6 +36,8 @@ DEFAULT_REPAIR_TOL = 1e-8
 DEFAULT_DERIV_TOL = 1e-9
 PLATEAU_WINDOW = 500
 PLATEAU_RTOL = 5e-3
+LBFGS_MEMORY = 20
+STATIONARY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,10 +59,18 @@ class Constraint:
     label: str = ""
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """M(x) = lower^dag Tr_rest(lift x lift^dag) lower."""
-        if self.lift is not None:
-            x = self.lift @ x @ self.lift.conj().T
-        y = partial_trace(x, self.dims, self.keep)
+        """M(x) = lower^dag Tr_rest(lift x lift^dag) lower.
+
+        With a lift W, Tr_rest(W x W^dag) = sum_e W_e x W_e^dag over the
+        traced basis states e, W_e the rows of W with e fixed, so the trace
+        runs through W split into kept and traced factors and the d^N x d^N
+        matrix W x W^dag is never formed.
+        """
+        if self.lift is None:
+            y = partial_trace(x, self.dims, self.keep)
+        else:
+            w = _split_factors(self.lift, self.dims, self.keep)
+            y = (w.reshape(-1, x.shape[0]) @ x).reshape(w.shape) @ w.conj().T
         if self.lower is not None:
             y = self.lower.conj().T @ y @ self.lower
         return y
@@ -73,15 +86,21 @@ class Constraint:
 
 
 class AffineFactor(NamedTuple):
-    """The full-space affine rows and what the projection needs with them.
+    """The full-space affine rows and what the projection and the
+    feasibility solver need with them.
 
-    A, the unit-trace row then the full rows of every constraint, is kept as
-    its nonzeros: A[row[i], col[i]] == val[i].  pinv is G^+ for G = A A^T;
-    target is b, the right-hand side of A y = b in the same row order;
-    offsets are the first rows of the trace block and of each constraint's
-    block.
+    A, the unit-trace row then the full rows of every constraint, acts on
+    the real coordinates of a Hermitian matrix, and each coordinate is a
+    fixed multiple of one real or imaginary part of an entry on or above
+    the diagonal.  So A is kept as its nonzeros against the real view of
+    the D x D matrix itself: (A coords(x))[row[i]] sums
+    val[i] * x.view(float).ravel()[col[i]], and no product with A or A^T
+    converts to coordinates.  pinv is G^+ for G = A A^T; target is b, the
+    right-hand side of A coords(y) = b in the same row order; offsets are
+    the first rows of the trace block and of each constraint's block.
     """
 
+    dim: int
     row: np.ndarray
     col: np.ndarray
     val: np.ndarray
@@ -89,14 +108,31 @@ class AffineFactor(NamedTuple):
     target: np.ndarray
     offsets: np.ndarray
 
-    def matvec(self, xc: np.ndarray) -> np.ndarray:
-        """A xc for a coordinate vector xc."""
-        return np.bincount(self.row, self.val * xc[self.col],
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A coords(x) for Hermitian x; only its upper triangle is read."""
+        xr = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+        return np.bincount(self.row, self.val * xr.ravel()[self.col],
                            minlength=self.target.size)
 
-    def rmatvec(self, z: np.ndarray, n: int) -> np.ndarray:
-        """A^T z, a coordinate vector of length n."""
-        return np.bincount(self.col, self.val * z[self.row], minlength=n)
+    def adjoint(self, z: np.ndarray) -> np.ndarray:
+        """coords^-1(A^T z), the Hermitian S with <z, A coords(x)> = Tr(S x).
+
+        A^T z puts half of each off-diagonal entry of S above the diagonal
+        and none below it, so S is the Hermitian part of that matrix.
+        """
+        d = self.dim
+        w = np.bincount(self.col, self.val * z[self.row], minlength=2 * d * d)
+        w = w.view(np.complex128).reshape(d, d)
+        return (w + w.conj().T) / 2
+
+    def block_norms(self, dev: np.ndarray) -> np.ndarray:
+        """Norms of the trace block and of each constraint block of dev.
+
+        For dev = A coords(x) - b these are the trace defect and the
+        Frobenius residual of every constraint at x, because the coordinates
+        are an isometry.
+        """
+        return np.sqrt(np.add.reduceat(dev * dev, self.offsets))
 
 
 @dataclass(frozen=True)
@@ -107,14 +143,21 @@ class ConstraintSystem:
     @cached_property
     def affine(self) -> AffineFactor:
         """The full-space affine factor, built on first use and then kept
-        with the system (see project_affine)."""
-        rows = _affine_rows(self, np.eye(self.dim, dtype=complex))
+        with the system (see project_affine and solve_feasible)."""
+        d = self.dim
+        rows = _affine_rows(self, np.eye(d, dtype=complex))
         g = rows @ rows.T
         row, col = np.nonzero(rows)
         val = rows[row, col]
         del rows  # G is factored without the dense rows held
+        # coordinate j is scale[j] times real-view entry entry[j] of the matrix
+        diag, iu, ju = _coord_index(d)
+        upper = 2 * (iu * d + ju)
+        entry = np.concatenate([2 * (diag * d + diag), upper, upper + 1])
+        scale = np.repeat([1.0, math.sqrt(2)], [d, 2 * iu.size])
         blocks = [[1.0]] + [_herm_coords(c.target) for c in self.constraints]
-        return AffineFactor(row, col, val, _gram_pinv(g), np.concatenate(blocks),
+        return AffineFactor(d, row, entry[col], val * scale[col], _gram_pinv(g),
+                            np.concatenate(blocks),
                             np.cumsum([0] + [len(b) for b in blocks[:-1]]))
 
 
@@ -136,11 +179,14 @@ class ResidualReport:
 
 @dataclass
 class FeasibilityResult:
-    """Outcome of the alternating-projection solver.
+    """Outcome of the factored least-squares solver.
 
-    When converged is False, state holds the best iterate found; it is a
-    diagnostic, not a solution.  residual_history holds, per iteration, the
-    best residual reached so far, so it never increases.
+    state is G G^dag / Tr for the solver's factor G.  When converged is
+    False, it is the best iterate found; it is a diagnostic, not a
+    solution.  residual_history holds, per iteration, the best residual
+    reached so far, so it never increases.  factor_rank is the width k of
+    the factor behind state: the square-sum bound of the targets (at most
+    D), or D after a stationary point at the bound.
     """
 
     state: np.ndarray
@@ -149,6 +195,7 @@ class FeasibilityResult:
     iterations: int
     message: str
     residual_history: tuple[float, ...]
+    factor_rank: int
 
 
 @dataclass(frozen=True)
@@ -194,8 +241,11 @@ def residual_report(system: ConstraintSystem, x: np.ndarray) -> ResidualReport:
 # projected point exactly on the trace-one slice regardless of rounding in
 # the other rows.  A row of a partial-trace constraint has d_rest nonzeros
 # among its D^2 entries, so the full-space A (V = I) is kept as its
-# nonzeros with the pseudo-inverse of G = A A^T, and each product with A or
-# A^T is one bincount over them.  V's rows are A's rows compressed to
+# nonzeros, against the entries of the D x D matrix (AffineFactor), with the
+# pseudo-inverse of G = A A^T, and each product with A or A^T is one
+# bincount over them; the feasibility solver uses the same products.  The
+# projection serves the repair of the rank reduction.  V's rows are A's
+# rows compressed to
 # span(V), so a confined projection (V != I) takes its residual and A^T z
 # from the full-space A as well and needs only its own G_V^+; it reads the
 # residual at all of x because x may carry weight off span(V) that V's rows
@@ -229,15 +279,6 @@ def _confined_pinv(system: ConstraintSystem, v: np.ndarray) -> np.ndarray:
     return _gram_pinv(rows @ rows.T)
 
 
-def _affine_residuals(system: ConstraintSystem, x: np.ndarray) -> np.ndarray:
-    """Block norms of A coords(x) - b: the trace defect, then the Frobenius
-    residual of every constraint (the coordinates are an isometry, so these
-    are the norms of M(x) - target)."""
-    f = system.affine
-    dev = f.matvec(_herm_coords(x)) - f.target
-    return np.sqrt(np.add.reduceat(dev * dev, f.offsets))
-
-
 def project_affine(system: ConstraintSystem, x: np.ndarray, *,
                    support: np.ndarray | None = None) -> np.ndarray:
     """Least-squares projection of Hermitian x onto the affine constraint slice.
@@ -254,74 +295,205 @@ def project_affine(system: ConstraintSystem, x: np.ndarray, *,
     """
     f = system.affine
     pinv = f.pinv if support is None else _confined_pinv(system, support)
-    xc = _herm_coords(x)
-    delta = f.rmatvec(pinv @ (f.target - f.matvec(xc)), xc.size)
+    h = f.adjoint(pinv @ (f.target - f.apply(x)))
     if support is not None:
-        h = _coords_to_herm(delta, system.dim)
-        delta = _herm_coords(support @ (support.conj().T @ h @ support)
-                             @ support.conj().T)
-    return _coords_to_herm(xc + delta, system.dim)
+        h = support @ (support.conj().T @ h @ support) @ support.conj().T
+    return hermitian_part(x + h)
 
 
 # ---------------------------------------------------------------------------
-# Feasibility: alternating projections with Dykstra corrections between the
-# affine slice and the positive semidefinite cone.
+# Feasibility: least squares over factors rho = G G^dag (Burer-Monteiro).
+# The paper guarantees a solution of rank at most the square-sum bound
+# whenever one exists, so G is D x k with k = min(D, bound).  With
+# r = A coords(G G^dag) - b, f(G) = ||r||^2 has gradient 4 S G for
+# S = coords^-1(A^T r).  Along a direction P, r(t) = r + t a1 + t^2 a2 with
+# a1 = A coords(G P^dag + P G^dag) and a2 = A coords(P P^dag), so f is a
+# quartic in t and the exact line search is a root of its cubic derivative.
+# Directions come from L-BFGS whose initial metric is (G^dag G + ||r|| I)^-1
+# on the right; without it, convergence to a solution of rank below k is
+# sublinear (the spare columns shrink like the fourth root of f).
 # ---------------------------------------------------------------------------
+
+def square_sum_bound(targets: Sequence[np.ndarray],
+                     rank_tol: float = DEFAULT_RANK_TOL) -> int:
+    """floor(sqrt(sum of squared numerical target ranks)): the paper's bound
+    on the rank of some solution of any satisfiable instance."""
+    return math.isqrt(sum(numerical_rank(t, rank_tol) ** 2 for t in targets))
+
+
+def _lbfgs_direction(grad: np.ndarray, g: np.ndarray, eta: float,
+                     s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """-H grad for the L-BFGS inverse Hessian H of the pairs (s_i, y_i).
+
+    The factors are seen as real vectors: grad, g and the result through
+    their real views, and the rows of s and y (oldest first) directly.  The
+    initial metric is H0(q) = gamma q (G^dag G + eta I)^-1, gamma fitted to
+    the newest pair.  H is applied in the compact form of Byrd, Nocedal and
+    Schnabel (Math. Program. 1994), which equals the two-loop recursion but
+    takes a fixed number of array operations for any memory length:
+    H q = H0 q + S R^-T ((D + Y^T H0 Y) R^-1 S^T q - Y^T H0 q)
+          - H0 Y R^-1 S^T q,
+    with R the upper triangle of S^T Y and D its diagonal.
+    """
+    minv = np.linalg.inv(g.conj().T @ g + eta * np.eye(g.shape[1]))
+
+    def metric(v: np.ndarray) -> np.ndarray:
+        return (v.view(np.complex128).reshape(g.shape) @ minv).view(np.float64).ravel()
+
+    q = grad.view(np.float64).ravel()
+    h0q = metric(q)
+    if len(s) == 0:
+        return -h0q
+    sy = s @ y.T
+    gamma = sy[-1, -1] / (y[-1] @ metric(y[-1]))
+    rinv = np.linalg.inv(np.triu(sy))
+    ra = rinv @ (s @ q)
+    h0y_ra = gamma * metric(ra @ y)
+    c = (sy.diagonal() * ra + y @ h0y_ra - gamma * (y @ h0q)) @ rinv
+    return -(gamma * h0q - h0y_ra + c @ s)
+
+
+def _exact_step(f: AffineFactor, g: np.ndarray, p: np.ndarray,
+                dev: np.ndarray) -> tuple[float, np.ndarray]:
+    """The t > 0 minimising ||dev + t a1 + t^2 a2||^2 along direction p, and
+    dev + t a1 + t^2 a2, the deviation at G + t P.
+
+    The quartic's derivative has a positive leading coefficient (a2 holds
+    Tr(P P^dag) > 0) and a negative constant term for a descent direction,
+    so it has a positive root; the step is the positive root of least
+    cost.  The roots are the eigenvalues of the companion matrix, which
+    numpy balances, so they stay accurate when they differ by many orders
+    of magnitude.
+    """
+    m1 = g @ p.conj().T
+    a1 = f.apply(m1 + m1.conj().T)
+    a2 = f.apply(p @ p.conj().T)
+    # ||dev + t a1 + t^2 a2||^2 - ||dev||^2 = 2 c0 t + c1 t^2 + 2 c2 t^3 / 3 + c3 t^4 / 2
+    c3, c2, c1, c0 = 2 * (a2 @ a2), 3 * (a1 @ a2), a1 @ a1 + 2 * (dev @ a2), dev @ a1
+    roots = [t for t in np.linalg.eigvals(np.array(
+        [[-c2 / c3, -c1 / c3, -c0 / c3], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])).real
+        if t > 0]
+    if not roots:
+        return 0.0, dev
+    t = min(roots, key=lambda t: t * (2 * c0 + t * (c1 + t * (2 * c2 / 3 + t * c3 / 2))))
+    return t, dev + t * a1 + (t * t) * a2
+
 
 def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
                    max_iters: int = DEFAULT_MAX_ITERS) -> FeasibilityResult:
     """Find a state satisfying every constraint, or report failure.
 
-    Dykstra's alternating projections between the affine slice and the PSD
-    cone, starting from the maximally mixed state.  Every affine step is one
-    exact solve against the system's Gram factor, which is built once, and
-    the same factor gives each iteration's residuals.  Convergence is
-    declared when the trace-normalized PSD iterate meets every constraint
-    within tol.  No more than PLATEAU_RTOL relative improvement over the last
-    PLATEAU_WINDOW iterations is reported as a plateau; that is evidence of
-    infeasibility, never a certificate.  The result carries the best
-    residual after every iteration.
+    Minimises ||A coords(G G^dag) - b||^2 over G of size D x k, k the
+    square-sum bound of the targets (at most D), by L-BFGS with exact line
+    searches from a fixed-seed Gaussian G, so runs are deterministic.  Each
+    step is one iteration of max_iters.  The residual of an iterate is the
+    largest block norm of A coords(rho) - b at rho = G G^dag / Tr, the state
+    it stands for; the run is converged when that is at most tol.  It keeps
+    polishing to tol / 100, or until the budget ends: the rank reduction
+    truncates the state's eigenvalues below rank_tol before its first step,
+    and a state handed over just under tol would then sit above the inner
+    tolerance (repair_tol / 10) of its repair and pay confined repair
+    rounds that cannot reach it.  A stationary point above
+    10 tol at k < D is never reported: G gains D - k small random columns
+    and the search goes on at k = D, where every stationary point is a
+    global least-squares minimum.  There, or when the best residual
+    improved by less than PLATEAU_RTOL over the last PLATEAU_WINDOW
+    iterations, the run stops with a residual plateau: evidence of
+    infeasibility, never a certificate.  No step calls a constraint map or
+    decomposes a state; the returned state is checked by residual_report.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    x = np.eye(system.dim, dtype=complex) / system.dim
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    best_res = math.inf
-    best_x = x.copy()
+    d = system.dim
+    if not system.constraints:  # every state is feasible; keep the most mixed
+        x = np.eye(d, dtype=complex) / d
+        return FeasibilityResult(x, residual_report(system, x), True, 0,
+                                 "converged in 0 iterations", (), d)
+    f = system.affine
+    k = min(d, square_sum_bound([c.target for c in system.constraints]))
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+    g /= np.linalg.norm(g)
+
+    def evaluate(g: np.ndarray, dev: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, float]:
+        """Deviation (from G unless given), gradient and residual at G."""
+        if dev is None:
+            dev = f.apply(g @ g.conj().T) - f.target
+        grad = 4 * f.adjoint(dev) @ g
+        # A coords(rho / t) = (dev + b) / t, and the first row is the trace
+        scaled = (dev + f.target) / (dev[0] + f.target[0]) - f.target
+        return dev, grad, float(f.block_norms(scaled).max())
+
+    def result(converged: bool, message: str) -> FeasibilityResult:
+        x = best_g @ best_g.conj().T
+        x = x / np.trace(x).real
+        return FeasibilityResult(x, residual_report(system, x), converged, it,
+                                 message, tuple(history), best_g.shape[1])
+
+    dev, grad, res = evaluate(g)
+    best_res, best_g = res, g
     history: list[float] = []
-    iterations = 0
-    for it in range(1, max_iters + 1):
-        iterations = it
-        y = project_affine(system, x + p)
-        p = x + p - y
-        w = y + q
-        x = psd_project(w)
-        q = w - x
-        t = float(np.trace(x).real)
-        cand = x / t if t > 0.5 else x
-        res = float(_affine_residuals(system, cand).max())
-        if res < best_res:
-            best_res = res
-            best_x = cand.copy()
-        history.append(best_res)
-        if res <= tol:
-            return FeasibilityResult(cand, residual_report(system, cand), True, it,
-                                     f"converged in {it} iterations", tuple(history))
+    # L-BFGS pairs as rows of real views, oldest first
+    s_mem = y_mem = np.empty((0, 2 * g.size))
+    it = 0
+    while True:
+        if res <= tol / 100:
+            # steps carry dev forward; confirm it on G itself
+            dev, grad, res = evaluate(g)
+            if res <= tol / 100:
+                return result(True, f"converged in {it} iterations")
+        rnorm = math.sqrt(dev @ dev)
+        # ||G||^2 = Tr G G^dag, which the trace row of dev holds
+        gnorm = math.sqrt(dev[0] + f.target[0])
+        if (np.vdot(grad, grad).real <= (STATIONARY_RTOL * rnorm * gnorm) ** 2
+                and best_res > 10 * tol):
+            if g.shape[1] == d:
+                return result(False, (
+                    f"residual plateau at {best_res:.3e} after {it} iterations "
+                    f"(stationary point of the rank-{d} least squares); "
+                    "instance possibly infeasible"))
+            # small random columns move the factor off the rank-k stationary point
+            pad = (rng.standard_normal((d, d - g.shape[1]))
+                   + 1j * rng.standard_normal((d, d - g.shape[1])))
+            g = np.hstack([g, 1e-3 * np.linalg.norm(g) / np.linalg.norm(pad) * pad])
+            dev, grad, res = evaluate(g)
+            rnorm = math.sqrt(dev @ dev)
+            s_mem = y_mem = np.empty((0, 2 * g.size))
         if it > PLATEAU_WINDOW and best_res > 10 * tol:
             prev = history[it - PLATEAU_WINDOW - 1]
             if prev - best_res < PLATEAU_RTOL * prev:
-                msg = (f"residual plateau at {best_res:.3e} after {it} iterations "
-                       f"(< {PLATEAU_RTOL:.1%} improvement over the last "
-                       f"{PLATEAU_WINDOW}); instance possibly infeasible")
-                return FeasibilityResult(best_x, residual_report(system, best_x),
-                                         False, it, msg, tuple(history))
-    msg = (f"no convergence after {max_iters} iterations; "
-           f"best residual {best_res:.3e}")
-    return FeasibilityResult(best_x, residual_report(system, best_x),
-                             False, iterations, msg, tuple(history))
+                return result(False, (
+                    f"residual plateau at {best_res:.3e} after {it} iterations "
+                    f"(< {PLATEAU_RTOL:.1%} improvement over the last "
+                    f"{PLATEAU_WINDOW}); instance possibly infeasible"))
+        if it == max_iters:
+            break
+        it += 1
+        q = grad.view(np.float64).ravel()
+        p = _lbfgs_direction(grad, g, rnorm, s_mem, y_mem)
+        if p @ q >= 0:
+            s_mem = y_mem = np.empty((0, 2 * g.size))
+            p = -q
+        p = p.view(np.complex128).reshape(g.shape)
+        t, dev = _exact_step(f, g, p, dev)
+        g_next = g + t * p
+        dev, grad_next, res = evaluate(g_next, dev)
+        s = (g_next - g).view(np.float64).ravel()
+        y = (grad_next - grad).view(np.float64).ravel()
+        if s @ y > 0:
+            s_mem = np.vstack([s_mem, s])[-LBFGS_MEMORY:]
+            y_mem = np.vstack([y_mem, y])[-LBFGS_MEMORY:]
+        g, grad = g_next, grad_next
+        if res < best_res:
+            best_res, best_g = res, g
+        history.append(best_res)
+    if best_res <= tol:
+        return result(True, f"converged in {it} iterations")
+    return result(False, f"no convergence after {max_iters} iterations; "
+                         f"best residual {best_res:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +546,17 @@ def _coords_to_herm(y: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
+def _split_factors(m: np.ndarray, dims: tuple[int, ...],
+                   keep: tuple[int, ...]) -> np.ndarray:
+    """m, with prod(dims) rows and r columns, as a (d_keep, d_rest * r)
+    matrix: rows index the kept factors, columns the traced factors and
+    then m's columns."""
+    n = len(dims)
+    rest = tuple(i for i in range(n) if i not in keep)
+    d_keep = math.prod(dims[i] for i in keep)
+    return m.reshape(dims + (m.shape[1],)).transpose(keep + rest + (n,)).reshape(d_keep, -1)
+
+
 def constraint_rows(c: Constraint, v: np.ndarray, vc: np.ndarray) -> np.ndarray:
     """Rows of one constraint in the engine's linear systems, shape (rc^2, r^2).
 
@@ -386,11 +569,8 @@ def constraint_rows(c: Constraint, v: np.ndarray, vc: np.ndarray) -> np.ndarray:
         v = c.lift @ v
     if c.lower is not None:
         vc = c.lower @ vc
-    n, r, rc = len(c.dims), v.shape[1], vc.shape[1]
-    rest = tuple(i for i in range(n) if i not in c.keep)
-    d_rest = math.prod(c.dims[i] for i in rest)
-    t = v.reshape(c.dims + (r,)).transpose(c.keep + rest + (n,))
-    w = (vc.conj().T @ t.reshape(vc.shape[0], d_rest * r)).reshape(rc, d_rest, r)
+    r, rc = v.shape[1], vc.shape[1]
+    w = (vc.conj().T @ _split_factors(v, c.dims, c.keep)).reshape(rc, -1, r)
     wh = w.conj().transpose(0, 2, 1)
     _, a, b = _coord_index(rc)
     g = wh[a] @ w[b]
@@ -535,15 +715,21 @@ def step_length_core(v: np.ndarray, p: np.ndarray, h: np.ndarray) -> tuple[float
 # truncated eigenvalues above rank_tol and break monotonicity).
 # ---------------------------------------------------------------------------
 
-def _truncate(x: np.ndarray, floor: float) -> np.ndarray:
-    """Zero the eigenvalues that support_basis(x, floor) drops, renormalize."""
+def _truncate(x: np.ndarray, rank_tol: float
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zero the eigenvalues that support_basis(x, rank_tol) drops and
+    renormalize.  Returns the state with its support factor (v, p), read off
+    the same eigenpairs with support_basis's rule, so the caller need not
+    decompose the state again."""
     w, v = np.linalg.eigh(hermitian_part(x))
     scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    w = np.where(w > floor * scale, w, 0.0)
+    w = np.where(w > rank_tol * scale, w, 0.0)
     t = w.sum()
     if t <= 0:
         raise ReductionError("state vanished after eigenvalue truncation")
-    return hermitian_part((v * (w / t)) @ v.conj().T)
+    w = w / t
+    sel = w > rank_tol * max(1.0, float(w.max()))
+    return hermitian_part((v * w) @ v.conj().T), v[:, sel], w[sel]
 
 
 def _truncate_to_rank(x: np.ndarray, rank: int) -> np.ndarray:
@@ -598,11 +784,14 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
     """Greedy boundary-step loop; stops when no null-space direction remains.
 
     Each step multiplies out to: direction, boundary step length, eigenvalue
-    truncation at rank_tol (and at 1000*rank_tol when the support becomes
-    ill-conditioned), support-confined feasibility repair, and a strict rank
-    comparison.  Continues below `bound` while directions exist.  The loop
-    carries (v, p) = support_basis(x, rank_tol), one eigh per step that gives
-    the direction's support, the step length and both ranks.
+    truncation at rank_tol, support-confined feasibility repair, and a
+    strict rank comparison.  Continues below `bound` while directions exist.
+    The loop carries (v, p), the support factor of x with support_basis's
+    rule, from the eigh of the truncation: one state decomposition per step
+    gives the direction's support, the step length and both ranks, and only
+    a repair round that changes the state costs a second one.  Small
+    eigenvalues are not truncated above rank_tol: a boundary step removes
+    them without moving any constraint.
     """
     rng = np.random.default_rng(seed)
     x = hermitian_part(np.asarray(rho0, dtype=complex))
@@ -612,7 +801,6 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
     if start_res > 1e-6:
         raise ValueError(
             f"starting state is not feasible: residual {start_res:.3e} exceeds 1.0e-06")
-    guard_floor = 1e3 * rank_tol
     repair_kwargs = dict(inner_tol=repair_tol / 10, hard_tol=repair_tol,
                          rank_tol=rank_tol)
     steps: list[ReductionStep] = []
@@ -622,22 +810,26 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
     def record(exhausted: bool = False) -> ReductionTrace:
         return ReductionTrace(steps, numerical_rank(x, rank_tol), bound, exhausted)
 
+    def settle(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                       float, float]:
+        """Truncate y at rank_tol and repair it, with the result's support
+        factor: the truncation's unless a repair round changed the state."""
+        y, v, p = _truncate(y, rank_tol)
+        z, pre, after = _repair(y, system, **repair_kwargs)
+        if z is not y:
+            v, p = support_basis(z, rank_tol)
+        return z, v, p, pre, after
+
     limit = system.dim if max_steps is None else int(max_steps)
     try:
-        x, _, _ = _repair(_truncate(x, rank_tol), system, **repair_kwargs)
-        v, p = support_basis(x, rank_tol)
+        x, v, p, _, _ = settle(x)
         while len(steps) < limit:
-            if p.size and p.min() < guard_floor * max(1.0, p.max()):
-                x, _, _ = _repair(_truncate(x, guard_floor), system, **repair_kwargs)
-                v, p = support_basis(x, rank_tol)
             h = descent_direction_core(v, system, rng, rank_tol=rank_tol,
                                        deriv_tol=deriv_tol, target_bases=target_bases)
             if h is None:
                 return x, record(True)
             lam, sign = step_length_core(v, p, h)
-            y, pre, after = _repair(_truncate(x - sign * lam * h, rank_tol), system,
-                                    **repair_kwargs)
-            v_next, p_next = support_basis(y, rank_tol)
+            y, v_next, p_next, pre, after = settle(x - sign * lam * h)
             if p_next.size >= p.size:
                 raise ReductionError(
                     f"step did not reduce rank ({p.size} -> {p_next.size})",

@@ -109,7 +109,7 @@ def cmd_solve(args) -> int:
     options = {"tol": args.tol, "rank_tol": args.rank_tol,
                "max_iters": args.max_iters, "seed": args.seed,
                "reduce": not args.no_reduce}
-    doc = solution_to_doc(state, report, bounds, options, trace)
+    doc = solution_to_doc(state, report, bounds, options, trace, found)
     summary = [f"rank: {rank} (theorem1 bound {t}, barvinok bound {b})",
                f"max residual: {report.max_residual:.3e}"]
     if trace is not None:
@@ -205,7 +205,8 @@ def _add_common(p: argparse.ArgumentParser, *, tol: float = DEFAULT_TOL) -> None
                    help="relative eigenvalue threshold for ranks "
                         f"(default {DEFAULT_RANK_TOL:g})")
     p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS,
-                   help=f"projection iteration budget (default {DEFAULT_MAX_ITERS})")
+                   help="iteration budget of the factored least-squares "
+                        f"feasibility search (default {DEFAULT_MAX_ITERS})")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the reduction directions (default 0)")
 

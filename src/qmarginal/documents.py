@@ -11,7 +11,7 @@ from typing import Any
 
 import numpy as np
 
-from ._engine import ReductionTrace, ResidualReport
+from ._engine import FeasibilityResult, ReductionTrace, ResidualReport
 from .channels import ChannelInstance, ChannelRepr, LocalChannel
 from .marginal import ConsistencyInstance, MarginalConstraint
 from .sector import SectorInstance
@@ -163,9 +163,19 @@ def _steps_to_doc(trace: ReductionTrace) -> list[dict]:
              "residual_after": s.residual_after} for s in trace.steps]
 
 
+def _feasibility_to_doc(found: FeasibilityResult) -> dict:
+    return {"iterations": found.iterations, "factor_rank": found.factor_rank,
+            "message": found.message,
+            "residual_history": list(found.residual_history)}
+
+
 def solution_to_doc(matrix: np.ndarray, report: ResidualReport,
                     bounds: dict[str, int], options: dict,
-                    trace: ReductionTrace | None = None) -> dict:
+                    trace: ReductionTrace | None = None,
+                    feasibility: FeasibilityResult | None = None) -> dict:
+    """The solution document; feasibility, when given, is the search that
+    found the starting state: its iterations, factor width, stop message
+    and per-iteration best residual."""
     w = np.linalg.eigvalsh(matrix)
     doc = {"matrix": matrix_to_doc(matrix),
            "rank": bounds["achieved"],
@@ -178,6 +188,8 @@ def solution_to_doc(matrix: np.ndarray, report: ResidualReport,
            "trace": [] if trace is None else _steps_to_doc(trace)}
     if trace is not None:
         doc["null_space_exhausted"] = trace.null_space_exhausted
+    if feasibility is not None:
+        doc["feasibility"] = _feasibility_to_doc(feasibility)
     return doc
 
 

@@ -3,7 +3,7 @@
 An instance asks for a global density matrix whose partial trace onto each
 listed subsystem set equals the given target.  This module holds the data
 model, the consistency check, the two rank bounds, and the feasibility
-solver; the actual projection machinery lives in _engine.
+solver; the factored least-squares search itself lives in _engine.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from ._engine import (DEFAULT_MAX_ITERS, DEFAULT_TOL, FeasibilityResult,
 from .hilbert import check_dims, check_subsystems, total_dim
 # unused here; kept as module attributes because bench/spans.py wraps them
 from .hilbert import embed_with_identity, partial_trace  # noqa: F401
-from .numerics import DEFAULT_RANK_TOL, check_target, numerical_rank
+from .numerics import DEFAULT_RANK_TOL, check_target
 
 if TYPE_CHECKING:
     from .sector import SectorInstance
@@ -100,10 +100,10 @@ def theorem1_bound(instance: ConsistencyInstance | SectorInstance,
 
     Whenever the instance is satisfiable at all, it is satisfiable by a state
     of at most this rank; 0 for the degenerate empty instance.  A sector
-    instance has one constraint, so its bound is the target rank.
+    instance has one constraint, so its bound is the target rank.  It is the
+    factor width of find_feasible (_engine.square_sum_bound).
     """
-    total = sum(numerical_rank(t, rank_tol) ** 2 for t in instance.targets)
-    return math.isqrt(total)
+    return _engine.square_sum_bound(instance.targets, rank_tol)
 
 
 def barvinok_bound(instance: ConsistencyInstance | SectorInstance) -> int:
@@ -120,9 +120,12 @@ def find_feasible(instance: ConsistencyInstance | SectorInstance, *,
                   max_iters: int = DEFAULT_MAX_ITERS) -> FeasibilityResult:
     """Search for a state meeting every constraint within tol.
 
-    Takes a qudit or a sector instance.  Alternating projections from the
-    maximally mixed state; the run is deterministic.  A non-converged result
-    carries the best iterate and a plateau or iteration-budget message.
+    Takes a qudit or a sector instance.  Least squares over factors
+    rho = G G^dag / Tr with G of width theorem1_bound(instance) (at most the
+    dimension), by L-BFGS from a fixed-seed start, so the run is
+    deterministic and the state's rank is at most that bound.  A
+    non-converged result carries the best iterate and a plateau or
+    iteration-budget message; see _engine.solve_feasible.
     """
     return _engine.solve_feasible(instance.engine_system(), tol=tol,
                                   max_iters=max_iters)

@@ -80,7 +80,8 @@ class SectorInstance:
 
 def find_feasible_sector(instance: SectorInstance, *, tol: float = DEFAULT_TOL,
                          max_iters: int = DEFAULT_MAX_ITERS) -> FeasibilityResult:
-    """Alternating-projection search inside the sector, from its mixed state."""
+    """Factored least-squares search inside the sector, at a factor width of
+    the target's rank; the same run as find_feasible(instance)."""
     return _engine.solve_feasible(instance.engine_system(), tol=tol,
                                   max_iters=max_iters)
 

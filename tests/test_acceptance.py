@@ -9,6 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
+from qmarginal._engine import DEFAULT_MAX_ITERS
 from qmarginal.channels import (ChannelInstance, LocalChannel, choi_from_kraus,
                                 kraus_from_choi, reduce_kraus_rank, sub_channel)
 from qmarginal.cli import main
@@ -249,3 +250,24 @@ def test_criterion_8_infeasibility_handling(capsys, tmp_path):
               and "possibly infeasible" in err and not out_path.exists())
         details.append(f"{name} exit {code}")
     report(capsys, 8, "infeasibility handling", ok, "; ".join(details))
+
+
+def test_criterion_9_low_rank_witnesses(capsys):
+    """Rank-1 and rank-2 witnesses with every pair pinned, n = 3, 4, 5: the
+    feasible set touches the boundary of the cone, and each instance is
+    solved at the default budget and reduced to at most the rank bound."""
+    ok = True
+    details = []
+    for n in (3, 4, 5):
+        for r in (1, 2):
+            inst, _ = random_feasible_instance(
+                (2,) * n, list(combinations(range(n), 2)), r, seed=0)
+            found = find_feasible(inst, max_iters=DEFAULT_MAX_ITERS)
+            res = check_consistency(inst, found.state).max_residual
+            state, _ = reduce_rank(found.state, inst)
+            rank, bound = numerical_rank(state), theorem1_bound(inst)
+            reduced_res = check_consistency(inst, state).max_residual
+            ok = (ok and found.converged and res <= 1e-8 and reduced_res <= 1e-8
+                  and rank <= bound)
+            details.append(f"n{n} r{r}: {found.iterations} it, rank {rank}/{bound}")
+    report(capsys, 9, "low-rank witnesses", ok, "; ".join(details))

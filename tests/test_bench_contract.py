@@ -32,11 +32,13 @@ def test_install_wraps_then_restores_the_originals():
 
 
 def test_traced_feasibility_run_is_counted():
+    """The span counts a run's iterations; the factored solver makes no
+    affine projection and no PSD projection."""
     inst, _ = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 3, seed=2)
     with spans.Tracer().install() as tracer:
         found = find_feasible(inst)
-    assert found.converged
+    assert found.converged and found.iterations > 0
     m = spans.layer_metrics(tracer)
     assert m["engine.solve_feasible.iters"] == found.iterations
-    assert m["engine.project_affine.calls"] == found.iterations
-    assert m["numerics.psd_project.calls"] == found.iterations
+    assert m["engine.project_affine.calls"] == 0
+    assert m["numerics.psd_project.calls"] == 0

@@ -9,9 +9,11 @@ from qmarginal.channels import choi_from_kraus, sub_channel, LocalChannel, Chann
 from qmarginal import _engine
 from qmarginal.cli import build_parser, main
 from qmarginal.documents import (channel_instance_to_doc, channel_to_doc,
-                                 dump_document, instance_to_doc, state_to_doc)
+                                 dump_document, instance_from_doc,
+                                 instance_to_doc, load_document, state_to_doc)
 from qmarginal.gallery import maximally_mixed_klocal_instance, ring_graph_state
-from qmarginal.marginal import ConsistencyInstance, MarginalConstraint
+from qmarginal.marginal import (ConsistencyInstance, MarginalConstraint,
+                                find_feasible)
 from qmarginal.numerics import numerical_rank
 
 
@@ -105,6 +107,24 @@ def test_solve_writes_solution(tmp_path, capsys):
     m = np.array(doc["matrix"]["re"]) + 1j * np.array(doc["matrix"]["im"])
     assert numerical_rank(m) == doc["rank"]
     assert all(e["rank_after"] < e["rank_before"] for e in doc["trace"])
+
+
+def test_solve_document_holds_the_feasibility_run(tmp_path):
+    """The solution document carries the feasibility search that found the
+    start: the same iterations, factor width, message and history as a
+    library call on the instance read back from its file."""
+    inst_path = write_instance(tmp_path / "mm4.json",
+                               maximally_mixed_klocal_instance(4, 2))
+    out_path = tmp_path / "sol.json"
+    assert main(["solve", inst_path, "-o", str(out_path)]) == 0
+    doc = json.loads(out_path.read_text(encoding="utf-8"))
+    found = find_feasible(instance_from_doc(load_document(inst_path)))
+    assert doc["feasibility"] == {
+        "iterations": found.iterations, "factor_rank": found.factor_rank,
+        "message": found.message,
+        "residual_history": list(found.residual_history)}
+    assert found.converged and found.factor_rank == 9
+    assert len(doc["feasibility"]["residual_history"]) == found.iterations
 
 
 def test_solve_no_reduce(tmp_path):

@@ -1,6 +1,7 @@
 """The engine's linear algebra on the constraint map: batched constraint rows,
-the Gram null-space projector of the descent, the exact affine projection and
-the feasibility loop built on it."""
+the Gram null-space projector of the descent, the exact affine projection of
+the repair, and the factored feasibility solver on the same sparse rows."""
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -11,7 +12,7 @@ from qmarginal.channels import (ChannelInstance, LocalChannel,
                                 channel_instance_to_marginal, choi_from_kraus,
                                 sub_channel)
 from qmarginal.gallery import random_feasible_instance
-from qmarginal.hilbert import sector_size, support_basis
+from qmarginal.hilbert import partial_trace, sector_size, support_basis
 from qmarginal.marginal import ConsistencyInstance, MarginalConstraint
 from qmarginal.sector import SectorInstance
 
@@ -261,12 +262,14 @@ def test_projection_on_a_contradictory_instance_is_least_squares():
 
 
 def test_row_residuals_match_the_maps():
-    """The feasibility loop's residuals, block norms of A coords(x) - b, are
-    the trace defect and the Frobenius residual of every constraint map."""
+    """The feasibility solver's residuals, block norms of A coords(x) - b,
+    are the trace defect and the Frobenius residual of every constraint
+    map."""
     rng = np.random.default_rng(29)
     for system in projection_cases():
         x = random_hermitian(rng, system.dim)
-        got = _engine._affine_residuals(system, x)
+        f = system.affine
+        got = f.block_norms(f.apply(x) - f.target)
         want = [abs(np.trace(x) - 1.0)] + [np.linalg.norm(c.apply(x) - c.target)
                                            for c in system.constraints]
         assert got.shape == (len(want),)
@@ -344,14 +347,87 @@ def test_residual_history_of_a_converged_run():
 
 
 def test_residual_history_of_a_plateau():
-    """The contradictory two-qubit instance stops on the plateau rule; its
-    history ends at the best residual the report recomputes."""
+    """The contradictory two-qubit instance has its square-sum bound at
+    D = 4, so the search stops at a stationary point of the full-rank least
+    squares, well before the plateau window; its history ends at the best
+    residual the report recomputes."""
     found = _engine.solve_feasible(contradictory_system())
     assert not found.converged and "plateau" in found.message
-    assert found.iterations > _engine.PLATEAU_WINDOW
+    assert "stationary point of the rank-4 least squares" in found.message
+    assert found.iterations < _engine.PLATEAU_WINDOW and found.factor_rank == 4
     assert_history(found)
     assert found.residual_history[-1] == pytest.approx(found.report.max_residual,
                                                        rel=1e-9)
+
+
+def test_plateau_rule_stops_a_run_without_a_stationary_exit(monkeypatch):
+    """With the stationary exit switched off, the contradictory instance
+    stops on the unchanged plateau rule after the window."""
+    monkeypatch.setattr(_engine, "STATIONARY_RTOL", 0.0)
+    found = _engine.solve_feasible(contradictory_system())
+    assert not found.converged and "plateau" in found.message
+    assert f"improvement over the last {_engine.PLATEAU_WINDOW}" in found.message
+    assert found.iterations > _engine.PLATEAU_WINDOW
+    assert_history(found)
+
+
+def monogamy_system():
+    """Two Bell pairs sharing a qubit: infeasible, with square-sum bound 1."""
+    bell = np.zeros((4, 4), dtype=complex)
+    bell[np.ix_([0, 3], [0, 3])] = 0.5
+    return ConsistencyInstance((2, 2, 2), (MarginalConstraint((0, 1), bell),
+                                           MarginalConstraint((1, 2), bell))
+                               ).engine_system()
+
+
+def test_stationary_point_below_full_rank_is_never_reported():
+    """At k = 1 the monogamy instance has a stationary point far above tol;
+    the factor is padded to D = 8 and the verdict comes from the full-rank
+    least squares."""
+    system = monogamy_system()
+    assert _engine.square_sum_bound([c.target for c in system.constraints]) == 1
+    found = _engine.solve_feasible(system)
+    assert not found.converged and found.factor_rank == 8
+    assert "stationary point of the rank-8 least squares" in found.message
+    assert "possibly infeasible" in found.message
+    assert found.report.max_residual > 0.1
+
+
+def test_feasible_state_has_rank_at_most_the_bound():
+    """A rank-1 witness on three qubits with every pair pinned: the factor
+    has the square-sum bound as its width, so the state's rank is at most
+    that, and it is handed over well inside the repair's inner tolerance."""
+    inst, _ = random_feasible_instance((2,) * 3, list(combinations(range(3), 2)),
+                                       1, seed=0)
+    system = inst.engine_system()
+    found = _engine.solve_feasible(system)
+    bound = _engine.square_sum_bound([c.target for c in system.constraints])
+    assert found.converged and found.factor_rank == bound == 3
+    assert np.linalg.matrix_rank(found.state, tol=1e-12) <= bound
+    assert found.report.max_residual <= _engine.DEFAULT_TOL / 10
+
+
+def test_feasibility_iterations_decompose_no_state(monkeypatch):
+    """The solver's iterations are products with A, A^T and the factor: the
+    eigendecompositions of a run are those of the bound's target ranks and
+    of the final residual_report, whatever the budget."""
+    inst, _ = random_feasible_instance((2,) * 4, list(combinations(range(4), 2)),
+                                       1, seed=0)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def spy(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+
+    def run(max_iters):
+        calls.clear()
+        found = _engine.solve_feasible(inst.engine_system(), max_iters=max_iters)
+        assert not found.converged and found.iterations == max_iters
+        return list(calls)
+
+    assert run(20) == run(40)
+    assert run(20).count(("eigvalsh", (16, 16))) == 1
 
 
 def test_repair_fallback_uses_one_full_space_projection(monkeypatch):
@@ -407,12 +483,13 @@ def test_reduction_error_carries_the_partial_trace(monkeypatch):
 
 
 def test_reduction_factors_the_state_once_per_step(monkeypatch):
-    """Each step of the walk takes one residual (the repair's) and one
-    support of the new state, which also gives the next step its support
-    and both ranks; numerical_rank runs once, for the final trace.  On a
+    """Each step of the walk decomposes the new state once: the truncation's
+    eigh gives the next step its support and both ranks, and the repair
+    takes one residual; numerical_rank runs once, for the final trace.  On a
     full-rank 4-qubit all-pairs witness no repair round runs, so the call
-    sequence is exact: the feasibility check, the initial repair's residual
-    and the first support, then one residual and one support per step."""
+    sequence is exact: the feasibility check and the initial repair's
+    residual, then one residual per step, and no support_basis call on the
+    state at all."""
     inst, rho = random_feasible_instance((2,) * 4, list(combinations(range(4), 2)),
                                          16, seed=0)
     system = inst.engine_system()
@@ -426,9 +503,48 @@ def test_reduction_factors_the_state_once_per_step(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(_engine, name, spy)
+    eighs = []
+
+    def eigh(a, *args, _fn=np.linalg.eigh, **kwargs):
+        if np.shape(a) == (system.dim, system.dim):
+            eighs.append(None)
+        return _fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     _, trace = _engine.reduce_core(rho, system, bound=9)
     steps = len(trace.steps)
     assert steps >= 5 and trace.null_space_exhausted
-    assert events == (["residual_report"] * 2 + ["support_basis"]
-                      + ["residual_report", "support_basis"] * steps
+    assert events == (["residual_report"] * 2 + ["residual_report"] * steps
                       + ["numerical_rank"])
+    # one eigh per truncation, at the start and after each step; its
+    # eigenpairs give the support without a second decomposition
+    assert len(eighs) == 1 + steps
+
+
+def test_sector_map_matches_the_dense_lift():
+    """The sector map contracts through the split isometry; it equals
+    lower^dag Tr_rest(lift x lift^dag) lower with the lift formed."""
+    rng = np.random.default_rng(41)
+    for statistics, n, d in (("fermionic", 3, 6), ("bosonic", 5, 3)):
+        dk = sector_size(statistics, 2, d)
+        c = SectorInstance(statistics, n, d, 2, np.eye(dk) / dk
+                           ).engine_system().constraints[0]
+        x = random_hermitian(rng, c.lift.shape[1])
+        full = partial_trace(c.lift @ x @ c.lift.conj().T, c.dims, c.keep)
+        dense = c.lower.conj().T @ full @ c.lower
+        assert np.abs(c.apply(x) - dense).max() <= 1e-12
+
+
+def test_sector_map_never_forms_the_lifted_state():
+    """On fermionic (4,8,2) the lifted state is a 4096 x 4096 complex matrix,
+    268 MB; one application of the map stays well below that."""
+    c = SectorInstance("fermionic", 4, 8, 2, np.eye(28) / 28
+                       ).engine_system().constraints[0]
+    x = random_hermitian(np.random.default_rng(43), c.lift.shape[1])
+    tracemalloc.start()
+    try:
+        c.apply(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096 ** 2 * 16

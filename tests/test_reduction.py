@@ -187,11 +187,11 @@ def test_reduce_rank_keeps_feasibility_throughout():
 def test_reduce_rank_step_residuals_are_the_checked_ones():
     """The residual a step records after its repair is the residual the
     independent check reports for the returned state, to the last bit.  The
-    tight repair_tol makes the last step run a repair round, so the residual
-    before the repair differs from the one after it."""
+    tight repair_tol, a few rounding units, makes every step run a repair
+    round, so the residual before the repair differs from the one after it."""
     for n, rank, seed in ((3, 8, 0), (4, 16, 1)):
         inst, witness = pair_instance(n, rank, seed)
-        state, trace = reduce_rank(witness, inst, seed=seed, repair_tol=1e-14)
+        state, trace = reduce_rank(witness, inst, seed=seed, repair_tol=2e-15)
         last = trace.steps[-1]
         assert last.residual_before_repair != last.residual_after
         assert last.residual_after == check_consistency(inst, state).max_residual
