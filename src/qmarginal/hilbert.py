@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,24 +52,63 @@ def _as_operator(x, dim: int) -> np.ndarray:
     return x
 
 
+class PartialTraceSpec(NamedTuple):
+    """partial_trace and embed_with_identity for one (dims, keep), with no
+    input checks: the operator as a tensor, the einsum sublists of the trace,
+    and the axis order that puts the identity factors of the embedding in
+    place."""
+
+    tensor: tuple[int, ...]
+    trace_in: tuple[int, ...]
+    trace_out: tuple[int, ...]
+    d_keep: int
+    d_rest: int
+    embedded: tuple[int, ...]
+    axes: tuple[int, ...]
+
+    def trace(self, x: np.ndarray) -> np.ndarray:
+        """Tr_rest(x) for a complex array x of the full dimension."""
+        if len(self.trace_out) == len(self.tensor):
+            return x.copy()  # einsum would return a view of x
+        out = np.einsum(x.reshape(self.tensor), self.trace_in, self.trace_out)
+        return out.reshape(self.d_keep, self.d_keep)
+
+    def embed(self, y: np.ndarray) -> np.ndarray:
+        """y (x) I_rest with the factors back in their order, for y of size
+        d_keep."""
+        d = self.d_keep * self.d_rest
+        z = np.kron(y, np.eye(self.d_rest, dtype=complex))
+        return z.reshape(self.embedded).transpose(self.axes).reshape(d, d)
+
+
+@lru_cache(maxsize=4096)
+def partial_trace_spec(dims: tuple[int, ...], keep: tuple[int, ...]) -> PartialTraceSpec:
+    """The shared PartialTraceSpec of (dims, keep); the caller has checked
+    both (check_dims, check_subsystems).
+
+    Cached because a constraint's maps run with the same dims and keep on
+    every call.  An entry is a few small tuples, so a full cache holds a few
+    MB at most.
+    """
+    n = len(dims)
+    rest = tuple(i for i in range(n) if i not in keep)
+    col = tuple(n + i if i in keep else i for i in range(n))
+    order = keep + rest
+    perm = tuple(order.index(i) for i in range(n))
+    return PartialTraceSpec(
+        dims + dims, tuple(range(n)) + col, keep + tuple(n + i for i in keep),
+        math.prod(dims[i] for i in keep), math.prod(dims[i] for i in rest),
+        tuple(dims[i] for i in order) * 2, perm + tuple(p + n for p in perm))
+
+
 def partial_trace(x, dims, keep) -> np.ndarray:
     """Trace out every subsystem not listed in keep.
 
     Returns the operator on the kept factors, ordered as in keep.
     """
     dims = check_dims(dims)
-    n = len(dims)
-    keep = check_subsystems(keep, n)
-    x = _as_operator(x, total_dim(dims))
-    if len(keep) == n:
-        return x.copy()
-    t = x.reshape(dims + dims)
-    kept = set(keep)
-    row = list(range(n))
-    col = [n + i if i in kept else i for i in range(n)]
-    out = [i for i in keep] + [n + i for i in keep]
-    dk = math.prod(dims[i] for i in keep) if keep else 1
-    return np.einsum(t, row + col, out).reshape(dk, dk)
+    keep = check_subsystems(keep, len(dims))
+    return partial_trace_spec(dims, keep).trace(_as_operator(x, math.prod(dims)))
 
 
 def embed_with_identity(y, dims, on) -> np.ndarray:
@@ -77,18 +118,8 @@ def embed_with_identity(y, dims, on) -> np.ndarray:
     <partial_trace(X, dims, on), Y> == <X, embed_with_identity(Y, dims, on)>.
     """
     dims = check_dims(dims)
-    n = len(dims)
-    on = check_subsystems(on, n)
-    comp = [i for i in range(n) if i not in set(on)]
-    don = math.prod(dims[i] for i in on) if on else 1
-    dc = math.prod(dims[i] for i in comp) if comp else 1
-    y = _as_operator(y, don)
-    z = np.kron(y, np.eye(dc, dtype=complex))
-    order = list(on) + comp
-    perm = [order.index(i) for i in range(n)]
-    shaped = z.reshape(tuple(dims[i] for i in order) * 2)
-    d = total_dim(dims)
-    return shaped.transpose(perm + [p + n for p in perm]).reshape(d, d)
+    spec = partial_trace_spec(dims, check_subsystems(on, len(dims)))
+    return spec.embed(_as_operator(y, spec.d_keep))
 
 
 def support_projector(rho, rank_tol: float = DEFAULT_RANK_TOL,

@@ -1,6 +1,7 @@
 """The engine's linear algebra on the constraint map: batched constraint rows,
 the Gram null-space projector of the descent, the exact affine projection of
 the repair, and the factored feasibility solver on the same sparse rows."""
+import math
 import tracemalloc
 from itertools import combinations
 
@@ -13,7 +14,9 @@ from qmarginal.channels import (ChannelInstance, LocalChannel,
                                 sub_channel)
 from qmarginal.gallery import random_feasible_instance
 from qmarginal.hilbert import partial_trace, sector_size, support_basis
-from qmarginal.marginal import ConsistencyInstance, MarginalConstraint
+from qmarginal.marginal import (ConsistencyInstance, MarginalConstraint,
+                                check_consistency)
+from qmarginal.reduction import reduce_rank
 from qmarginal.sector import SectorInstance
 
 
@@ -227,11 +230,11 @@ def test_projection_lands_on_the_slice_with_the_least_norm_correction():
     rng = np.random.default_rng(17)
     for system in projection_cases():
         x = random_hermitian(rng, system.dim)
-        y = _engine.project_affine(system, x)
+        eye = np.eye(system.dim, dtype=complex)
+        y = _engine.project_affine(system, x, support=eye)
         for c in system.constraints:
             assert np.abs(c.apply(y) - c.target).max() <= 1e-12
         assert abs(np.trace(y) - 1.0) <= 1e-12
-        eye = np.eye(system.dim, dtype=complex)
         assert np.abs((y - x) - reference_correction(system, x, eye)).max() <= 1e-10
 
 
@@ -256,7 +259,7 @@ def test_projection_on_a_contradictory_instance_is_least_squares():
                                         MarginalConstraint((0, 1), np.eye(4) / 4)))
     system = inst.engine_system()
     x = random_hermitian(np.random.default_rng(23), 4)
-    y = _engine.project_affine(system, x)
+    y = _engine.project_affine(system, x, support=np.eye(4))
     assert max(np.linalg.norm(c.apply(y) - c.target) for c in system.constraints) > 0.1
     assert np.abs((y - x) - reference_correction(system, x, np.eye(4))).max() <= 1e-10
 
@@ -292,15 +295,85 @@ def test_full_space_rows_keep_only_their_nonzeros():
     assert f.row.size == f.col.size == f.val.size == 64 * (1 + 15 * 4) == 3904
 
 
+def dense_factor(system):
+    """The factor's arrays from the dense rows _affine_rows(system, I): their
+    nonzeros in np.nonzero's order, moved onto the entries of the real view
+    of the D x D matrix, and the targets' coordinates with block offsets."""
+    d = system.dim
+    rows = _engine._affine_rows(system, np.eye(d, dtype=complex))
+    row, coord = np.nonzero(rows)
+    diag, iu, ju = _engine._coord_index(d)
+    upper = 2 * (iu * d + ju)
+    entry = np.concatenate([2 * (diag * d + diag), upper, upper + 1])
+    scale = np.repeat([1.0, math.sqrt(2)], [d, 2 * iu.size])
+    blocks = [[1.0]] + [_engine._herm_coords(c.target) for c in system.constraints]
+    return {"row": row, "col": entry[coord], "val": rows[row, coord] * scale[coord],
+            "target": np.concatenate(blocks),
+            "offsets": np.cumsum([0] + [len(b) for b in blocks[:-1]])}
+
+
+def factor_cases():
+    """All pairs on 3-6 qubits, mixed dimensions with a constraint that keeps
+    every factor, the contradictory instance, a channel with its
+    trace-preservation row, and three sectors."""
+    for n in range(3, 7):
+        inst, _ = random_feasible_instance((2,) * n, list(combinations(range(n), 2)),
+                                           2, seed=n)
+        yield f"all pairs n={n}", inst.engine_system()
+    inst, _ = random_feasible_instance((2, 3, 2), [(0, 1), (1, 2), (0, 2), (0, 1, 2)],
+                                       3, seed=7)
+    yield "dims (2,3,2) with keep-everything", inst.engine_system()
+    yield "contradictory", contradictory_system()
+    yield "channel with tp row", channel_pair()[0].engine_system()
+    for statistics, n, d in (("fermionic", 3, 6), ("bosonic", 5, 3), ("fermionic", 4, 8)):
+        dk = sector_size(statistics, 2, d)
+        yield (f"{statistics} ({n},{d},2)",
+               SectorInstance(statistics, n, d, 2, np.eye(dk) / dk).engine_system())
+
+
+def test_factor_equals_the_dense_rows_bit_for_bit():
+    """The factor is built from the maps' structure, but its arrays are
+    those of the dense rows exactly: same order, dtypes and float64 values,
+    so the solver's iterates do not move."""
+    for name, system in factor_cases():
+        f = system.affine
+        for key, want in dense_factor(system).items():
+            got = getattr(f, key)
+            assert got.dtype == want.dtype, (name, key)
+            assert np.array_equal(got, want), (name, key)
+
+
+def build_peak(system):
+    """Peak traced memory, in bytes, of building system's factor."""
+    tracemalloc.start()
+    try:
+        system.affine
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_factor_build_forms_no_dense_rows():
+    """All pairs on 8 qubits: the dense rows are 449 x 65536 float64
+    (235 MB), the factor's nonzeros under 1 MB.  Fermionic (4,8,2): the
+    dense rows are 31 MB, and the unsliced pair products 180 MB."""
+    inst, _ = random_feasible_instance((2,) * 8, list(combinations(range(8), 2)),
+                                       2, seed=1)
+    assert build_peak(inst.engine_system()) <= 20e6
+    sector = SectorInstance("fermionic", 4, 8, 2, np.eye(28) / 28).engine_system()
+    assert build_peak(sector) <= 40e6
+
+
 def map_calls(monkeypatch, run):
-    """Calls of the engine's partial trace and its adjoint during run()."""
-    counts = dict.fromkeys(("partial_trace", "embed_with_identity"), 0)
+    """Calls of the engine's constraint maps and their adjoints during run()."""
+    counts = dict.fromkeys(("apply", "adjoint"), 0)
     with monkeypatch.context() as m:
         for name in counts:
-            def spy(*args, _fn=getattr(_engine, name), _name=name, **kwargs):
+            def spy(*args, _fn=getattr(_engine.Constraint, name), _name=name, **kwargs):
                 counts[_name] += 1
                 return _fn(*args, **kwargs)
-            m.setattr(_engine, name, spy)
+            m.setattr(_engine.Constraint, name, spy)
         run()
     return counts
 
@@ -328,7 +401,7 @@ def test_confined_projection_calls_no_constraint_map(monkeypatch):
         x = random_hermitian(rng, system.dim)
         calls = map_calls(monkeypatch,
                           lambda: _engine.project_affine(system, x, support=v))
-        assert calls == {"partial_trace": 0, "embed_with_identity": 0}
+        assert calls == {"apply": 0, "adjoint": 0}
 
 
 def assert_history(found):
@@ -443,8 +516,8 @@ def test_repair_fallback_uses_one_full_space_projection(monkeypatch):
     full_space = []
     project = _engine.project_affine
 
-    def spy(system, x, *, support=None):
-        full_space.append(support is None)
+    def spy(system, x, *, support):
+        full_space.append(support.shape[1] == system.dim)
         return project(system, x, support=support)
 
     monkeypatch.setattr(_engine, "project_affine", spy)
@@ -519,6 +592,22 @@ def test_reduction_factors_the_state_once_per_step(monkeypatch):
     # one eigh per truncation, at the start and after each step; its
     # eigenpairs give the support without a second decomposition
     assert len(eighs) == 1 + steps
+
+
+def test_non_finite_states_are_rejected():
+    """The engine's maps skip hilbert's input checks; a state with a NaN
+    entry is still refused by check_consistency and reduce_rank, on a
+    qudit, a sector and a channel-marginal instance."""
+    inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 3, seed=5)
+    sector, sigma = sector_pair(np.random.default_rng(47), "fermionic", 3, 5, 2, 3)
+    channel, choi = channel_pair()
+    for instance, state in ((inst, rho), (sector, sigma), (channel, choi)):
+        bad = np.array(state, dtype=complex)
+        bad[0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            check_consistency(instance, bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            reduce_rank(bad, instance)
 
 
 def test_sector_map_matches_the_dense_lift():
