@@ -14,8 +14,9 @@ rank bound, so every iteration is sparse products with A and A^T and dense
 products with G, without calling the maps or decomposing a state.  Rank
 reduction uses the rows twice more: the support-confined affine projection
 of its repair (a pseudo-inverse of the Gram matrix of the rows on the
-support) and the descent null space (a basis of their row space), each from
-one eigendecomposition.
+support, from one eigendecomposition) and the descent null space.  That is
+one orthonormal null basis per walk, built at the first support V0 from one
+eigendecomposition and restricted to each later support inside span(V0).
 State-space operators are dense complex Hermitian matrices.
 """
 from __future__ import annotations
@@ -623,10 +624,10 @@ def _herm_coords(m: np.ndarray) -> np.ndarray:
 def _coords_to_herm(y: np.ndarray, r: int) -> np.ndarray:
     diag, iu, ju = _coord_index(r)
     noff = iu.size
-    out = np.zeros((r, r), dtype=complex)
-    out[iu, ju] = (y[r:r + noff] + 1j * y[r + noff:]) / math.sqrt(2)
-    out = out + out.conj().T
-    out[diag, diag] = y[:r]
+    out = np.zeros(y.shape[:-1] + (r, r), dtype=complex)
+    out[..., iu, ju] = (y[..., r:r + noff] + 1j * y[..., r + noff:]) / math.sqrt(2)
+    out = out + out.conj().swapaxes(-1, -2)
+    out[..., diag, diag] = y[..., :r]
     return out
 
 
@@ -701,11 +702,44 @@ def _row_space(a: np.ndarray) -> np.ndarray:
     return q
 
 
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the null space of a, from eigh(a^T a),
+    with _gram_eig's rule for a zero eigenvalue."""
+    lam, u = np.linalg.eigh(a.T @ a)
+    return u[:, lam <= 1e-12 * lam[-1]]
+
+
+def _descent_rows(system: ConstraintSystem, v: np.ndarray,
+                  target_bases: Sequence[np.ndarray]) -> np.ndarray:
+    return np.vstack([_herm_coords(np.eye(v.shape[1]))] + [
+        constraint_rows(c, v, vc) for c, vc in zip(system.constraints, target_bases)])
+
+
+def _restricted_null_space(v0: np.ndarray, n0: np.ndarray,
+                           v: np.ndarray) -> np.ndarray:
+    """Orthonormal basis, in v's coordinates, of the part of the null space
+    n0 (coordinates on span(v0)) that lives on span(v): the combinations h
+    with C^dag h = 0, C the complement of U = v0^dag v, mapped as U^dag h U.
+    For span(v) inside span(v0) it is exactly the null space of the descent
+    rows on span(v), since the compressed rows are fixed functionals of the
+    D x D operator.
+    """
+    r0, r = v0.shape[1], v.shape[1]
+    u = v0.conj().T @ v
+    h = _coords_to_herm(n0.T, r0)
+    if r < r0 and n0.shape[1]:
+        c = np.linalg.qr(u, mode="complete")[0][:, r:]
+        e = (c.conj().T @ h).reshape(len(h), -1)
+        h = np.tensordot(_null_space(np.hstack([e.real, e.imag]).T), h, (0, 0))
+    return _herm_coords(u.conj().T @ h @ u).T
+
+
 def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
                            rng: np.random.Generator, *,
                            rank_tol: float = DEFAULT_RANK_TOL,
                            deriv_tol: float = DEFAULT_DERIV_TOL,
-                           target_bases: Sequence[np.ndarray] | None = None
+                           target_bases: Sequence[np.ndarray] | None = None,
+                           walk_basis: tuple[np.ndarray, np.ndarray] | None = None
                            ) -> np.ndarray | None:
     """Random unit-norm traceless Hermitian direction that moves no constraint.
 
@@ -715,11 +749,14 @@ def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
     (constraint_rows; target_bases holds those supports, computed here when
     not given).  The null space of the rows is the orthogonal complement of
     their row space, which comes from one eigendecomposition of the m x m
-    Gram matrix (_row_space); a random seed is projected onto it.  The
-    result is verified: |Tr H| and every full constraint image must stay
-    below deriv_tol.  If the compressed rows are not enough to control a
-    full image, the full rows are appended and the projection is repeated.
-    Returns None when the null space is (numerically) empty.
+    Gram matrix (_row_space); a random seed is projected onto it.
+    walk_basis = (v0, n0), a null basis of the rows on a span(v0) that holds
+    span(v), replaces the rows: the direction is a normal combination of its
+    restriction to span(v).  The result is verified: |Tr H| and every full
+    constraint image must stay below deriv_tol.  If the compressed rows are
+    not enough to control a full image, the full rows are appended and the
+    projection is repeated.  Returns None when the null space is
+    (numerically) empty.
     """
     r = v.shape[1]
     if r <= 1:
@@ -727,17 +764,19 @@ def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
     if target_bases is None:
         target_bases = [support_basis(c.target, rank_tol)[0]
                         for c in system.constraints]
-    trace_row = _herm_coords(np.eye(r))
-    base = np.vstack([trace_row] + [constraint_rows(c, v, vc) for c, vc
-                                    in zip(system.constraints, target_bases)])
-    q_base = _row_space(base)
-    if q_base.shape[1] >= r * r:
+    rows = None
+    if walk_basis is not None:
+        q, null = _restricted_null_space(*walk_basis, v), True
+    else:
+        rows = _descent_rows(system, v, target_bases)
+        q, null = _row_space(rows), False
+    if (q.shape[1] if null else r * r - q.shape[1]) == 0:
         return None
-    q_full = None
+    trace_row = _herm_coords(np.eye(r))
     id_dir = trace_row / np.linalg.norm(trace_row)
 
-    def attempt(q: np.ndarray, y0: np.ndarray) -> np.ndarray | None:
-        y = y0 - q @ (q.T @ y0)
+    def attempt(q: np.ndarray, null: bool, y0: np.ndarray) -> np.ndarray | None:
+        y = q @ y0 if null else y0 - q @ (q.T @ y0)
         y -= (y @ id_dir) * id_dir
         nrm = np.linalg.norm(y)
         if nrm < 1e-10 * np.linalg.norm(y0):
@@ -751,18 +790,21 @@ def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
         return all(np.linalg.norm(c.apply(h)) <= deriv_tol
                    for c in system.constraints)
 
+    q_full = None
     for _ in range(3):
-        y0 = rng.standard_normal(r * r)
-        h = attempt(q_base, y0)
+        y0 = rng.standard_normal(q.shape[1] if null else r * r)
+        h = attempt(q, null, y0)
         if h is None:
             continue
         if posts_hold(h):
             return h
         if q_full is None:
-            q_full = _row_space(np.vstack([base] + [
+            if rows is None:
+                rows = _descent_rows(system, v, target_bases)
+            q_full = _row_space(np.vstack([rows] + [
                 constraint_rows(c, v, np.eye(c.target.shape[0]))
                 for c in system.constraints]))
-        h = attempt(q_full, y0)
+        h = attempt(q_full, False, rng.standard_normal(r * r) if null else y0)
         if h is not None and posts_hold(h):
             return h
     return None
@@ -896,6 +938,10 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
     Each step multiplies out to: direction, boundary step length, eigenvalue
     truncation at rank_tol, support-confined feasibility repair, and a
     strict rank comparison.  Continues below `bound` while directions exist.
+    The first support V0 with r0^2 <= m, m the number of descent rows, gets
+    one null basis of the rows (eigh of the r0^2 x r0^2 Gram matrix), which
+    each later step restricts; a support that leaves span(V0) by more than
+    deriv_tol gets a new one.  While r^2 > m no r^2 x r^2 Gram is formed.
     The loop carries (v, p), the support factor of x with support_basis's
     rule, from the eigh of the truncation: one state decomposition per step
     gives the direction's support, the step length and both ranks, and only
@@ -916,6 +962,9 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
     steps: list[ReductionStep] = []
     # targets are fixed, so their supports are computed once per reduction
     target_bases = [support_basis(c.target, rank_tol)[0] for c in system.constraints]
+    # the descent rows: the trace row and rank(T_c)^2 per constraint
+    m = 1 + sum(vc.shape[1] ** 2 for vc in target_bases)
+    walk_basis = None
 
     def record(exhausted: bool = False) -> ReductionTrace:
         return ReductionTrace(steps, numerical_rank(x, rank_tol), bound, exhausted)
@@ -934,8 +983,12 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
     try:
         x, v, p, _, _ = settle(x)
         while len(steps) < limit:
+            if p.size ** 2 <= m and (walk_basis is None or np.linalg.norm(
+                    v - walk_basis[0] @ (walk_basis[0].conj().T @ v)) > deriv_tol):
+                walk_basis = v, _null_space(_descent_rows(system, v, target_bases))
             h = descent_direction_core(v, system, rng, rank_tol=rank_tol,
-                                       deriv_tol=deriv_tol, target_bases=target_bases)
+                                       deriv_tol=deriv_tol, target_bases=target_bases,
+                                       walk_basis=walk_basis)
             if h is None:
                 return x, record(True)
             lam, sign = step_length_core(v, p, h)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qmarginal.channels import choi_from_kraus, sub_channel, LocalChannel, ChannelInstance
-from qmarginal import _engine
+from qmarginal import _engine, cli
 from qmarginal.cli import build_parser, main
 from qmarginal.documents import (channel_instance_to_doc, channel_to_doc,
                                  dump_document, instance_from_doc,
@@ -315,6 +315,32 @@ def test_state_doc_where_instance_expected(tmp_path, capsys):
                   str(state_path))
     assert main(["bounds", str(state_path)]) == 2
     assert "missing field" in capsys.readouterr().err
+
+
+def test_main_reuses_one_parser_across_calls(tmp_path, capsys, monkeypatch):
+    """main builds its parser once per process.  Calls with different
+    subcommands and a bad flag, one after another, give the exit codes and
+    output of a parser built afresh for every call."""
+    inst = write_instance(tmp_path / "inst.json", maximally_mixed_klocal_instance(3, 2))
+    state = str(tmp_path / "state.json")
+    dump_document(state_to_doc(np.eye(8, dtype=complex) / 8, (2, 2, 2)), state)
+    calls = [["bounds", inst], ["check", inst, state], ["bounds", inst, "--wat"],
+             ["example", "ring-graph", "--n", "4"], ["solve", inst, "--no-reduce"],
+             ["check", inst], ["bounds", inst]]
+
+    def run():
+        out = []
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    cached = run()
+    assert cli._parser() is cli._parser()
+    assert [code for code, _, _ in cached] == [0, 0, 2, 0, 0, 2, 0]
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    assert run() == cached
 
 
 def test_help_exits_zero(capsys):

@@ -1,9 +1,10 @@
 """The engine's linear algebra on the constraint map: batched constraint rows,
-the Gram null-space projector of the descent, the exact affine projection of
+the null space of the descent and its walk, the exact affine projection of
 the repair, and the factored feasibility solver on the same sparse rows."""
 import math
 import tracemalloc
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from qmarginal import _engine
 from qmarginal.channels import (ChannelInstance, LocalChannel,
                                 channel_instance_to_marginal, choi_from_kraus,
                                 sub_channel)
-from qmarginal.gallery import random_feasible_instance
+from qmarginal.gallery import (maximally_mixed_klocal_instance,
+                               random_feasible_instance)
 from qmarginal.hilbert import partial_trace, sector_size, support_basis
 from qmarginal.marginal import (ConsistencyInstance, MarginalConstraint,
-                                check_consistency)
+                                check_consistency, find_feasible)
+from qmarginal.numerics import numerical_rank
 from qmarginal.reduction import reduce_rank
 from qmarginal.sector import SectorInstance
 
@@ -138,6 +141,51 @@ def test_row_space_projector_matches_svd_with_duplicate_rows():
     assert np.abs((eye - q @ q.T) - (eye - vk @ vk.T)).max() <= 1e-12
 
 
+def test_null_space_matches_svd_with_duplicate_rows():
+    """The same rows as above, with fewer columns than rows: the null basis
+    from the coordinate-side Gram matrix equals the SVD's null space and
+    complements the row space of _row_space."""
+    inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 6, seed=3)
+    v, _ = support_basis(rho)
+    first, second = (_engine.constraint_rows(c, v, support_basis(c.target)[0])
+                     for c in inst.engine_system().constraints)
+    a = np.vstack([first, second, first])
+    assert a.shape[0] > a.shape[1]
+    n = _engine._null_space(a)
+    _, s, vt = np.linalg.svd(a)
+    vn = vt[s <= 1e-6 * s[0]].T
+    assert 0 < n.shape[1] == vn.shape[1]
+    assert np.abs(n.T @ n - np.eye(n.shape[1])).max() <= 1e-12
+    assert np.abs(n @ n.T - vn @ vn.T).max() <= 1e-12
+    q = _engine._row_space(a)
+    assert np.abs(q @ q.T + n @ n.T - np.eye(a.shape[1])).max() <= 1e-12
+
+
+def test_restricted_null_space_equals_a_fresh_build():
+    """The null basis on span(V0) restricted to span(V0 W), W an isometry
+    dropping one or two columns, spans the null space built afresh on
+    span(V0 W): on all pairs of 4 qubits, fermionic (3,6,2) and a channel
+    instance with its TP row.  V0 is wider than a walk's first support
+    (r0^2 above the row count), so the restricted spaces are not empty."""
+    rng = np.random.default_rng(53)
+    inst, _ = random_feasible_instance((2,) * 4, list(combinations(range(4), 2)),
+                                       16, seed=2)
+    sector, _ = sector_pair(rng, "fermionic", 3, 6, 2, 20)
+    channel, _ = channel_pair()
+    for instance, r0 in ((inst, 12), (sector, 17), (channel, 12)):
+        system = instance.engine_system()
+        bases = [support_basis(c.target)[0] for c in system.constraints]
+        v0 = random_isometry(rng, system.dim, r0)
+        n0 = _engine._null_space(_engine._descent_rows(system, v0, bases))
+        for drop in (1, 2):
+            v = v0 @ random_isometry(rng, r0, r0 - drop)
+            got = _engine._restricted_null_space(v0, n0, v)
+            fresh = _engine._null_space(_engine._descent_rows(system, v, bases))
+            assert 0 < got.shape[1] == fresh.shape[1] < n0.shape[1]
+            assert np.abs(got.T @ got - np.eye(got.shape[1])).max() <= 1e-10
+            assert np.abs(got @ got.T - fresh @ fresh.T).max() <= 1e-10
+
+
 def test_duplicated_constraint_still_gives_a_direction():
     inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 6, seed=4)
     twice = ConsistencyInstance(inst.dims, inst.constraints + inst.constraints[:1])
@@ -184,6 +232,28 @@ def test_full_rows_retry_when_compressed_rows_miss_an_image():
                                        np.random.default_rng(0),
                                        target_bases=narrow)
     assert h is not None
+    for c in system.constraints:
+        assert np.linalg.norm(c.apply(h)) <= 1e-9
+
+
+def test_stale_walk_basis_is_caught_by_the_posts_check():
+    """A walk basis whose span does not hold the support gives candidates
+    that move the constraints.  The posts check rejects them, and the
+    full-row retry finds a direction from the rows on the support itself."""
+    inst, _ = random_feasible_instance((2,) * 5, list(combinations(range(5), 2)),
+                                       32, seed=0)
+    system = inst.engine_system()
+    v, _ = support_basis(find_feasible(inst).state)
+    bases = [support_basis(c.target)[0] for c in system.constraints]
+    assert v.shape[1] ** 2 <= 1 + sum(b.shape[1] ** 2 for b in bases)
+    rng = np.random.default_rng(61)
+    other = random_isometry(rng, system.dim, v.shape[1])
+    stale = other, _engine._null_space(_engine._descent_rows(system, other, bases))
+    h = _engine.descent_direction_core(v, system, rng, target_bases=bases,
+                                       walk_basis=stale)
+    assert h is not None
+    assert np.abs(h - v @ (v.conj().T @ h @ v) @ v.conj().T).max() <= 1e-12
+    assert abs(np.trace(h)) <= 1e-9
     for c in system.constraints:
         assert np.linalg.norm(c.apply(h)) <= 1e-9
 
@@ -592,6 +662,121 @@ def test_reduction_factors_the_state_once_per_step(monkeypatch):
     # one eigh per truncation, at the start and after each step; its
     # eigenpairs give the support without a second decomposition
     assert len(eighs) == 1 + steps
+
+
+def test_walk_builds_the_compressed_rows_once(monkeypatch):
+    """From find_feasible's state on a full-rank 5-qubit all-pairs instance,
+    the walk builds its null basis once and restricts it at every later
+    step: constraint_rows runs with a target basis once per constraint, not
+    once per step."""
+    inst, _ = random_feasible_instance((2,) * 5, list(combinations(range(5), 2)),
+                                       32, seed=0)
+    found = find_feasible(inst)
+    compressed = []
+    rows = _engine.constraint_rows
+
+    def spy(c, v, vc):
+        if not np.array_equal(vc, np.eye(vc.shape[0])):
+            compressed.append(c)
+        return rows(c, v, vc)
+
+    monkeypatch.setattr(_engine, "constraint_rows", spy)
+    _, trace = reduce_rank(found.state, inst)
+    assert len(trace.steps) >= 2 and trace.null_space_exhausted
+    assert len(compressed) == len(inst.constraints)
+
+
+def test_walk_above_the_rows_decomposes_no_larger_gram(monkeypatch):
+    """Criterion 3's walk starts at rank 32, where r^2 = 1024 exceeds the
+    m = 161 descent rows.  Its Gram matrices stay m x m there, and no
+    eigh of the walk is larger: the r^2 x r^2 side is never formed."""
+    inst = maximally_mixed_klocal_instance(5, 2)
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    state, trace = reduce_rank(np.eye(32, dtype=complex) / 32, inst, seed=0)
+    assert trace.steps[0].rank_before == 32
+    assert 161 in sizes and max(sizes) <= 161
+    assert numerical_rank(state) <= trace.bound == 12
+
+
+def symmetric_pairs_instance():
+    """All pairs of 3 qubits pinned to the marginals of
+    omega = I/16 + P_sym/8, P_sym the projector onto the symmetric subspace.
+    omega commutes with every u (x) u (x) u, so its pair marginals are
+    invariant under u (x) u, and Q x Q^dag is feasible with x for
+    Q = u (x) u (x) u.  Also returns a generic feasible rank-8 state: omega
+    plus a small combination of the weight-3 Pauli strings, which every
+    pair marginal annihilates."""
+    sym = np.zeros((8, 8))
+    for perm in permutations(range(3)):
+        for i, bits in enumerate(product((0, 1), repeat=3)):
+            sym[int("".join(str(bits[k]) for k in perm), 2), i] += 1 / 6
+    omega = (np.eye(8) / 16 + sym / 8).astype(complex)
+    inst = ConsistencyInstance((2,) * 3, tuple(
+        MarginalConstraint(pair, partial_trace(omega, (2,) * 3, pair))
+        for pair in combinations(range(3), 2)))
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1.0, -1.0]))
+    rng = np.random.default_rng(0)
+    k = sum(rng.standard_normal() * reduce(np.kron, ps)
+            for ps in product(paulis, repeat=3))
+    return inst, omega + 0.05 * k / np.linalg.norm(k, 2)
+
+
+def test_walk_rebuilds_its_null_basis_when_the_support_leaves_it(monkeypatch):
+    """At repair_tol=2e-15 on all pairs of 3 qubits, a repair that hands
+    back a state whose support leaves span(V0) makes the walk rebuild its
+    null basis on the new support.  The leak is forced: after the second
+    step the state is turned by a u (x) u (x) u that keeps it feasible.
+    Every descent at r^2 <= m gets a basis whose span holds the support,
+    and every step stays within repair_tol."""
+    inst, x = symmetric_pairs_instance()
+    system = inst.engine_system()
+    u = random_isometry(np.random.default_rng(59), 2, 2)
+    q = np.kron(np.kron(u, u), u)
+    repair = _engine._repair
+    repairs = []
+
+    def turning_repair(*args, **kwargs):
+        y, before, after = repair(*args, **kwargs)
+        repairs.append(y)
+        if len(repairs) == 3:  # the start, then one per step
+            y = q @ y @ q.conj().T
+        return y, before, after
+
+    descent = _engine.descent_direction_core
+    calls = []
+
+    def spy(v, *args, walk_basis, **kwargs):
+        calls.append((v, walk_basis))
+        return descent(v, *args, walk_basis=walk_basis, **kwargs)
+
+    monkeypatch.setattr(_engine, "_repair", turning_repair)
+    monkeypatch.setattr(_engine, "descent_direction_core", spy)
+    state, trace = _engine.reduce_core(x, system, bound=6, repair_tol=2e-15)
+    assert [s.rank_before for s in trace.steps[:3]] == [8, 7, 6]
+    assert all(s.residual_after <= 2e-15 for s in trace.steps)
+    assert check_consistency(inst, state).max_residual <= 2e-15
+    assert trace.final_rank <= trace.bound
+    m = 1 + 3 * 16
+    bases = []
+    for v, walk_basis in calls:
+        if v.shape[1] ** 2 > m:
+            assert walk_basis is None
+            continue
+        v0 = walk_basis[0]
+        assert np.linalg.norm(v - v0 @ (v0.conj().T @ v)) <= 1e-9
+        if not any(v0 is b for b in bases):
+            bases.append(v0)
+    assert len(bases) == 2
+    v1 = calls[2][0]  # the turned rank-6 support
+    assert np.linalg.norm(v1 - bases[0] @ (bases[0].conj().T @ v1)) > 1e-3
 
 
 def test_non_finite_states_are_rejected():
