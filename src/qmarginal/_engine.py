@@ -12,10 +12,11 @@ Feasibility is a least-squares problem over factors: minimise
 ||A coords(G G^dag) - b||^2 for G of size D x k, k the paper's square-sum
 rank bound, so every iteration is sparse products with A and A^T and dense
 products with G, without calling the maps or decomposing a state.  Rank
-reduction uses the rows twice more: the support-confined affine projection
-of its repair (a pseudo-inverse of the Gram matrix of the rows on the
-support, from one eigendecomposition) and the descent null space.  That is
-one orthonormal null basis per walk, built at the first support V0 from one
+reduction builds the rows on the state's support densely, with one builder
+(_affine_rows), for two more uses: the affine projection of its repair,
+which never leaves the support (a pseudo-inverse of the Gram matrix of the
+rows, from one eigendecomposition), and the descent null space.  That is one
+orthonormal null basis per walk, built at the first support V0 from one
 eigendecomposition and restricted to each later support inside span(V0).
 State-space operators are dense complex Hermitian matrices.
 """
@@ -29,7 +30,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .hilbert import partial_trace_spec, support_basis
-from .numerics import hermitian_part, numerical_rank, psd_project
+from .numerics import (eigenvalue_scale, hermitian_part, numerical_rank,
+                       psd_project)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 5000
@@ -237,7 +239,8 @@ def residual_report(system: ConstraintSystem, x: np.ndarray) -> ResidualReport:
 
 # ---------------------------------------------------------------------------
 # The affine rows A: the unit-trace row plus constraint_rows(c, V, I) for
-# every constraint, in the coordinates of corrections V herm(y) V^dag.  The
+# every constraint, in the coordinates of corrections V herm(y) V^dag (the
+# descent compresses each constraint's rows to its target support).  The
 # trace row rides along even though the marginal rows imply it; this keeps a
 # projected point exactly on the trace-one slice regardless of rounding in
 # the other rows.  A row of a partial-trace constraint has d_rest nonzeros
@@ -256,18 +259,15 @@ def residual_report(system: ConstraintSystem, x: np.ndarray) -> ResidualReport:
 # because x may carry weight off span(V) that V's rows cannot see.
 # ---------------------------------------------------------------------------
 
-def _affine_rows(system: ConstraintSystem, v: np.ndarray) -> np.ndarray:
+def _affine_rows(system: ConstraintSystem, v: np.ndarray,
+                 target_bases: Sequence[np.ndarray] | None = None) -> np.ndarray:
     """The dense affine rows on span(v): the trace row, then every
-    constraint's full rows."""
-    r = v.shape[1]
-    sizes = [1] + [c.target.shape[0] ** 2 for c in system.constraints]
-    rows = np.empty((sum(sizes), r * r))
-    rows[0] = _herm_coords(np.eye(r))
-    start = 1
-    for c, size in zip(system.constraints, sizes[1:]):
-        rows[start:start + size] = constraint_rows(c, v, np.eye(c.target.shape[0]))
-        start += size
-    return rows
+    constraint's rows, compressed to target_bases when given and full
+    otherwise."""
+    if target_bases is None:
+        target_bases = [np.eye(c.target.shape[0]) for c in system.constraints]
+    return np.vstack([_herm_coords(np.eye(v.shape[1]))] + [
+        constraint_rows(c, v, vc) for c, vc in zip(system.constraints, target_bases)])
 
 
 def _affine_nonzeros(system: ConstraintSystem
@@ -709,12 +709,6 @@ def _null_space(a: np.ndarray) -> np.ndarray:
     return u[:, lam <= 1e-12 * lam[-1]]
 
 
-def _descent_rows(system: ConstraintSystem, v: np.ndarray,
-                  target_bases: Sequence[np.ndarray]) -> np.ndarray:
-    return np.vstack([_herm_coords(np.eye(v.shape[1]))] + [
-        constraint_rows(c, v, vc) for c, vc in zip(system.constraints, target_bases)])
-
-
 def _restricted_null_space(v0: np.ndarray, n0: np.ndarray,
                            v: np.ndarray) -> np.ndarray:
     """Orthonormal basis, in v's coordinates, of the part of the null space
@@ -754,9 +748,10 @@ def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
     span(v), replaces the rows: the direction is a normal combination of its
     restriction to span(v).  The result is verified: |Tr H| and every full
     constraint image must stay below deriv_tol.  If the compressed rows are
-    not enough to control a full image, the full rows are appended and the
-    projection is repeated.  Returns None when the null space is
-    (numerically) empty.
+    not enough to control a full image (a target support misjudged at
+    rank_tol), the projection is repeated on the full rows, which span the
+    compressed ones.  Returns None when the null space is (numerically)
+    empty.
     """
     r = v.shape[1]
     if r <= 1:
@@ -764,12 +759,10 @@ def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
     if target_bases is None:
         target_bases = [support_basis(c.target, rank_tol)[0]
                         for c in system.constraints]
-    rows = None
     if walk_basis is not None:
         q, null = _restricted_null_space(*walk_basis, v), True
     else:
-        rows = _descent_rows(system, v, target_bases)
-        q, null = _row_space(rows), False
+        q, null = _row_space(_affine_rows(system, v, target_bases)), False
     if (q.shape[1] if null else r * r - q.shape[1]) == 0:
         return None
     trace_row = _herm_coords(np.eye(r))
@@ -799,11 +792,7 @@ def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
         if posts_hold(h):
             return h
         if q_full is None:
-            if rows is None:
-                rows = _descent_rows(system, v, target_bases)
-            q_full = _row_space(np.vstack([rows] + [
-                constraint_rows(c, v, np.eye(c.target.shape[0]))
-                for c in system.constraints]))
+            q_full = _row_space(_affine_rows(system, v))
         h = attempt(q_full, False, rng.standard_normal(r * r) if null else y0)
         if h is not None and posts_hold(h):
             return h
@@ -851,7 +840,8 @@ def step_length_core(v: np.ndarray, p: np.ndarray, h: np.ndarray) -> tuple[float
 # Rank reduction: take boundary steps along null-space directions, truncate
 # the spent eigenvalues, and repair the tiny feasibility drift without ever
 # leaving the current support (a full-space correction could resurrect
-# truncated eigenvalues above rank_tol and break monotonicity).
+# truncated eigenvalues above rank_tol and break monotonicity).  A drift the
+# confined repair cannot clear aborts the walk.
 # ---------------------------------------------------------------------------
 
 def _truncate(x: np.ndarray, rank_tol: float
@@ -861,24 +851,13 @@ def _truncate(x: np.ndarray, rank_tol: float
     the same eigenpairs with support_basis's rule, so the caller need not
     decompose the state again."""
     w, v = np.linalg.eigh(hermitian_part(x))
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    w = np.where(w > rank_tol * scale, w, 0.0)
+    w = np.where(w > rank_tol * eigenvalue_scale(w), w, 0.0)
     t = w.sum()
     if t <= 0:
         raise ReductionError("state vanished after eigenvalue truncation")
     w = w / t
-    sel = w > rank_tol * max(1.0, float(w.max()))
+    sel = w > rank_tol * eigenvalue_scale(w)
     return hermitian_part((v * w) @ v.conj().T), v[:, sel], w[sel]
-
-
-def _truncate_to_rank(x: np.ndarray, rank: int) -> np.ndarray:
-    w, v = np.linalg.eigh(hermitian_part(x))
-    w[:-rank] = 0.0
-    w = np.clip(w, 0.0, None)
-    t = w.sum()
-    if t <= 0:
-        raise ReductionError("state vanished after rank truncation")
-    return hermitian_part((v * (w / t)) @ v.conj().T)
 
 
 def _repair(x: np.ndarray, system: ConstraintSystem, *, inner_tol: float,
@@ -889,42 +868,26 @@ def _repair(x: np.ndarray, system: ConstraintSystem, *, inner_tol: float,
     Up to four rounds, until the residual is at most inner_tol, each an
     affine projection confined to the state's current support, a PSD
     projection and a renormalisation; x itself comes back when it needs no
-    round.  Above hard_tol after them, a fallback makes one full-space
-    projection, clamps the rank back and runs three more confined rounds.
-    It exists for tolerances a few rounding units wide: on a support that
-    rounding has turned slightly, the confined least squares can floor above
-    them (3.3e-15 against 2e-15 on a three-qubit all-pairs step in the
-    tests), and the full-space step turns the support.  Its rows and their
-    Gram matrix are built only when it runs, as the confined ones are.
+    round.  More than one round is needed on starts that the solver's budget
+    stopped near its tolerance.  A residual above hard_tol after the rounds
+    aborts the reduction.
     """
-
-    def confined_rounds(y: np.ndarray, cur: float,
-                        rounds: int) -> tuple[np.ndarray, float]:
-        for _ in range(rounds):
-            if cur <= inner_tol:
-                break
-            vsup, _ = support_basis(y, rank_tol)
-            y = project_affine(system, y, support=vsup)
-            y = psd_project(y)
-            t = float(np.trace(y).real)
-            if t <= 0:
-                raise ReductionError("repair produced a traceless state")
-            y = y / t
-            cur = residual_report(system, y).max_residual
-        return y, cur
-
-    before = residual_report(system, x).max_residual
-    y, cur = confined_rounds(x, before, 4)
-    if cur <= hard_tol:
-        return y, before, cur
-    full = np.eye(system.dim, dtype=complex)
-    y2 = _truncate_to_rank(project_affine(system, y, support=full),
-                           numerical_rank(y, rank_tol))
-    y2, cur2 = confined_rounds(y2, residual_report(system, y2).max_residual, 3)
-    if cur2 <= hard_tol:
-        return y2, before, cur2
-    raise ReductionError(
-        f"feasibility repair failed: residual {min(cur, cur2):.3e} exceeds {hard_tol:.1e}")
+    before = cur = residual_report(system, x).max_residual
+    y = x
+    for _ in range(4):
+        if cur <= inner_tol:
+            break
+        y = project_affine(system, y, support=support_basis(y, rank_tol)[0])
+        y = psd_project(y)
+        t = float(np.trace(y).real)
+        if t <= 0:
+            raise ReductionError("repair produced a traceless state")
+        y = y / t
+        cur = residual_report(system, y).max_residual
+    if cur > hard_tol:
+        raise ReductionError(
+            f"feasibility repair failed: residual {cur:.3e} exceeds {hard_tol:.1e}")
+    return y, before, cur
 
 
 def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
@@ -985,7 +948,7 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
         while len(steps) < limit:
             if p.size ** 2 <= m and (walk_basis is None or np.linalg.norm(
                     v - walk_basis[0] @ (walk_basis[0].conj().T @ v)) > deriv_tol):
-                walk_basis = v, _null_space(_descent_rows(system, v, target_bases))
+                walk_basis = v, _null_space(_affine_rows(system, v, target_bases))
             h = descent_direction_core(v, system, rng, rank_tol=rank_tol,
                                        deriv_tol=deriv_tol, target_bases=target_bases,
                                        walk_basis=walk_basis)

@@ -17,7 +17,7 @@ from ._engine import DEFAULT_MAX_ITERS, DEFAULT_RANK_TOL, ReductionTrace
 from .hilbert import check_dims, check_subsystems, partial_trace, total_dim
 from .marginal import (ConsistencyInstance, FeasibilityResult,
                        MarginalConstraint, find_feasible)
-from .numerics import as_hermitian
+from .numerics import as_hermitian, eigenvalue_scale
 from .reduction import reduce_rank
 
 DEFAULT_CP_TOL = 1e-8
@@ -148,7 +148,7 @@ def kraus_from_choi(channel: ChannelRepr, *, cp_tol: float = DEFAULT_CP_TOL,
     """
     din, dout = channel.dim_in, channel.dim_out
     w, v = np.linalg.eigh(channel.choi)
-    scale = max(1.0, float(np.abs(w).max()))
+    scale = eigenvalue_scale(w)
     if w.min() < -cp_tol * scale:
         raise ValueError(
             f"channel is not completely positive: min Choi eigenvalue {w.min():.3e}")

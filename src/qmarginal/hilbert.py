@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import DEFAULT_RANK_TOL, as_hermitian, hermitian_part
+from .numerics import (DEFAULT_RANK_TOL, as_hermitian, eigenvalue_scale,
+                       hermitian_part)
 
 
 class PauliExclusionError(ValueError):
@@ -127,7 +128,7 @@ def support_projector(rho, rank_tol: float = DEFAULT_RANK_TOL,
     """Orthogonal projector onto the span of eigenvectors with w > rank_tol * scale."""
     rho = as_hermitian(rho)
     w, v = np.linalg.eigh(rho)
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
+    scale = eigenvalue_scale(w)
     if w.size and w.min() < -psd_tol * scale:
         raise ValueError(f"state is not positive semidefinite: min eigenvalue {w.min():.3e}")
     cols = v[:, w > rank_tol * scale]
@@ -141,7 +142,7 @@ def support_basis(rho, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, 
     """
     rho = hermitian_part(rho)
     w, v = np.linalg.eigh(rho)
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
+    scale = eigenvalue_scale(w)
     sel = w > rank_tol * scale
     return v[:, sel], w[sel]
 

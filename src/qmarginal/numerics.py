@@ -42,6 +42,12 @@ def as_hermitian(a, herm_tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
+def eigenvalue_scale(w: np.ndarray) -> float:
+    """max(1, max|w|), or 1 when w is empty: the scale that the relative
+    eigenvalue tolerances of this package multiply."""
+    return max(1.0, float(np.abs(w).max())) if w.size else 1.0
+
+
 def check_target(a) -> np.ndarray:
     """Validate a prescribed reduced state and return it exactly Hermitian.
 
@@ -53,7 +59,7 @@ def check_target(a) -> np.ndarray:
     if abs(tr - 1.0) > TARGET_TRACE_TOL:
         raise ValueError(f"target must have unit trace, got {tr:.12g}")
     w = np.linalg.eigvalsh(a)
-    scale = max(1.0, float(np.abs(w).max()))
+    scale = eigenvalue_scale(w)
     if w.min() < -TARGET_PSD_TOL * scale:
         raise ValueError(
             f"target is not positive semidefinite (min eigenvalue {w.min():.3e})")
@@ -77,8 +83,7 @@ def numerical_rank(a, rank_tol: float = DEFAULT_RANK_TOL) -> int:
         raise ValueError("rank_tol must be non-negative")
     a = as_hermitian(a)
     w = np.linalg.eigvalsh(a)
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    return int(np.count_nonzero(np.abs(w) > rank_tol * scale))
+    return int(np.count_nonzero(np.abs(w) > rank_tol * eigenvalue_scale(w)))
 
 
 def psd_project(a, herm_tol: float = DEFAULT_HERM_TOL) -> np.ndarray:

@@ -176,11 +176,11 @@ def test_restricted_null_space_equals_a_fresh_build():
         system = instance.engine_system()
         bases = [support_basis(c.target)[0] for c in system.constraints]
         v0 = random_isometry(rng, system.dim, r0)
-        n0 = _engine._null_space(_engine._descent_rows(system, v0, bases))
+        n0 = _engine._null_space(_engine._affine_rows(system, v0, bases))
         for drop in (1, 2):
             v = v0 @ random_isometry(rng, r0, r0 - drop)
             got = _engine._restricted_null_space(v0, n0, v)
-            fresh = _engine._null_space(_engine._descent_rows(system, v, bases))
+            fresh = _engine._null_space(_engine._affine_rows(system, v, bases))
             assert 0 < got.shape[1] == fresh.shape[1] < n0.shape[1]
             assert np.abs(got.T @ got - np.eye(got.shape[1])).max() <= 1e-10
             assert np.abs(got @ got.T - fresh @ fresh.T).max() <= 1e-10
@@ -248,7 +248,7 @@ def test_stale_walk_basis_is_caught_by_the_posts_check():
     assert v.shape[1] ** 2 <= 1 + sum(b.shape[1] ** 2 for b in bases)
     rng = np.random.default_rng(61)
     other = random_isometry(rng, system.dim, v.shape[1])
-    stale = other, _engine._null_space(_engine._descent_rows(system, other, bases))
+    stale = other, _engine._null_space(_engine._affine_rows(system, other, bases))
     h = _engine.descent_direction_core(v, system, rng, target_bases=bases,
                                        walk_basis=stale)
     assert h is not None
@@ -573,10 +573,10 @@ def test_feasibility_iterations_decompose_no_state(monkeypatch):
     assert run(20).count(("eigvalsh", (16, 16))) == 1
 
 
-def test_repair_fallback_uses_one_full_space_projection(monkeypatch):
+def test_repair_fails_after_four_confined_projections(monkeypatch):
     """|00><00| against two maximally mixed qubit marginals: no state on its
-    support is feasible, so the confined rounds fail, the fallback makes one
-    full-space projection, clamps the rank back to 1 and fails again."""
+    support is feasible, so all four confined rounds run, none of them
+    projects in the full space, and the repair fails."""
     ket00 = np.zeros((4, 4), dtype=complex)
     ket00[0, 0] = 1.0
     half = np.eye(2) / 2
@@ -593,8 +593,36 @@ def test_repair_fallback_uses_one_full_space_projection(monkeypatch):
     monkeypatch.setattr(_engine, "project_affine", spy)
     with pytest.raises(_engine.ReductionError, match="^feasibility repair failed: "):
         _engine._repair(ket00, system, inner_tol=1e-9, hard_tol=1e-8, rank_tol=1e-9)
-    assert full_space.count(True) == 1
-    assert full_space.count(False) == 7
+    assert full_space == [False] * 4
+
+
+def test_budget_stopped_start_is_repaired_on_its_support(monkeypatch):
+    """All pairs of 4 qubits, rank-2 witness: 82 iterations stop the solver
+    converged at 2.7e-9, above the repair's inner tolerance of 1e-9.  The
+    start's repair runs a confined round, on a support narrower than D,
+    and the reduced state stays within repair_tol."""
+    inst, _ = random_feasible_instance((2,) * 4, list(combinations(range(4), 2)),
+                                       2, seed=0)
+    found = find_feasible(inst, max_iters=82)
+    assert found.converged and found.report.max_residual > 1e-9
+    repair, project = _engine._repair, _engine.project_affine
+    changed, supports = [], []
+
+    def repair_spy(x, *args, **kwargs):
+        out = repair(x, *args, **kwargs)
+        changed.append(out[0] is not x)
+        return out
+
+    def project_spy(system, x, *, support):
+        supports.append(support.shape[1])
+        return project(system, x, support=support)
+
+    monkeypatch.setattr(_engine, "_repair", repair_spy)
+    monkeypatch.setattr(_engine, "project_affine", project_spy)
+    state, _ = reduce_rank(found.state, inst)
+    assert any(changed)
+    assert supports and all(s < 16 for s in supports)
+    assert check_consistency(inst, state).max_residual <= _engine.DEFAULT_REPAIR_TOL
 
 
 def test_reduction_error_carries_the_partial_trace(monkeypatch):
