@@ -1,13 +1,14 @@
 """Shared feasibility and rank-reduction engine.
 
 Everything here is phrased against a list of linear constraints, each given
-by the structure of its map (an optional isometry in, a partial trace onto
-kept tensor factors, an optional isometry out) and a target.  The forward
-map, its adjoint and the constraint rows are all derived from that
-structure, so the same code serves plain marginal instances, symmetry-sector
-instances, and channel instances.  The full-space rows A (the unit-trace row
-and every constraint's rows) are sparse, and the system keeps their
-nonzeros, built from the same structure without forming the dense rows.
+by an index map and a target: M(x)[i, j] = sum_e w[i, e] w[j, e]
+x[index[i, e], index[j, e]].  A plain partial trace (qudit and channel
+instances) has unit weights; a sector marginal runs over occupations with
+signed or arrangement weights.  The forward map and the constraint rows are
+both derived from the map, so the same code serves every instance.  The
+full-space rows A (the unit-trace row and every constraint's rows) are
+sparse, and the system keeps their nonzeros, built by index arithmetic on
+the same map without forming the dense rows.
 Feasibility is a least-squares problem over factors: minimise
 ||A coords(G G^dag) - b||^2 for G of size D x k, k the paper's square-sum
 rank bound, so every iteration is sparse products with A and A^T and dense
@@ -29,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .hilbert import partial_trace_spec, support_basis
+from .hilbert import support_basis
 from .numerics import (eigenvalue_scale, hermitian_part, numerical_rank,
                        psd_project)
 
@@ -46,50 +47,34 @@ STATIONARY_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class Constraint:
-    """One affine equality M(X) == target, with M given by its structure.
+    """One affine equality M(X) == target, with M given as an index map.
 
-    M lifts X to lift @ X @ lift^dag when lift is given, traces it down to
-    the factors `keep` of the tensor product with factor dimensions `dims`,
-    and compresses the result to lower^dag @ Y @ lower when lower is given.
-    apply, adjoint and the batched descent rows (constraint_rows) all derive
-    from this one description.  label names the constraint in reports.
-    The maps use hilbert's shared partial_trace_spec without its input
-    checks: dims and keep are fixed when the instance is built, and a state
-    is checked where it enters the engine (hermitian_part).
+    M(x)[i, j] = sum_e w[i, e] w[j, e] x[index[i, e], index[j, e]]: i and j
+    run over the target's basis, e over what M sums out, and the weights w
+    are real, all ones when weight is None.  A partial trace has
+    index[i, e] the basis state with kept factors i and traced factors e
+    (hilbert.partial_trace_index); a sector marginal has the position of the
+    occupation i + e, weighted by its sign or arrangement count
+    (hilbert.sector_marginal_index).  apply and the constraint rows both
+    derive from the map.  label names the constraint in reports.  A state is
+    checked where it enters the engine (hermitian_part), not here.
     """
 
     target: np.ndarray
-    dims: tuple[int, ...]
-    keep: tuple[int, ...]
-    lift: np.ndarray | None = None
-    lower: np.ndarray | None = None
+    index: np.ndarray
+    weight: np.ndarray | None = None
     label: str = ""
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """M(x) = lower^dag Tr_rest(lift x lift^dag) lower.
-
-        With a lift W, Tr_rest(W x W^dag) = sum_e W_e x W_e^dag over the
-        traced basis states e, W_e the rows of W with e fixed, so the trace
-        runs through W split into kept and traced factors and the d^N x d^N
-        matrix W x W^dag is never formed.
-        """
-        if self.lift is None:
-            y = partial_trace_spec(self.dims, self.keep).trace(x)
-        else:
-            w = _split_factors(self.lift, self.dims, self.keep)
-            y = (w.reshape(-1, x.shape[0]) @ x).reshape(w.shape) @ w.conj().T
-        if self.lower is not None:
-            y = self.lower.conj().T @ y @ self.lower
-        return y
-
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """M*(y) = lift^dag ((lower y lower^dag) (x) I_rest) lift."""
-        if self.lower is not None:
-            y = self.lower @ y @ self.lower.conj().T
-        x = partial_trace_spec(self.dims, self.keep).embed(y)
-        if self.lift is not None:
-            x = self.lift.conj().T @ x @ self.lift
-        return x
+        """M(x), one gather of x[index[i, e], index[j, e]].  The terms are
+        summed over e in order, a running sum, so a partial trace rounds as
+        the einsum of hilbert.partial_trace does."""
+        ix = self.index.T
+        y = x[ix[:, :, None], ix[:, None, :]]
+        if self.weight is not None:
+            w = self.weight.T
+            y = y * (w[:, :, None] * w[:, None, :])
+        return np.add.accumulate(y)[-1]
 
 
 class AffineFactor(NamedTuple):
@@ -243,13 +228,12 @@ def residual_report(system: ConstraintSystem, x: np.ndarray) -> ResidualReport:
 # descent compresses each constraint's rows to its target support).  The
 # trace row rides along even though the marginal rows imply it; this keeps a
 # projected point exactly on the trace-one slice regardless of rounding in
-# the other rows.  A row of a partial-trace constraint has d_rest nonzeros
-# among its D^2 entries, so the full-space A (V = I) is kept as its
+# the other rows.  A row of a constraint has at most one nonzero per summed
+# index e among its D^2 entries, so the full-space A (V = I) is kept as its
 # nonzeros, against the entries of the D x D matrix (AffineFactor), and each
-# product with A or A^T is one bincount over them.  The nonzeros come from
-# the structure of each map, never from the dense m x D^2 rows: by index
-# arithmetic for a plain partial trace, and from constraint_rows one slice
-# of target pairs at a time for a lifted or compressed one.
+# product with A or A^T is one bincount over them.  The nonzeros come by
+# index arithmetic on each constraint's index map, never from the dense
+# m x D^2 rows.
 #
 # The feasibility solver uses the full-space products.  The repair of the
 # rank reduction projects with corrections confined to the state's support
@@ -279,82 +263,58 @@ def _affine_nonzeros(system: ConstraintSystem
     parts = [(np.zeros(d, dtype=np.intp), np.arange(d), np.ones(d))]
     start = 1
     for c in system.constraints:
-        row, col, val = (_plain_nonzeros(c, d) if c.lift is None and c.lower is None
-                         else _sliced_nonzeros(c, d))
+        row, col, val = _constraint_nonzeros(c, d)
         parts.append((row + start, col, val))
         start += c.target.shape[0] ** 2
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
-def _plain_nonzeros(c: Constraint, d: int
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzeros of constraint_rows(c, I, I) for a plain partial trace,
-    by index arithmetic.
+def _constraint_nonzeros(c: Constraint, d: int
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros of constraint_rows(c, I, I), by index arithmetic.
 
-    P[a, e] is the basis state with kept factors a and traced factors e.
-    Target basis element a pins sum_e |P[a,e]><P[a,e]|: a one at the
-    diagonal coordinates P[a, :].  The pair (a, b) pins
-    G = sum_e |P[a,e]><P[b,e]| through the real and imaginary parts of
-    the entries (P[a,e], P[b,e]).  P[a,e] - P[b,e] does not depend on e, and
-    P[a, :] ascends, so each row's coordinates ascend in e, and entry
-    (P[a,e], P[b,e]) lies above the diagonal for every e or for none; the
-    imaginary row takes the value of the entry's side (_pair_values).
+    With P = c.index and w its weights, target basis element a pins
+    sum_e w[a,e]^2 |P[a,e]><P[a,e]|: w[a,e]^2 at the diagonal coordinates
+    P[a, :].  The pair (a, b) pins G = sum_e w[a,e] w[b,e] |P[a,e]><P[b,e]|
+    through the real and imaginary parts of the entries (P[a,e], P[b,e]).
+    Where w is nonzero, P[a, :] ascends in e (a partial trace's factors
+    count up, and adding a fixed occupation a keeps the order of the
+    occupations e), and P[a,e] != P[b,e].  So every entry is one product,
+    off the diagonal, and each row's coordinates ascend in e.  The
+    imaginary row takes the value of the entry's side (_pair_values).  Zero
+    weights are dropped.
     """
-    p = _split_factors(np.arange(d).reshape(d, 1), c.dims, c.keep)
+    p = c.index
+    w = np.ones(p.shape) if c.weight is None else c.weight
     rc, n_rest = p.shape
     _, a, b = _coord_index(rc)
-    above = p[a] < p[b]
-    lo, hi = np.minimum(p[a], p[b]), np.maximum(p[a], p[b])
+    pa, pb = p[a], p[b]
+    lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
     # coordinate of the real part of the upper-triangle entry (lo, hi)
-    re = d + lo * (2 * d - lo - 1) // 2 + hi - lo - 1
-    re_val, im_above, im_below = _pair_values()
+    re = (d + lo * (2 * d - lo - 1) // 2 + hi - lo - 1).ravel()
+    prod = (w[a] * w[b]).ravel()
+    u = np.array(sorted(set(prod.tolist())))  # np.unique would import numpy.ma
+    re_val, im_above, im_below = np.array(
+        [_pair_values(x) for x in u.tolist()])[np.searchsorted(u, prod)].T
     row = np.repeat(np.arange(rc + 2 * a.size), n_rest)
-    col = np.concatenate([p.ravel(), re.ravel(), re.ravel() + d * (d - 1) // 2])
-    val = np.concatenate([np.ones(p.size), np.full(re.size, re_val),
-                          np.where(above, im_above, im_below).ravel()])
-    return row, col, val
+    col = np.concatenate([p.ravel(), re, re + d * (d - 1) // 2])
+    val = np.concatenate([(w * w).ravel(), re_val,
+                          np.where((pa < pb).ravel(), im_above, im_below)])
+    nz = val != 0
+    return row[nz], col[nz], val[nz]
 
 
-@lru_cache(maxsize=1)
-def _pair_values() -> tuple[float, float, float]:
-    """The values constraint_rows gives a plain constraint's pair rows: the
-    real row's, and the imaginary row's for an entry above and below the
-    diagonal.  They come from the same expressions (_pair_rows) on
-    G = |0><1| and G = |1><0|, so they match the dense rows bit for bit."""
-    w = np.eye(2, dtype=complex).reshape(2, 1, 2)
-    re, im = _pair_rows(w, w.conj().transpose(0, 2, 1),
-                        np.array([0, 1]), np.array([1, 0]))
+@lru_cache(maxsize=64)
+def _pair_values(prod: float) -> tuple[float, float, float]:
+    """The values constraint_rows gives the pair rows whose entry of G_ab is
+    prod: the real row's, and the imaginary row's for an entry above and
+    below the diagonal.  They come from the same expressions (_pair_rows)
+    on G = prod |0><1| and G = prod |1><0|, so they match the dense rows bit
+    for bit.  Cached: a constraint has a handful of distinct products."""
+    g = np.zeros((2, 2, 2), dtype=complex)
+    g[0, 0, 1] = g[1, 1, 0] = prod
+    re, im = _pair_rows(g)
     return float(re[0, 2]), float(im[0, 3]), float(im[1, 3])
-
-
-def _sliced_nonzeros(c: Constraint, d: int
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzeros of constraint_rows(c, I, I) for a lifted or compressed
-    constraint, computed one slice of target pairs at a time: the pairs
-    (a, b) with the same a.  Each slice runs the expressions of
-    constraint_rows on its pairs, so the values are theirs, and the
-    transient is one slice of rows rather than all of them."""
-    w, wh = _row_factors(c, np.eye(d, dtype=complex), np.eye(c.target.shape[0]))
-    rc = w.shape[0]
-    _, a, b = _coord_index(rc)
-    npairs = a.size
-    parts = [_nonzero_entries(_herm_coords(wh @ w), 0)]
-    im_parts = []
-    start = 0
-    for first in range(rc - 1):
-        stop = start + rc - 1 - first
-        re, im = _pair_rows(w, wh, a[start:stop], b[start:stop])
-        parts.append(_nonzero_entries(re, rc + start))
-        im_parts.append(_nonzero_entries(im, rc + npairs + start))
-        start = stop
-    return tuple(np.concatenate(x) for x in zip(*(parts + im_parts)))
-
-
-def _nonzero_entries(rows: np.ndarray, first: int
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row (offset by first), column and value of the nonzeros of rows."""
-    row, col = np.nonzero(rows)
-    return row + first, col, rows[row, col]
 
 
 def _confined_pinv(system: ConstraintSystem, v: np.ndarray) -> np.ndarray:
@@ -587,12 +547,13 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
 # is a linear isometry between (R^{r^2}, l2) and (Herm(r), Frobenius).
 #
 # The rows of the affine projection and of the descent system are built in
-# these coordinates without a loop over basis elements.  For a constraint
-# that traces a state down to its kept factors, with support basis V of rho
-# and target support basis V_c, the compressed adjoint image of |a><b| is
-# G_ab = V^dag (|a><b| (x) I) V = w_a^dag w_b, where w_a holds <a|V with the
-# traced-out factors as rows.  G_ba = G_ab^dag, so the products for a <= b
-# give the image of every target basis element: G_aa, then
+# these coordinates without a loop over basis elements.  The adjoint of a
+# constraint's map sends |i><j| to sum_e w[i,e] w[j,e] |P[i,e]><P[j,e]|,
+# P its index.  So with support basis V of rho and target support basis
+# V_c, the compressed adjoint image of V_c|a><b|V_c^dag is
+# G_ab = w_a^dag w_b, where row e of w_a is sum_i conj(V_c[i,a]) w[i,e]
+# V[P[i,e], :].  G_ba = G_ab^dag, so the products for a <= b give the
+# image of every target basis element: G_aa, then
 # (G_ab + G_ab^dag)/sqrt(2) and i(G_ab - G_ab^dag)/sqrt(2) for a < b.  Their
 # coordinates are the constraint's rows.
 # ---------------------------------------------------------------------------
@@ -631,36 +592,23 @@ def _coords_to_herm(y: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-def _split_factors(m: np.ndarray, dims: tuple[int, ...],
-                   keep: tuple[int, ...]) -> np.ndarray:
-    """m, with prod(dims) rows and r columns, as a (d_keep, d_rest * r)
-    matrix: rows index the kept factors, columns the traced factors and
-    then m's columns."""
-    n = len(dims)
-    rest = tuple(i for i in range(n) if i not in keep)
-    d_keep = math.prod(dims[i] for i in keep)
-    return m.reshape(dims + (m.shape[1],)).transpose(keep + rest + (n,)).reshape(d_keep, -1)
-
-
 def _row_factors(c: Constraint, v: np.ndarray, vc: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """w with w[a] = w_a, of shape (rc, d_rest, r), and its conjugate
+    """w with w[a] = w_a, of shape (rc, n_e, r): the rows of v at c.index,
+    scaled by the weights and compressed by vc^dag, and their conjugate
     transposes w_a^dag, so that G_ab = wh[a] @ w[b]."""
-    if c.lift is not None:
-        v = c.lift @ v
-    if c.lower is not None:
-        vc = c.lower @ vc
+    u = v[c.index]
+    if c.weight is not None:
+        u = u * c.weight[:, :, None]
     r, rc = v.shape[1], vc.shape[1]
-    w = (vc.conj().T @ _split_factors(v, c.dims, c.keep)).reshape(rc, -1, r)
+    w = (vc.conj().T @ u.reshape(u.shape[0], -1)).reshape(rc, -1, r)
     return w, w.conj().transpose(0, 2, 1)
 
 
-def _pair_rows(w: np.ndarray, wh: np.ndarray, a: np.ndarray,
-               b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of the target basis pairs (a, b): the coordinates of
-    (G_ab + G_ab^dag)/sqrt(2), then of i(G_ab - G_ab^dag)/sqrt(2)."""
-    g = wh[a] @ w[b]
-    gh = g.conj().transpose(0, 2, 1)
+def _pair_rows(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of target basis pairs with products G_ab stacked in g: the
+    coordinates of (G + G^dag)/sqrt(2), then of i(G - G^dag)/sqrt(2)."""
+    gh = g.conj().swapaxes(-1, -2)
     return (_herm_coords((g + gh) / math.sqrt(2)),
             _herm_coords(1j * (g - gh) / math.sqrt(2)))
 
@@ -675,7 +623,7 @@ def constraint_rows(c: Constraint, v: np.ndarray, vc: np.ndarray) -> np.ndarray:
     """
     w, wh = _row_factors(c, v, vc)
     _, a, b = _coord_index(w.shape[0])
-    return np.concatenate([_herm_coords(wh @ w), *_pair_rows(w, wh, a, b)])
+    return np.concatenate([_herm_coords(wh @ w), *_pair_rows(wh[a] @ w[b])])
 
 
 def _gram_eig(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -893,7 +841,6 @@ def _repair(x: np.ndarray, system: ConstraintSystem, *, inner_tol: float,
 def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
                 rank_tol: float = DEFAULT_RANK_TOL,
                 repair_tol: float = DEFAULT_REPAIR_TOL,
-                deriv_tol: float = DEFAULT_DERIV_TOL,
                 seed: int = 0,
                 max_steps: int | None = None) -> tuple[np.ndarray, ReductionTrace]:
     """Greedy boundary-step loop; stops when no null-space direction remains.
@@ -904,7 +851,8 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
     The first support V0 with r0^2 <= m, m the number of descent rows, gets
     one null basis of the rows (eigh of the r0^2 x r0^2 Gram matrix), which
     each later step restricts; a support that leaves span(V0) by more than
-    deriv_tol gets a new one.  While r^2 > m no r^2 x r^2 Gram is formed.
+    DEFAULT_DERIV_TOL gets a new one.  While r^2 > m no r^2 x r^2 Gram is
+    formed.
     The loop carries (v, p), the support factor of x with support_basis's
     rule, from the eigh of the truncation: one state decomposition per step
     gives the direction's support, the step length and both ranks, and only
@@ -947,11 +895,11 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
         x, v, p, _, _ = settle(x)
         while len(steps) < limit:
             if p.size ** 2 <= m and (walk_basis is None or np.linalg.norm(
-                    v - walk_basis[0] @ (walk_basis[0].conj().T @ v)) > deriv_tol):
+                    v - walk_basis[0] @ (walk_basis[0].conj().T @ v))
+                    > DEFAULT_DERIV_TOL):
                 walk_basis = v, _null_space(_affine_rows(system, v, target_bases))
             h = descent_direction_core(v, system, rng, rank_tol=rank_tol,
-                                       deriv_tol=deriv_tol, target_bases=target_bases,
-                                       walk_basis=walk_basis)
+                                       target_bases=target_bases, walk_basis=walk_basis)
             if h is None:
                 return x, record(True)
             lam, sign = step_length_core(v, p, h)

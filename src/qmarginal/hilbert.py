@@ -3,14 +3,18 @@
 Subsystem 0 is the most significant tensor factor: the composite basis index
 of (i_0, ..., i_{n-1}) is i_0 * d_1*...*d_{n-1} + ... + i_{n-1}, matching the
 row-major convention of numpy.kron.
+
+Both kinds of marginal also come as index maps, the form the engine's
+constraints take: partial_trace_index for a partial trace, and
+sector_marginal_index for a k-particle sector marginal, which sums over
+occupations and never builds the d^N-row isometry.  sector_isometry and
+sector_partial_trace stay as the independent reference.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,55 +57,6 @@ def _as_operator(x, dim: int) -> np.ndarray:
     return x
 
 
-class PartialTraceSpec(NamedTuple):
-    """partial_trace and embed_with_identity for one (dims, keep), with no
-    input checks: the operator as a tensor, the einsum sublists of the trace,
-    and the axis order that puts the identity factors of the embedding in
-    place."""
-
-    tensor: tuple[int, ...]
-    trace_in: tuple[int, ...]
-    trace_out: tuple[int, ...]
-    d_keep: int
-    d_rest: int
-    embedded: tuple[int, ...]
-    axes: tuple[int, ...]
-
-    def trace(self, x: np.ndarray) -> np.ndarray:
-        """Tr_rest(x) for a complex array x of the full dimension."""
-        if len(self.trace_out) == len(self.tensor):
-            return x.copy()  # einsum would return a view of x
-        out = np.einsum(x.reshape(self.tensor), self.trace_in, self.trace_out)
-        return out.reshape(self.d_keep, self.d_keep)
-
-    def embed(self, y: np.ndarray) -> np.ndarray:
-        """y (x) I_rest with the factors back in their order, for y of size
-        d_keep."""
-        d = self.d_keep * self.d_rest
-        z = np.kron(y, np.eye(self.d_rest, dtype=complex))
-        return z.reshape(self.embedded).transpose(self.axes).reshape(d, d)
-
-
-@lru_cache(maxsize=4096)
-def partial_trace_spec(dims: tuple[int, ...], keep: tuple[int, ...]) -> PartialTraceSpec:
-    """The shared PartialTraceSpec of (dims, keep); the caller has checked
-    both (check_dims, check_subsystems).
-
-    Cached because a constraint's maps run with the same dims and keep on
-    every call.  An entry is a few small tuples, so a full cache holds a few
-    MB at most.
-    """
-    n = len(dims)
-    rest = tuple(i for i in range(n) if i not in keep)
-    col = tuple(n + i if i in keep else i for i in range(n))
-    order = keep + rest
-    perm = tuple(order.index(i) for i in range(n))
-    return PartialTraceSpec(
-        dims + dims, tuple(range(n)) + col, keep + tuple(n + i for i in keep),
-        math.prod(dims[i] for i in keep), math.prod(dims[i] for i in rest),
-        tuple(dims[i] for i in order) * 2, perm + tuple(p + n for p in perm))
-
-
 def partial_trace(x, dims, keep) -> np.ndarray:
     """Trace out every subsystem not listed in keep.
 
@@ -109,7 +64,15 @@ def partial_trace(x, dims, keep) -> np.ndarray:
     """
     dims = check_dims(dims)
     keep = check_subsystems(keep, len(dims))
-    return partial_trace_spec(dims, keep).trace(_as_operator(x, math.prod(dims)))
+    n = len(dims)
+    x = _as_operator(x, math.prod(dims))
+    if len(keep) == n:
+        return x.copy()  # einsum would return a view of x
+    col = tuple(n + i if i in keep else i for i in range(n))
+    d_keep = math.prod(dims[i] for i in keep)
+    out = np.einsum(x.reshape(dims + dims), tuple(range(n)) + col,
+                    keep + tuple(n + i for i in keep))
+    return out.reshape(d_keep, d_keep)
 
 
 def embed_with_identity(y, dims, on) -> np.ndarray:
@@ -119,8 +82,26 @@ def embed_with_identity(y, dims, on) -> np.ndarray:
     <partial_trace(X, dims, on), Y> == <X, embed_with_identity(Y, dims, on)>.
     """
     dims = check_dims(dims)
-    spec = partial_trace_spec(dims, check_subsystems(on, len(dims)))
-    return spec.embed(_as_operator(y, spec.d_keep))
+    on = check_subsystems(on, len(dims))
+    n = len(dims)
+    rest = tuple(i for i in range(n) if i not in on)
+    order = on + rest
+    perm = tuple(order.index(i) for i in range(n))
+    d_keep = math.prod(dims[i] for i in on)
+    z = np.kron(_as_operator(y, d_keep), np.eye(math.prod(dims) // d_keep, dtype=complex))
+    return z.reshape(tuple(dims[i] for i in order) * 2).transpose(
+        perm + tuple(p + n for p in perm)).reshape(z.shape)
+
+
+def partial_trace_index(dims, keep) -> np.ndarray:
+    """The index map of the partial trace onto keep: entry (i, e) is the
+    basis state with kept factors i and traced factors e, so that
+    partial_trace(x, dims, keep)[i, j] = sum_e x[index[i, e], index[j, e]].
+    The caller has checked dims and keep (check_dims, check_subsystems)."""
+    n = len(dims)
+    rest = tuple(i for i in range(n) if i not in keep)
+    d_keep = math.prod(dims[i] for i in keep)
+    return np.arange(math.prod(dims)).reshape(dims).transpose(keep + rest).reshape(d_keep, -1)
 
 
 def support_projector(rho, rank_tol: float = DEFAULT_RANK_TOL,
@@ -192,6 +173,21 @@ def sector_size(statistics: str, particles: int, levels: int) -> int:
     return math.comb(d + n - 1, n)
 
 
+def _occupations(statistics: str, n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The occupation tuples of n particles over d levels, in lexicographic
+    order: strictly increasing for fermions, non-decreasing for bosons."""
+    pick = combinations if statistics == "fermionic" else combinations_with_replacement
+    return tuple(pick(range(d), n))
+
+
+def _arrangements(occ: tuple[int, ...]) -> int:
+    """The number of distinct orderings of the levels in occ."""
+    count = math.factorial(len(occ))
+    for lvl in set(occ):
+        count //= math.factorial(occ.count(lvl))
+    return count
+
+
 def sector_isometry(statistics: str, particles: int, levels: int) -> SectorEmbedding:
     """Build the isometry whose columns are normalized (anti)symmetrized basis states.
 
@@ -202,10 +198,7 @@ def sector_isometry(statistics: str, particles: int, levels: int) -> SectorEmbed
     """
     sector_size(statistics, particles, levels)
     n, d = int(particles), int(levels)
-    if statistics == "fermionic":
-        occs = tuple(combinations(range(d), n))
-    else:
-        occs = tuple(combinations_with_replacement(range(d), n))
+    occs = _occupations(statistics, n, d)
     col_of = {occ: c for c, occ in enumerate(occs)}
     w = np.zeros((d ** n, len(occs)), dtype=complex)
     if statistics == "fermionic":
@@ -216,16 +209,49 @@ def sector_isometry(statistics: str, particles: int, levels: int) -> SectorEmbed
             w[row, col_of[tuple(sorted(t))]] = _parity_sign(t) * amp
     else:
         # amplitude per distinct arrangement of occ is 1/sqrt(#arrangements)
-        amps = []
-        for occ in occs:
-            arrangements = math.factorial(n)
-            for lvl in set(occ):
-                arrangements //= math.factorial(occ.count(lvl))
-            amps.append(1.0 / math.sqrt(arrangements))
+        amps = [1.0 / math.sqrt(_arrangements(occ)) for occ in occs]
         for row, t in enumerate(product(range(d), repeat=n)):
             c = col_of[tuple(sorted(t))]
             w[row, c] = amps[c]
     return SectorEmbedding(statistics, n, d, occs, w)
+
+
+def sector_marginal_index(statistics: str, particles: int, levels: int,
+                          k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index map of the k-particle marginal of an N-particle sector state.
+
+    Returns (index, weight), both of shape (k-sector dim, (N-k)-sector dim),
+    with sector_partial_trace(sigma, ., k)[i, j] =
+    sum_e weight[i, e] weight[j, e] sigma[index[i, e], index[j, e]]: i runs
+    over the k-particle occupations, e over the (N-k)-particle ones, both in
+    sector_isometry's order, and index[i, e] is the position of the
+    occupation i + e.  The weight is the sign of the permutation that sorts
+    i + e over sqrt(C(N, k)) for fermions, and 0 (index 0) when i and e
+    share a level; sqrt(arr(i) arr(e) / arr(i + e)) for bosons, arr counting
+    distinct orderings.  No d^N isometry is built (Coleman, Rev. Mod. Phys.
+    35, 668, 1963).
+    """
+    sector_size(statistics, particles, levels)
+    n, d, k = int(particles), int(levels), int(k)
+    if not 1 <= k <= n:
+        raise ValueError(f"marginal particle count must be in 1..{n}, got {k}")
+    pos = {occ: p for p, occ in enumerate(_occupations(statistics, n, d))}
+    kept, rest = _occupations(statistics, k, d), _occupations(statistics, n - k, d)
+    index = np.zeros((len(kept), len(rest)), dtype=np.intp)
+    weight = np.zeros(index.shape)
+    norm = 1.0 / math.sqrt(math.comb(n, k))
+    for a, i in enumerate(kept):
+        for e, t in enumerate(rest):
+            s = tuple(sorted(i + t))
+            if statistics == "fermionic":
+                if len(set(s)) < n:
+                    continue
+                weight[a, e] = _parity_sign(i + t) * norm
+            else:
+                weight[a, e] = math.sqrt(
+                    _arrangements(i) * _arrangements(t) / _arrangements(s))
+            index[a, e] = pos[s]
+    return index, weight
 
 
 def sector_partial_trace(sigma, embedding: SectorEmbedding, k: int) -> np.ndarray:

@@ -16,7 +16,8 @@ import numpy as np
 from . import _engine
 from ._engine import (DEFAULT_MAX_ITERS, DEFAULT_TOL, FeasibilityResult,
                       ResidualReport)
-from .hilbert import check_dims, check_subsystems, total_dim
+from .hilbert import (check_dims, check_subsystems, partial_trace_index,
+                      total_dim)
 # unused here; kept as module attributes because bench/spans.py wraps them
 from .hilbert import embed_with_identity, partial_trace  # noqa: F401
 from .numerics import DEFAULT_RANK_TOL, check_target
@@ -77,7 +78,7 @@ class ConsistencyInstance:
     def engine_system(self) -> _engine.ConstraintSystem:
         """The instance as engine constraints: one partial trace each."""
         return _engine.ConstraintSystem(self.dim, tuple(
-            _engine.Constraint(c.target, self.dims, c.subsystems,
+            _engine.Constraint(c.target, partial_trace_index(self.dims, c.subsystems),
                                label="subsystems " + ",".join(map(str, c.subsystems)))
             for c in self.constraints))
 

@@ -3,22 +3,23 @@
 States live in the antisymmetric (fermionic) or symmetric (bosonic)
 N-particle sector of (C^d)^{tensor N}, expressed in the occupation basis of
 hilbert.sector_isometry.  The single constraint of a sector instance pins
-the k-particle reduced state.
+the k-particle reduced state; the engine sees it as an index map over the
+occupations (hilbert.sector_marginal_index), so no solve, reduction or
+check builds the d^N-row isometry.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import _engine
 from ._engine import (DEFAULT_MAX_ITERS, DEFAULT_RANK_TOL, DEFAULT_REPAIR_TOL,
                       DEFAULT_TOL, FeasibilityResult, ReductionTrace)
-from .hilbert import sector_isometry, sector_size
+from .hilbert import sector_marginal_index, sector_size
 # unused here; kept as module attributes because bench/spans.py wraps them
-from .hilbert import embed_with_identity, partial_trace  # noqa: F401
+from .hilbert import embed_with_identity, partial_trace, sector_isometry  # noqa: F401
 from .marginal import theorem1_bound
 from .numerics import check_target
 
@@ -61,21 +62,15 @@ class SectorInstance:
     def targets(self) -> tuple[np.ndarray, ...]:
         return (self.target,)
 
-    @cached_property
-    def _isometries(self) -> tuple[np.ndarray, np.ndarray]:
-        """W_N and W_k, built on first use and then kept with the instance."""
-        return tuple(sector_isometry(self.statistics, n, self.levels).isometry
-                     for n in (self.particles, self.marginal_particles))
-
     def engine_system(self) -> _engine.ConstraintSystem:
-        """The k-particle marginal map: lift by W_N, trace out particles
-        k..N-1, compress by W_k."""
-        wn, wk = self._isometries
+        """The k-particle marginal map, as the index map over occupations of
+        hilbert.sector_marginal_index."""
         k = self.marginal_particles
-        con = _engine.Constraint(self.target, (self.levels,) * self.particles,
-                                 tuple(range(k)), lift=wn, lower=wk,
+        index, weight = sector_marginal_index(self.statistics, self.particles,
+                                              self.levels, k)
+        con = _engine.Constraint(self.target, index, weight,
                                  label=f"{k}-particle marginal")
-        return _engine.ConstraintSystem(wn.shape[1], (con,))
+        return _engine.ConstraintSystem(self.sector_dim, (con,))
 
 
 def find_feasible_sector(instance: SectorInstance, *, tol: float = DEFAULT_TOL,

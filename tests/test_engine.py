@@ -15,7 +15,9 @@ from qmarginal.channels import (ChannelInstance, LocalChannel,
                                 sub_channel)
 from qmarginal.gallery import (maximally_mixed_klocal_instance,
                                random_feasible_instance)
-from qmarginal.hilbert import partial_trace, sector_size, support_basis
+from qmarginal.hilbert import (embed_with_identity, partial_trace,
+                               sector_isometry, sector_partial_trace,
+                               sector_size, support_basis)
 from qmarginal.marginal import (ConsistencyInstance, MarginalConstraint,
                                 check_consistency, find_feasible)
 from qmarginal.numerics import numerical_rank
@@ -42,27 +44,45 @@ def herm_basis(r):
     return out
 
 
-def reference_rows(c, v, vc):
+def reference_maps(instance):
+    """(M, M*) of every constraint, from hilbert alone and not from the
+    engine: the partial trace and embed_with_identity for a qudit instance;
+    sector_partial_trace and W_N^dag ((W_k F W_k^dag) (x) I) W_N for a
+    sector instance."""
+    if isinstance(instance, SectorInstance):
+        n, d, k = instance.particles, instance.levels, instance.marginal_particles
+        emb = sector_isometry(instance.statistics, n, d)
+        wn, wk = emb.isometry, sector_isometry(instance.statistics, k, d).isometry
+        return [(lambda x: sector_partial_trace(x, emb, k),
+                 lambda f: wn.conj().T @ embed_with_identity(
+                     wk @ f @ wk.conj().T, (d,) * n, range(k)) @ wn)]
+    return [(lambda x, s=c.subsystems: partial_trace(x, instance.dims, s),
+             lambda f, s=c.subsystems: embed_with_identity(f, instance.dims, s))
+            for c in instance.constraints]
+
+
+def reference_rows(adjoint, v, vc):
     """One adjoint call per target basis element F: the row is the
     coordinate vector of V^dag M*(vc F vc^dag) V."""
     state_basis = herm_basis(v.shape[1])
     rows = []
     for f in herm_basis(vc.shape[1]):
-        z = v.conj().T @ c.adjoint(vc @ f @ vc.conj().T) @ v
+        z = v.conj().T @ adjoint(vc @ f @ vc.conj().T) @ v
         rows.append([np.vdot(e, z).real for e in state_basis])
     return np.array(rows)
 
 
-def assert_rows_match(system, rho):
+def assert_rows_match(instance, rho):
+    system = instance.engine_system()
     v, _ = support_basis(rho)
     assert 1 < v.shape[1] < system.dim
-    for c in system.constraints:
+    for c, (_, adjoint) in zip(system.constraints, reference_maps(instance)):
         compressed, _ = support_basis(c.target)
         full = np.eye(c.target.shape[0], dtype=complex)
         for vc in (compressed, full):
             got = _engine.constraint_rows(c, v, vc)
             assert got.shape == (vc.shape[1] ** 2, v.shape[1] ** 2)
-            assert np.abs(got - reference_rows(c, v, vc)).max() <= 1e-12
+            assert np.abs(got - reference_rows(adjoint, v, vc)).max() <= 1e-12
 
 
 def low_rank_state(rng, d, r):
@@ -88,7 +108,7 @@ def test_rows_match_reference_qudit():
                                          seed=7)
     assert any(np.linalg.matrix_rank(c.target) < c.target.shape[0]
                for c in inst.constraints)
-    assert_rows_match(inst.engine_system(), rho)
+    assert_rows_match(inst, rho)
 
 
 def test_rows_match_reference_sectors():
@@ -99,7 +119,7 @@ def test_rows_match_reference_sectors():
                                       ("bosonic", 3, 3, 2, 5),
                                       ("bosonic", 3, 2, 3, 2)):
         inst, sigma = sector_pair(rng, statistics, n, d, k, rank)
-        assert_rows_match(inst.engine_system(), sigma)
+        assert_rows_match(inst, sigma)
 
 
 def channel_pair():
@@ -121,7 +141,7 @@ def channel_pair():
 
 def test_rows_match_reference_channel_with_tp_row():
     inst, choi = channel_pair()
-    assert_rows_match(inst.engine_system(), choi)
+    assert_rows_match(inst, choi)
 
 
 def test_row_space_projector_matches_svd_with_duplicate_rows():
@@ -263,14 +283,17 @@ def coords(m):
     return np.array([np.vdot(e, m).real for e in herm_basis(m.shape[0])])
 
 
-def reference_correction(system, x, v):
+def reference_correction(instance, x, v):
     """y - x of the least-squares projection with corrections on span(v),
-    from a dense pinv of the trace row and the per-basis adjoint rows."""
+    from a dense pinv of the trace row and the per-basis adjoint rows of
+    reference_maps."""
     r = v.shape[1]
+    maps = reference_maps(instance)
     a = np.vstack([coords(np.eye(r))] + [
-        reference_rows(c, v, np.eye(c.target.shape[0])) for c in system.constraints])
+        reference_rows(adjoint, v, np.eye(t.shape[0]))
+        for t, (_, adjoint) in zip(instance.targets, maps)])
     res = np.concatenate([[1.0 - np.trace(x).real]] + [
-        coords(c.target - c.apply(x)) for c in system.constraints])
+        coords(t - forward(x)) for t, (forward, _) in zip(instance.targets, maps)])
     delta = np.linalg.pinv(a, rcond=1e-10) @ res
     return v @ sum(d * e for d, e in zip(delta, herm_basis(r))) @ v.conj().T
 
@@ -290,7 +313,7 @@ def projection_cases():
                                        seed=7)
     sector, _ = sector_pair(np.random.default_rng(13), "fermionic", 3, 5, 2, 4)
     channel, _ = channel_pair()
-    return [inst.engine_system(), sector.engine_system(), channel.engine_system()]
+    return [inst, sector, channel]
 
 
 def test_projection_lands_on_the_slice_with_the_least_norm_correction():
@@ -298,40 +321,40 @@ def test_projection_lands_on_the_slice_with_the_least_norm_correction():
     constraint and the trace hold exactly, and the correction is the
     minimum-norm one of the dense reference."""
     rng = np.random.default_rng(17)
-    for system in projection_cases():
+    for instance in projection_cases():
+        system = instance.engine_system()
         x = random_hermitian(rng, system.dim)
         eye = np.eye(system.dim, dtype=complex)
         y = _engine.project_affine(system, x, support=eye)
         for c in system.constraints:
             assert np.abs(c.apply(y) - c.target).max() <= 1e-12
         assert abs(np.trace(y) - 1.0) <= 1e-12
-        assert np.abs((y - x) - reference_correction(system, x, eye)).max() <= 1e-10
+        assert np.abs((y - x) - reference_correction(instance, x, eye)).max() <= 1e-10
 
 
 def test_projection_confined_to_a_support():
     """With a support V the correction lies on span(V) and is the reference
     correction with the rows restricted to V."""
     rng = np.random.default_rng(19)
-    for system in projection_cases() + [contradictory_system()]:
+    for instance in projection_cases() + [contradictory_instance()]:
+        system = instance.engine_system()
         v = random_isometry(rng, system.dim, system.dim - 3)
         x = random_hermitian(rng, system.dim)
         y = _engine.project_affine(system, x, support=v)
         p = v @ v.conj().T
         assert np.abs(p @ (y - x) @ p - (y - x)).max() <= 1e-12
-        assert np.abs((y - x) - reference_correction(system, x, v)).max() <= 1e-10
+        assert np.abs((y - x) - reference_correction(instance, x, v)).max() <= 1e-10
 
 
 def test_projection_on_a_contradictory_instance_is_least_squares():
     """A pure single-qubit marginal against a maximally mixed pair: no state
     meets both, and the projection is the reference least-squares point."""
-    ket0 = np.diag([1.0, 0.0]).astype(complex)
-    inst = ConsistencyInstance((2, 2), (MarginalConstraint((0,), ket0),
-                                        MarginalConstraint((0, 1), np.eye(4) / 4)))
+    inst = contradictory_instance()
     system = inst.engine_system()
     x = random_hermitian(np.random.default_rng(23), 4)
     y = _engine.project_affine(system, x, support=np.eye(4))
     assert max(np.linalg.norm(c.apply(y) - c.target) for c in system.constraints) > 0.1
-    assert np.abs((y - x) - reference_correction(system, x, np.eye(4))).max() <= 1e-10
+    assert np.abs((y - x) - reference_correction(inst, x, np.eye(4))).max() <= 1e-10
 
 
 def test_row_residuals_match_the_maps():
@@ -339,7 +362,8 @@ def test_row_residuals_match_the_maps():
     are the trace defect and the Frobenius residual of every constraint
     map."""
     rng = np.random.default_rng(29)
-    for system in projection_cases():
+    for instance in projection_cases():
+        system = instance.engine_system()
         x = random_hermitian(rng, system.dim)
         f = system.affine
         got = f.block_norms(f.apply(x) - f.target)
@@ -349,11 +373,14 @@ def test_row_residuals_match_the_maps():
         assert np.abs(got - want).max() <= 1e-12
 
 
-def contradictory_system():
+def contradictory_instance():
     ket0 = np.diag([1.0, 0.0]).astype(complex)
     return ConsistencyInstance((2, 2), (MarginalConstraint((0,), ket0),
-                                        MarginalConstraint((0, 1), np.eye(4) / 4))
-                               ).engine_system()
+                                        MarginalConstraint((0, 1), np.eye(4) / 4)))
+
+
+def contradictory_system():
+    return contradictory_instance().engine_system()
 
 
 def test_full_space_rows_keep_only_their_nonzeros():
@@ -427,23 +454,29 @@ def build_peak(system):
 def test_factor_build_forms_no_dense_rows():
     """All pairs on 8 qubits: the dense rows are 449 x 65536 float64
     (235 MB), the factor's nonzeros under 1 MB.  Fermionic (4,8,2): the
-    dense rows are 31 MB, and the unsliced pair products 180 MB."""
+    dense rows are 31 MB, and the unsliced pair products 180 MB.
+    Fermionic (4,12,2): the dense rows are 4357 x 245025 float64 (8.5 GB),
+    the factor's 134,145 nonzeros about 3 MB."""
     inst, _ = random_feasible_instance((2,) * 8, list(combinations(range(8), 2)),
                                        2, seed=1)
     assert build_peak(inst.engine_system()) <= 20e6
     sector = SectorInstance("fermionic", 4, 8, 2, np.eye(28) / 28).engine_system()
     assert build_peak(sector) <= 40e6
+    sector = SectorInstance("fermionic", 4, 12, 2, np.eye(66) / 66).engine_system()
+    assert build_peak(sector) <= 100e6
 
 
 def map_calls(monkeypatch, run):
-    """Calls of the engine's constraint maps and their adjoints during run()."""
-    counts = dict.fromkeys(("apply", "adjoint"), 0)
+    """Calls of the engine's constraint maps during run()."""
+    counts = {"apply": 0}
+    apply = _engine.Constraint.apply
+
+    def spy(*args, **kwargs):
+        counts["apply"] += 1
+        return apply(*args, **kwargs)
+
     with monkeypatch.context() as m:
-        for name in counts:
-            def spy(*args, _fn=getattr(_engine.Constraint, name), _name=name, **kwargs):
-                counts[_name] += 1
-                return _fn(*args, **kwargs)
-            m.setattr(_engine.Constraint, name, spy)
+        m.setattr(_engine.Constraint, "apply", spy)
         run()
     return counts
 
@@ -466,12 +499,13 @@ def test_confined_projection_calls_no_constraint_map(monkeypatch):
     """The support-confined projection of the repair takes its residual and
     its correction from the rows, built once, not from the maps."""
     rng = np.random.default_rng(37)
-    for system in projection_cases():
+    for instance in projection_cases():
+        system = instance.engine_system()
         v = random_isometry(rng, system.dim, system.dim - 2)
         x = random_hermitian(rng, system.dim)
         calls = map_calls(monkeypatch,
                           lambda: _engine.project_affine(system, x, support=v))
-        assert calls == {"apply": 0, "adjoint": 0}
+        assert calls == {"apply": 0}
 
 
 def assert_history(found):
@@ -824,25 +858,33 @@ def test_non_finite_states_are_rejected():
 
 
 def test_sector_map_matches_the_dense_lift():
-    """The sector map contracts through the split isometry; it equals
-    lower^dag Tr_rest(lift x lift^dag) lower with the lift formed."""
+    """The sector map is an index map over occupations; it equals
+    sector_partial_trace, which forms the lift W_N x W_N^dag, on both
+    statistics, k = 1 and k = N, fermions filling every level (N = d) and
+    two-level bosons."""
     rng = np.random.default_rng(41)
-    for statistics, n, d in (("fermionic", 3, 6), ("bosonic", 5, 3)):
-        dk = sector_size(statistics, 2, d)
-        c = SectorInstance(statistics, n, d, 2, np.eye(dk) / dk
-                           ).engine_system().constraints[0]
-        x = random_hermitian(rng, c.lift.shape[1])
-        full = partial_trace(c.lift @ x @ c.lift.conj().T, c.dims, c.keep)
-        dense = c.lower.conj().T @ full @ c.lower
-        assert np.abs(c.apply(x) - dense).max() <= 1e-12
+    for statistics, n, d, k in (("fermionic", 3, 6, 2), ("fermionic", 2, 2, 1),
+                                ("fermionic", 3, 3, 1), ("fermionic", 4, 4, 2),
+                                ("fermionic", 3, 5, 1), ("fermionic", 3, 5, 3),
+                                ("fermionic", 4, 6, 3), ("bosonic", 5, 3, 2),
+                                ("bosonic", 2, 2, 1), ("bosonic", 5, 2, 1),
+                                ("bosonic", 5, 2, 3), ("bosonic", 4, 2, 4),
+                                ("bosonic", 3, 3, 1), ("bosonic", 3, 3, 3),
+                                ("bosonic", 3, 4, 2)):
+        dk = sector_size(statistics, k, d)
+        system = SectorInstance(statistics, n, d, k, np.eye(dk) / dk).engine_system()
+        x = random_hermitian(rng, system.dim)
+        dense = sector_partial_trace(x, sector_isometry(statistics, n, d), k)
+        assert np.abs(system.constraints[0].apply(x) - dense).max() <= 1e-12, (
+            statistics, n, d, k)
 
 
 def test_sector_map_never_forms_the_lifted_state():
     """On fermionic (4,8,2) the lifted state is a 4096 x 4096 complex matrix,
     268 MB; one application of the map stays well below that."""
-    c = SectorInstance("fermionic", 4, 8, 2, np.eye(28) / 28
-                       ).engine_system().constraints[0]
-    x = random_hermitian(np.random.default_rng(43), c.lift.shape[1])
+    system = SectorInstance("fermionic", 4, 8, 2, np.eye(28) / 28).engine_system()
+    c = system.constraints[0]
+    x = random_hermitian(np.random.default_rng(43), system.dim)
     tracemalloc.start()
     try:
         c.apply(x)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from qmarginal import _engine
 from qmarginal.hilbert import (PauliExclusionError, embed_with_identity,
                                partial_trace, sector_isometry,
                                sector_partial_trace, support_basis,
@@ -239,8 +240,10 @@ def test_sector_maximally_mixed_marginals():
 
 
 def test_sector_marginal_adjoint_identity():
-    """<M(X), Y> == <X, M*(Y)> for the engine's sector marginal map, and M
-    agrees with the independent sector_partial_trace."""
+    """<M(X), Y> == <X, M*(Y)> for the engine's sector marginal map, with
+    M*(Y) from the system's affine rows (A^T on the coordinates of Y in the
+    constraint's block), and M agrees with the independent
+    sector_partial_trace."""
     rng = np.random.default_rng(9)
     for stat, n, d, k in (("fermionic", 3, 4, 2), ("bosonic", 4, 2, 2),
                           ("bosonic", 3, 3, 1)):
@@ -248,12 +251,16 @@ def test_sector_marginal_adjoint_identity():
         emb_k = sector_isometry(stat, k, d)
         dk = emb_k.sector_dim
         inst = SectorInstance(stat, n, d, k, np.eye(dk, dtype=complex) / dk)
-        con = inst.engine_system().constraints[0]
+        system = inst.engine_system()
+        con, f = system.constraints[0], system.affine
         for _ in range(5):
-            sigma = random_matrix(rng, emb_n.sector_dim)
-            y = random_matrix(rng, dk)
-            lhs = np.trace(con.apply(sigma) @ y)
-            rhs = np.trace(sigma @ con.adjoint(y))
+            x = random_hermitian(rng, emb_n.sector_dim)
+            y = random_hermitian(rng, dk)
+            z = np.zeros(f.target.size)
+            z[f.offsets[1]:] = _engine._herm_coords(y)
+            lhs = np.trace(con.apply(x) @ y)
+            rhs = np.trace(x @ f.adjoint(z))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+            sigma = random_matrix(rng, emb_n.sector_dim)
             assert np.linalg.norm(con.apply(sigma)
                                   - sector_partial_trace(sigma, emb_n, k)) <= 1e-12

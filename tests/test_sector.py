@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from qmarginal import _engine, hilbert, sector
 from qmarginal.hilbert import sector_isometry, sector_partial_trace, sector_size
-from qmarginal.marginal import find_feasible
+from qmarginal.marginal import check_consistency, find_feasible
 from qmarginal.numerics import numerical_rank
 from qmarginal.reduction import reduce_rank
 from qmarginal.sector import (SectorInstance, admissible_sigma_range,
@@ -137,15 +138,44 @@ def test_sector_sizes_match_isometry_columns():
 
 
 def test_sector_engine_adjoint_identity():
+    """<M(X), Y> == <X, M*(Y)>, M*(Y) from the system's affine rows, and M
+    equals sector_partial_trace."""
     rng = np.random.default_rng(29)
     inst = SectorInstance("bosonic", 4, 2, 2, np.eye(3, dtype=complex) / 3)
-    con = inst.engine_system().constraints[0]
+    system = inst.engine_system()
+    con, f = system.constraints[0], system.affine
+    emb = sector_isometry("bosonic", 4, 2)
     for _ in range(5):
         x = (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
         y = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        x, y = (x + x.conj().T) / 2, (y + y.conj().T) / 2
+        z = np.zeros(f.target.size)
+        z[f.offsets[1]:] = _engine._herm_coords(y)
         lhs = np.trace(con.apply(x) @ y)
-        rhs = np.trace(x @ con.adjoint(y))
+        rhs = np.trace(x @ f.adjoint(z))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+        assert np.linalg.norm(con.apply(x) - sector_partial_trace(x, emb, 2)) <= 1e-12
+
+
+def test_sector_solve_reduce_and_check_build_no_isometry(monkeypatch):
+    """find_feasible, reduce_rank and check_consistency on a sector instance
+    work from the occupation index map; none builds a sector isometry."""
+    calls = []
+    real = hilbert.sector_isometry
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hilbert, "sector_isometry", spy)
+    monkeypatch.setattr(sector, "sector_isometry", spy)
+    inst = SectorInstance("fermionic", 3, 5, 2, np.eye(10, dtype=complex) / 10)
+    found = find_feasible(inst)
+    assert found.converged
+    state, trace = reduce_rank(found.state, inst)
+    assert trace.final_rank <= trace.bound
+    assert check_consistency(inst, state).max_residual <= 1e-8
+    assert calls == []
 
 
 def test_fermionic_sector_reduction():
