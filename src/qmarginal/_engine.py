@@ -7,19 +7,22 @@ instances) has unit weights; a sector marginal runs over occupations with
 signed or arrangement weights.  The forward map and the constraint rows are
 both derived from the map, so the same code serves every instance.  The
 full-space rows A (the unit-trace row and every constraint's rows) are
-sparse, and the system keeps their nonzeros, built by index arithmetic on
-the same map without forming the dense rows.
+sparse, and the system keeps their nonzeros, built in closed form by index
+arithmetic on the same map, against the entries of the state's real view,
+without forming the dense rows.
 Feasibility is a least-squares problem over factors: minimise
 ||A coords(G G^dag) - b||^2 for G of size D x k, k the paper's square-sum
 rank bound, so every iteration is sparse products with A and A^T and dense
 products with G, without calling the maps or decomposing a state.  Rank
-reduction builds the rows on the state's support densely, with one builder
+reduction (the paper's Theorem 1, walked on the support of a feasible
+state) builds the rows on the state's support densely, with one builder
 (_affine_rows), for two more uses: the affine projection of its repair,
-which never leaves the support (a pseudo-inverse of the Gram matrix of the
-rows, from one eigendecomposition), and the descent null space.  That is one
-orthonormal null basis per walk, built at the first support V0 from one
-eigendecomposition and restricted to each later support inside span(V0).
-State-space operators are dense complex Hermitian matrices.
+which reads its residual from A and solves for its correction on the
+support alone (one eigendecomposition of the Gram matrix of the rows), and
+the descent null space.  That is one orthonormal null basis per walk,
+built at the first support V0 from one eigendecomposition and restricted
+to each later support inside span(V0).  State-space operators are dense
+complex Hermitian matrices.
 """
 from __future__ import annotations
 
@@ -135,18 +138,12 @@ class ConstraintSystem:
     def affine(self) -> AffineFactor:
         """The full-space affine factor, built on first use and then kept
         with the system (see solve_feasible and project_affine).  Its
-        nonzeros are those of the dense rows _affine_rows(self, I), in
-        the same order and with the same values, without forming them."""
-        d = self.dim
+        nonzeros are those of the dense rows _affine_rows(self, I), in the
+        same order, each moved onto its entry of the real view and scaled
+        with it, without forming the rows."""
         row, col, val = _affine_nonzeros(self)
-        # coordinate j is scale[j] times real-view entry entry[j] of the matrix
-        diag, iu, ju = _coord_index(d)
-        upper = 2 * (iu * d + ju)
-        entry = np.concatenate([2 * (diag * d + diag), upper, upper + 1])
-        scale = np.repeat([1.0, math.sqrt(2)], [d, 2 * iu.size])
         blocks = [[1.0]] + [_herm_coords(c.target) for c in self.constraints]
-        return AffineFactor(d, row, entry[col], val * scale[col],
-                            np.concatenate(blocks),
+        return AffineFactor(self.dim, row, col, val, np.concatenate(blocks),
                             np.cumsum([0] + [len(b) for b in blocks[:-1]]))
 
 
@@ -231,16 +228,17 @@ def residual_report(system: ConstraintSystem, x: np.ndarray) -> ResidualReport:
 # the other rows.  A row of a constraint has at most one nonzero per summed
 # index e among its D^2 entries, so the full-space A (V = I) is kept as its
 # nonzeros, against the entries of the D x D matrix (AffineFactor), and each
-# product with A or A^T is one bincount over them.  The nonzeros come by
-# index arithmetic on each constraint's index map, never from the dense
+# product with A or A^T is one bincount over them.  The nonzeros come in
+# closed form from each constraint's index map, never from the dense
 # m x D^2 rows.
 #
 # The feasibility solver uses the full-space products.  The repair of the
 # rank reduction projects with corrections confined to the state's support
-# V: V's rows are A's rows compressed to span(V), so the projection takes
-# its residual and A^T z from the full-space A and needs only the
-# pseudo-inverse G_V^+ of V's own rows.  It reads the residual at all of x
-# because x may carry weight off span(V) that V's rows cannot see.
+# V.  V's rows R_V are A's rows on span(V) (R_V = A C_V for the linear map
+# C_V from coordinates on span(V) to coordinates on the full space), so the
+# projection takes only its residual from A and solves for the correction
+# with R_V alone.  It reads the residual at all of x because x may carry
+# weight off span(V) that V's rows cannot see.
 # ---------------------------------------------------------------------------
 
 def _affine_rows(system: ConstraintSystem, v: np.ndarray,
@@ -256,11 +254,11 @@ def _affine_rows(system: ConstraintSystem, v: np.ndarray,
 
 def _affine_nonzeros(system: ConstraintSystem
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, coordinate and value of every nonzero of _affine_rows(system, I),
-    rows then coordinates ascending (np.nonzero's order), with the values
-    bit for bit.  The trace row is a one at every diagonal coordinate."""
+    """Row, real-view entry and value of every nonzero of
+    _affine_rows(system, I), in np.nonzero's order of rows and coordinates.
+    The trace row is a one at every diagonal entry."""
     d = system.dim
-    parts = [(np.zeros(d, dtype=np.intp), np.arange(d), np.ones(d))]
+    parts = [(np.zeros(d, dtype=np.intp), 2 * (d + 1) * np.arange(d), np.ones(d))]
     start = 1
     for c in system.constraints:
         row, col, val = _constraint_nonzeros(c, d)
@@ -271,59 +269,39 @@ def _affine_nonzeros(system: ConstraintSystem
 
 def _constraint_nonzeros(c: Constraint, d: int
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzeros of constraint_rows(c, I, I), by index arithmetic.
+    """The nonzeros of constraint_rows(c, I, I), by index arithmetic, each
+    at its entry of the real view of the D x D matrix.
 
     With P = c.index and w its weights, target basis element a pins
-    sum_e w[a,e]^2 |P[a,e]><P[a,e]|: w[a,e]^2 at the diagonal coordinates
-    P[a, :].  The pair (a, b) pins G = sum_e w[a,e] w[b,e] |P[a,e]><P[b,e]|
-    through the real and imaginary parts of the entries (P[a,e], P[b,e]).
-    Where w is nonzero, P[a, :] ascends in e (a partial trace's factors
-    count up, and adding a fixed occupation a keeps the order of the
-    occupations e), and P[a,e] != P[b,e].  So every entry is one product,
-    off the diagonal, and each row's coordinates ascend in e.  The
-    imaginary row takes the value of the entry's side (_pair_values).  Zero
-    weights are dropped.
+    sum_e w[a,e]^2 |P[a,e]><P[a,e]|: w[a,e]^2 at the diagonal entries
+    P[a, :], real view entry 2 (P D + P).  The pair (a, b) pins
+    G = sum_e w[a,e] w[b,e] |P[a,e]><P[b,e]| through the real and imaginary
+    parts of the upper-triangle entries (lo, hi) of (P[a,e], P[b,e]), real
+    view entries 2 (lo D + hi) and one more.  Where w is nonzero, P[a, :]
+    ascends in e (a partial trace's factors count up, and adding a fixed
+    occupation a keeps the order of the occupations e), and
+    P[a,e] != P[b,e].  So every entry is one product p, off the diagonal,
+    and each row's coordinates ascend in e.  Its value is the coordinate's
+    value sqrt(2) Re((p + 0j) / sqrt(2)) times sqrt(2), the coordinate's
+    scale, computed as the dense rows compute it: numpy's complex division
+    multiplies by the reciprocal, and p / sqrt(2) rounds differently.  The
+    imaginary row negates it for an entry below the diagonal.  Zero weights
+    are dropped.
     """
     p = c.index
     w = np.ones(p.shape) if c.weight is None else c.weight
     rc, n_rest = p.shape
     _, a, b = _coord_index(rc)
     pa, pb = p[a], p[b]
-    lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
-    # coordinate of the real part of the upper-triangle entry (lo, hi)
-    re = (d + lo * (2 * d - lo - 1) // 2 + hi - lo - 1).ravel()
-    prod = (w[a] * w[b]).ravel()
-    u = np.array(sorted(set(prod.tolist())))  # np.unique would import numpy.ma
-    re_val, im_above, im_below = np.array(
-        [_pair_values(x) for x in u.tolist()])[np.searchsorted(u, prod)].T
+    re = 2 * (np.minimum(pa, pb) * d + np.maximum(pa, pb)).ravel()
+    s2 = math.sqrt(2)
+    pair = s2 * ((w[a] * w[b]).ravel().astype(complex) / s2).real * s2
     row = np.repeat(np.arange(rc + 2 * a.size), n_rest)
-    col = np.concatenate([p.ravel(), re, re + d * (d - 1) // 2])
-    val = np.concatenate([(w * w).ravel(), re_val,
-                          np.where((pa < pb).ravel(), im_above, im_below)])
+    col = np.concatenate([2 * (d + 1) * p.ravel(), re, re + 1])
+    val = np.concatenate([(w * w).ravel(), pair,
+                          np.where((pa < pb).ravel(), pair, -pair)])
     nz = val != 0
     return row[nz], col[nz], val[nz]
-
-
-@lru_cache(maxsize=64)
-def _pair_values(prod: float) -> tuple[float, float, float]:
-    """The values constraint_rows gives the pair rows whose entry of G_ab is
-    prod: the real row's, and the imaginary row's for an entry above and
-    below the diagonal.  They come from the same expressions (_pair_rows)
-    on G = prod |0><1| and G = prod |1><0|, so they match the dense rows bit
-    for bit.  Cached: a constraint has a handful of distinct products."""
-    g = np.zeros((2, 2, 2), dtype=complex)
-    g[0, 0, 1] = g[1, 1, 0] = prod
-    re, im = _pair_rows(g)
-    return float(re[0, 2]), float(im[0, 3]), float(im[1, 3])
-
-
-def _confined_pinv(system: ConstraintSystem, v: np.ndarray) -> np.ndarray:
-    """G_V^+ of the affine rows on span(v), from the eigenpairs of their
-    Gram matrix that count as nonzero."""
-    rows = _affine_rows(system, v)
-    lam, u = _gram_eig(rows @ rows.T)
-    u /= np.sqrt(lam)
-    return u @ u.T
 
 
 def project_affine(system: ConstraintSystem, x: np.ndarray, *,
@@ -332,17 +310,20 @@ def project_affine(system: ConstraintSystem, x: np.ndarray, *,
     slice, with the correction confined to operators on span(support).
 
     With r = b - A coords(x) the residual of the trace row and of every
-    constraint at x, and G_V^+ the pseudo-inverse of the Gram matrix of the
-    rows on span(V) for the isometry V = support, the correction
-    H = coords^-1(A^T G_V^+ r) is compressed to V (V^dag H V) V^dag: the
-    minimum-norm least-squares solution among corrections on span(V).  On a
-    contradictory system that is the least-squares point; V = I projects in
-    the full space.  r still reads all of x, so weight off span(V) counts.
-    No constraint map is called.
+    constraint at x, and R_V the rows on span(V) for the isometry
+    V = support, the correction is H = V coords^-1(R_V^T G_V^+ r) V^dag,
+    G_V^+ the pseudo-inverse of the Gram matrix R_V R_V^T from its
+    eigenpairs that count as nonzero: the minimum-norm least-squares
+    solution among corrections on span(V).  On a contradictory system that
+    is the least-squares point; V = I projects in the full space.  r reads
+    all of x through A, so weight off span(V) counts, and no constraint map
+    is called.
     """
     f = system.affine
-    h = f.adjoint(_confined_pinv(system, support) @ (f.target - f.apply(x)))
-    h = support @ (support.conj().T @ h @ support) @ support.conj().T
+    rows = _affine_rows(system, support)
+    lam, u = _gram_eig(rows @ rows.T)
+    y = rows.T @ (u @ ((u.T @ (f.target - f.apply(x))) / lam))
+    h = support @ _coords_to_herm(y, support.shape[1]) @ support.conj().T
     return hermitian_part(x + h)
 
 
@@ -694,12 +675,13 @@ def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
     Gram matrix (_row_space); a random seed is projected onto it.
     walk_basis = (v0, n0), a null basis of the rows on a span(v0) that holds
     span(v), replaces the rows: the direction is a normal combination of its
-    restriction to span(v).  The result is verified: |Tr H| and every full
-    constraint image must stay below deriv_tol.  If the compressed rows are
-    not enough to control a full image (a target support misjudged at
-    rank_tol), the projection is repeated on the full rows, which span the
+    restriction to span(v).  One candidate is drawn and verified: |Tr H| and
+    every full constraint image must stay below deriv_tol.  If it fails (the
+    compressed rows miss part of a full image because a target support was
+    misjudged at rank_tol, or the walk basis is stale), one more is drawn
+    from the row space of the full rows on span(v), which span the
     compressed ones.  Returns None when the null space is (numerically)
-    empty.
+    empty or that candidate fails too.
     """
     r = v.shape[1]
     if r <= 1:
@@ -731,20 +713,13 @@ def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
         return all(np.linalg.norm(c.apply(h)) <= deriv_tol
                    for c in system.constraints)
 
-    q_full = None
-    for _ in range(3):
-        y0 = rng.standard_normal(q.shape[1] if null else r * r)
-        h = attempt(q, null, y0)
-        if h is None:
-            continue
-        if posts_hold(h):
-            return h
-        if q_full is None:
-            q_full = _row_space(_affine_rows(system, v))
-        h = attempt(q_full, False, rng.standard_normal(r * r) if null else y0)
-        if h is not None and posts_hold(h):
-            return h
-    return None
+    y0 = rng.standard_normal(q.shape[1] if null else r * r)
+    h = attempt(q, null, y0)
+    if h is not None and posts_hold(h):
+        return h
+    q_full = _row_space(_affine_rows(system, v))
+    h = attempt(q_full, False, rng.standard_normal(r * r) if null else y0)
+    return h if h is not None and posts_hold(h) else None
 
 
 def step_length_core(v: np.ndarray, p: np.ndarray, h: np.ndarray) -> tuple[float, int]:
@@ -754,9 +729,11 @@ def step_length_core(v: np.ndarray, p: np.ndarray, h: np.ndarray) -> tuple[float
     In the support eigenbasis of rho, B = diag(p)^{-1/2} H diag(p)^{-1/2}
     collects the constraint-free curvature: rho - lambda*H stays PSD up to
     lambda = 1/mu_plus (largest eigenvalue of B) and rho + lambda*H up to
-    1/mu_minus.  Both extremes exist because H is traceless on the support.
-    The sign follows the larger extremal multiplicity (ties go to +1), so a
-    degenerate crossing zeroes several eigenvalues in one step.
+    1/mu_minus.  Both are positive: once the trace and leak checks pass,
+    V^dag H V is a nonzero Hermitian matrix of near-zero trace, so it has
+    eigenvalues of both signs, and B keeps their signs (Sylvester's law of
+    inertia).  The sign follows the larger extremal multiplicity (ties go
+    to +1), so a degenerate crossing zeroes several eigenvalues in one step.
     """
     h = hermitian_part(np.asarray(h, dtype=complex))
     hn = float(np.linalg.norm(h))
@@ -774,8 +751,6 @@ def step_length_core(v: np.ndarray, p: np.ndarray, h: np.ndarray) -> tuple[float
     b = hermitian_part(hr * scale[:, None] * scale[None, :])
     w = np.linalg.eigvalsh(b)
     mu_plus, mu_minus = float(w[-1]), float(-w[0])
-    if mu_plus <= 0.0 or mu_minus <= 0.0:
-        raise ValueError("direction does not reach the cone boundary on both sides")
     mtol = 1e-8 * max(mu_plus, mu_minus)
     mult_plus = int(np.count_nonzero(w >= mu_plus - mtol))
     mult_minus = int(np.count_nonzero(w <= -mu_minus + mtol))
@@ -838,7 +813,7 @@ def _repair(x: np.ndarray, system: ConstraintSystem, *, inner_tol: float,
     return y, before, cur
 
 
-def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
+def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *,
                 rank_tol: float = DEFAULT_RANK_TOL,
                 repair_tol: float = DEFAULT_REPAIR_TOL,
                 seed: int = 0,
@@ -847,7 +822,9 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
 
     Each step multiplies out to: direction, boundary step length, eigenvalue
     truncation at rank_tol, support-confined feasibility repair, and a
-    strict rank comparison.  Continues below `bound` while directions exist.
+    strict rank comparison.  Continues below the paper's bound, the
+    square-sum bound of the targets that the trace records, while
+    directions exist.
     The first support V0 with r0^2 <= m, m the number of descent rows, gets
     one null basis of the rows (eigh of the r0^2 x r0^2 Gram matrix), which
     each later step restricts; a support that leaves span(V0) by more than
@@ -875,6 +852,7 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *, bound: int,
     target_bases = [support_basis(c.target, rank_tol)[0] for c in system.constraints]
     # the descent rows: the trace row and rank(T_c)^2 per constraint
     m = 1 + sum(vc.shape[1] ** 2 for vc in target_bases)
+    bound = square_sum_bound([c.target for c in system.constraints], rank_tol)
     walk_basis = None
 
     def record(exhausted: bool = False) -> ReductionTrace:

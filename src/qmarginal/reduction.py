@@ -16,7 +16,7 @@ from . import _engine
 from ._engine import (DEFAULT_DERIV_TOL, DEFAULT_RANK_TOL, DEFAULT_REPAIR_TOL,
                       ReductionError, ReductionStep, ReductionTrace)
 from .hilbert import support_basis
-from .marginal import ConsistencyInstance, theorem1_bound
+from .marginal import ConsistencyInstance
 
 if TYPE_CHECKING:
     from .sector import SectorInstance
@@ -59,5 +59,5 @@ def reduce_rank(rho0: np.ndarray, instance: ConsistencyInstance | SectorInstance
     """
     return _engine.reduce_core(
         np.asarray(rho0, dtype=complex), instance.engine_system(),
-        bound=theorem1_bound(instance, rank_tol), rank_tol=rank_tol,
-        repair_tol=repair_tol, seed=seed, max_steps=max_steps)
+        rank_tol=rank_tol, repair_tol=repair_tol, seed=seed,
+        max_steps=max_steps)

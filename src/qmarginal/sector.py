@@ -20,7 +20,6 @@ from ._engine import (DEFAULT_MAX_ITERS, DEFAULT_RANK_TOL, DEFAULT_REPAIR_TOL,
 from .hilbert import sector_marginal_index, sector_size
 # unused here; kept as module attributes because bench/spans.py wraps them
 from .hilbert import embed_with_identity, partial_trace, sector_isometry  # noqa: F401
-from .marginal import theorem1_bound
 from .numerics import check_target
 
 __all__ = ["SectorInstance", "reduce_rank_sector", "find_feasible_sector",
@@ -93,8 +92,8 @@ def reduce_rank_sector(sigma0: np.ndarray, instance: SectorInstance, *,
     """
     return _engine.reduce_core(
         np.asarray(sigma0, dtype=complex), instance.engine_system(),
-        bound=theorem1_bound(instance, rank_tol), rank_tol=rank_tol,
-        repair_tol=repair_tol, seed=seed, max_steps=max_steps)
+        rank_tol=rank_tol, repair_tol=repair_tol, seed=seed,
+        max_steps=max_steps)
 
 
 def admissible_sigma_range(particles: int) -> tuple[int, int]:

@@ -16,10 +16,12 @@ from qmarginal.channels import (ChannelInstance, LocalChannel,
 from qmarginal.gallery import (maximally_mixed_klocal_instance,
                                random_feasible_instance)
 from qmarginal.hilbert import (embed_with_identity, partial_trace,
-                               sector_isometry, sector_partial_trace,
-                               sector_size, support_basis)
+                               partial_trace_index, sector_isometry,
+                               sector_partial_trace, sector_size,
+                               support_basis)
 from qmarginal.marginal import (ConsistencyInstance, MarginalConstraint,
-                                check_consistency, find_feasible)
+                                check_consistency, find_feasible,
+                                theorem1_bound)
 from qmarginal.numerics import numerical_rank
 from qmarginal.reduction import reduce_rank
 from qmarginal.sector import SectorInstance
@@ -409,10 +411,27 @@ def dense_factor(system):
             "offsets": np.cumsum([0] + [len(b) for b in blocks[:-1]])}
 
 
+def weighted_system():
+    """Partial-trace index maps on dims (2, 3, 2) with random real weights,
+    about a fifth of them exactly 0, so the factor's closed-form values meet
+    products other than the unit, fermionic and bosonic ones."""
+    rng = np.random.default_rng(67)
+    constraints = []
+    for keep in ((0, 2), (1,), (0, 1)):
+        index = partial_trace_index((2, 3, 2), keep)
+        weight = rng.standard_normal(index.shape) * rng.choice([1e-3, 1.0, 30.0],
+                                                             index.shape)
+        weight[rng.random(index.shape) < 0.2] = 0.0
+        constraints.append(_engine.Constraint(
+            random_hermitian(rng, index.shape[0]), index, weight))
+    return _engine.ConstraintSystem(12, tuple(constraints))
+
+
 def factor_cases():
     """All pairs on 3-6 qubits, mixed dimensions with a constraint that keeps
     every factor, the contradictory instance, a channel with its
-    trace-preservation row, and three sectors."""
+    trace-preservation row, three sectors, and index maps with arbitrary
+    weights."""
     for n in range(3, 7):
         inst, _ = random_feasible_instance((2,) * n, list(combinations(range(n), 2)),
                                            2, seed=n)
@@ -426,6 +445,7 @@ def factor_cases():
         dk = sector_size(statistics, 2, d)
         yield (f"{statistics} ({n},{d},2)",
                SectorInstance(statistics, n, d, 2, np.eye(dk) / dk).engine_system())
+    yield "random weights with zeros", weighted_system()
 
 
 def test_factor_equals_the_dense_rows_bit_for_bit():
@@ -506,6 +526,34 @@ def test_confined_projection_calls_no_constraint_map(monkeypatch):
         calls = map_calls(monkeypatch,
                           lambda: _engine.project_affine(system, x, support=v))
         assert calls == {"apply": 0}
+
+
+def test_solver_rejects_a_bad_tolerance_or_budget():
+    system = contradictory_system()
+    with pytest.raises(ValueError, match="^tol must be positive$"):
+        _engine.solve_feasible(system, tol=0.0)
+    with pytest.raises(ValueError, match="^max_iters must be >= 1$"):
+        _engine.solve_feasible(system, max_iters=0)
+
+
+def test_ascent_direction_falls_back_to_the_gradient(monkeypatch):
+    """An L-BFGS direction that climbs is replaced by the steepest descent,
+    with the memory cleared, and the run still converges."""
+    inst, _ = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 3, seed=2)
+    lbfgs = _engine._lbfgs_direction
+    calls = []
+
+    def climb_once(grad, *args):
+        calls.append(len(args[-1]))
+        if len(calls) == 3:
+            return grad.view(np.float64).ravel().copy()
+        return lbfgs(grad, *args)
+
+    monkeypatch.setattr(_engine, "_lbfgs_direction", climb_once)
+    found = _engine.solve_feasible(inst.engine_system())
+    assert found.converged and len(calls) > 4
+    # the memory held two pairs, then restarts from the fallback step's pair
+    assert calls[2] == 2 and calls[3] == 1
 
 
 def assert_history(found):
@@ -676,10 +724,11 @@ def test_reduction_error_carries_the_partial_trace(monkeypatch):
 
         monkeypatch.setattr(_engine, "_repair", failing)
         with pytest.raises(_engine.ReductionError, match="^repair stopped$") as info:
-            _engine.reduce_core(rho, system, bound=8)
+            _engine.reduce_core(rho, system)
         trace = info.value.trace
         assert isinstance(trace, _engine.ReductionTrace)
-        assert not trace.null_space_exhausted and trace.bound == 8
+        assert not trace.null_space_exhausted
+        assert trace.bound == theorem1_bound(inst) == 5
         if fail_at == 1:
             assert trace.steps == [] and trace.final_rank == 8
         else:
@@ -716,7 +765,7 @@ def test_reduction_factors_the_state_once_per_step(monkeypatch):
         return _fn(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    _, trace = _engine.reduce_core(rho, system, bound=9)
+    _, trace = _engine.reduce_core(rho, system)
     steps = len(trace.steps)
     assert steps >= 5 and trace.null_space_exhausted
     assert events == (["residual_report"] * 2 + ["residual_report"] * steps
@@ -821,7 +870,7 @@ def test_walk_rebuilds_its_null_basis_when_the_support_leaves_it(monkeypatch):
 
     monkeypatch.setattr(_engine, "_repair", turning_repair)
     monkeypatch.setattr(_engine, "descent_direction_core", spy)
-    state, trace = _engine.reduce_core(x, system, bound=6, repair_tol=2e-15)
+    state, trace = _engine.reduce_core(x, system, repair_tol=2e-15)
     assert [s.rank_before for s in trace.steps[:3]] == [8, 7, 6]
     assert all(s.residual_after <= 2e-15 for s in trace.steps)
     assert check_consistency(inst, state).max_residual <= 2e-15

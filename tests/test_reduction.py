@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from qmarginal import _engine
 from qmarginal._engine import ReductionError
 from qmarginal.gallery import random_feasible_instance
 from qmarginal.hilbert import partial_trace
@@ -93,6 +94,12 @@ def test_step_length_rejects_bad_directions():
     leak[0, 0] = -1.0
     with pytest.raises(ValueError):
         step_length(rho, leak)  # supported outside supp(rho)
+
+
+def test_step_length_rejects_an_empty_support():
+    h = np.diag([1.0, -1.0, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="^state has empty support$"):
+        step_length(np.zeros((3, 3), dtype=complex), h)
 
 
 def test_descent_direction_posts():
@@ -201,6 +208,31 @@ def test_reduce_rank_rejects_infeasible_start():
     inst, _ = pair_instance(3, 8, 11)
     with pytest.raises(ValueError):
         reduce_rank(np.eye(8, dtype=complex) / 8, inst)
+
+
+def test_reduce_rank_rejects_a_wrong_sized_state():
+    inst, _ = pair_instance(3, 8, 11)
+    with pytest.raises(ValueError, match="does not match dimension 8"):
+        reduce_rank(np.eye(4, dtype=complex) / 4, inst)
+
+
+def test_reduce_rank_aborts_a_step_that_keeps_the_rank(monkeypatch):
+    """A step of half the boundary length stays inside the cone, so the
+    rank does not drop; the walk aborts with the trace of the start."""
+    inst, witness = pair_instance(3, 8, 13)
+    step = _engine.step_length_core
+
+    def half(*args, **kwargs):
+        lam, sign = step(*args, **kwargs)
+        return lam / 2, sign
+
+    monkeypatch.setattr(_engine, "step_length_core", half)
+    with pytest.raises(ReductionError, match=r"^step did not reduce rank \(8 -> 8\)$"
+                       ) as info:
+        reduce_rank(witness, inst)
+    trace = info.value.trace
+    assert trace.steps == [] and trace.final_rank == 8
+    assert trace.bound == theorem1_bound(inst) and not trace.null_space_exhausted
 
 
 def test_reduce_rank_max_steps_zero():
