@@ -167,12 +167,12 @@ class ResidualReport:
 class FeasibilityResult:
     """Outcome of the factored least-squares solver.
 
-    state is G G^dag / Tr for the solver's factor G.  When converged is
-    False, it is the best iterate found; it is a diagnostic, not a
-    solution.  residual_history holds, per iteration, the best residual
-    reached so far, so it never increases.  factor_rank is the width k of
-    the factor behind state: the square-sum bound of the targets (at most
-    D), or D after a stationary point at the bound.
+    state is G G^dag / Tr for the solver's best iterate G; when converged is
+    False, it is a diagnostic, not a solution.  residual_history holds, per
+    iteration, the best residual reached so far, so it never increases.
+    factor_rank is the width of that G: the square-sum bound (at most D), or
+    D if an iterate after the pad to D columns is the best, so a run whose
+    pad never improves reports the bound even when its message names rank D.
     """
 
     state: np.ndarray
@@ -334,10 +334,10 @@ def project_affine(system: ConstraintSystem, x: np.ndarray, *,
 # r = A coords(G G^dag) - b, f(G) = ||r||^2 has gradient 4 S G for
 # S = coords^-1(A^T r).  Along a direction P, r(t) = r + t a1 + t^2 a2 with
 # a1 = A coords(G P^dag + P G^dag) and a2 = A coords(P P^dag), so f is a
-# quartic in t and the exact line search is a root of its cubic derivative.
-# Directions come from L-BFGS whose initial metric is (G^dag G + ||r|| I)^-1
-# on the right; without it, convergence to a solution of rank below k is
-# sublinear (the spare columns shrink like the fourth root of f).
+# quartic in t, and the line search takes a root of its cubic derivative
+# (_least_cost_root).  Directions come from L-BFGS (_remember) whose initial
+# metric is (G^dag G + ||r|| I)^-1 on the right; without it, convergence to a
+# solution of rank below k is sublinear (spare columns shrink like f^(1/4)).
 # ---------------------------------------------------------------------------
 
 def square_sum_bound(targets: Sequence[np.ndarray],
@@ -347,21 +347,36 @@ def square_sum_bound(targets: Sequence[np.ndarray],
     return math.isqrt(sum(numerical_rank(t, rank_tol) ** 2 for t in targets))
 
 
-def _lbfgs_direction(grad: np.ndarray, g: np.ndarray, eta: float,
-                     s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """-H grad for the L-BFGS inverse Hessian H of the pairs (s_i, y_i).
+def _remember(pairs: np.ndarray, mats: np.ndarray, m: int,
+              s: np.ndarray, y: np.ndarray) -> int:
+    """Append (s, y) to an L-BFGS memory of m pairs (S, Y in pairs, oldest
+    first; S Y^T and R^-1 in mats, R its upper triangle); return its length.
+    R^-1 grows by [[R^-1, -R^-1 r / rho], [0, 1 / rho]], r the new column of R
+    above rho = s^T y; dropping the oldest pair keeps R^-1[1:, 1:]."""
+    if m == LBFGS_MEMORY:  # drop the oldest pair
+        pairs[:, :-1], mats[:, :-1, :-1] = pairs[:, 1:], mats[:, 1:, 1:]
+        m -= 1
+    (ss, ys), (sy, rinv) = pairs, mats
+    ss[m], ys[m] = s, y
+    col = ss[:m + 1] @ y
+    sy[:m + 1, m], sy[m, :m] = col, ys[:m] @ s
+    rinv[:m, m], rinv[m, m] = rinv[:m, :m] @ col[:m] / -col[m], 1 / col[m]
+    return m + 1
 
-    The factors are seen as real vectors: grad, g and the result through
-    their real views, and the rows of s and y (oldest first) directly.  The
-    initial metric is H0(q) = gamma q (G^dag G + eta I)^-1, gamma fitted to
-    the newest pair.  H is applied in the compact form of Byrd, Nocedal and
-    Schnabel (Math. Program. 1994), which equals the two-loop recursion but
-    takes a fixed number of array operations for any memory length:
-    H q = H0 q + S R^-T ((D + Y^T H0 Y) R^-1 S^T q - Y^T H0 q)
-          - H0 Y R^-1 S^T q,
-    with R the upper triangle of S^T Y and D its diagonal.
-    """
-    minv = np.linalg.inv(g.conj().T @ g + eta * np.eye(g.shape[1]))
+
+def _lbfgs_direction(grad: np.ndarray, g: np.ndarray, eta: float, s: np.ndarray,
+                     y: np.ndarray, sy: np.ndarray, rinv: np.ndarray) -> np.ndarray:
+    """-H grad for the L-BFGS inverse Hessian H of the pairs (s_i, y_i), the
+    rows of s and y (oldest first), with grad, g and the result as real
+    views.  H0(q) = gamma q (G^dag G + eta I)^-1, gamma fitted to the newest
+    pair, is the initial metric.  H is applied in the compact form of Byrd,
+    Nocedal and Schnabel (Math. Program. 1994), the two-loop recursion in a
+    fixed number of array operations for any memory length:
+    H q = H0 q + S R^-T ((D + Y^T H0 Y) R^-1 S^T q - Y^T H0 q) - H0 Y R^-1 S^T q,
+    R the upper triangle of sy = S^T Y, rinv = R^-1 and D the diagonal."""
+    gram = g.conj().T @ g
+    gram.flat[::gram.shape[0] + 1] += eta
+    minv = np.linalg.inv(gram)
 
     def metric(v: np.ndarray) -> np.ndarray:
         return (v.view(np.complex128).reshape(g.shape) @ minv).view(np.float64).ravel()
@@ -370,38 +385,53 @@ def _lbfgs_direction(grad: np.ndarray, g: np.ndarray, eta: float,
     h0q = metric(q)
     if len(s) == 0:
         return -h0q
-    sy = s @ y.T
     gamma = sy[-1, -1] / (y[-1] @ metric(y[-1]))
-    rinv = np.linalg.inv(np.triu(sy))
     ra = rinv @ (s @ q)
     h0y_ra = gamma * metric(ra @ y)
     c = (sy.diagonal() * ra + y @ h0y_ra - gamma * (y @ h0q)) @ rinv
     return -(gamma * h0q - h0y_ra + c @ s)
 
 
+def _least_cost_root(c3: float, c2: float, c1: float, c0: float) -> float:
+    """The real root t > 0 of c3 t^3 + c2 t^2 + c1 t + c0 (c3 > 0) of least
+    cost 2 c0 t + c1 t^2 + 2 c2 t^3 / 3 + c3 t^4 / 2, or 0 if there is none:
+    one in closed form (the largest in size if three are real), the others
+    from the quotient quadratic.  Newton steps polish each, then the cheapest,
+    which for c0 < 0 no t > 0 undercuts, so no candidate off a root does."""
+    a, b, c = c2 / c3, c1 / c3, c0 / c3
+    p, q = b - a * a / 3, (2 * a * a / 27 - b / 3) * a + c
+    disc = q * q / 4 + p * p * p / 27
+    if disc < 0:
+        r = 2 * math.sqrt(-p / 3)
+        phi = math.acos(max(-1.0, min(1.0, 3 * q / (p * r))))
+        t = max((r * math.cos((phi - 2 * math.pi * j) / 3) - a / 3 for j in range(3)), key=abs)
+    else:
+        w = -math.copysign((abs(q) / 2 + math.sqrt(disc)) ** (1 / 3), q)
+        t = (w - p / (3 * w) if w else 0.0) - a / 3
+    # x^2 + e x + f = cubic / (x - t), from the end that does not cancel
+    f = -c / t if abs(t * t * t) > abs(c) else b + (a + t) * t
+    e = (f - b) / t if abs(t * t * t) > abs(c) else a + t
+    h = -(e + math.copysign(math.sqrt(max(e * e - 4 * f, 0.0)), e)) / 2
+    def newton(t: float) -> float:  # three steps, none where the slope vanishes
+        for _ in range(3):
+            t -= (((t + a) * t + b) * t + c) / ((3 * t + 2 * a) * t + b or math.inf)
+        return t
+    t = min((t for t in map(newton, [t, h, f / h] if h else [t]) if t > 0), default=0.0,
+            key=lambda t: t * (2 * c0 + t * (c1 + t * (2 * c2 / 3 + t * c3 / 2))))
+    return newton(t) if t else 0.0
+
+
 def _exact_step(f: AffineFactor, g: np.ndarray, p: np.ndarray,
                 dev: np.ndarray) -> tuple[float, np.ndarray]:
     """The t > 0 minimising ||dev + t a1 + t^2 a2||^2 along direction p, and
-    dev + t a1 + t^2 a2, the deviation at G + t P.
-
-    The quartic's derivative has a positive leading coefficient (a2 holds
-    Tr(P P^dag) > 0) and a negative constant term for a descent direction,
-    so it has a positive root; the step is the positive root of least
-    cost.  The roots are the eigenvalues of the companion matrix, which
-    numpy balances, so they stay accurate when they differ by many orders
-    of magnitude.
-    """
+    dev + t a1 + t^2 a2, the deviation at G + t P.  The quartic's derivative
+    has a positive root: its leading coefficient is positive (a2 holds
+    Tr(P P^dag) > 0), its constant term negative for a descent direction."""
     m1 = g @ p.conj().T
     a1 = f.apply(m1 + m1.conj().T)
     a2 = f.apply(p @ p.conj().T)
-    # ||dev + t a1 + t^2 a2||^2 - ||dev||^2 = 2 c0 t + c1 t^2 + 2 c2 t^3 / 3 + c3 t^4 / 2
-    c3, c2, c1, c0 = 2 * (a2 @ a2), 3 * (a1 @ a2), a1 @ a1 + 2 * (dev @ a2), dev @ a1
-    roots = [t for t in np.linalg.eigvals(np.array(
-        [[-c2 / c3, -c1 / c3, -c0 / c3], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])).real
-        if t > 0]
-    if not roots:
-        return 0.0, dev
-    t = min(roots, key=lambda t: t * (2 * c0 + t * (c1 + t * (2 * c2 / 3 + t * c3 / 2))))
+    t = _least_cost_root(2 * float(a2 @ a2), 3 * float(a1 @ a2),
+                         float(a1 @ a1 + 2 * (dev @ a2)), float(dev @ a1))
     return t, dev + t * a1 + (t * t) * a2
 
 
@@ -419,14 +449,14 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
     truncates the state's eigenvalues below rank_tol before its first step,
     and a state handed over just under tol would then sit above the inner
     tolerance (repair_tol / 10) of its repair and pay confined repair
-    rounds that cannot reach it.  A stationary point above
-    10 tol at k < D is never reported: G gains D - k small random columns
-    and the search goes on at k = D, where every stationary point is a
-    global least-squares minimum.  There, or when the best residual
-    improved by less than PLATEAU_RTOL over the last PLATEAU_WINDOW
-    iterations, the run stops with a residual plateau: evidence of
-    infeasibility, never a certificate.  No step calls a constraint map or
-    decomposes a state; the returned state is checked by residual_report.
+    rounds that cannot reach it.  A stationary point above 10 tol at k < D
+    is never reported: G gains D - k small random columns and the search
+    goes on at k = D, where every stationary point is a global least-squares
+    minimum.  There, or when the best residual improved by less than
+    PLATEAU_RTOL over the last PLATEAU_WINDOW iterations, the run stops with
+    a residual plateau: evidence of infeasibility, never a certificate.  No
+    step calls a constraint map or decomposes a state; the returned state
+    is checked by residual_report.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -438,6 +468,7 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
         return FeasibilityResult(x, residual_report(system, x), True, 0,
                                  "converged in 0 iterations", (), d)
     f = system.affine
+    b = f.target
     k = min(d, square_sum_bound([c.target for c in system.constraints]))
     rng = np.random.default_rng(0)
     g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
@@ -447,10 +478,10 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
                  ) -> tuple[np.ndarray, np.ndarray, float]:
         """Deviation (from G unless given), gradient and residual at G."""
         if dev is None:
-            dev = f.apply(g @ g.conj().T) - f.target
+            dev = f.apply(g @ g.conj().T) - b
         grad = 4 * f.adjoint(dev) @ g
         # A coords(rho / t) = (dev + b) / t, and the first row is the trace
-        scaled = (dev + f.target) / (dev[0] + f.target[0]) - f.target
+        scaled = (dev + b) / (dev[0] + b[0]) - b
         return dev, grad, float(f.block_norms(scaled).max())
 
     def result(converged: bool, message: str) -> FeasibilityResult:
@@ -462,8 +493,8 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
     dev, grad, res = evaluate(g)
     best_res, best_g = res, g
     history: list[float] = []
-    # L-BFGS pairs as rows of real views, oldest first
-    s_mem = y_mem = np.empty((0, 2 * g.size))
+    pairs, kept = np.empty((2, LBFGS_MEMORY, 2 * g.size)), 0  # see _remember
+    mats = np.zeros((2, LBFGS_MEMORY, LBFGS_MEMORY))
     it = 0
     while True:
         if res <= tol / 100:
@@ -473,7 +504,7 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
                 return result(True, f"converged in {it} iterations")
         rnorm = math.sqrt(dev @ dev)
         # ||G||^2 = Tr G G^dag, which the trace row of dev holds
-        gnorm = math.sqrt(dev[0] + f.target[0])
+        gnorm = math.sqrt(dev[0] + b[0])
         if (np.vdot(grad, grad).real <= (STATIONARY_RTOL * rnorm * gnorm) ** 2
                 and best_res > 10 * tol):
             if g.shape[1] == d:
@@ -487,7 +518,7 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
             g = np.hstack([g, 1e-3 * np.linalg.norm(g) / np.linalg.norm(pad) * pad])
             dev, grad, res = evaluate(g)
             rnorm = math.sqrt(dev @ dev)
-            s_mem = y_mem = np.empty((0, 2 * g.size))
+            pairs, kept = np.empty((2, LBFGS_MEMORY, 2 * g.size)), 0
         if it > PLATEAU_WINDOW and best_res > 10 * tol:
             prev = history[it - PLATEAU_WINDOW - 1]
             if prev - best_res < PLATEAU_RTOL * prev:
@@ -499,9 +530,9 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
             break
         it += 1
         q = grad.view(np.float64).ravel()
-        p = _lbfgs_direction(grad, g, rnorm, s_mem, y_mem)
+        p = _lbfgs_direction(grad, g, rnorm, *pairs[:, :kept], *mats[:, :kept, :kept])
         if p @ q >= 0:
-            s_mem = y_mem = np.empty((0, 2 * g.size))
+            kept = 0
             p = -q
         p = p.view(np.complex128).reshape(g.shape)
         t, dev = _exact_step(f, g, p, dev)
@@ -510,8 +541,7 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
         s = (g_next - g).view(np.float64).ravel()
         y = (grad_next - grad).view(np.float64).ravel()
         if s @ y > 0:
-            s_mem = np.vstack([s_mem, s])[-LBFGS_MEMORY:]
-            y_mem = np.vstack([y_mem, y])[-LBFGS_MEMORY:]
+            kept = _remember(pairs, mats, kept, s, y)
         g, grad = g_next, grad_next
         if res < best_res:
             best_res, best_g = res, g

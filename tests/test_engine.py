@@ -3,6 +3,7 @@ the null space of the descent and its walk, the exact affine projection of
 the repair, and the factored feasibility solver on the same sparse rows."""
 import math
 import tracemalloc
+from collections import Counter
 from functools import reduce
 from itertools import combinations, permutations, product
 
@@ -605,6 +606,36 @@ def monogamy_system():
                                ).engine_system()
 
 
+def clashing_pairs_system():
+    """All pairs of three qubits, each pinned to the marginal of a different
+    random witness: infeasible, with square-sum bound 6 < D = 8."""
+    pairs = list(combinations(range(3), 2))
+    return ConsistencyInstance((2,) * 3, tuple(
+        random_feasible_instance((2,) * 3, pairs, rank, seed=seed)[0].constraints[i]
+        for i, (rank, seed) in enumerate(((4, 269), (3, 307), (3, 40))))
+    ).engine_system()
+
+
+def test_factor_rank_is_the_width_of_the_best_iterate(monkeypatch):
+    """factor_rank is the width of the factor behind the returned state, the
+    best iterate.  Both runs end at the rank-8 stationary point, with the
+    plateau rule out of reach.  On the monogamy instance an iterate after
+    the pad to D beats the best residual at k = 1, so the width is 8; on the
+    clashing pairs none does, so it stays the bound, 6."""
+    monkeypatch.setattr(_engine, "PLATEAU_WINDOW", 10 ** 9)
+    padded = _engine.solve_feasible(monogamy_system())
+    assert padded.factor_rank == 8
+    assert "stationary point of the rank-8 least squares" in padded.message
+    system = clashing_pairs_system()
+    found = _engine.solve_feasible(system)
+    assert "stationary point of the rank-8 least squares" in found.message
+    assert found.factor_rank == 6
+    assert _engine.square_sum_bound([c.target for c in system.constraints]) == 6
+    assert np.linalg.matrix_rank(found.state, tol=1e-12) <= 6
+    assert found.residual_history[-1] == pytest.approx(found.report.max_residual,
+                                                       rel=1e-9)
+
+
 def test_stationary_point_below_full_rank_is_never_reported():
     """At k = 1 the monogamy instance has a stationary point far above tol;
     the factor is padded to D = 8 and the verdict comes from the full-rank
@@ -635,11 +666,15 @@ def test_feasible_state_has_rank_at_most_the_bound():
 def test_feasibility_iterations_decompose_no_state(monkeypatch):
     """The solver's iterations are products with A, A^T and the factor: the
     eigendecompositions of a run are those of the bound's target ranks and
-    of the final residual_report, whatever the budget."""
+    of the final residual_report, whatever the budget, and the one LAPACK
+    call of an iteration is the k x k inverse of its metric.  The L-BFGS
+    memory and the line search's cubic add none."""
     inst, _ = random_feasible_instance((2,) * 4, list(combinations(range(4), 2)),
                                        1, seed=0)
+    system = inst.engine_system()
+    k = _engine.square_sum_bound([c.target for c in system.constraints])
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "eigvals", "inv"):
         def spy(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
             calls.append((_name, np.shape(a)))
             return _fn(a, *args, **kwargs)
@@ -651,8 +686,130 @@ def test_feasibility_iterations_decompose_no_state(monkeypatch):
         assert not found.converged and found.iterations == max_iters
         return list(calls)
 
-    assert run(20) == run(40)
-    assert run(20).count(("eigvalsh", (16, 16))) == 1
+    short, long = run(20), run(40)
+    assert [c for c in short if c[0] != "inv"] == [c for c in long if c[0] != "inv"]
+    assert short.count(("eigvalsh", (16, 16))) == 1
+    assert Counter(long) - Counter(short) == Counter({("inv", (k, k)): 20})
+    assert not Counter(short) - Counter(long)
+    assert k < 16 and not any(name == "eigvals" for name, _ in long)
+
+
+def reference_step(c3, c2, c1, c0):
+    """The least-cost rule on np.roots: the positive real parts of the
+    companion matrix's eigenvalues, the one of least quartic cost."""
+    def cost(t):
+        return t * (2 * c0 + t * (c1 + t * (2 * c2 / 3 + t * c3 / 2)))
+    return min((t for t in np.roots([c3, c2, c1, c0]).real if t > 0), key=cost,
+               default=0.0)
+
+
+def cubic(roots, lead=1.0):
+    """Coefficients (c3, c2, c1, c0) of lead * prod(t - root), as floats."""
+    return tuple(float(c) for c in lead * np.poly(roots).real)
+
+
+def test_line_search_cubic_matches_companion_roots():
+    """The closed-form roots pick the step that np.roots picks, to 1e-12
+    relative, on random cubics of a descent direction (c3 > 0 > c0) and on
+    adversarial ones: roots from 1e-12 to 1e8, a double root, one real root
+    with a complex pair (whose real part the companion rule also weighs),
+    and c0 within rounding of 0."""
+    rng = np.random.default_rng(11)
+    cases = []
+    while len(cases) < 300:
+        c = rng.standard_normal(4) * 10.0 ** rng.uniform(-3, 3, 4)
+        if c[0] != 0 and c[3] != 0:
+            cases.append(tuple(map(float, (abs(c[0]), c[1], c[2], -abs(c[3])))))
+    cases += [cubic([1e-12, 1e-2, 1e8]), cubic([1e-12, 1e4, 1e8], 1e-6),
+              cubic([1e-12, 1e8, 1.001e8]),  # the 1e-12 root costs least
+              cubic([1e-12, 1e8j, -1e8j]), cubic([-1e8, -1e-2, 1e-12]),
+              cubic([-1e8, -1e-12, 1e-4], 1e3),
+              cubic([3.0, 1.0, 1.0]), cubic([0.5, 2.0, 2.0]),
+              cubic([0.3, -1 + 2j, -1 - 2j]), cubic([0.3, 1 + 2j, 1 - 2j], 7.0),
+              # a nearly real complex pair: Newton steps from it end near the root
+              (1.0, -111.55406671873874, 3541.2388228008263, -23095.034988687552),
+              (1.0, -427.8974202328104, 45935.10480025155, -34426.984107574914),
+              (1.0, 1.0, 1.0, -1e-17), (1.0, -5.0, 4.0, -1e-16),
+              (2.0, 3.0, 1.0, -2.2e-16), (1.0, -3.0, 2.0, -1e-300)]
+    for c in cases:
+        t, expected = _engine._least_cost_root(*c), reference_step(*c)
+        assert type(t) is float and expected > 0
+        assert abs(t - expected) <= 1e-12 * expected, (c, t, expected)
+
+
+def test_line_search_cubic_triple_root():
+    """A triple root is fixed by its coefficients only to about the cube
+    root of the rounding unit, np.roots included, so the step is compared
+    with the exact root at that accuracy and its cost with the least cost
+    to 1e-12."""
+    for root, lead in ((2.0, 1.0), (1.0, 3.0), (1e-3, 1e6)):
+        c = cubic([root] * 3, lead)
+        t = _engine._least_cost_root(*c)
+        assert abs(t - root) <= 1e-4 * root
+        cost = t * (2 * c[3] + t * (c[2] + t * (2 * c[1] / 3 + t * c[0] / 2)))
+        least = root * (2 * c[3] + root * (c[2] + root * (2 * c[1] / 3 + root * c[0] / 2)))
+        assert abs(cost - least) <= 1e-12 * abs(least)
+
+
+def test_lbfgs_memory_matches_a_fresh_build(monkeypatch):
+    """Kept incrementally, S Y^T and R^-1 equal s @ y.T and inv(triu(.)) of
+    the pairs handed to the direction, to 1e-12 of their largest entry:
+    through the monogamy instance's pad from k = 1 to 8, appends past
+    LBFGS_MEMORY and a forced ascent fallback that empties the memory."""
+    lbfgs = _engine._lbfgs_direction
+    seen = []
+
+    def spy(grad, g, eta, s, y, sy, rinv):
+        seen.append((g.shape[1], len(s)))
+        if len(s):
+            fresh = s @ y.T
+            assert np.abs(sy - fresh).max() <= 1e-12 * np.abs(fresh).max()
+            inverse = np.linalg.inv(np.triu(fresh))
+            assert np.abs(rinv - inverse).max() <= 1e-12 * np.abs(inverse).max()
+        if seen.count((8, _engine.LBFGS_MEMORY)) == 3:
+            return grad.view(np.float64).ravel().copy()
+        return lbfgs(grad, g, eta, s, y, sy, rinv)
+
+    monkeypatch.setattr(_engine, "_lbfgs_direction", spy)
+    found = _engine.solve_feasible(monogamy_system())
+    assert found.factor_rank == 8 and "rank-8" in found.message
+    widths = [w for w, _ in seen]
+    assert widths[0] == 1 and widths[-1] == 8
+    fallback = seen.index((8, _engine.LBFGS_MEMORY)) + 2
+    assert seen[fallback + 1] == (8, 1) and len(seen) > fallback + 3
+
+
+def haar_unitary(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_low_rank_witnesses_converge_within_a_short_budget():
+    """A floor on the solver at max_iters=100, the budget of the benchmark's
+    feasible-lowrank workload: the all-pairs rank-1 and rank-2 witnesses on
+    3, 4 and 5 qubits, each turned by 8 fixed Haar local unitaries.  16 of
+    the 48 converge: every n4 r2 and n5 r2 rotation.  The other 32 miss the
+    budget; that is the known defect of the solver's width at the
+    square-sum bound (ROADMAP items 5 and 7), not a regression, and a
+    change that fixes some of them raises the count.  Fewer than 16 fails."""
+    rng = np.random.default_rng(0)
+    converged = Counter()
+    for n in (3, 4, 5):
+        for r in (1, 2):
+            inst, _ = random_feasible_instance((2,) * n, list(combinations(range(n), 2)),
+                                               r, seed=0)
+            for _ in range(8):
+                us = [haar_unitary(rng, 2) for _ in range(n)]
+                turned = []
+                for c in inst.constraints:
+                    u = np.kron(us[c.subsystems[0]], us[c.subsystems[1]])
+                    turned.append(MarginalConstraint(c.subsystems,
+                                                     u @ c.target @ u.conj().T))
+                found = find_feasible(ConsistencyInstance(inst.dims, tuple(turned)),
+                                      max_iters=100)
+                converged[f"n{n} r{r}"] += found.converged
+    assert sum(converged.values()) >= 16, dict(converged)
 
 
 def test_repair_fails_after_four_confined_projections(monkeypatch):
