@@ -15,14 +15,15 @@ Feasibility is a least-squares problem over factors: minimise
 rank bound, so every iteration is sparse products with A and A^T and dense
 products with G, without calling the maps or decomposing a state.  Rank
 reduction (the paper's Theorem 1, walked on the support of a feasible
-state) builds the rows on the state's support densely, with one builder
-(_affine_rows), for two more uses: the affine projection of its repair,
-which reads its residual from A and solves for its correction on the
-support alone (one eigendecomposition of the Gram matrix of the rows), and
-the descent null space.  That is one orthonormal null basis per walk,
-built at the first support V0 from one eigendecomposition and restricted
-to each later support inside span(V0).  State-space operators are dense
-complex Hermitian matrices.
+state) holds the state as its support factor x = V diag(p) V^dag: one
+eigendecomposition of the D x D start, then r x r ones that rotate V
+inside its own span.  The rows on span(V), from one builder
+(_affine_rows), serve the affine projection of its repair (residual and
+correction on the support alone, one eigendecomposition of the rows' Gram
+matrix) and the descent null space: one orthonormal null basis per walk,
+built at the first support V0 and restricted to each later support, which
+lies in span(V0) by construction.  State-space operators are dense complex
+Hermitian matrices.
 """
 from __future__ import annotations
 
@@ -34,8 +35,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .hilbert import support_basis
-from .numerics import (eigenvalue_scale, hermitian_part, numerical_rank,
-                       psd_project)
+from .numerics import hermitian_part, numerical_rank
+# unused here; kept as a module attribute because bench/spans.py wraps it
+from .numerics import psd_project  # noqa: F401
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 5000
@@ -232,13 +234,13 @@ def residual_report(system: ConstraintSystem, x: np.ndarray) -> ResidualReport:
 # closed form from each constraint's index map, never from the dense
 # m x D^2 rows.
 #
-# The feasibility solver uses the full-space products.  The repair of the
-# rank reduction projects with corrections confined to the state's support
-# V.  V's rows R_V are A's rows on span(V) (R_V = A C_V for the linear map
-# C_V from coordinates on span(V) to coordinates on the full space), so the
-# projection takes only its residual from A and solves for the correction
-# with R_V alone.  It reads the residual at all of x because x may carry
-# weight off span(V) that V's rows cannot see.
+# The feasibility solver uses the full-space products.  The rank reduction
+# keeps its state on span(V), x = V m V^dag, and its repair projects with
+# corrections confined there.  V's rows R_V are A's rows on span(V)
+# (R_V = A C_V for the linear map C_V from coordinates on span(V) to
+# coordinates on the full space), so R_V coords(m) = A coords(x): the
+# projection reads its residual and solves for its correction with R_V
+# alone.
 # ---------------------------------------------------------------------------
 
 def _affine_rows(system: ConstraintSystem, v: np.ndarray,
@@ -304,27 +306,25 @@ def _constraint_nonzeros(c: Constraint, d: int
     return row[nz], col[nz], val[nz]
 
 
-def project_affine(system: ConstraintSystem, x: np.ndarray, *,
-                   support: np.ndarray) -> np.ndarray:
-    """Least-squares projection of Hermitian x onto the affine constraint
-    slice, with the correction confined to operators on span(support).
+def project_affine(system: ConstraintSystem, v: np.ndarray,
+                   m: np.ndarray) -> np.ndarray:
+    """Least-squares projection of the state V m V^dag onto the affine
+    constraint slice, with the correction confined to operators on span(V);
+    returns m plus the correction, in the coordinates of span(V) again.
 
-    With r = b - A coords(x) the residual of the trace row and of every
-    constraint at x, and R_V the rows on span(V) for the isometry
-    V = support, the correction is H = V coords^-1(R_V^T G_V^+ r) V^dag,
+    With R_V the rows on span(V) for the isometry V = v, and
+    r = b - R_V coords(m) the residual of the trace row and of every
+    constraint at V m V^dag, the correction is coords^-1(R_V^T G_V^+ r),
     G_V^+ the pseudo-inverse of the Gram matrix R_V R_V^T from its
     eigenpairs that count as nonzero: the minimum-norm least-squares
     solution among corrections on span(V).  On a contradictory system that
-    is the least-squares point; V = I projects in the full space.  r reads
-    all of x through A, so weight off span(V) counts, and no constraint map
-    is called.
+    is the least-squares point; V = I projects in the full space.  No
+    constraint map is called and V m V^dag is never formed.
     """
-    f = system.affine
-    rows = _affine_rows(system, support)
+    rows = _affine_rows(system, v)
     lam, u = _gram_eig(rows @ rows.T)
-    y = rows.T @ (u @ ((u.T @ (f.target - f.apply(x))) / lam))
-    h = support @ _coords_to_herm(y, support.shape[1]) @ support.conj().T
-    return hermitian_part(x + h)
+    res = system.affine.target - rows @ _herm_coords(m)
+    return m + _coords_to_herm(rows.T @ (u @ ((u.T @ res) / lam)), v.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -694,9 +694,10 @@ def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
                            target_bases: Sequence[np.ndarray] | None = None,
                            walk_basis: tuple[np.ndarray, np.ndarray] | None = None
                            ) -> np.ndarray | None:
-    """Random unit-norm traceless Hermitian direction that moves no constraint.
+    """Random unit-norm traceless Hermitian h on span(v), in v's coordinates
+    (r x r), such that the direction H = V h V^dag moves no constraint.
 
-    Parametrizes candidates on span(v), v the state's support_basis, and
+    Parametrizes candidates on span(v), v the state's support basis, and
     builds the linear system they must satisfy: an explicit trace row plus,
     per constraint, the rows of its map compressed onto the target support
     (constraint_rows; target_bases holds those supports, computed here when
@@ -705,11 +706,11 @@ def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
     Gram matrix (_row_space); a random seed is projected onto it.
     walk_basis = (v0, n0), a null basis of the rows on a span(v0) that holds
     span(v), replaces the rows: the direction is a normal combination of its
-    restriction to span(v).  One candidate is drawn and verified: |Tr H| and
-    every full constraint image must stay below deriv_tol.  If it fails (the
-    compressed rows miss part of a full image because a target support was
-    misjudged at rank_tol, or the walk basis is stale), one more is drawn
-    from the row space of the full rows on span(v), which span the
+    restriction to span(v).  One candidate is drawn and verified on H: |Tr H|
+    and every full constraint image must stay below deriv_tol.  If it fails
+    (the compressed rows miss part of a full image because a target support
+    was misjudged at rank_tol, or span(v0) does not hold span(v)), one more
+    is drawn from the row space of the full rows on span(v), which span the
     compressed ones.  Returns None when the null space is (numerically)
     empty or that candidate fails too.
     """
@@ -734,13 +735,13 @@ def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
         nrm = np.linalg.norm(y)
         if nrm < 1e-10 * np.linalg.norm(y0):
             return None
-        h = hermitian_part(v @ _coords_to_herm(y / nrm, r) @ v.conj().T)
-        return h / np.linalg.norm(h)
+        return _coords_to_herm(y / nrm, r)  # coordinates are an isometry
 
     def posts_hold(h: np.ndarray) -> bool:
-        if abs(np.trace(h)) > deriv_tol:
+        x = v @ h @ v.conj().T
+        if abs(np.trace(x)) > deriv_tol:
             return False
-        return all(np.linalg.norm(c.apply(h)) <= deriv_tol
+        return all(np.linalg.norm(c.apply(x)) <= deriv_tol
                    for c in system.constraints)
 
     y0 = rng.standard_normal(q.shape[1] if null else r * r)
@@ -752,33 +753,21 @@ def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
     return h if h is not None and posts_hold(h) else None
 
 
-def step_length_core(v: np.ndarray, p: np.ndarray, h: np.ndarray) -> tuple[float, int]:
-    """Largest step along -sign*H that keeps rho on the cone boundary.
+def step_length_core(p: np.ndarray, h: np.ndarray) -> tuple[float, int]:
+    """Largest step along -sign*h that keeps diag(p) - sign*lambda*h PSD, for
+    weights p > 0 and a direction h in the coordinates of the support.
 
-    rho enters as its support factor (v, p) = support_basis(rho).
-    In the support eigenbasis of rho, B = diag(p)^{-1/2} H diag(p)^{-1/2}
-    collects the constraint-free curvature: rho - lambda*H stays PSD up to
-    lambda = 1/mu_plus (largest eigenvalue of B) and rho + lambda*H up to
-    1/mu_minus.  Both are positive: once the trace and leak checks pass,
-    V^dag H V is a nonzero Hermitian matrix of near-zero trace, so it has
-    eigenvalues of both signs, and B keeps their signs (Sylvester's law of
-    inertia).  The sign follows the larger extremal multiplicity (ties go
-    to +1), so a degenerate crossing zeroes several eigenvalues in one step.
+    B = diag(p)^{-1/2} h diag(p)^{-1/2} collects the constraint-free
+    curvature: diag(p) - lambda*h stays PSD up to lambda = 1/mu_plus (largest
+    eigenvalue of B) and diag(p) + lambda*h up to 1/mu_minus.  Both are
+    positive for a nonzero Hermitian h of near-zero trace, as the descent
+    gives and reduction.step_length checks: h has eigenvalues of both signs,
+    and B keeps their signs (Sylvester's law of inertia).  The sign follows
+    the larger extremal multiplicity (ties go to +1), so a degenerate
+    crossing zeroes several eigenvalues in one step.
     """
-    h = hermitian_part(np.asarray(h, dtype=complex))
-    hn = float(np.linalg.norm(h))
-    if hn == 0.0:
-        raise ValueError("direction must be nonzero")
-    if abs(np.trace(h)) > 1e-8 * hn:
-        raise ValueError(f"direction has nonzero trace {np.trace(h):.3e}")
-    if v.shape[1] == 0:
-        raise ValueError("state has empty support")
-    hr = v.conj().T @ h @ v
-    leak = float(np.linalg.norm(h - v @ hr @ v.conj().T))
-    if leak > 1e-8 * hn:
-        raise ValueError(f"direction leaves the support of the state (leak {leak:.3e})")
     scale = 1.0 / np.sqrt(p)
-    b = hermitian_part(hr * scale[:, None] * scale[None, :])
+    b = hermitian_part(h * scale[:, None] * scale[None, :])
     w = np.linalg.eigvalsh(b)
     mu_plus, mu_minus = float(w[-1]), float(-w[0])
     mtol = 1e-8 * max(mu_plus, mu_minus)
@@ -794,53 +783,54 @@ def step_length_core(v: np.ndarray, p: np.ndarray, h: np.ndarray) -> tuple[float
 # the spent eigenvalues, and repair the tiny feasibility drift without ever
 # leaving the current support (a full-space correction could resurrect
 # truncated eigenvalues above rank_tol and break monotonicity).  A drift the
-# confined repair cannot clear aborts the walk.
+# confined repair cannot clear aborts the walk.  The state is its support
+# factor (V, p) throughout: a step truncates diag(p) - sign*lambda*h, h the
+# direction on the support, and a repair round truncates its projection of
+# diag(p); either is one r x r eigh whose eigenvectors u give the new
+# support V u, inside span(V).  Only residual_report sees the D x D state.
 # ---------------------------------------------------------------------------
 
-def _truncate(x: np.ndarray, rank_tol: float
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero the eigenvalues that support_basis(x, rank_tol) drops and
-    renormalize.  Returns the state with its support factor (v, p), read off
-    the same eigenpairs with support_basis's rule, so the caller need not
-    decompose the state again."""
-    w, v = np.linalg.eigh(hermitian_part(x))
-    w = np.where(w > rank_tol * eigenvalue_scale(w), w, 0.0)
-    t = w.sum()
-    if t <= 0:
+def _truncate(v: np.ndarray, m: np.ndarray, rank_tol: float
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The support factor of V m V^dag / Tr for Hermitian m on span(V):
+    (V u, w / sum(w)) for the eigenpairs (u, w) of m that support_basis
+    keeps, so eigenvalues at or below rank_tol, negative ones included, are
+    dropped.  V u is orthonormalised, in the same span: products of
+    eigenvector bases drift from orthonormal, and the repair's trace row,
+    Tr(V m V^dag) = Tr(m), holds only for an orthonormal V."""
+    u, w = support_basis(m, rank_tol)
+    if w.size == 0:
         raise ReductionError("state vanished after eigenvalue truncation")
-    w = w / t
-    sel = w > rank_tol * eigenvalue_scale(w)
-    return hermitian_part((v * w) @ v.conj().T), v[:, sel], w[sel]
+    return np.linalg.qr(v @ u)[0], w / w.sum()
 
 
-def _repair(x: np.ndarray, system: ConstraintSystem, *, inner_tol: float,
-            hard_tol: float, rank_tol: float) -> tuple[np.ndarray, float, float]:
-    """Restore feasibility after a truncation, confined to supp(x); returns
-    the repaired state and the max residual before (at x) and after.
+def _repair(system: ConstraintSystem, v: np.ndarray, p: np.ndarray, *,
+            inner_tol: float, hard_tol: float, rank_tol: float
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """Restore the feasibility of V diag(p) V^dag after a truncation,
+    confined to span(V).  Returns the repaired factor, the state x it lifts
+    to, which residual_report checked last, and the max residual before and
+    after.
 
     Up to four rounds, until the residual is at most inner_tol, each an
-    affine projection confined to the state's current support, a PSD
-    projection and a renormalisation; x itself comes back when it needs no
-    round.  More than one round is needed on starts that the solver's budget
+    affine projection of diag(p) confined to the current support followed by
+    a truncation; the factor comes back as it was when it needs no round.
+    More than one round is needed on starts that the solver's budget
     stopped near its tolerance.  A residual above hard_tol after the rounds
     aborts the reduction.
     """
+    x = hermitian_part((v * p) @ v.conj().T)
     before = cur = residual_report(system, x).max_residual
-    y = x
     for _ in range(4):
         if cur <= inner_tol:
             break
-        y = project_affine(system, y, support=support_basis(y, rank_tol)[0])
-        y = psd_project(y)
-        t = float(np.trace(y).real)
-        if t <= 0:
-            raise ReductionError("repair produced a traceless state")
-        y = y / t
-        cur = residual_report(system, y).max_residual
+        v, p = _truncate(v, project_affine(system, v, np.diag(p)), rank_tol)
+        x = hermitian_part((v * p) @ v.conj().T)
+        cur = residual_report(system, x).max_residual
     if cur > hard_tol:
         raise ReductionError(
             f"feasibility repair failed: residual {cur:.3e} exceeds {hard_tol:.1e}")
-    return y, before, cur
+    return v, p, x, before, cur
 
 
 def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *,
@@ -850,22 +840,21 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *,
                 max_steps: int | None = None) -> tuple[np.ndarray, ReductionTrace]:
     """Greedy boundary-step loop; stops when no null-space direction remains.
 
-    Each step multiplies out to: direction, boundary step length, eigenvalue
-    truncation at rank_tol, support-confined feasibility repair, and a
-    strict rank comparison.  Continues below the paper's bound, the
-    square-sum bound of the targets that the trace records, while
-    directions exist.
-    The first support V0 with r0^2 <= m, m the number of descent rows, gets
-    one null basis of the rows (eigh of the r0^2 x r0^2 Gram matrix), which
-    each later step restricts; a support that leaves span(V0) by more than
-    DEFAULT_DERIV_TOL gets a new one.  While r^2 > m no r^2 x r^2 Gram is
-    formed.
-    The loop carries (v, p), the support factor of x with support_basis's
-    rule, from the eigh of the truncation: one state decomposition per step
-    gives the direction's support, the step length and both ranks, and only
-    a repair round that changes the state costs a second one.  Small
-    eigenvalues are not truncated above rank_tol: a boundary step removes
-    them without moving any constraint.
+    The walk holds the state as its support factor (V, p).  It enters by
+    truncating rho0 at rank_tol, the walk's one D x D eigh, and repairing.
+    Each step then multiplies out to: direction h on span(V), boundary step
+    length, truncation of diag(p) - sign*lambda*h (an r x r eigh),
+    support-confined feasibility repair, and a strict rank comparison.
+    Continues below the paper's bound, the square-sum bound of the targets
+    that the trace records, while directions exist.
+    Every support lies in the span of the one before, so the first support
+    V0 with r0^2 <= m, m the number of descent rows, gets the walk's one
+    null basis of the rows (eigh of the r0^2 x r0^2 Gram matrix), which
+    each later step restricts.  While r^2 > m no r^2 x r^2 Gram is formed.
+    The returned state is the lift V diag(p) V^dag that the last repair
+    checked, and the trace's final rank is the size of p.  Small eigenvalues
+    are not truncated above rank_tol: a boundary step removes them without
+    moving any constraint.
     """
     rng = np.random.default_rng(seed)
     x = hermitian_part(np.asarray(rho0, dtype=complex))
@@ -883,35 +872,26 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *,
     # the descent rows: the trace row and rank(T_c)^2 per constraint
     m = 1 + sum(vc.shape[1] ** 2 for vc in target_bases)
     bound = square_sum_bound([c.target for c in system.constraints], rank_tol)
-    walk_basis = None
+    walk_basis, p = None, np.empty(0)  # rank 0 until the entry truncates
 
     def record(exhausted: bool = False) -> ReductionTrace:
-        return ReductionTrace(steps, numerical_rank(x, rank_tol), bound, exhausted)
-
-    def settle(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                       float, float]:
-        """Truncate y at rank_tol and repair it, with the result's support
-        factor: the truncation's unless a repair round changed the state."""
-        y, v, p = _truncate(y, rank_tol)
-        z, pre, after = _repair(y, system, **repair_kwargs)
-        if z is not y:
-            v, p = support_basis(z, rank_tol)
-        return z, v, p, pre, after
+        return ReductionTrace(steps, p.size, bound, exhausted)
 
     limit = system.dim if max_steps is None else int(max_steps)
     try:
-        x, v, p, _, _ = settle(x)
+        v, p = _truncate(np.eye(system.dim), x, rank_tol)
+        v, p, x, _, _ = _repair(system, v, p, **repair_kwargs)
         while len(steps) < limit:
-            if p.size ** 2 <= m and (walk_basis is None or np.linalg.norm(
-                    v - walk_basis[0] @ (walk_basis[0].conj().T @ v))
-                    > DEFAULT_DERIV_TOL):
+            if walk_basis is None and p.size ** 2 <= m:
                 walk_basis = v, _null_space(_affine_rows(system, v, target_bases))
             h = descent_direction_core(v, system, rng, rank_tol=rank_tol,
                                        target_bases=target_bases, walk_basis=walk_basis)
             if h is None:
                 return x, record(True)
-            lam, sign = step_length_core(v, p, h)
-            y, v_next, p_next, pre, after = settle(x - sign * lam * h)
+            lam, sign = step_length_core(p, h)
+            v_next, p_next, y, pre, after = _repair(
+                system, *_truncate(v, np.diag(p) - sign * lam * h, rank_tol),
+                **repair_kwargs)
             if p_next.size >= p.size:
                 raise ReductionError(
                     f"step did not reduce rank ({p.size} -> {p_next.size})",

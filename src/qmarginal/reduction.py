@@ -17,6 +17,7 @@ from ._engine import (DEFAULT_DERIV_TOL, DEFAULT_RANK_TOL, DEFAULT_REPAIR_TOL,
                       ReductionError, ReductionStep, ReductionTrace)
 from .hilbert import support_basis
 from .marginal import ConsistencyInstance
+from .numerics import hermitian_part
 
 if TYPE_CHECKING:
     from .sector import SectorInstance
@@ -34,16 +35,31 @@ def descent_direction(rho: np.ndarray, instance: ConsistencyInstance, *,
     of the constraint rows on the support is empty, e.g. for pure states).
     """
     rng = np.random.default_rng(seed)
-    return _engine.descent_direction_core(
-        support_basis(rho, rank_tol)[0], instance.engine_system(), rng,
-        rank_tol=rank_tol, deriv_tol=deriv_tol)
+    v = support_basis(rho, rank_tol)[0]
+    h = _engine.descent_direction_core(v, instance.engine_system(), rng,
+                                       rank_tol=rank_tol, deriv_tol=deriv_tol)
+    return None if h is None else hermitian_part(v @ h @ v.conj().T)
 
 
 def step_length(rho: np.ndarray, h: np.ndarray, *,
                 rank_tol: float = DEFAULT_RANK_TOL) -> tuple[float, int]:
     """Boundary step (lambda, sign) so that rho - sign*lambda*h is PSD and
-    loses at least one unit of rank."""
-    return _engine.step_length_core(*support_basis(rho, rank_tol), h)
+    loses at least one unit of rank.  Raises ValueError when h is zero, has
+    a nonzero trace or leaves supp(rho), or when rho has an empty support."""
+    v, p = support_basis(rho, rank_tol)
+    h = hermitian_part(np.asarray(h, dtype=complex))
+    hn = float(np.linalg.norm(h))
+    if hn == 0.0:
+        raise ValueError("direction must be nonzero")
+    if abs(np.trace(h)) > 1e-8 * hn:
+        raise ValueError(f"direction has nonzero trace {np.trace(h):.3e}")
+    if v.shape[1] == 0:
+        raise ValueError("state has empty support")
+    hr = v.conj().T @ h @ v
+    leak = float(np.linalg.norm(h - v @ hr @ v.conj().T))
+    if leak > 1e-8 * hn:
+        raise ValueError(f"direction leaves the support of the state (leak {leak:.3e})")
+    return _engine.step_length_core(p, hr)
 
 
 def reduce_rank(rho0: np.ndarray, instance: ConsistencyInstance | SectorInstance, *,

@@ -4,6 +4,7 @@ install() must wrap each one and restore the original afterwards, and the
 span readers must still understand the wrapped signatures."""
 import os
 import sys
+from itertools import combinations
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "bench")
@@ -12,6 +13,7 @@ sys.path.insert(0, BENCH)
 import spans  # noqa: E402
 from qmarginal.gallery import random_feasible_instance  # noqa: E402
 from qmarginal.marginal import find_feasible  # noqa: E402
+from qmarginal.reduction import reduce_rank  # noqa: E402
 
 
 def test_every_wrapped_name_resolves():
@@ -42,3 +44,19 @@ def test_traced_feasibility_run_is_counted():
     assert m["engine.solve_feasible.iters"] == found.iterations
     assert m["engine.project_affine.calls"] == 0
     assert m["numerics.psd_project.calls"] == 0
+
+
+def test_traced_reduction_counts_its_repair_rounds():
+    """All pairs of 4 qubits, rank-2 witness: 82 iterations stop the solver
+    above the repair's inner tolerance, so the walk runs a repair round.
+    The tracer counts the affine projections under the walk and reads its
+    step count from the result."""
+    inst, _ = random_feasible_instance((2,) * 4, list(combinations(range(4), 2)),
+                                       2, seed=0)
+    found = find_feasible(inst, max_iters=82)
+    assert found.converged and found.report.max_residual > 1e-9
+    with spans.Tracer().install() as tracer:
+        _, trace = reduce_rank(found.state, inst)
+    m = spans.layer_metrics(tracer)
+    assert m["engine.project_affine.repair_calls"] >= 1
+    assert m["engine.reduce_core.steps"] == len(trace.steps) >= 1

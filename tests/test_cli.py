@@ -300,6 +300,61 @@ def test_channel_reduce_pipeline(tmp_path, capsys):
     assert doc["bounds"]["achieved"] == doc["kraus_count"]
 
 
+def failing_repair(*args, **kwargs):
+    raise _engine.ReductionError("repair stopped")
+
+
+def test_solve_aborted_reduction_exits_one(tmp_path, capsys, monkeypatch):
+    """A reduction that raises ReductionError ends the run with exit 1 and
+    writes no document."""
+    inst_path = write_instance(tmp_path / "mm3.json",
+                               maximally_mixed_klocal_instance(3, 2))
+    out_path = tmp_path / "sol.json"
+    monkeypatch.setattr(_engine, "_repair", failing_repair)
+    assert main(["solve", inst_path, "-o", str(out_path)]) == 1
+    assert capsys.readouterr().err.strip() == "rank reduction aborted: repair stopped"
+    assert not out_path.exists()
+
+
+def test_channel_reduce_aborted_reduction_exits_one(tmp_path, capsys, monkeypatch):
+    inst_path = tmp_path / "chinst.json"
+    dump_document(channel_instance_to_doc(two_qubit_channel_instance()),
+                  str(inst_path))
+    out_path = tmp_path / "red.json"
+    monkeypatch.setattr(_engine, "_repair", failing_repair)
+    assert main(["channel", "reduce", str(inst_path), "-o", str(out_path)]) == 1
+    assert capsys.readouterr().err.strip() == "rank reduction aborted: repair stopped"
+    assert not out_path.exists()
+
+
+def test_channel_reduce_clashing_subchannels_exits_one(tmp_path, capsys):
+    """The identity and the completely depolarising channel pinned to the
+    same qubit: no joint channel exists, the search stops at a residual
+    plateau and no document is written."""
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1.0, -1.0])]
+    ident = choi_from_kraus([np.eye(2, dtype=complex)], (2,), (2,))
+    noise = choi_from_kraus([p.astype(complex) / 2 for p in paulis], (2,), (2,))
+    clash = ChannelInstance((2,), (2,), (LocalChannel((0,), (0,), ident),
+                                         LocalChannel((0,), (0,), noise)))
+    inst_path = tmp_path / "clash.json"
+    dump_document(channel_instance_to_doc(clash), str(inst_path))
+    out_path = tmp_path / "red.json"
+    assert main(["channel", "reduce", str(inst_path), "-o", str(out_path)]) == 1
+    assert capsys.readouterr().err.strip().endswith("instance possibly infeasible")
+    assert not out_path.exists()
+
+
+def test_channel_subchannel_rejects_a_non_integer_list(tmp_path, capsys):
+    swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+    ch_path = tmp_path / "swap.json"
+    dump_document(channel_to_doc(choi_from_kraus([swap], (2, 2), (2, 2))),
+                  str(ch_path))
+    assert main(["channel", "subchannel", str(ch_path), "--in-keep", "a",
+                 "--out-keep", "0"]) == 2
+    assert "expected comma-separated integers, got 'a'" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_two(tmp_path):
     assert main(["bounds", "nope.json", "--wat"]) == 2
 

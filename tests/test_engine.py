@@ -4,8 +4,7 @@ the repair, and the factored feasibility solver on the same sparse rows."""
 import math
 import tracemalloc
 from collections import Counter
-from functools import reduce
-from itertools import combinations, permutations, product
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -209,16 +208,21 @@ def test_restricted_null_space_equals_a_fresh_build():
             assert np.abs(got @ got.T - fresh @ fresh.T).max() <= 1e-10
 
 
+def lift(v, h):
+    """The D x D operator V h V^dag of a direction h on span(v)."""
+    return v @ h @ v.conj().T
+
+
 def test_duplicated_constraint_still_gives_a_direction():
     inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 6, seed=4)
     twice = ConsistencyInstance(inst.dims, inst.constraints + inst.constraints[:1])
     system = twice.engine_system()
-    h = _engine.descent_direction_core(support_basis(rho)[0], system,
-                                       np.random.default_rng(0))
-    assert h is not None
-    assert abs(np.trace(h)) <= 1e-9
+    v = support_basis(rho)[0]
+    h = _engine.descent_direction_core(v, system, np.random.default_rng(0))
+    assert h is not None and h.shape == (6, 6)
+    assert abs(np.trace(lift(v, h))) <= 1e-9
     for c in system.constraints:
-        assert np.linalg.norm(c.apply(h)) <= 1e-9
+        assert np.linalg.norm(c.apply(lift(v, h))) <= 1e-9
 
 
 def assert_none_without_draws(rho, system):
@@ -251,18 +255,19 @@ def test_full_rows_retry_when_compressed_rows_miss_an_image():
     inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 8, seed=6)
     system = inst.engine_system()
     narrow = [support_basis(c.target)[0][:, :1] for c in system.constraints]
-    h = _engine.descent_direction_core(support_basis(rho)[0], system,
-                                       np.random.default_rng(0),
+    v = support_basis(rho)[0]
+    h = _engine.descent_direction_core(v, system, np.random.default_rng(0),
                                        target_bases=narrow)
     assert h is not None
     for c in system.constraints:
-        assert np.linalg.norm(c.apply(h)) <= 1e-9
+        assert np.linalg.norm(c.apply(lift(v, h))) <= 1e-9
 
 
 def test_stale_walk_basis_is_caught_by_the_posts_check():
     """A walk basis whose span does not hold the support gives candidates
     that move the constraints.  The posts check rejects them, and the
-    full-row retry finds a direction from the rows on the support itself."""
+    full-row retry finds a direction from the rows on the support itself,
+    in the support's coordinates."""
     inst, _ = random_feasible_instance((2,) * 5, list(combinations(range(5), 2)),
                                        32, seed=0)
     system = inst.engine_system()
@@ -274,11 +279,11 @@ def test_stale_walk_basis_is_caught_by_the_posts_check():
     stale = other, _engine._null_space(_engine._affine_rows(system, other, bases))
     h = _engine.descent_direction_core(v, system, rng, target_bases=bases,
                                        walk_basis=stale)
-    assert h is not None
-    assert np.abs(h - v @ (v.conj().T @ h @ v) @ v.conj().T).max() <= 1e-12
-    assert abs(np.trace(h)) <= 1e-9
+    assert h is not None and h.shape == (v.shape[1],) * 2
+    assert abs(np.linalg.norm(h) - 1.0) <= 1e-12
+    assert abs(np.trace(lift(v, h))) <= 1e-9
     for c in system.constraints:
-        assert np.linalg.norm(c.apply(h)) <= 1e-9
+        assert np.linalg.norm(c.apply(lift(v, h))) <= 1e-9
 
 
 def coords(m):
@@ -328,7 +333,7 @@ def test_projection_lands_on_the_slice_with_the_least_norm_correction():
         system = instance.engine_system()
         x = random_hermitian(rng, system.dim)
         eye = np.eye(system.dim, dtype=complex)
-        y = _engine.project_affine(system, x, support=eye)
+        y = _engine.project_affine(system, eye, x)
         for c in system.constraints:
             assert np.abs(c.apply(y) - c.target).max() <= 1e-12
         assert abs(np.trace(y) - 1.0) <= 1e-12
@@ -336,14 +341,15 @@ def test_projection_lands_on_the_slice_with_the_least_norm_correction():
 
 
 def test_projection_confined_to_a_support():
-    """With a support V the correction lies on span(V) and is the reference
-    correction with the rows restricted to V."""
+    """With a support V and a state x = V m V^dag, the projection of m lifts
+    to x plus the reference correction with the rows restricted to V."""
     rng = np.random.default_rng(19)
     for instance in projection_cases() + [contradictory_instance()]:
         system = instance.engine_system()
         v = random_isometry(rng, system.dim, system.dim - 3)
-        x = random_hermitian(rng, system.dim)
-        y = _engine.project_affine(system, x, support=v)
+        m = random_hermitian(rng, system.dim - 3)
+        x = lift(v, m)
+        y = lift(v, _engine.project_affine(system, v, m))
         p = v @ v.conj().T
         assert np.abs(p @ (y - x) @ p - (y - x)).max() <= 1e-12
         assert np.abs((y - x) - reference_correction(instance, x, v)).max() <= 1e-10
@@ -355,7 +361,7 @@ def test_projection_on_a_contradictory_instance_is_least_squares():
     inst = contradictory_instance()
     system = inst.engine_system()
     x = random_hermitian(np.random.default_rng(23), 4)
-    y = _engine.project_affine(system, x, support=np.eye(4))
+    y = _engine.project_affine(system, np.eye(4), x)
     assert max(np.linalg.norm(c.apply(y) - c.target) for c in system.constraints) > 0.1
     assert np.abs((y - x) - reference_correction(inst, x, np.eye(4))).max() <= 1e-10
 
@@ -523,9 +529,9 @@ def test_confined_projection_calls_no_constraint_map(monkeypatch):
     for instance in projection_cases():
         system = instance.engine_system()
         v = random_isometry(rng, system.dim, system.dim - 2)
-        x = random_hermitian(rng, system.dim)
+        m = random_hermitian(rng, system.dim - 2)
         calls = map_calls(monkeypatch,
-                          lambda: _engine.project_affine(system, x, support=v))
+                          lambda: _engine.project_affine(system, v, m))
         assert calls == {"apply": 0}
 
 
@@ -816,8 +822,6 @@ def test_repair_fails_after_four_confined_projections(monkeypatch):
     """|00><00| against two maximally mixed qubit marginals: no state on its
     support is feasible, so all four confined rounds run, none of them
     projects in the full space, and the repair fails."""
-    ket00 = np.zeros((4, 4), dtype=complex)
-    ket00[0, 0] = 1.0
     half = np.eye(2) / 2
     system = ConsistencyInstance((2, 2), (MarginalConstraint((0,), half),
                                           MarginalConstraint((1,), half))
@@ -825,13 +829,14 @@ def test_repair_fails_after_four_confined_projections(monkeypatch):
     full_space = []
     project = _engine.project_affine
 
-    def spy(system, x, *, support):
-        full_space.append(support.shape[1] == system.dim)
-        return project(system, x, support=support)
+    def spy(system, v, m):
+        full_space.append(v.shape[1] == system.dim)
+        return project(system, v, m)
 
     monkeypatch.setattr(_engine, "project_affine", spy)
     with pytest.raises(_engine.ReductionError, match="^feasibility repair failed: "):
-        _engine._repair(ket00, system, inner_tol=1e-9, hard_tol=1e-8, rank_tol=1e-9)
+        _engine._repair(system, np.eye(4)[:, :1], np.ones(1), inner_tol=1e-9,
+                        hard_tol=1e-8, rank_tol=1e-9)
     assert full_space == [False] * 4
 
 
@@ -847,14 +852,14 @@ def test_budget_stopped_start_is_repaired_on_its_support(monkeypatch):
     repair, project = _engine._repair, _engine.project_affine
     changed, supports = [], []
 
-    def repair_spy(x, *args, **kwargs):
-        out = repair(x, *args, **kwargs)
-        changed.append(out[0] is not x)
+    def repair_spy(system, v, p, **kwargs):
+        out = repair(system, v, p, **kwargs)
+        changed.append(out[1] is not p)
         return out
 
-    def project_spy(system, x, *, support):
-        supports.append(support.shape[1])
-        return project(system, x, support=support)
+    def project_spy(system, v, m):
+        supports.append(v.shape[1])
+        return project(system, v, m)
 
     monkeypatch.setattr(_engine, "_repair", repair_spy)
     monkeypatch.setattr(_engine, "project_affine", project_spy)
@@ -894,15 +899,15 @@ def test_reduction_error_carries_the_partial_trace(monkeypatch):
 
 
 def test_reduction_factors_the_state_once_per_step(monkeypatch):
-    """Each step of the walk decomposes the new state once: the truncation's
-    eigh gives the next step its support and both ranks, and the repair
-    takes one residual; numerical_rank runs once, for the final trace.  On a
-    full-rank 4-qubit all-pairs witness no repair round runs, so the call
-    sequence is exact: the feasibility check and the initial repair's
-    residual, then one residual per step, and no support_basis call on the
-    state at all."""
+    """The walk decomposes the D x D state once, at its entry: every later
+    truncation is r x r on the support factor, and the only D x D
+    decomposition of a step is the eigvalsh of its independent check.  On a
+    rank-15 witness for all pairs of 4 qubits the support stays below D and
+    no repair round runs, so the call sequence is exact: the feasibility
+    check, the entry's support_basis and the initial repair's residual, then
+    one residual per step, and numerical_rank never runs on the state."""
     inst, rho = random_feasible_instance((2,) * 4, list(combinations(range(4), 2)),
-                                         16, seed=0)
+                                         15, seed=0)
     system = inst.engine_system()
     events = []
     for name in ("residual_report", "support_basis", "numerical_rank",
@@ -914,22 +919,20 @@ def test_reduction_factors_the_state_once_per_step(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(_engine, name, spy)
-    eighs = []
+    decompositions = []
+    for name in ("eigh", "eigvalsh"):
+        def spy(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            if np.shape(a) == (system.dim, system.dim):
+                decompositions.append(_name)
+            return _fn(a, *args, **kwargs)
 
-    def eigh(a, *args, _fn=np.linalg.eigh, **kwargs):
-        if np.shape(a) == (system.dim, system.dim):
-            eighs.append(None)
-        return _fn(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(np.linalg, name, spy)
     _, trace = _engine.reduce_core(rho, system)
     steps = len(trace.steps)
     assert steps >= 5 and trace.null_space_exhausted
-    assert events == (["residual_report"] * 2 + ["residual_report"] * steps
-                      + ["numerical_rank"])
-    # one eigh per truncation, at the start and after each step; its
-    # eigenpairs give the support without a second decomposition
-    assert len(eighs) == 1 + steps
+    assert events == (["residual_report", "support_basis"]
+                      + ["residual_report"] * (1 + steps))
+    assert decompositions == ["eigvalsh", "eigh"] + ["eigvalsh"] * (1 + steps)
 
 
 def test_walk_builds_the_compressed_rows_once(monkeypatch):
@@ -973,78 +976,36 @@ def test_walk_above_the_rows_decomposes_no_larger_gram(monkeypatch):
     assert numerical_rank(state) <= trace.bound == 12
 
 
-def symmetric_pairs_instance():
-    """All pairs of 3 qubits pinned to the marginals of
-    omega = I/16 + P_sym/8, P_sym the projector onto the symmetric subspace.
-    omega commutes with every u (x) u (x) u, so its pair marginals are
-    invariant under u (x) u, and Q x Q^dag is feasible with x for
-    Q = u (x) u (x) u.  Also returns a generic feasible rank-8 state: omega
-    plus a small combination of the weight-3 Pauli strings, which every
-    pair marginal annihilates."""
-    sym = np.zeros((8, 8))
-    for perm in permutations(range(3)):
-        for i, bits in enumerate(product((0, 1), repeat=3)):
-            sym[int("".join(str(bits[k]) for k in perm), 2), i] += 1 / 6
-    omega = (np.eye(8) / 16 + sym / 8).astype(complex)
-    inst = ConsistencyInstance((2,) * 3, tuple(
-        MarginalConstraint(pair, partial_trace(omega, (2,) * 3, pair))
-        for pair in combinations(range(3), 2)))
-    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
-              np.diag([1.0, -1.0]))
-    rng = np.random.default_rng(0)
-    k = sum(rng.standard_normal() * reduce(np.kron, ps)
-            for ps in product(paulis, repeat=3))
-    return inst, omega + 0.05 * k / np.linalg.norm(k, 2)
+def test_each_support_lies_in_the_one_before(monkeypatch):
+    """Criterion 9's walks on all pairs of 5 qubits, rank-1 and rank-2
+    witnesses: the solver's state keeps eigenvalues just above rank_tol, yet
+    every support the walk descends from lies in the span of the one before
+    to 1e-12, so the walk builds the null basis of its m = 161 descent rows
+    once and only restricts it."""
+    descent, null_space = _engine.descent_direction_core, _engine._null_space
+    for rank in (1, 2):
+        inst, _ = random_feasible_instance((2,) * 5, list(combinations(range(5), 2)),
+                                           rank, seed=0)
+        found = find_feasible(inst)
+        assert found.converged
+        supports, builds = [], []
 
+        def descent_spy(v, *args, **kwargs):
+            supports.append(v)
+            return descent(v, *args, **kwargs)
 
-def test_walk_rebuilds_its_null_basis_when_the_support_leaves_it(monkeypatch):
-    """At repair_tol=2e-15 on all pairs of 3 qubits, a repair that hands
-    back a state whose support leaves span(V0) makes the walk rebuild its
-    null basis on the new support.  The leak is forced: after the second
-    step the state is turned by a u (x) u (x) u that keeps it feasible.
-    Every descent at r^2 <= m gets a basis whose span holds the support,
-    and every step stays within repair_tol."""
-    inst, x = symmetric_pairs_instance()
-    system = inst.engine_system()
-    u = random_isometry(np.random.default_rng(59), 2, 2)
-    q = np.kron(np.kron(u, u), u)
-    repair = _engine._repair
-    repairs = []
+        def null_spy(a):
+            builds.append(a.shape[0] == 161)
+            return null_space(a)
 
-    def turning_repair(*args, **kwargs):
-        y, before, after = repair(*args, **kwargs)
-        repairs.append(y)
-        if len(repairs) == 3:  # the start, then one per step
-            y = q @ y @ q.conj().T
-        return y, before, after
-
-    descent = _engine.descent_direction_core
-    calls = []
-
-    def spy(v, *args, walk_basis, **kwargs):
-        calls.append((v, walk_basis))
-        return descent(v, *args, walk_basis=walk_basis, **kwargs)
-
-    monkeypatch.setattr(_engine, "_repair", turning_repair)
-    monkeypatch.setattr(_engine, "descent_direction_core", spy)
-    state, trace = _engine.reduce_core(x, system, repair_tol=2e-15)
-    assert [s.rank_before for s in trace.steps[:3]] == [8, 7, 6]
-    assert all(s.residual_after <= 2e-15 for s in trace.steps)
-    assert check_consistency(inst, state).max_residual <= 2e-15
-    assert trace.final_rank <= trace.bound
-    m = 1 + 3 * 16
-    bases = []
-    for v, walk_basis in calls:
-        if v.shape[1] ** 2 > m:
-            assert walk_basis is None
-            continue
-        v0 = walk_basis[0]
-        assert np.linalg.norm(v - v0 @ (v0.conj().T @ v)) <= 1e-9
-        if not any(v0 is b for b in bases):
-            bases.append(v0)
-    assert len(bases) == 2
-    v1 = calls[2][0]  # the turned rank-6 support
-    assert np.linalg.norm(v1 - bases[0] @ (bases[0].conj().T @ v1)) > 1e-3
+        monkeypatch.setattr(_engine, "descent_direction_core", descent_spy)
+        monkeypatch.setattr(_engine, "_null_space", null_spy)
+        _, trace = reduce_rank(found.state, inst)
+        assert len(trace.steps) >= 1 and trace.null_space_exhausted
+        assert len(supports) == len(trace.steps) + 1
+        for before, after in zip(supports, supports[1:]):
+            assert np.linalg.norm(after - before @ (before.conj().T @ after)) <= 1e-12
+        assert sum(builds) == 1
 
 
 def test_non_finite_states_are_rejected():

@@ -235,6 +235,17 @@ def test_reduce_rank_aborts_a_step_that_keeps_the_rank(monkeypatch):
     assert trace.bound == theorem1_bound(inst) and not trace.null_space_exhausted
 
 
+def test_reduce_rank_rejects_a_state_with_nothing_above_rank_tol():
+    """At rank_tol = 1 no eigenvalue of a mixed state counts: the entry's
+    truncation leaves no support, and the walk aborts before any step with
+    a trace of rank 0."""
+    inst, witness = pair_instance(3, 8, 13)
+    with pytest.raises(ReductionError,
+                       match="^state vanished after eigenvalue truncation$") as info:
+        reduce_rank(witness, inst, rank_tol=1.0)
+    assert info.value.trace.steps == [] and info.value.trace.final_rank == 0
+
+
 def test_reduce_rank_max_steps_zero():
     inst, witness = pair_instance(3, 8, 13)
     state, trace = reduce_rank(witness, inst, max_steps=0)
