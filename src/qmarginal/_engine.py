@@ -4,12 +4,15 @@ Everything here is phrased against a list of linear constraints, each given
 by an index map and a target: M(x)[i, j] = sum_e w[i, e] w[j, e]
 x[index[i, e], index[j, e]].  A plain partial trace (qudit and channel
 instances) has unit weights; a sector marginal runs over occupations with
-signed or arrangement weights.  The forward map and the constraint rows are
-both derived from the map, so the same code serves every instance.  The
-full-space rows A (the unit-trace row and every constraint's rows) are
-sparse, and the system keeps their nonzeros, built in closed form by index
-arithmetic on the same map, against the entries of the state's real view,
-without forming the dense rows.
+signed or arrangement weights.  A system stacks its constraints of one
+index shape (all weighted or all not) into a group, so the maps, the
+constraint rows, their nonzeros and the targets' eigendecompositions are
+one batched operation per group, never a loop over constraints.  The
+forward map and the constraint rows are both derived from the map, so the
+same code serves every instance.  The full-space rows A (the unit-trace row
+and every constraint's rows) are sparse, and the system keeps their
+nonzeros, built in closed form by index arithmetic on the same map, against
+the entries of the state's real view, without forming the dense rows.
 Feasibility is a least-squares problem over factors: minimise
 ||A coords(G G^dag) - b||^2 for G of size D x k, k the paper's square-sum
 rank bound, so every iteration is sparse products with A and A^T and dense
@@ -35,7 +38,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .hilbert import support_basis
-from .numerics import hermitian_part, numerical_rank
+from .numerics import hermitian_part, numerical_rank, rank_counts, support_mask
 # unused here; kept as a module attribute because bench/spans.py wraps it
 from .numerics import psd_project  # noqa: F401
 
@@ -50,6 +53,30 @@ LBFGS_MEMORY = 20
 STATIONARY_RTOL = 1e-9
 
 
+def _apply_maps(x: np.ndarray, index: np.ndarray,
+                weight: np.ndarray | None) -> np.ndarray:
+    """M(x) for index maps stacked along leading axes (index and weight of
+    shape (..., d_c, n_e)), one gather of x[index[..., i, e],
+    index[..., j, e]] for all of them.  The terms are summed over e in
+    order, a running sum, so a partial trace rounds as the einsum of
+    hilbert.partial_trace does."""
+    ix = index.swapaxes(-1, -2)
+    y = x[ix[..., :, None], ix[..., None, :]]
+    if weight is not None:
+        w = weight.swapaxes(-1, -2)
+        y = y * (w[..., :, None] * w[..., None, :])
+    return np.add.accumulate(y, axis=-3)[..., -1, :, :]
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norms of matrices stacked along leading axes, each summed
+    as np.linalg.norm sums one matrix: a dot of its real parts plus a dot
+    of its imaginary parts."""
+    f = m.reshape(m.shape[:-2] + (1, -1))
+    re, im = f.real, f.imag
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+
+
 @dataclass(frozen=True)
 class Constraint:
     """One affine equality M(X) == target, with M given as an index map.
@@ -60,9 +87,11 @@ class Constraint:
     index[i, e] the basis state with kept factors i and traced factors e
     (hilbert.partial_trace_index); a sector marginal has the position of the
     occupation i + e, weighted by its sign or arrangement count
-    (hilbert.sector_marginal_index).  apply and the constraint rows both
-    derive from the map.  label names the constraint in reports.  A state is
-    checked where it enters the engine (hermitian_part), not here.
+    (hilbert.sector_marginal_index).  A ConstraintSystem stacks the
+    constraints of one shape into a ConstraintGroup, and the engine works
+    on the groups; apply is the groups' map for this one constraint.
+    label names the constraint in reports.  A state is checked where it
+    enters the engine (hermitian_part), not here.
     """
 
     target: np.ndarray
@@ -71,15 +100,40 @@ class Constraint:
     label: str = ""
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """M(x), one gather of x[index[i, e], index[j, e]].  The terms are
-        summed over e in order, a running sum, so a partial trace rounds as
-        the einsum of hilbert.partial_trace does."""
-        ix = self.index.T
-        y = x[ix[:, :, None], ix[:, None, :]]
-        if self.weight is not None:
-            w = self.weight.T
-            y = y * (w[:, :, None] * w[:, None, :])
-        return np.add.accumulate(y)[-1]
+        """M(x), by _apply_maps."""
+        return _apply_maps(x, self.index, self.weight)
+
+
+@dataclass(frozen=True, eq=False)
+class ConstraintGroup:
+    """The constraints of a system that share an index shape and are all
+    weighted or all unweighted, stacked: index and weight (None when
+    unweighted) of shape (C, d_c, n_e), target (C, d_c, d_c), and positions,
+    their places in the system's constraint list.  The targets'
+    eigendecompositions are computed once, batched, on first use."""
+
+    positions: np.ndarray
+    index: np.ndarray
+    weight: np.ndarray | None
+    target: np.ndarray
+
+    def take(self, members: np.ndarray) -> ConstraintGroup:
+        """The group of the constraints at members (indices into this one)."""
+        return ConstraintGroup(self.positions[members], self.index[members],
+                               None if self.weight is None else self.weight[members],
+                               self.target[members])
+
+    @cached_property
+    def target_eigvals(self) -> np.ndarray:
+        """Eigenvalues of every target, by eigvalsh as numerical_rank takes
+        them: the spectra of square_sum_bound."""
+        return np.linalg.eigvalsh(hermitian_part(self.target))
+
+    @cached_property
+    def target_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs of every target, by eigh as support_basis takes them:
+        the spectra of target_bases."""
+        return np.linalg.eigh(hermitian_part(self.target))
 
 
 class AffineFactor(NamedTuple):
@@ -133,8 +187,60 @@ class AffineFactor(NamedTuple):
 
 @dataclass(frozen=True)
 class ConstraintSystem:
+    """The state dimension and the constraints, as given and as groups.
+
+    groups stacks the constraints of one shape (see ConstraintGroup), so
+    every map, row and nonzero build runs once per group; results go back
+    to the constraints' positions, so reports keep one residual per
+    constraint, in order.  The full-space affine factor and the targets'
+    eigendecompositions are built on first use and kept with the system.
+    """
+
     dim: int
     constraints: tuple[Constraint, ...]
+
+    @cached_property
+    def groups(self) -> tuple[ConstraintGroup, ...]:
+        """The constraints stacked by (index shape, weighted or not), in
+        order of each group's first constraint."""
+        members: dict[tuple, list[int]] = {}
+        for p, c in enumerate(self.constraints):
+            members.setdefault((c.index.shape, c.weight is None), []).append(p)
+        return tuple(ConstraintGroup(
+            np.array(ps), np.stack([self.constraints[p].index for p in ps]),
+            None if unweighted else np.stack([self.constraints[p].weight for p in ps]),
+            np.stack([self.constraints[p].target for p in ps]))
+            for (_, unweighted), ps in members.items())
+
+    def in_order(self, stacks) -> list:
+        """The slices of per-group stacks, (group, stack) pairs with one
+        slice per constraint of the group, in the system's constraint order."""
+        out = [None] * len(self.constraints)
+        for g, stack in stacks:
+            for p, item in zip(g.positions.tolist(), stack):
+                out[p] = item
+        return out
+
+    def square_sum_bound(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
+        """square_sum_bound of the targets, from the groups' kept spectra."""
+        return math.isqrt(sum(int((rank_counts(g.target_eigvals, rank_tol) ** 2).sum())
+                              for g in self.groups))
+
+    def target_bases(self, rank_tol: float = DEFAULT_RANK_TOL
+                     ) -> list[tuple[ConstraintGroup, np.ndarray]]:
+        """The targets' support bases at rank_tol, support_basis's rule on
+        the kept eigenpairs: (group, bases) pairs, each group split by the
+        width of its bases, with the bases stacked as (C, d_c, width).  The
+        eigenvalues ascend, so a support is the last width eigenvectors."""
+        out = []
+        for g in self.groups:
+            w, v = g.target_eigh
+            widths = np.count_nonzero(support_mask(w, rank_tol), axis=-1)
+            for width in sorted(set(widths.tolist())):
+                members = np.flatnonzero(widths == width)
+                out.append((g if members.size == widths.size else g.take(members),
+                            v[members, :, v.shape[-1] - width:]))
+        return out
 
     @cached_property
     def affine(self) -> AffineFactor:
@@ -143,8 +249,8 @@ class ConstraintSystem:
         nonzeros are those of the dense rows _affine_rows(self, I), in the
         same order, each moved onto its entry of the real view and scaled
         with it, without forming the rows."""
+        blocks = [[1.0]] + self.in_order((g, _herm_coords(g.target)) for g in self.groups)
         row, col, val = _affine_nonzeros(self)
-        blocks = [[1.0]] + [_herm_coords(c.target) for c in self.constraints]
         return AffineFactor(self.dim, row, col, val, np.concatenate(blocks),
                             np.cumsum([0] + [len(b) for b in blocks[:-1]]))
 
@@ -214,7 +320,12 @@ class ReductionError(RuntimeError):
 
 
 def residual_report(system: ConstraintSystem, x: np.ndarray) -> ResidualReport:
-    res = tuple(float(np.linalg.norm(c.apply(x) - c.target)) for c in system.constraints)
+    """The Frobenius residual of every constraint at x, in the system's
+    order, from one gather per group, plus the PSD and trace defects."""
+    res = np.empty(len(system.constraints))
+    for g in system.groups:
+        res[g.positions] = _frobenius(_apply_maps(x, g.index, g.weight) - g.target)
+    res = tuple(res.tolist())
     w = np.linalg.eigvalsh(hermitian_part(x))
     psd = float(max(0.0, -w.min())) if w.size else 0.0
     tr = float(abs(np.trace(x) - 1.0))
@@ -222,17 +333,18 @@ def residual_report(system: ConstraintSystem, x: np.ndarray) -> ResidualReport:
 
 
 # ---------------------------------------------------------------------------
-# The affine rows A: the unit-trace row plus constraint_rows(c, V, I) for
-# every constraint, in the coordinates of corrections V herm(y) V^dag (the
-# descent compresses each constraint's rows to its target support).  The
-# trace row rides along even though the marginal rows imply it; this keeps a
-# projected point exactly on the trace-one slice regardless of rounding in
-# the other rows.  A row of a constraint has at most one nonzero per summed
-# index e among its D^2 entries, so the full-space A (V = I) is kept as its
-# nonzeros, against the entries of the D x D matrix (AffineFactor), and each
-# product with A or A^T is one bincount over them.  The nonzeros come in
-# closed form from each constraint's index map, never from the dense
-# m x D^2 rows.
+# The affine rows A: the unit-trace row plus every constraint's rows,
+# constraint_rows(group, V, I) for each group, in the coordinates of
+# corrections V herm(y) V^dag (the descent compresses each constraint's rows
+# to its target support).  A group's rows are one batched build, placed back
+# at its constraints' positions.  The trace row rides along even though the
+# marginal rows imply it; this keeps a projected point exactly on the
+# trace-one slice regardless of rounding in the other rows.  A row of a
+# constraint has at most one nonzero per summed index e among its D^2
+# entries, so the full-space A (V = I) is kept as its nonzeros, against the
+# entries of the D x D matrix (AffineFactor), and each product with A or A^T
+# is one bincount over them.  The nonzeros come in closed form from each
+# group's stacked index maps, never from the dense m x D^2 rows.
 #
 # The feasibility solver uses the full-space products.  The rank reduction
 # keeps its state on span(V), x = V m V^dag, and its repair projects with
@@ -244,39 +356,48 @@ def residual_report(system: ConstraintSystem, x: np.ndarray) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 def _affine_rows(system: ConstraintSystem, v: np.ndarray,
-                 target_bases: Sequence[np.ndarray] | None = None) -> np.ndarray:
+                 target_bases: Sequence[tuple[ConstraintGroup, np.ndarray]] | None = None
+                 ) -> np.ndarray:
     """The dense affine rows on span(v): the trace row, then every
-    constraint's rows, compressed to target_bases when given and full
-    otherwise."""
+    constraint's rows, compressed to target_bases when given (pairs of a
+    group and its stacked bases, as ConstraintSystem.target_bases gives
+    them) and full otherwise."""
     if target_bases is None:
-        target_bases = [np.eye(c.target.shape[0]) for c in system.constraints]
-    return np.vstack([_herm_coords(np.eye(v.shape[1]))] + [
-        constraint_rows(c, v, vc) for c, vc in zip(system.constraints, target_bases)])
+        target_bases = [(g, np.broadcast_to(np.eye(g.target.shape[-1]), g.target.shape))
+                        for g in system.groups]
+    return np.vstack([_herm_coords(np.eye(v.shape[1]))] + system.in_order(
+        (g, constraint_rows(g, v, vc)) for g, vc in target_bases))
 
 
 def _affine_nonzeros(system: ConstraintSystem
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row, real-view entry and value of every nonzero of
-    _affine_rows(system, I), in np.nonzero's order of rows and coordinates.
-    The trace row is a one at every diagonal entry."""
+    _affine_rows(system, I), in np.nonzero's order of rows and coordinates:
+    the groups' nonzeros, sorted stably by row, which puts the constraints
+    in order and keeps each one's own order.  The trace row is a one at
+    every diagonal entry."""
     d = system.dim
+    sizes = np.zeros(len(system.constraints), dtype=np.intp)
+    for g in system.groups:
+        sizes[g.positions] = g.target.shape[-1] ** 2
+    starts = 1 + np.cumsum(sizes) - sizes
     parts = [(np.zeros(d, dtype=np.intp), 2 * (d + 1) * np.arange(d), np.ones(d))]
-    start = 1
-    for c in system.constraints:
-        row, col, val = _constraint_nonzeros(c, d)
-        parts.append((row + start, col, val))
-        start += c.target.shape[0] ** 2
-    return tuple(np.concatenate(a) for a in zip(*parts))
+    parts += [_constraint_nonzeros(g, d, starts[g.positions]) for g in system.groups]
+    row, col, val = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(row, kind="stable")
+    return row[order], col[order], val[order]
 
 
-def _constraint_nonzeros(c: Constraint, d: int
+def _constraint_nonzeros(g: ConstraintGroup, d: int, starts: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzeros of constraint_rows(c, I, I), by index arithmetic, each
-    at its entry of the real view of the D x D matrix.
+    """The nonzeros of constraint_rows(g, I, I), by index arithmetic, each
+    at its entry of the real view of the D x D matrix; the rows of
+    constraint c start at starts[c], and each constraint's nonzeros are
+    contiguous.
 
-    With P = c.index and w its weights, target basis element a pins
-    sum_e w[a,e]^2 |P[a,e]><P[a,e]|: w[a,e]^2 at the diagonal entries
-    P[a, :], real view entry 2 (P D + P).  The pair (a, b) pins
+    With P = the index of one constraint and w its weights, target basis
+    element a pins sum_e w[a,e]^2 |P[a,e]><P[a,e]|: w[a,e]^2 at the diagonal
+    entries P[a, :], real view entry 2 (P D + P).  The pair (a, b) pins
     G = sum_e w[a,e] w[b,e] |P[a,e]><P[b,e]| through the real and imaginary
     parts of the upper-triangle entries (lo, hi) of (P[a,e], P[b,e]), real
     view entries 2 (lo D + hi) and one more.  Where w is nonzero, P[a, :]
@@ -290,18 +411,18 @@ def _constraint_nonzeros(c: Constraint, d: int
     imaginary row negates it for an entry below the diagonal.  Zero weights
     are dropped.
     """
-    p = c.index
-    w = np.ones(p.shape) if c.weight is None else c.weight
-    rc, n_rest = p.shape
+    p = g.index
+    w = np.ones(p.shape) if g.weight is None else g.weight
+    n, rc, n_rest = p.shape
     _, a, b = _coord_index(rc)
-    pa, pb = p[a], p[b]
-    re = 2 * (np.minimum(pa, pb) * d + np.maximum(pa, pb)).ravel()
+    pa, pb = p[:, a], p[:, b]
+    re = 2 * (np.minimum(pa, pb) * d + np.maximum(pa, pb)).reshape(n, -1)
     s2 = math.sqrt(2)
-    pair = s2 * ((w[a] * w[b]).ravel().astype(complex) / s2).real * s2
-    row = np.repeat(np.arange(rc + 2 * a.size), n_rest)
-    col = np.concatenate([2 * (d + 1) * p.ravel(), re, re + 1])
-    val = np.concatenate([(w * w).ravel(), pair,
-                          np.where((pa < pb).ravel(), pair, -pair)])
+    pair = s2 * ((w[:, a] * w[:, b]).reshape(n, -1).astype(complex) / s2).real * s2
+    row = np.repeat(np.arange(rc + 2 * a.size), n_rest) + starts[:, None]
+    col = np.concatenate([2 * (d + 1) * p.reshape(n, -1), re, re + 1], axis=1)
+    val = np.concatenate([(w * w).reshape(n, -1), pair,
+                          np.where((pa < pb).reshape(n, -1), pair, -pair)], axis=1)
     nz = val != 0
     return row[nz], col[nz], val[nz]
 
@@ -343,7 +464,9 @@ def project_affine(system: ConstraintSystem, v: np.ndarray,
 def square_sum_bound(targets: Sequence[np.ndarray],
                      rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """floor(sqrt(sum of squared numerical target ranks)): the paper's bound
-    on the rank of some solution of any satisfiable instance."""
+    on the rank of some solution of any satisfiable instance.  A system's
+    own targets take ConstraintSystem.square_sum_bound, from its kept
+    spectra."""
     return math.isqrt(sum(numerical_rank(t, rank_tol) ** 2 for t in targets))
 
 
@@ -469,7 +592,7 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
                                  "converged in 0 iterations", (), d)
     f = system.affine
     b = f.target
-    k = min(d, square_sum_bound([c.target for c in system.constraints]))
+    k = min(d, system.square_sum_bound())
     rng = np.random.default_rng(0)
     g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
     g /= np.linalg.norm(g)
@@ -603,17 +726,20 @@ def _coords_to_herm(y: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-def _row_factors(c: Constraint, v: np.ndarray, vc: np.ndarray
+def _row_factors(g: ConstraintGroup, v: np.ndarray, vc: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """w with w[a] = w_a, of shape (rc, n_e, r): the rows of v at c.index,
-    scaled by the weights and compressed by vc^dag, and their conjugate
-    transposes w_a^dag, so that G_ab = wh[a] @ w[b]."""
-    u = v[c.index]
-    if c.weight is not None:
-        u = u * c.weight[:, :, None]
-    r, rc = v.shape[1], vc.shape[1]
-    w = (vc.conj().T @ u.reshape(u.shape[0], -1)).reshape(rc, -1, r)
-    return w, w.conj().transpose(0, 2, 1)
+    """w with w[c, a] = w_a of constraint c, of shape (C, rc, n_e, r): the
+    rows of v at the group's index, scaled by the weights and compressed by
+    vc[c]^dag, and their conjugate transposes w_a^dag, so that
+    G_ab = wh[c, a] @ w[c, b]."""
+    u = v[g.index]
+    if g.weight is not None:
+        u = u * g.weight[..., None]
+    n, r, rc = u.shape[0], v.shape[1], vc.shape[-1]
+    # a fixed layout: BLAS rounds a product by its operands' layout
+    vch = np.ascontiguousarray(vc.conj().swapaxes(-1, -2))
+    w = (vch @ u.reshape(n, u.shape[1], -1)).reshape(n, rc, -1, r)
+    return w, w.conj().swapaxes(-1, -2)
 
 
 def _pair_rows(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -624,17 +750,21 @@ def _pair_rows(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             _herm_coords(1j * (g - gh) / math.sqrt(2)))
 
 
-def constraint_rows(c: Constraint, v: np.ndarray, vc: np.ndarray) -> np.ndarray:
-    """Rows of one constraint in the engine's linear systems, shape (rc^2, r^2).
+def constraint_rows(g: ConstraintGroup, v: np.ndarray, vc: np.ndarray) -> np.ndarray:
+    """Rows of every constraint of a group in the engine's linear systems,
+    one batched build, shape (C, rc^2, r^2).
 
-    Row a is the coordinate vector of V^dag M*(F_a) V, the Riesz vector of
-    the scalar equality <F_a, M(H)> = 0 for H = V herm(y) V^dag, where F_a
-    runs over the Hermitian basis of operators on span(vc): vc is the target
-    support basis for the compressed rows, the identity for the full ones.
+    Row a of constraint c is the coordinate vector of V^dag M_c*(F_a) V,
+    the Riesz vector of the scalar equality <F_a, M_c(H)> = 0 for
+    H = V herm(y) V^dag, where F_a runs over the Hermitian basis of
+    operators on span(vc[c]): vc stacks the target support bases for the
+    compressed rows, identities for the full ones.  A single constraint is
+    a group of one.
     """
-    w, wh = _row_factors(c, v, vc)
-    _, a, b = _coord_index(w.shape[0])
-    return np.concatenate([_herm_coords(wh @ w), *_pair_rows(wh[a] @ w[b])])
+    w, wh = _row_factors(g, v, vc)
+    _, a, b = _coord_index(w.shape[1])
+    return np.concatenate([_herm_coords(wh @ w), *_pair_rows(wh[:, a] @ w[:, b])],
+                          axis=-2)
 
 
 def _gram_eig(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -691,7 +821,8 @@ def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
                            rng: np.random.Generator, *,
                            rank_tol: float = DEFAULT_RANK_TOL,
                            deriv_tol: float = DEFAULT_DERIV_TOL,
-                           target_bases: Sequence[np.ndarray] | None = None,
+                           target_bases: Sequence[tuple[ConstraintGroup, np.ndarray]]
+                           | None = None,
                            walk_basis: tuple[np.ndarray, np.ndarray] | None = None
                            ) -> np.ndarray | None:
     """Random unit-norm traceless Hermitian h on span(v), in v's coordinates
@@ -700,8 +831,10 @@ def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
     Parametrizes candidates on span(v), v the state's support basis, and
     builds the linear system they must satisfy: an explicit trace row plus,
     per constraint, the rows of its map compressed onto the target support
-    (constraint_rows; target_bases holds those supports, computed here when
-    not given).  The null space of the rows is the orthogonal complement of
+    (constraint_rows, one build per group and support width; target_bases
+    holds those supports as ConstraintSystem.target_bases gives them, and
+    comes from the system's kept target spectra at rank_tol when not
+    given).  The null space of the rows is the orthogonal complement of
     their row space, which comes from one eigendecomposition of the m x m
     Gram matrix (_row_space); a random seed is projected onto it.
     walk_basis = (v0, n0), a null basis of the rows on a span(v0) that holds
@@ -717,12 +850,11 @@ def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
     r = v.shape[1]
     if r <= 1:
         return None
-    if target_bases is None:
-        target_bases = [support_basis(c.target, rank_tol)[0]
-                        for c in system.constraints]
     if walk_basis is not None:
         q, null = _restricted_null_space(*walk_basis, v), True
     else:
+        if target_bases is None:
+            target_bases = system.target_bases(rank_tol)
         q, null = _row_space(_affine_rows(system, v, target_bases)), False
     if (q.shape[1] if null else r * r - q.shape[1]) == 0:
         return None
@@ -741,8 +873,8 @@ def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
         x = v @ h @ v.conj().T
         if abs(np.trace(x)) > deriv_tol:
             return False
-        return all(np.linalg.norm(c.apply(x)) <= deriv_tol
-                   for c in system.constraints)
+        return all(bool((_frobenius(_apply_maps(x, g.index, g.weight)) <= deriv_tol).all())
+                   for g in system.groups)
 
     y0 = rng.standard_normal(q.shape[1] if null else r * r)
     h = attempt(q, null, y0)
@@ -867,11 +999,11 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *,
     repair_kwargs = dict(inner_tol=repair_tol / 10, hard_tol=repair_tol,
                          rank_tol=rank_tol)
     steps: list[ReductionStep] = []
-    # targets are fixed, so their supports are computed once per reduction
-    target_bases = [support_basis(c.target, rank_tol)[0] for c in system.constraints]
+    # targets are fixed, so their supports are taken once per reduction
+    target_bases = system.target_bases(rank_tol)
     # the descent rows: the trace row and rank(T_c)^2 per constraint
-    m = 1 + sum(vc.shape[1] ** 2 for vc in target_bases)
-    bound = square_sum_bound([c.target for c in system.constraints], rank_tol)
+    m = 1 + sum(vc.shape[0] * vc.shape[2] ** 2 for _, vc in target_bases)
+    bound = system.square_sum_bound(rank_tol)
     walk_basis, p = None, np.empty(0)  # rank 0 until the entry truncates
 
     def record(exhausted: bool = False) -> ReductionTrace:

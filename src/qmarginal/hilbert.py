@@ -19,7 +19,7 @@ from itertools import combinations, combinations_with_replacement, product
 import numpy as np
 
 from .numerics import (DEFAULT_RANK_TOL, as_hermitian, eigenvalue_scale,
-                       hermitian_part)
+                       hermitian_part, support_mask)
 
 
 class PauliExclusionError(ValueError):
@@ -112,7 +112,7 @@ def support_projector(rho, rank_tol: float = DEFAULT_RANK_TOL,
     scale = eigenvalue_scale(w)
     if w.size and w.min() < -psd_tol * scale:
         raise ValueError(f"state is not positive semidefinite: min eigenvalue {w.min():.3e}")
-    cols = v[:, w > rank_tol * scale]
+    cols = v[:, support_mask(w, rank_tol)]
     return hermitian_part(cols @ cols.conj().T)
 
 
@@ -123,8 +123,7 @@ def support_basis(rho, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, 
     """
     rho = hermitian_part(rho)
     w, v = np.linalg.eigh(rho)
-    scale = eigenvalue_scale(w)
-    sel = w > rank_tol * scale
+    sel = support_mask(w, rank_tol)
     return v[:, sel], w[sel]
 
 

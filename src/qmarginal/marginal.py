@@ -102,9 +102,9 @@ def theorem1_bound(instance: ConsistencyInstance | SectorInstance,
     Whenever the instance is satisfiable at all, it is satisfiable by a state
     of at most this rank; 0 for the degenerate empty instance.  A sector
     instance has one constraint, so its bound is the target rank.  It is the
-    factor width of find_feasible (_engine.square_sum_bound).
+    factor width of find_feasible (ConstraintSystem.square_sum_bound).
     """
-    return _engine.square_sum_bound(instance.targets, rank_tol)
+    return instance.engine_system().square_sum_bound(rank_tol)
 
 
 def barvinok_bound(instance: ConsistencyInstance | SectorInstance) -> int:

@@ -14,9 +14,11 @@ TARGET_TRACE_TOL = 1e-9
 TARGET_PSD_TOL = 1e-8
 
 
-def _as_square(a) -> np.ndarray:
+def _as_square(a, stacked: bool = False) -> np.ndarray:
+    """a as complex, checked square and finite; stacked admits square
+    matrices stacked along leading axes."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or (a.ndim > 2 and not stacked) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
@@ -24,9 +26,10 @@ def _as_square(a) -> np.ndarray:
 
 
 def hermitian_part(a) -> np.ndarray:
-    """(A + A^dagger) / 2 without any symmetry check."""
-    a = _as_square(a)
-    return (a + a.conj().T) / 2
+    """(A + A^dagger) / 2 without any symmetry check, of one matrix or of
+    every matrix stacked along leading axes."""
+    a = _as_square(a, stacked=True)
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def as_hermitian(a, herm_tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
@@ -42,10 +45,26 @@ def as_hermitian(a, herm_tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def eigenvalue_scale(w: np.ndarray) -> float:
-    """max(1, max|w|), or 1 when w is empty: the scale that the relative
-    eigenvalue tolerances of this package multiply."""
-    return max(1.0, float(np.abs(w).max())) if w.size else 1.0
+def eigenvalue_scale(w: np.ndarray) -> np.ndarray:
+    """max(1, max|w|) along the last axis, 1 for an empty spectrum, kept as
+    a trailing axis of length 1 so that it broadcasts against w (one
+    spectrum or several stacked): the scale that the relative eigenvalue
+    tolerances of this package multiply."""
+    return np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True, initial=0.0))
+
+
+def rank_counts(w: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """The rank rule on eigenvalues w, one spectrum or several stacked: the
+    count along the last axis of |w| > rank_tol * eigenvalue_scale(w)."""
+    if rank_tol < 0:
+        raise ValueError("rank_tol must be non-negative")
+    return np.count_nonzero(np.abs(w) > rank_tol * eigenvalue_scale(w), axis=-1)
+
+
+def support_mask(w: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """The support rule on eigenvalues w, one spectrum or several stacked:
+    w > rank_tol * eigenvalue_scale(w), entry by entry."""
+    return w > rank_tol * eigenvalue_scale(w)
 
 
 def check_target(a) -> np.ndarray:
@@ -78,12 +97,9 @@ def eig_hermitian(a, herm_tol: float = DEFAULT_HERM_TOL) -> tuple[np.ndarray, np
 
 
 def numerical_rank(a, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count eigenvalues of Hermitian A with |w| > rank_tol * max(1, max|w|)."""
-    if rank_tol < 0:
-        raise ValueError("rank_tol must be non-negative")
-    a = as_hermitian(a)
-    w = np.linalg.eigvalsh(a)
-    return int(np.count_nonzero(np.abs(w) > rank_tol * eigenvalue_scale(w)))
+    """Count eigenvalues of Hermitian A with |w| > rank_tol * max(1, max|w|)
+    (rank_counts)."""
+    return int(rank_counts(np.linalg.eigvalsh(as_hermitian(a)), rank_tol))
 
 
 def psd_project(a, herm_tol: float = DEFAULT_HERM_TOL) -> np.ndarray:

@@ -74,17 +74,25 @@ def reference_rows(adjoint, v, vc):
     return np.array(rows)
 
 
+def full_bases(system):
+    """Identity target bases for every group: the full rows."""
+    return [(g, np.broadcast_to(np.eye(g.target.shape[-1]), g.target.shape))
+            for g in system.groups]
+
+
 def assert_rows_match(instance, rho):
+    """Every group's batched rows, compressed and full, against one adjoint
+    call per target basis element of each of its constraints."""
     system = instance.engine_system()
     v, _ = support_basis(rho)
     assert 1 < v.shape[1] < system.dim
-    for c, (_, adjoint) in zip(system.constraints, reference_maps(instance)):
-        compressed, _ = support_basis(c.target)
-        full = np.eye(c.target.shape[0], dtype=complex)
-        for vc in (compressed, full):
-            got = _engine.constraint_rows(c, v, vc)
-            assert got.shape == (vc.shape[1] ** 2, v.shape[1] ** 2)
-            assert np.abs(got - reference_rows(adjoint, v, vc)).max() <= 1e-12
+    adjoints = [adjoint for _, adjoint in reference_maps(instance)]
+    for bases in (system.target_bases(), full_bases(system)):
+        for g, vc in bases:
+            got = _engine.constraint_rows(g, v, vc)
+            assert got.shape == (len(g.positions), vc.shape[-1] ** 2, v.shape[1] ** 2)
+            for p, rows, basis in zip(g.positions, got, vc):
+                assert np.abs(rows - reference_rows(adjoints[p], v, basis)).max() <= 1e-12
 
 
 def low_rank_state(rng, d, r):
@@ -151,8 +159,8 @@ def test_row_space_projector_matches_svd_with_duplicate_rows():
     Gram projector must still equal the SVD one and find the same rank."""
     inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 6, seed=3)
     v, _ = support_basis(rho)
-    first, second = (_engine.constraint_rows(c, v, support_basis(c.target)[0])
-                     for c in inst.engine_system().constraints)
+    (group, bases), = inst.engine_system().target_bases()
+    first, second = _engine.constraint_rows(group, v, bases)
     a = np.vstack([first, second, first])
     q = _engine._row_space(a)
     _, s, vt = np.linalg.svd(a)
@@ -169,8 +177,8 @@ def test_null_space_matches_svd_with_duplicate_rows():
     complements the row space of _row_space."""
     inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 6, seed=3)
     v, _ = support_basis(rho)
-    first, second = (_engine.constraint_rows(c, v, support_basis(c.target)[0])
-                     for c in inst.engine_system().constraints)
+    (group, bases), = inst.engine_system().target_bases()
+    first, second = _engine.constraint_rows(group, v, bases)
     a = np.vstack([first, second, first])
     assert a.shape[0] > a.shape[1]
     n = _engine._null_space(a)
@@ -196,7 +204,7 @@ def test_restricted_null_space_equals_a_fresh_build():
     channel, _ = channel_pair()
     for instance, r0 in ((inst, 12), (sector, 17), (channel, 12)):
         system = instance.engine_system()
-        bases = [support_basis(c.target)[0] for c in system.constraints]
+        bases = system.target_bases()
         v0 = random_isometry(rng, system.dim, r0)
         n0 = _engine._null_space(_engine._affine_rows(system, v0, bases))
         for drop in (1, 2):
@@ -254,7 +262,7 @@ def test_full_rows_retry_when_compressed_rows_miss_an_image():
     rows blind to it; the posts check fails and the full rows take over."""
     inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 8, seed=6)
     system = inst.engine_system()
-    narrow = [support_basis(c.target)[0][:, :1] for c in system.constraints]
+    narrow = [(g, vc[..., :1]) for g, vc in system.target_bases()]
     v = support_basis(rho)[0]
     h = _engine.descent_direction_core(v, system, np.random.default_rng(0),
                                        target_bases=narrow)
@@ -272,8 +280,8 @@ def test_stale_walk_basis_is_caught_by_the_posts_check():
                                        32, seed=0)
     system = inst.engine_system()
     v, _ = support_basis(find_feasible(inst).state)
-    bases = [support_basis(c.target)[0] for c in system.constraints]
-    assert v.shape[1] ** 2 <= 1 + sum(b.shape[1] ** 2 for b in bases)
+    bases = system.target_bases()
+    assert v.shape[1] ** 2 <= 1 + sum(vc.shape[0] * vc.shape[2] ** 2 for _, vc in bases)
     rng = np.random.default_rng(61)
     other = random_isometry(rng, system.dim, v.shape[1])
     stale = other, _engine._null_space(_engine._affine_rows(system, other, bases))
@@ -494,16 +502,17 @@ def test_factor_build_forms_no_dense_rows():
 
 
 def map_calls(monkeypatch, run):
-    """Calls of the engine's constraint maps during run()."""
+    """Calls of the engine's constraint maps, the one gather that every
+    group and Constraint.apply go through, during run()."""
     counts = {"apply": 0}
-    apply = _engine.Constraint.apply
+    apply = _engine._apply_maps
 
     def spy(*args, **kwargs):
         counts["apply"] += 1
         return apply(*args, **kwargs)
 
     with monkeypatch.context() as m:
-        m.setattr(_engine.Constraint, "apply", spy)
+        m.setattr(_engine, "_apply_maps", spy)
         run()
     return counts
 
@@ -938,23 +947,25 @@ def test_reduction_factors_the_state_once_per_step(monkeypatch):
 def test_walk_builds_the_compressed_rows_once(monkeypatch):
     """From find_feasible's state on a full-rank 5-qubit all-pairs instance,
     the walk builds its null basis once and restricts it at every later
-    step: constraint_rows runs with a target basis once per constraint, not
-    once per step."""
+    step: the ten pair constraints are one group with full-rank targets, so
+    constraint_rows runs with target bases once per walk, for all ten at
+    once, not once per step or per constraint."""
     inst, _ = random_feasible_instance((2,) * 5, list(combinations(range(5), 2)),
                                        32, seed=0)
     found = find_feasible(inst)
     compressed = []
     rows = _engine.constraint_rows
 
-    def spy(c, v, vc):
-        if not np.array_equal(vc, np.eye(vc.shape[0])):
-            compressed.append(c)
-        return rows(c, v, vc)
+    def spy(g, v, vc):
+        if not (vc.shape[-1] == vc.shape[-2] and (vc == np.eye(vc.shape[-1])).all()):
+            compressed.append(g)
+        return rows(g, v, vc)
 
     monkeypatch.setattr(_engine, "constraint_rows", spy)
     _, trace = reduce_rank(found.state, inst)
     assert len(trace.steps) >= 2 and trace.null_space_exhausted
-    assert len(compressed) == len(inst.constraints)
+    assert len(inst.engine_system().groups) == len(compressed) == 1
+    assert compressed[0].positions.tolist() == list(range(len(inst.constraints)))
 
 
 def test_walk_above_the_rows_decomposes_no_larger_gram(monkeypatch):
