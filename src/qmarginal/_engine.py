@@ -38,9 +38,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .hilbert import support_basis
-from .numerics import hermitian_part, numerical_rank, rank_counts, support_mask
-# unused here; kept as a module attribute because bench/spans.py wraps it
-from .numerics import psd_project  # noqa: F401
+from .numerics import hermitian_part, rank_counts, support_mask
+# unused here; kept as module attributes because bench/spans.py wraps them
+from .numerics import numerical_rank, psd_project  # noqa: F401
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 5000
@@ -222,7 +222,9 @@ class ConstraintSystem:
         return out
 
     def square_sum_bound(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-        """square_sum_bound of the targets, from the groups' kept spectra."""
+        """floor(sqrt(sum of squared numerical target ranks)), from the
+        groups' kept spectra: the paper's bound on the rank of some solution
+        of any satisfiable instance."""
         return math.isqrt(sum(int((rank_counts(g.target_eigvals, rank_tol) ** 2).sum())
                               for g in self.groups))
 
@@ -243,16 +245,24 @@ class ConstraintSystem:
         return out
 
     @cached_property
-    def affine(self) -> AffineFactor:
-        """The full-space affine factor, built on first use and then kept
-        with the system (see solve_feasible and project_affine).  Its
-        nonzeros are those of the dense rows _affine_rows(self, I), in the
-        same order, each moved onto its entry of the real view and scaled
-        with it, without forming the rows."""
+    def rhs(self) -> tuple[np.ndarray, np.ndarray]:
+        """b, the right-hand side of A coords(y) = b (the trace row's 1,
+        then every target's coordinates, in order), and the first rows of
+        its trace block and of each constraint's block.  Kept apart from
+        affine, so the repair's projection reads b without the nonzeros."""
         blocks = [[1.0]] + self.in_order((g, _herm_coords(g.target)) for g in self.groups)
+        return (np.concatenate(blocks),
+                np.cumsum([0] + [len(b) for b in blocks[:-1]]))
+
+    @cached_property
+    def affine(self) -> AffineFactor:
+        """The full-space affine factor of the solver, built on first use
+        and then kept with the system.  Its nonzeros are those of the dense
+        rows _affine_rows(self, I), in the same order, each moved onto its
+        entry of the real view and scaled with it, without forming the
+        rows; its target and offsets are rhs."""
         row, col, val = _affine_nonzeros(self)
-        return AffineFactor(self.dim, row, col, val, np.concatenate(blocks),
-                            np.cumsum([0] + [len(b) for b in blocks[:-1]]))
+        return AffineFactor(self.dim, row, col, val, *self.rhs)
 
 
 @dataclass(frozen=True)
@@ -444,7 +454,7 @@ def project_affine(system: ConstraintSystem, v: np.ndarray,
     """
     rows = _affine_rows(system, v)
     lam, u = _gram_eig(rows @ rows.T)
-    res = system.affine.target - rows @ _herm_coords(m)
+    res = system.rhs[0] - rows @ _herm_coords(m)
     return m + _coords_to_herm(rows.T @ (u @ ((u.T @ res) / lam)), v.shape[1])
 
 
@@ -460,15 +470,6 @@ def project_affine(system: ConstraintSystem, v: np.ndarray,
 # metric is (G^dag G + ||r|| I)^-1 on the right; without it, convergence to a
 # solution of rank below k is sublinear (spare columns shrink like f^(1/4)).
 # ---------------------------------------------------------------------------
-
-def square_sum_bound(targets: Sequence[np.ndarray],
-                     rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """floor(sqrt(sum of squared numerical target ranks)): the paper's bound
-    on the rank of some solution of any satisfiable instance.  A system's
-    own targets take ConstraintSystem.square_sum_bound, from its kept
-    spectra."""
-    return math.isqrt(sum(numerical_rank(t, rank_tol) ** 2 for t in targets))
-
 
 def _remember(pairs: np.ndarray, mats: np.ndarray, m: int,
               s: np.ndarray, y: np.ndarray) -> int:

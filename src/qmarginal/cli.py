@@ -10,7 +10,6 @@ import argparse
 import sys
 from functools import lru_cache
 
-from . import _engine
 from ._engine import (DEFAULT_MAX_ITERS, DEFAULT_RANK_TOL, DEFAULT_TOL,
                       ReductionError)
 from .channels import (ChannelFeasibilityError, kraus_count_bounds,
@@ -23,12 +22,10 @@ from .documents import (DocumentError, channel_from_doc,
                         state_from_doc, state_to_doc)
 from .gallery import (maximally_mixed_klocal_instance,
                       random_feasible_instance, ring_graph_state)
-from .marginal import barvinok_bound, check_consistency, theorem1_bound
-# unused here; kept as module attributes because bench/spans.py wraps them
-from .marginal import find_feasible  # noqa: F401
+from .marginal import (barvinok_bound, check_consistency, find_feasible,
+                       theorem1_bound)
 from .numerics import numerical_rank
-# unused here; kept as module attributes because bench/spans.py wraps them
-from .reduction import reduce_rank  # noqa: F401
+from .reduction import reduce_rank
 from .sector import bosonic_sigma_p
 # unused here; kept as module attributes because bench/spans.py wraps them
 from .sector import find_feasible_sector, reduce_rank_sector  # noqa: F401
@@ -56,9 +53,9 @@ def _emit(doc: dict, out: str | None, summary: list[str]) -> None:
             print(line)
 
 
-def _report_lines(system, report) -> list[str]:
+def _report_lines(instance, report) -> list[str]:
     lines = [f"constraint ({c.label}): residual {res:.3e}"
-             for c, res in zip(system.constraints, report.residuals)]
+             for c, res in zip(instance.system.constraints, report.residuals)]
     lines.append(f"psd violation: {report.psd_violation:.3e}")
     lines.append(f"trace error: {report.trace_error:.3e}")
     return lines
@@ -68,7 +65,7 @@ def cmd_check(args) -> int:
     instance = instance_from_doc(load_document(args.instance))
     state = state_from_doc(load_document(args.state))
     report = check_consistency(instance, state, args.tol)
-    for line in _report_lines(instance.engine_system(), report):
+    for line in _report_lines(instance, report):
         print(line)
     if report.is_consistent(args.tol):
         print(f"consistent within tol {args.tol:.1e}")
@@ -87,27 +84,27 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    """Find, reduce and check on one engine system, qudit or sector alike,
-    so its groups and target spectra are built once."""
+    """Find, reduce and check a qudit or sector instance with the library
+    calls, which share the instance's engine system, so its groups and
+    target spectra are built once."""
     instance = instance_from_doc(load_document(args.instance))
-    system = instance.engine_system()
-    found = _engine.solve_feasible(system, tol=args.tol, max_iters=args.max_iters)
+    found = find_feasible(instance, tol=args.tol, max_iters=args.max_iters)
     if not found.converged:
         _fail(found.message)
-        for line in _report_lines(system, found.report):
+        for line in _report_lines(instance, found.report):
             _fail("best iterate " + line)
         return 1
     state = found.state
     trace = None
     if not args.no_reduce:
         try:
-            state, trace = _engine.reduce_core(state, system, rank_tol=args.rank_tol,
-                                               seed=args.seed)
+            state, trace = reduce_rank(state, instance, rank_tol=args.rank_tol,
+                                       seed=args.seed)
         except ReductionError as err:
             _fail(f"rank reduction aborted: {err}")
             return 1
-    report = _engine.residual_report(system, state)
-    t, b = system.square_sum_bound(args.rank_tol), barvinok_bound(instance)
+    report = check_consistency(instance, state, args.tol)
+    t, b = theorem1_bound(instance, args.rank_tol), barvinok_bound(instance)
     rank = numerical_rank(state, args.rank_tol)
     bounds = {"theorem1": t, "barvinok": b, "achieved": rank}
     options = {"tol": args.tol, "rank_tol": args.rank_tol,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -51,7 +52,12 @@ class MarginalConstraint:
 
 @dataclass
 class ConsistencyInstance:
-    """Subsystem dimensions plus the marginal constraints to satisfy."""
+    """Subsystem dimensions plus the marginal constraints to satisfy.
+
+    An instance is a value once constructed: its engine system is built on
+    first use and shared by every call on the instance, so changing a
+    target in place is not supported.
+    """
 
     dims: tuple[int, ...]
     constraints: tuple[MarginalConstraint, ...] = field(default_factory=tuple)
@@ -75,7 +81,8 @@ class ConsistencyInstance:
     def targets(self) -> tuple[np.ndarray, ...]:
         return tuple(c.target for c in self.constraints)
 
-    def engine_system(self) -> _engine.ConstraintSystem:
+    @cached_property
+    def system(self) -> _engine.ConstraintSystem:
         """The instance as engine constraints: one partial trace each."""
         return _engine.ConstraintSystem(self.dim, tuple(
             _engine.Constraint(c.target, partial_trace_index(self.dims, c.subsystems),
@@ -88,7 +95,7 @@ def check_consistency(instance: ConsistencyInstance | SectorInstance,
     """Residuals of rho against the instance; consistent iff all are <= tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    system = instance.engine_system()
+    system = instance.system
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (system.dim, system.dim):
         raise ValueError(f"state shape {rho.shape} does not match dimension {system.dim}")
@@ -102,9 +109,10 @@ def theorem1_bound(instance: ConsistencyInstance | SectorInstance,
     Whenever the instance is satisfiable at all, it is satisfiable by a state
     of at most this rank; 0 for the degenerate empty instance.  A sector
     instance has one constraint, so its bound is the target rank.  It is the
-    factor width of find_feasible (ConstraintSystem.square_sum_bound).
+    factor width of find_feasible, read from the spectra the instance's
+    system keeps (ConstraintSystem.square_sum_bound).
     """
-    return instance.engine_system().square_sum_bound(rank_tol)
+    return instance.system.square_sum_bound(rank_tol)
 
 
 def barvinok_bound(instance: ConsistencyInstance | SectorInstance) -> int:
@@ -126,7 +134,8 @@ def find_feasible(instance: ConsistencyInstance | SectorInstance, *,
     dimension), by L-BFGS from a fixed-seed start, so the run is
     deterministic and the state's rank is at most that bound.  A
     non-converged result carries the best iterate and a plateau or
-    iteration-budget message; see _engine.solve_feasible.
+    iteration-budget message; see _engine.solve_feasible.  The run uses the
+    instance's system, so a reduce_rank of the same instance reuses its
+    groups and target spectra.
     """
-    return _engine.solve_feasible(instance.engine_system(), tol=tol,
-                                  max_iters=max_iters)
+    return _engine.solve_feasible(instance.system, tol=tol, max_iters=max_iters)

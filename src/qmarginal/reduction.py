@@ -36,7 +36,7 @@ def descent_direction(rho: np.ndarray, instance: ConsistencyInstance, *,
     """
     rng = np.random.default_rng(seed)
     v = support_basis(rho, rank_tol)[0]
-    h = _engine.descent_direction_core(v, instance.engine_system(), rng,
+    h = _engine.descent_direction_core(v, instance.system, rng,
                                        rank_tol=rank_tol, deriv_tol=deriv_tol)
     return None if h is None else hermitian_part(v @ h @ v.conj().T)
 
@@ -74,6 +74,6 @@ def reduce_rank(rho0: np.ndarray, instance: ConsistencyInstance | SectorInstance
     ReductionError (with a partial trace attached) if a repair fails.
     """
     return _engine.reduce_core(
-        np.asarray(rho0, dtype=complex), instance.engine_system(),
+        np.asarray(rho0, dtype=complex), instance.system,
         rank_tol=rank_tol, repair_tol=repair_tol, seed=seed,
         max_steps=max_steps)

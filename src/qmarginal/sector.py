@@ -5,22 +5,26 @@ N-particle sector of (C^d)^{tensor N}, expressed in the occupation basis of
 hilbert.sector_isometry.  The single constraint of a sector instance pins
 the k-particle reduced state; the engine sees it as an index map over the
 occupations (hilbert.sector_marginal_index), so no solve, reduction or
-check builds the d^N-row isometry.
+check builds the d^N-row isometry.  A sector instance goes through the same
+find_feasible, reduce_rank and check_consistency as a qudit instance;
+find_feasible_sector and reduce_rank_sector are other names for the first
+two.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import _engine
-from ._engine import (DEFAULT_MAX_ITERS, DEFAULT_RANK_TOL, DEFAULT_REPAIR_TOL,
-                      DEFAULT_TOL, FeasibilityResult, ReductionTrace)
 from .hilbert import sector_marginal_index, sector_size
 # unused here; kept as module attributes because bench/spans.py wraps them
 from .hilbert import embed_with_identity, partial_trace, sector_isometry  # noqa: F401
+from .marginal import find_feasible
 from .numerics import check_target
+from .reduction import reduce_rank
 
 __all__ = ["SectorInstance", "reduce_rank_sector", "find_feasible_sector",
            "bosonic_sigma_p", "bosonic_maximally_mixed_2",
@@ -29,7 +33,8 @@ __all__ = ["SectorInstance", "reduce_rank_sector", "find_feasible_sector",
 
 @dataclass
 class SectorInstance:
-    """Prescribed k-particle reduced state inside an N-particle sector."""
+    """Prescribed k-particle reduced state inside an N-particle sector; a
+    value once constructed, like a ConsistencyInstance."""
 
     statistics: str
     particles: int
@@ -61,7 +66,8 @@ class SectorInstance:
     def targets(self) -> tuple[np.ndarray, ...]:
         return (self.target,)
 
-    def engine_system(self) -> _engine.ConstraintSystem:
+    @cached_property
+    def system(self) -> _engine.ConstraintSystem:
         """The k-particle marginal map, as the index map over occupations of
         hilbert.sector_marginal_index."""
         k = self.marginal_particles
@@ -72,28 +78,8 @@ class SectorInstance:
         return _engine.ConstraintSystem(self.sector_dim, (con,))
 
 
-def find_feasible_sector(instance: SectorInstance, *, tol: float = DEFAULT_TOL,
-                         max_iters: int = DEFAULT_MAX_ITERS) -> FeasibilityResult:
-    """Factored least-squares search inside the sector, at a factor width of
-    the target's rank; the same run as find_feasible(instance)."""
-    return _engine.solve_feasible(instance.engine_system(), tol=tol,
-                                  max_iters=max_iters)
-
-
-def reduce_rank_sector(sigma0: np.ndarray, instance: SectorInstance, *,
-                       rank_tol: float = DEFAULT_RANK_TOL,
-                       repair_tol: float = DEFAULT_REPAIR_TOL,
-                       seed: int = 0,
-                       max_steps: int | None = None) -> tuple[np.ndarray, ReductionTrace]:
-    """Rank reduction with the marginal map replaced by the sector version.
-
-    The bound is the numerical rank of the target (the single-constraint
-    value of the general square-sum bound).
-    """
-    return _engine.reduce_core(
-        np.asarray(sigma0, dtype=complex), instance.engine_system(),
-        rank_tol=rank_tol, repair_tol=repair_tol, seed=seed,
-        max_steps=max_steps)
+find_feasible_sector = find_feasible
+reduce_rank_sector = reduce_rank
 
 
 def admissible_sigma_range(particles: int) -> tuple[int, int]:

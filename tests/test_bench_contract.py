@@ -2,6 +2,7 @@
 module attributes their callers resolve.  Every name it rebinds must exist,
 install() must wrap each one and restore the original afterwards, and the
 span readers must still understand the wrapped signatures."""
+import ast
 import os
 import sys
 from itertools import combinations
@@ -20,6 +21,30 @@ def test_every_wrapped_name_resolves():
     missing = [f"{mod.__name__}.{attr}" for mod, attr, _, _ in spans.WRAPS
                if not hasattr(mod, attr)]
     assert missing == []
+
+
+def test_every_unused_import_is_a_wrapped_name():
+    """A package import marked `# noqa: F401` is kept only for the tracer to
+    rebind, so each name it binds must be a (module, attribute) in WRAPS."""
+    package = os.path.dirname(spans.cli.__file__)
+    wrapped = {(mod.__name__, attr) for mod, attr, _, _ in spans.WRAPS}
+    stale = []
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(package, filename), encoding="utf-8") as fh:
+            source = fh.read()
+        lines = source.splitlines()
+        module = "qmarginal." + filename[:-3]
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if not any("# noqa: F401" in line
+                       for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            stale += [(module, alias.asname or alias.name) for alias in node.names
+                      if (module, alias.asname or alias.name) not in wrapped]
+    assert stale == []
 
 
 def test_install_wraps_then_restores_the_originals():

@@ -1,20 +1,24 @@
 """Command-line behavior: exit codes, printed summaries, emitted documents."""
 import json
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from qmarginal.channels import choi_from_kraus, sub_channel, LocalChannel, ChannelInstance
+from qmarginal.channels import (choi_from_kraus, reduce_kraus_rank, sub_channel,
+                                LocalChannel, ChannelInstance)
 from qmarginal import _engine, cli
 from qmarginal.cli import build_parser, main
 from qmarginal.documents import (channel_instance_to_doc, channel_to_doc,
                                  dump_document, instance_from_doc,
                                  instance_to_doc, load_document, state_to_doc)
-from qmarginal.gallery import maximally_mixed_klocal_instance, ring_graph_state
+from qmarginal.gallery import (maximally_mixed_klocal_instance,
+                               random_feasible_instance, ring_graph_state)
 from qmarginal.marginal import (ConsistencyInstance, MarginalConstraint,
                                 find_feasible)
 from qmarginal.numerics import numerical_rank
+from qmarginal.reduction import reduce_rank
 
 
 def write_instance(path, instance):
@@ -192,6 +196,42 @@ def test_sector_bounds_build_no_isometry(tmp_path, capsys, monkeypatch):
     assert main(["bounds", write_instance(tmp_path / "f.json", inst)]) == 0
     assert capsys.readouterr().out.strip() == "theorem1: 28, barvinok: 39"
     assert calls == []
+
+
+def test_each_entry_point_builds_one_system(tmp_path, monkeypatch):
+    """find_feasible then reduce_rank, reduce_kraus_rank, `solve` and `check`
+    each build one engine system: its groups and target spectra once per
+    instance, counted where a system stacks its groups."""
+    builds = []
+    groups = _engine.ConstraintSystem.groups
+
+    def counted(system):
+        builds.append(system)
+        return groups.func(system)
+
+    spy = cached_property(counted)
+    spy.__set_name__(_engine.ConstraintSystem, "groups")
+    monkeypatch.setattr(_engine.ConstraintSystem, "groups", spy)
+
+    def count(run) -> int:
+        builds.clear()
+        run()
+        return len(builds)
+
+    inst, witness = random_feasible_instance((2,) * 3, list(combinations(range(3), 2)),
+                                             8, seed=3)
+    inst_path = write_instance(tmp_path / "inst.json", inst)
+    state_path = str(tmp_path / "witness.json")
+    dump_document(state_to_doc(witness, inst.dims), state_path)
+
+    def library():
+        fresh = ConsistencyInstance(inst.dims, inst.constraints)
+        reduce_rank(find_feasible(fresh).state, fresh)
+
+    assert count(library) == 1
+    assert count(lambda: reduce_kraus_rank(two_qubit_channel_instance())) == 1
+    assert count(lambda: main(["solve", inst_path, "-o", str(tmp_path / "o.json")])) == 1
+    assert count(lambda: main(["check", inst_path, state_path])) == 1
 
 
 def test_check_sector_solution(tmp_path, capsys):

@@ -83,7 +83,7 @@ def full_bases(system):
 def assert_rows_match(instance, rho):
     """Every group's batched rows, compressed and full, against one adjoint
     call per target basis element of each of its constraints."""
-    system = instance.engine_system()
+    system = instance.system
     v, _ = support_basis(rho)
     assert 1 < v.shape[1] < system.dim
     adjoints = [adjoint for _, adjoint in reference_maps(instance)]
@@ -107,7 +107,7 @@ def sector_pair(rng, statistics, n, d, k, rank):
     dk = sector_size(statistics, k, d)
     probe = SectorInstance(statistics, n, d, k, np.eye(dk) / dk)
     sigma = low_rank_state(rng, probe.sector_dim, rank)
-    target = probe.engine_system().constraints[0].apply(sigma)
+    target = probe.system.constraints[0].apply(sigma)
     return SectorInstance(statistics, n, d, k, target), sigma
 
 
@@ -159,7 +159,7 @@ def test_row_space_projector_matches_svd_with_duplicate_rows():
     Gram projector must still equal the SVD one and find the same rank."""
     inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 6, seed=3)
     v, _ = support_basis(rho)
-    (group, bases), = inst.engine_system().target_bases()
+    (group, bases), = inst.system.target_bases()
     first, second = _engine.constraint_rows(group, v, bases)
     a = np.vstack([first, second, first])
     q = _engine._row_space(a)
@@ -177,7 +177,7 @@ def test_null_space_matches_svd_with_duplicate_rows():
     complements the row space of _row_space."""
     inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 6, seed=3)
     v, _ = support_basis(rho)
-    (group, bases), = inst.engine_system().target_bases()
+    (group, bases), = inst.system.target_bases()
     first, second = _engine.constraint_rows(group, v, bases)
     a = np.vstack([first, second, first])
     assert a.shape[0] > a.shape[1]
@@ -203,7 +203,7 @@ def test_restricted_null_space_equals_a_fresh_build():
     sector, _ = sector_pair(rng, "fermionic", 3, 6, 2, 20)
     channel, _ = channel_pair()
     for instance, r0 in ((inst, 12), (sector, 17), (channel, 12)):
-        system = instance.engine_system()
+        system = instance.system
         bases = system.target_bases()
         v0 = random_isometry(rng, system.dim, r0)
         n0 = _engine._null_space(_engine._affine_rows(system, v0, bases))
@@ -224,7 +224,7 @@ def lift(v, h):
 def test_duplicated_constraint_still_gives_a_direction():
     inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 6, seed=4)
     twice = ConsistencyInstance(inst.dims, inst.constraints + inst.constraints[:1])
-    system = twice.engine_system()
+    system = twice.system
     v = support_basis(rho)[0]
     h = _engine.descent_direction_core(v, system, np.random.default_rng(0))
     assert h is not None and h.shape == (6, 6)
@@ -245,23 +245,23 @@ def assert_none_without_draws(rho, system):
 def test_empty_null_space_pure_state():
     rng = np.random.default_rng(2)
     inst, sigma = sector_pair(rng, "fermionic", 3, 5, 2, 1)
-    assert_none_without_draws(sigma, inst.engine_system())
+    assert_none_without_draws(sigma, inst.system)
 
 
 def test_empty_null_space_fully_pinned():
     """A constraint on every factor pins the whole state: on qubits, and as
     a sector marginal with k == N."""
     inst, rho = random_feasible_instance((2, 2), [(0, 1)], 3, seed=1)
-    assert_none_without_draws(rho, inst.engine_system())
+    assert_none_without_draws(rho, inst.system)
     inst, sigma = sector_pair(np.random.default_rng(3), "bosonic", 3, 3, 3, 4)
-    assert_none_without_draws(sigma, inst.engine_system())
+    assert_none_without_draws(sigma, inst.system)
 
 
 def test_full_rows_retry_when_compressed_rows_miss_an_image():
     """Target bases that miss part of a target's support leave the compressed
     rows blind to it; the posts check fails and the full rows take over."""
     inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 8, seed=6)
-    system = inst.engine_system()
+    system = inst.system
     narrow = [(g, vc[..., :1]) for g, vc in system.target_bases()]
     v = support_basis(rho)[0]
     h = _engine.descent_direction_core(v, system, np.random.default_rng(0),
@@ -278,7 +278,7 @@ def test_stale_walk_basis_is_caught_by_the_posts_check():
     in the support's coordinates."""
     inst, _ = random_feasible_instance((2,) * 5, list(combinations(range(5), 2)),
                                        32, seed=0)
-    system = inst.engine_system()
+    system = inst.system
     v, _ = support_basis(find_feasible(inst).state)
     bases = system.target_bases()
     assert v.shape[1] ** 2 <= 1 + sum(vc.shape[0] * vc.shape[2] ** 2 for _, vc in bases)
@@ -338,7 +338,7 @@ def test_projection_lands_on_the_slice_with_the_least_norm_correction():
     minimum-norm one of the dense reference."""
     rng = np.random.default_rng(17)
     for instance in projection_cases():
-        system = instance.engine_system()
+        system = instance.system
         x = random_hermitian(rng, system.dim)
         eye = np.eye(system.dim, dtype=complex)
         y = _engine.project_affine(system, eye, x)
@@ -353,7 +353,7 @@ def test_projection_confined_to_a_support():
     to x plus the reference correction with the rows restricted to V."""
     rng = np.random.default_rng(19)
     for instance in projection_cases() + [contradictory_instance()]:
-        system = instance.engine_system()
+        system = instance.system
         v = random_isometry(rng, system.dim, system.dim - 3)
         m = random_hermitian(rng, system.dim - 3)
         x = lift(v, m)
@@ -367,7 +367,7 @@ def test_projection_on_a_contradictory_instance_is_least_squares():
     """A pure single-qubit marginal against a maximally mixed pair: no state
     meets both, and the projection is the reference least-squares point."""
     inst = contradictory_instance()
-    system = inst.engine_system()
+    system = inst.system
     x = random_hermitian(np.random.default_rng(23), 4)
     y = _engine.project_affine(system, np.eye(4), x)
     assert max(np.linalg.norm(c.apply(y) - c.target) for c in system.constraints) > 0.1
@@ -380,7 +380,7 @@ def test_row_residuals_match_the_maps():
     map."""
     rng = np.random.default_rng(29)
     for instance in projection_cases():
-        system = instance.engine_system()
+        system = instance.system
         x = random_hermitian(rng, system.dim)
         f = system.affine
         got = f.block_norms(f.apply(x) - f.target)
@@ -397,7 +397,7 @@ def contradictory_instance():
 
 
 def contradictory_system():
-    return contradictory_instance().engine_system()
+    return contradictory_instance().system
 
 
 def test_full_space_rows_keep_only_their_nonzeros():
@@ -405,7 +405,7 @@ def test_full_space_rows_keep_only_their_nonzeros():
     d_rest nonzeros, so A keeps D (1 + sum d_c) of its 241 x 4096 entries."""
     inst, _ = random_feasible_instance((2,) * 6, list(combinations(range(6), 2)),
                                        1, seed=0)
-    f = inst.engine_system().affine
+    f = inst.system.affine
     assert f.row.size == f.col.size == f.val.size == 64 * (1 + 15 * 4) == 3904
 
 
@@ -450,16 +450,16 @@ def factor_cases():
     for n in range(3, 7):
         inst, _ = random_feasible_instance((2,) * n, list(combinations(range(n), 2)),
                                            2, seed=n)
-        yield f"all pairs n={n}", inst.engine_system()
+        yield f"all pairs n={n}", inst.system
     inst, _ = random_feasible_instance((2, 3, 2), [(0, 1), (1, 2), (0, 2), (0, 1, 2)],
                                        3, seed=7)
-    yield "dims (2,3,2) with keep-everything", inst.engine_system()
+    yield "dims (2,3,2) with keep-everything", inst.system
     yield "contradictory", contradictory_system()
-    yield "channel with tp row", channel_pair()[0].engine_system()
+    yield "channel with tp row", channel_pair()[0].system
     for statistics, n, d in (("fermionic", 3, 6), ("bosonic", 5, 3), ("fermionic", 4, 8)):
         dk = sector_size(statistics, 2, d)
         yield (f"{statistics} ({n},{d},2)",
-               SectorInstance(statistics, n, d, 2, np.eye(dk) / dk).engine_system())
+               SectorInstance(statistics, n, d, 2, np.eye(dk) / dk).system)
     yield "random weights with zeros", weighted_system()
 
 
@@ -494,10 +494,10 @@ def test_factor_build_forms_no_dense_rows():
     the factor's 134,145 nonzeros about 3 MB."""
     inst, _ = random_feasible_instance((2,) * 8, list(combinations(range(8), 2)),
                                        2, seed=1)
-    assert build_peak(inst.engine_system()) <= 20e6
-    sector = SectorInstance("fermionic", 4, 8, 2, np.eye(28) / 28).engine_system()
+    assert build_peak(inst.system) <= 20e6
+    sector = SectorInstance("fermionic", 4, 8, 2, np.eye(28) / 28).system
     assert build_peak(sector) <= 40e6
-    sector = SectorInstance("fermionic", 4, 12, 2, np.eye(66) / 66).engine_system()
+    sector = SectorInstance("fermionic", 4, 12, 2, np.eye(66) / 66).system
     assert build_peak(sector) <= 100e6
 
 
@@ -524,7 +524,8 @@ def test_feasibility_iterations_call_no_constraint_map(monkeypatch):
                                        1, seed=0)
 
     def run(max_iters):
-        found = _engine.solve_feasible(inst.engine_system(), max_iters=max_iters)
+        fresh = _engine.ConstraintSystem(inst.system.dim, inst.system.constraints)
+        found = _engine.solve_feasible(fresh, max_iters=max_iters)
         assert not found.converged and found.iterations == max_iters
 
     short = map_calls(monkeypatch, lambda: run(20))
@@ -536,7 +537,7 @@ def test_confined_projection_calls_no_constraint_map(monkeypatch):
     its correction from the rows, built once, not from the maps."""
     rng = np.random.default_rng(37)
     for instance in projection_cases():
-        system = instance.engine_system()
+        system = instance.system
         v = random_isometry(rng, system.dim, system.dim - 2)
         m = random_hermitian(rng, system.dim - 2)
         calls = map_calls(monkeypatch,
@@ -566,7 +567,7 @@ def test_ascent_direction_falls_back_to_the_gradient(monkeypatch):
         return lbfgs(grad, *args)
 
     monkeypatch.setattr(_engine, "_lbfgs_direction", climb_once)
-    found = _engine.solve_feasible(inst.engine_system())
+    found = _engine.solve_feasible(inst.system)
     assert found.converged and len(calls) > 4
     # the memory held two pairs, then restarts from the fallback step's pair
     assert calls[2] == 2 and calls[3] == 1
@@ -581,7 +582,7 @@ def assert_history(found):
 
 def test_residual_history_of_a_converged_run():
     inst, _ = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 3, seed=2)
-    found = _engine.solve_feasible(inst.engine_system())
+    found = _engine.solve_feasible(inst.system)
     assert found.converged
     assert_history(found)
     assert found.residual_history[-1] <= _engine.DEFAULT_TOL
@@ -618,7 +619,7 @@ def monogamy_system():
     bell[np.ix_([0, 3], [0, 3])] = 0.5
     return ConsistencyInstance((2, 2, 2), (MarginalConstraint((0, 1), bell),
                                            MarginalConstraint((1, 2), bell))
-                               ).engine_system()
+                               ).system
 
 
 def clashing_pairs_system():
@@ -628,7 +629,7 @@ def clashing_pairs_system():
     return ConsistencyInstance((2,) * 3, tuple(
         random_feasible_instance((2,) * 3, pairs, rank, seed=seed)[0].constraints[i]
         for i, (rank, seed) in enumerate(((4, 269), (3, 307), (3, 40))))
-    ).engine_system()
+    ).system
 
 
 def test_factor_rank_is_the_width_of_the_best_iterate(monkeypatch):
@@ -645,7 +646,7 @@ def test_factor_rank_is_the_width_of_the_best_iterate(monkeypatch):
     found = _engine.solve_feasible(system)
     assert "stationary point of the rank-8 least squares" in found.message
     assert found.factor_rank == 6
-    assert _engine.square_sum_bound([c.target for c in system.constraints]) == 6
+    assert system.square_sum_bound() == 6
     assert np.linalg.matrix_rank(found.state, tol=1e-12) <= 6
     assert found.residual_history[-1] == pytest.approx(found.report.max_residual,
                                                        rel=1e-9)
@@ -656,7 +657,7 @@ def test_stationary_point_below_full_rank_is_never_reported():
     the factor is padded to D = 8 and the verdict comes from the full-rank
     least squares."""
     system = monogamy_system()
-    assert _engine.square_sum_bound([c.target for c in system.constraints]) == 1
+    assert system.square_sum_bound() == 1
     found = _engine.solve_feasible(system)
     assert not found.converged and found.factor_rank == 8
     assert "stationary point of the rank-8 least squares" in found.message
@@ -670,9 +671,9 @@ def test_feasible_state_has_rank_at_most_the_bound():
     that, and it is handed over well inside the repair's inner tolerance."""
     inst, _ = random_feasible_instance((2,) * 3, list(combinations(range(3), 2)),
                                        1, seed=0)
-    system = inst.engine_system()
+    system = inst.system
     found = _engine.solve_feasible(system)
-    bound = _engine.square_sum_bound([c.target for c in system.constraints])
+    bound = system.square_sum_bound()
     assert found.converged and found.factor_rank == bound == 3
     assert np.linalg.matrix_rank(found.state, tol=1e-12) <= bound
     assert found.report.max_residual <= _engine.DEFAULT_TOL / 10
@@ -686,8 +687,8 @@ def test_feasibility_iterations_decompose_no_state(monkeypatch):
     memory and the line search's cubic add none."""
     inst, _ = random_feasible_instance((2,) * 4, list(combinations(range(4), 2)),
                                        1, seed=0)
-    system = inst.engine_system()
-    k = _engine.square_sum_bound([c.target for c in system.constraints])
+    system = inst.system
+    k = system.square_sum_bound()
     calls = []
     for name in ("eigh", "eigvalsh", "eigvals", "inv"):
         def spy(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
@@ -697,7 +698,8 @@ def test_feasibility_iterations_decompose_no_state(monkeypatch):
 
     def run(max_iters):
         calls.clear()
-        found = _engine.solve_feasible(inst.engine_system(), max_iters=max_iters)
+        fresh = _engine.ConstraintSystem(system.dim, system.constraints)
+        found = _engine.solve_feasible(fresh, max_iters=max_iters)
         assert not found.converged and found.iterations == max_iters
         return list(calls)
 
@@ -834,7 +836,7 @@ def test_repair_fails_after_four_confined_projections(monkeypatch):
     half = np.eye(2) / 2
     system = ConsistencyInstance((2, 2), (MarginalConstraint((0,), half),
                                           MarginalConstraint((1,), half))
-                                 ).engine_system()
+                                 ).system
     full_space = []
     project = _engine.project_affine
 
@@ -853,13 +855,17 @@ def test_budget_stopped_start_is_repaired_on_its_support(monkeypatch):
     """All pairs of 4 qubits, rank-2 witness: 82 iterations stop the solver
     converged at 2.7e-9, above the repair's inner tolerance of 1e-9.  The
     start's repair runs a confined round, on a support narrower than D,
-    and the reduced state stays within repair_tol."""
+    and the reduced state stays within repair_tol.  Reduced on a fresh
+    instance, whose system the solver never touched, the repair reads b
+    alone and builds none of the solver's nonzeros."""
     inst, _ = random_feasible_instance((2,) * 4, list(combinations(range(4), 2)),
                                        2, seed=0)
     found = find_feasible(inst, max_iters=82)
     assert found.converged and found.report.max_residual > 1e-9
+    inst = ConsistencyInstance(inst.dims, inst.constraints)
     repair, project = _engine._repair, _engine.project_affine
-    changed, supports = [], []
+    nonzeros = _engine._affine_nonzeros
+    changed, supports, nonzero_builds = [], [], []
 
     def repair_spy(system, v, p, **kwargs):
         out = repair(system, v, p, **kwargs)
@@ -870,11 +876,17 @@ def test_budget_stopped_start_is_repaired_on_its_support(monkeypatch):
         supports.append(v.shape[1])
         return project(system, v, m)
 
+    def nonzeros_spy(system):
+        nonzero_builds.append(system)
+        return nonzeros(system)
+
     monkeypatch.setattr(_engine, "_repair", repair_spy)
     monkeypatch.setattr(_engine, "project_affine", project_spy)
+    monkeypatch.setattr(_engine, "_affine_nonzeros", nonzeros_spy)
     state, _ = reduce_rank(found.state, inst)
     assert any(changed)
     assert supports and all(s < 16 for s in supports)
+    assert nonzero_builds == []
     assert check_consistency(inst, state).max_residual <= _engine.DEFAULT_REPAIR_TOL
 
 
@@ -882,7 +894,7 @@ def test_reduction_error_carries_the_partial_trace(monkeypatch):
     """A repair that fails, at the start or after some steps, aborts the
     reduction with a trace of the steps taken so far."""
     inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 8, seed=1)
-    system = inst.engine_system()
+    system = inst.system
     repair = _engine._repair
     for fail_at in (1, 3):
         calls = []
@@ -917,7 +929,7 @@ def test_reduction_factors_the_state_once_per_step(monkeypatch):
     one residual per step, and numerical_rank never runs on the state."""
     inst, rho = random_feasible_instance((2,) * 4, list(combinations(range(4), 2)),
                                          15, seed=0)
-    system = inst.engine_system()
+    system = inst.system
     events = []
     for name in ("residual_report", "support_basis", "numerical_rank",
                  "project_affine"):
@@ -964,7 +976,7 @@ def test_walk_builds_the_compressed_rows_once(monkeypatch):
     monkeypatch.setattr(_engine, "constraint_rows", spy)
     _, trace = reduce_rank(found.state, inst)
     assert len(trace.steps) >= 2 and trace.null_space_exhausted
-    assert len(inst.engine_system().groups) == len(compressed) == 1
+    assert len(inst.system.groups) == len(compressed) == 1
     assert compressed[0].positions.tolist() == list(range(len(inst.constraints)))
 
 
@@ -1050,7 +1062,7 @@ def test_sector_map_matches_the_dense_lift():
                                 ("bosonic", 3, 3, 1), ("bosonic", 3, 3, 3),
                                 ("bosonic", 3, 4, 2)):
         dk = sector_size(statistics, k, d)
-        system = SectorInstance(statistics, n, d, k, np.eye(dk) / dk).engine_system()
+        system = SectorInstance(statistics, n, d, k, np.eye(dk) / dk).system
         x = random_hermitian(rng, system.dim)
         dense = sector_partial_trace(x, sector_isometry(statistics, n, d), k)
         assert np.abs(system.constraints[0].apply(x) - dense).max() <= 1e-12, (
@@ -1060,7 +1072,7 @@ def test_sector_map_matches_the_dense_lift():
 def test_sector_map_never_forms_the_lifted_state():
     """On fermionic (4,8,2) the lifted state is a 4096 x 4096 complex matrix,
     268 MB; one application of the map stays well below that."""
-    system = SectorInstance("fermionic", 4, 8, 2, np.eye(28) / 28).engine_system()
+    system = SectorInstance("fermionic", 4, 8, 2, np.eye(28) / 28).system
     c = system.constraints[0]
     x = random_hermitian(np.random.default_rng(43), system.dim)
     tracemalloc.start()

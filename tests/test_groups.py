@@ -147,7 +147,7 @@ def contradictory_system():
     ket0 = np.diag([1.0, 0.0]).astype(complex)
     return ConsistencyInstance((2, 2), (MarginalConstraint((0,), ket0),
                                         MarginalConstraint((0, 1), np.eye(4) / 4))
-                               ).engine_system()
+                               ).system
 
 
 def channel_system():
@@ -161,7 +161,7 @@ def channel_system():
     locs = tuple(LocalChannel(ins, outs, sub_channel(joint, ins, outs))
                  for ins, outs in (((0,), (0,)), ((1,), (0, 1)), ((0,), (1,))))
     return channel_instance_to_marginal(ChannelInstance((2, 2), (2, 2), locs),
-                                        include_tp=True).engine_system()
+                                        include_tp=True).system
 
 
 def weighted_sector_system():
@@ -185,7 +185,7 @@ def mixed_rank_system():
     pairs = list(combinations(range(4), 2))
     return ConsistencyInstance((2,) * 4, tuple(
         MarginalConstraint(keep, random_state(rng, 4, r))
-        for keep, r in zip(pairs, (1, 2, 4, 2, 1, 2)))).engine_system()
+        for keep, r in zip(pairs, (1, 2, 4, 2, 1, 2)))).system
 
 
 def mixed_systems():
@@ -233,7 +233,6 @@ def test_groups_give_the_per_constraint_results_bit_for_bit():
         for rank_tol in (1e-9, 0.05):
             bound = math.isqrt(sum(numerical_rank(t, rank_tol) ** 2 for t in targets))
             assert system.square_sum_bound(rank_tol) == bound, name
-            assert _engine.square_sum_bound(targets, rank_tol) == bound, name
             supports = [support_basis(t, rank_tol)[0] for t in targets]
             bases = system.target_bases(rank_tol)
             got = system.in_order(bases)
@@ -252,7 +251,7 @@ def test_one_constraint_is_a_group_of_one():
     """A sector system is one group of one constraint; Constraint.apply is
     the group's gather with C = 1."""
     inst, rho = random_feasible_instance((2, 2, 2), [(0, 1)], 3, seed=5)
-    system = inst.engine_system()
+    system = inst.system
     (g,) = system.groups
     assert g.index.shape == (1, 4, 2) and g.positions.tolist() == [0]
     c = system.constraints[0]

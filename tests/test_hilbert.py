@@ -251,7 +251,7 @@ def test_sector_marginal_adjoint_identity():
         emb_k = sector_isometry(stat, k, d)
         dk = emb_k.sector_dim
         inst = SectorInstance(stat, n, d, k, np.eye(dk, dtype=complex) / dk)
-        system = inst.engine_system()
+        system = inst.system
         con, f = system.constraints[0], system.affine
         for _ in range(5):
             x = random_hermitian(rng, emb_n.sector_dim)

@@ -142,7 +142,7 @@ def test_sector_engine_adjoint_identity():
     equals sector_partial_trace."""
     rng = np.random.default_rng(29)
     inst = SectorInstance("bosonic", 4, 2, 2, np.eye(3, dtype=complex) / 3)
-    system = inst.engine_system()
+    system = inst.system
     con, f = system.constraints[0], system.affine
     emb = sector_isometry("bosonic", 4, 2)
     for _ in range(5):
@@ -210,10 +210,13 @@ def test_bosonic_sector_reduction():
 
 
 def test_generic_entry_points_take_a_sector_instance():
-    """find_feasible and reduce_rank on a sector instance return exactly what
-    find_feasible_sector and reduce_rank_sector return.  The reductions start
+    """find_feasible_sector and reduce_rank_sector are find_feasible and
+    reduce_rank, and a second run on a sector instance, with its system
+    already built, returns exactly what the first did.  The reductions start
     from the maximally mixed sector state, which meets these targets and
     lies above the rank bound, so both walks take steps."""
+    assert find_feasible_sector is find_feasible
+    assert reduce_rank_sector is reduce_rank
     for inst in (SectorInstance("fermionic", 3, 6, 2, np.eye(15, dtype=complex) / 15),
                  SectorInstance("bosonic", 5, 2, 2, np.eye(3, dtype=complex) / 3)):
         found, found_sector = find_feasible(inst), find_feasible_sector(inst)
@@ -229,7 +232,7 @@ def test_generic_entry_points_take_a_sector_instance():
 def test_sigma_p_solves_its_own_instance():
     """sigma_p members are feasible points of the maximally mixed pair target."""
     inst = SectorInstance("bosonic", 7, 2, 2, np.eye(3, dtype=complex) / 3)
-    system = inst.engine_system()
+    system = inst.system
     for p in range(2, 6):
         sigma = bosonic_sigma_p(7, p)
         res = np.linalg.norm(system.constraints[0].apply(sigma) - inst.target)
