@@ -15,25 +15,25 @@ nonzeros, built in closed form by index arithmetic on the same map, against
 the entries of the state's real view, without forming the dense rows.
 Feasibility is a least-squares problem over factors: minimise
 ||A coords(G G^dag) - b||^2 for G of size D x k, k the paper's square-sum
-rank bound, so every iteration is sparse products with A and A^T and dense
-products with G, without calling the maps or decomposing a state.  Rank
-reduction (the paper's Theorem 1, walked on the support of a feasible
-state) holds the state as its support factor x = V diag(p) V^dag: one
-eigendecomposition of the D x D start, then r x r ones that rotate V
-inside its own span.  The rows on span(V), from one builder
-(_affine_rows), serve the affine projection of its repair (residual and
-correction on the support alone, one eigendecomposition of the rows' Gram
-matrix) and the descent null space: one orthonormal null basis per walk,
-built at the first support V0 and restricted to each later support, which
-lies in span(V0) by construction.  State-space operators are dense complex
-Hermitian matrices.
+rank bound, so an iteration is one sparse product with A (for both
+line-search terms), one with A^T, dense products with G and an L-BFGS
+memory on a sliding window, without calling the maps or decomposing a
+state.  Rank reduction (the paper's Theorem 1, walked on the support of a
+feasible state) holds the state as its support factor x = V diag(p) V^dag:
+one eigendecomposition of the D x D start, then r x r ones that rotate V
+inside its own span.  The rows on span(V), from one builder (_affine_rows),
+serve the affine projection of its repair (residual and correction on the
+support alone, one eigendecomposition of the rows' Gram matrix) and the
+descent null space: one orthonormal null basis per walk, built at the first
+support V0 and restricted to each later support, which lies in span(V0) by
+construction.  State-space operators are dense complex Hermitian matrices.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -136,7 +136,8 @@ class ConstraintGroup:
         return np.linalg.eigh(hermitian_part(self.target))
 
 
-class AffineFactor(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class AffineFactor:
     """The full-space affine rows, as the feasibility solver and the
     projection use them.
 
@@ -158,11 +159,26 @@ class AffineFactor(NamedTuple):
     target: np.ndarray
     offsets: np.ndarray
 
+    @cached_property
+    def _pair(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzeros for a stack of two: the second's rows and entries follow."""
+        return (np.concatenate([self.row, self.row + self.target.size]),
+                np.concatenate([self.col, self.col + 2 * self.dim ** 2]),
+                np.concatenate([self.val, self.val]))
+
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A coords(x) for Hermitian x; only its upper triangle is read."""
-        xr = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
-        return np.bincount(self.row, self.val * xr.ravel()[self.col],
-                           minlength=self.target.size)
+        """A coords(x) for Hermitian x, or for each of a stack of two, by one
+        bincount that sums every row in the same order; reads upper triangles."""
+        xr = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64).ravel()
+        row, col, val = (self.row, self.col, self.val) if x.ndim == 2 else self._pair
+        return np.bincount(row, val * xr[col], minlength=x.size // self.dim ** 2
+                           * self.target.size).reshape(x.shape[:-2] + (-1,))
+
+    def _twice_adjoint(self, z: np.ndarray) -> np.ndarray:
+        d = self.dim
+        w = np.bincount(self.col, self.val * z[self.row], minlength=2 * d * d)
+        w = w.view(np.complex128).reshape(d, d)
+        return w + w.conj().T
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         """coords^-1(A^T z), the Hermitian S with <z, A coords(x)> = Tr(S x).
@@ -170,19 +186,19 @@ class AffineFactor(NamedTuple):
         A^T z puts half of each off-diagonal entry of S above the diagonal
         and none below it, so S is the Hermitian part of that matrix.
         """
-        d = self.dim
-        w = np.bincount(self.col, self.val * z[self.row], minlength=2 * d * d)
-        w = w.view(np.complex128).reshape(d, d)
-        return (w + w.conj().T) / 2
+        return self._twice_adjoint(z) / 2
 
-    def block_norms(self, dev: np.ndarray) -> np.ndarray:
-        """Norms of the trace block and of each constraint block of dev.
+    def gradient(self, dev: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """4 adjoint(dev) G, the gradient of ||dev||^2 at the factor G, as
+        2 ((2 S) G): scaling by powers of two is exact, so the bits agree."""
+        return 2 * (self._twice_adjoint(dev) @ g)
 
-        For dev = A coords(x) - b these are the trace defect and the
-        Frobenius residual of every constraint at x, because the coordinates
-        are an isometry.
-        """
-        return np.sqrt(np.add.reduceat(dev * dev, self.offsets))
+    def max_block_norm(self, dev: np.ndarray) -> float:
+        """The largest norm of the trace block and the constraint blocks of
+        dev, the root of their largest square sum: for dev = A coords(x) - b,
+        the largest of the trace defect and the Frobenius residuals at x,
+        because the coordinates are an isometry."""
+        return math.sqrt(np.add.reduceat(dev * dev, self.offsets).max())
 
 
 @dataclass(frozen=True)
@@ -464,28 +480,32 @@ def project_affine(system: ConstraintSystem, v: np.ndarray,
 # whenever one exists, so G is D x k with k = min(D, bound).  With
 # r = A coords(G G^dag) - b, f(G) = ||r||^2 has gradient 4 S G for
 # S = coords^-1(A^T r).  Along a direction P, r(t) = r + t a1 + t^2 a2 with
-# a1 = A coords(G P^dag + P G^dag) and a2 = A coords(P P^dag), so f is a
-# quartic in t, and the line search takes a root of its cubic derivative
-# (_least_cost_root).  Directions come from L-BFGS (_remember) whose initial
+# a1 = A coords(G P^dag + P G^dag) and a2 = A coords(P P^dag), both from one
+# product [G; P] P^dag and one bincount, so f is a quartic in t, and the line
+# search takes a root of its cubic derivative (_least_cost_root).  Directions
+# come from L-BFGS, its memory a sliding window (_remember), whose initial
 # metric is (G^dag G + ||r|| I)^-1 on the right; without it, convergence to a
 # solution of rank below k is sublinear (spare columns shrink like f^(1/4)).
 # ---------------------------------------------------------------------------
 
-def _remember(pairs: np.ndarray, mats: np.ndarray, m: int,
-              s: np.ndarray, y: np.ndarray) -> int:
-    """Append (s, y) to an L-BFGS memory of m pairs (S, Y in pairs, oldest
-    first; S Y^T and R^-1 in mats, R its upper triangle); return its length.
-    R^-1 grows by [[R^-1, -R^-1 r / rho], [0, 1 / rho]], r the new column of R
-    above rho = s^T y; dropping the oldest pair keeps R^-1[1:, 1:]."""
+def _remember(pairs: np.ndarray, mats: np.ndarray, lo: int, m: int,
+              s: np.ndarray, y: np.ndarray) -> tuple[int, int]:
+    """Append (s, y) to the L-BFGS memory [lo, lo + m) of buffers of
+    2 LBFGS_MEMORY rows (S, Y in pairs, oldest first; S Y^T and R^-1 in mats,
+    R its upper triangle); return the new window.  R^-1 grows by
+    [[R^-1, -R^-1 r / rho], [0, 1 / rho]], r the new column of R above
+    rho = s^T y; dropping the oldest pair, at LBFGS_MEMORY, moves lo on and
+    keeps R^-1[1:, 1:].  At the buffers' end the window moves to the front."""
     if m == LBFGS_MEMORY:  # drop the oldest pair
-        pairs[:, :-1], mats[:, :-1, :-1] = pairs[:, 1:], mats[:, 1:, 1:]
-        m -= 1
-    (ss, ys), (sy, rinv) = pairs, mats
+        lo, m = lo + 1, m - 1
+    if lo + m == len(pairs[0]):
+        pairs[:, :m], mats[:, :m, :m], lo = pairs[:, lo:], mats[:, lo:, lo:], 0
+    (ss, ys), (sy, rinv) = pairs[:, lo:], mats[:, lo:, lo:]
     ss[m], ys[m] = s, y
     col = ss[:m + 1] @ y
     sy[:m + 1, m], sy[m, :m] = col, ys[:m] @ s
     rinv[:m, m], rinv[m, m] = rinv[:m, :m] @ col[:m] / -col[m], 1 / col[m]
-    return m + 1
+    return lo, m + 1
 
 
 def _lbfgs_direction(grad: np.ndarray, g: np.ndarray, eta: float, s: np.ndarray,
@@ -493,7 +513,8 @@ def _lbfgs_direction(grad: np.ndarray, g: np.ndarray, eta: float, s: np.ndarray,
     """-H grad for the L-BFGS inverse Hessian H of the pairs (s_i, y_i), the
     rows of s and y (oldest first), with grad, g and the result as real
     views.  H0(q) = gamma q (G^dag G + eta I)^-1, gamma fitted to the newest
-    pair, is the initial metric.  H is applied in the compact form of Byrd,
+    pair, is the initial metric, applied to q, Y^T R^-1 S^T q and the newest
+    y as one stacked product.  H is applied in the compact form of Byrd,
     Nocedal and Schnabel (Math. Program. 1994), the two-loop recursion in a
     fixed number of array operations for any memory length:
     H q = H0 q + S R^-T ((D + Y^T H0 Y) R^-1 S^T q - Y^T H0 q) - H0 Y R^-1 S^T q,
@@ -502,16 +523,17 @@ def _lbfgs_direction(grad: np.ndarray, g: np.ndarray, eta: float, s: np.ndarray,
     gram.flat[::gram.shape[0] + 1] += eta
     minv = np.linalg.inv(gram)
 
-    def metric(v: np.ndarray) -> np.ndarray:
-        return (v.view(np.complex128).reshape(g.shape) @ minv).view(np.float64).ravel()
+    def metric(*rows: np.ndarray) -> np.ndarray:
+        v = np.concatenate(rows).view(np.complex128).reshape(-1, g.shape[1])
+        return (v @ minv).view(np.float64).reshape(len(rows), -1)
 
     q = grad.view(np.float64).ravel()
-    h0q = metric(q)
     if len(s) == 0:
-        return -h0q
-    gamma = sy[-1, -1] / (y[-1] @ metric(y[-1]))
+        return -metric(q)[0]
     ra = rinv @ (s @ q)
-    h0y_ra = gamma * metric(ra @ y)
+    h0q, h0y_ra, h0y = metric(q, ra @ y, y[-1])
+    gamma = sy[-1, -1] / (y[-1] @ h0y)
+    h0y_ra = gamma * h0y_ra
     c = (sy.diagonal() * ra + y @ h0y_ra - gamma * (y @ h0q)) @ rinv
     return -(gamma * h0q - h0y_ra + c @ s)
 
@@ -551,9 +573,10 @@ def _exact_step(f: AffineFactor, g: np.ndarray, p: np.ndarray,
     dev + t a1 + t^2 a2, the deviation at G + t P.  The quartic's derivative
     has a positive root: its leading coefficient is positive (a2 holds
     Tr(P P^dag) > 0), its constant term negative for a descent direction."""
-    m1 = g @ p.conj().T
-    a1 = f.apply(m1 + m1.conj().T)
-    a2 = f.apply(p @ p.conj().T)
+    d = len(g)
+    x = (np.concatenate([g, p]) @ p.conj().T).reshape(2, d, d)  # G P^dag, P P^dag
+    x[0] += x[0].conj().T  # G P^dag + P G^dag
+    a1, a2 = f.apply(x)
     t = _least_cost_root(2 * float(a2 @ a2), 3 * float(a1 @ a2),
                          float(a1 @ a1 + 2 * (dev @ a2)), float(dev @ a1))
     return t, dev + t * a1 + (t * t) * a2
@@ -573,14 +596,14 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
     truncates the state's eigenvalues below rank_tol before its first step,
     and a state handed over just under tol would then sit above the inner
     tolerance (repair_tol / 10) of its repair and pay confined repair
-    rounds that cannot reach it.  A stationary point above 10 tol at k < D
-    is never reported: G gains D - k small random columns and the search
-    goes on at k = D, where every stationary point is a global least-squares
-    minimum.  There, or when the best residual improved by less than
-    PLATEAU_RTOL over the last PLATEAU_WINDOW iterations, the run stops with
-    a residual plateau: evidence of infeasibility, never a certificate.  No
-    step calls a constraint map or decomposes a state; the returned state
-    is checked by residual_report.
+    rounds that cannot reach it.  Above 10 tol, a stationary point, or a
+    best residual that improved by less than PLATEAU_RTOL over the last
+    PLATEAU_WINDOW iterations, is never reported at k < D: G gains D - k
+    small random columns, the window restarts, and the search goes on at
+    k = D, where every stationary point is a global least-squares minimum.
+    There either stops the run with a residual plateau: evidence of
+    infeasibility, never a certificate.  No step calls a constraint map or
+    decomposes a state; the returned state is checked by residual_report.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -603,10 +626,9 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
         """Deviation (from G unless given), gradient and residual at G."""
         if dev is None:
             dev = f.apply(g @ g.conj().T) - b
-        grad = 4 * f.adjoint(dev) @ g
         # A coords(rho / t) = (dev + b) / t, and the first row is the trace
         scaled = (dev + b) / (dev[0] + b[0]) - b
-        return dev, grad, float(f.block_norms(scaled).max())
+        return dev, f.gradient(dev, g), f.max_block_norm(scaled)
 
     def result(converged: bool, message: str) -> FeasibilityResult:
         x = best_g @ best_g.conj().T
@@ -617,8 +639,9 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
     dev, grad, res = evaluate(g)
     best_res, best_g = res, g
     history: list[float] = []
-    pairs, kept = np.empty((2, LBFGS_MEMORY, 2 * g.size)), 0  # see _remember
-    mats = np.zeros((2, LBFGS_MEMORY, LBFGS_MEMORY))
+    # see _remember; the plateau window counts from start, the last pad
+    pairs, lo, kept, start = np.empty((2, 2 * LBFGS_MEMORY, 2 * g.size)), 0, 0, 0
+    mats = np.zeros((2, 2 * LBFGS_MEMORY, 2 * LBFGS_MEMORY))
     it = 0
     while True:
         if res <= tol / 100:
@@ -629,32 +652,28 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
         rnorm = math.sqrt(dev @ dev)
         # ||G||^2 = Tr G G^dag, which the trace row of dev holds
         gnorm = math.sqrt(dev[0] + b[0])
-        if (np.vdot(grad, grad).real <= (STATIONARY_RTOL * rnorm * gnorm) ** 2
-                and best_res > 10 * tol):
+        stationary = np.vdot(grad, grad).real <= (STATIONARY_RTOL * rnorm * gnorm) ** 2
+        plateau = it - start > PLATEAU_WINDOW and (
+            (prev := history[it - PLATEAU_WINDOW - 1]) - best_res < PLATEAU_RTOL * prev)
+        if (stationary or plateau) and best_res > 10 * tol:
             if g.shape[1] == d:
-                return result(False, (
-                    f"residual plateau at {best_res:.3e} after {it} iterations "
-                    f"(stationary point of the rank-{d} least squares); "
-                    "instance possibly infeasible"))
-            # small random columns move the factor off the rank-k stationary point
+                why = (f"stationary point of the rank-{d} least squares" if stationary
+                       else f"< {PLATEAU_RTOL:.1%} improvement over the last {PLATEAU_WINDOW}")
+                return result(False, f"residual plateau at {best_res:.3e} after {it} "
+                                     f"iterations ({why}); instance possibly infeasible")
+            # small random columns move the factor off where rank k stalled
             pad = (rng.standard_normal((d, d - g.shape[1]))
                    + 1j * rng.standard_normal((d, d - g.shape[1])))
             g = np.hstack([g, 1e-3 * np.linalg.norm(g) / np.linalg.norm(pad) * pad])
             dev, grad, res = evaluate(g)
             rnorm = math.sqrt(dev @ dev)
-            pairs, kept = np.empty((2, LBFGS_MEMORY, 2 * g.size)), 0
-        if it > PLATEAU_WINDOW and best_res > 10 * tol:
-            prev = history[it - PLATEAU_WINDOW - 1]
-            if prev - best_res < PLATEAU_RTOL * prev:
-                return result(False, (
-                    f"residual plateau at {best_res:.3e} after {it} iterations "
-                    f"(< {PLATEAU_RTOL:.1%} improvement over the last "
-                    f"{PLATEAU_WINDOW}); instance possibly infeasible"))
+            pairs, lo, kept, start = np.empty((2, 2 * LBFGS_MEMORY, 2 * g.size)), 0, 0, it
         if it == max_iters:
             break
         it += 1
         q = grad.view(np.float64).ravel()
-        p = _lbfgs_direction(grad, g, rnorm, *pairs[:, :kept], *mats[:, :kept, :kept])
+        p = _lbfgs_direction(grad, g, rnorm, *pairs[:, lo:lo + kept],
+                             *mats[:, lo:lo + kept, lo:lo + kept])
         if p @ q >= 0:
             kept = 0
             p = -q
@@ -665,7 +684,7 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
         s = (g_next - g).view(np.float64).ravel()
         y = (grad_next - grad).view(np.float64).ravel()
         if s @ y > 0:
-            kept = _remember(pairs, mats, kept, s, y)
+            lo, kept = _remember(pairs, mats, lo, kept, s, y)
         g, grad = g_next, grad_next
         if res < best_res:
             best_res, best_g = res, g

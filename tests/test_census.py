@@ -1,0 +1,41 @@
+"""tools/census.py records one line per benchmark case and compares two
+records; a smoke run on one seed of the infeasible-cli workload."""
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CENSUS = os.path.join(ROOT, "tools", "census.py")
+
+
+def census(*args):
+    return subprocess.run([sys.executable, CENSUS, *args], capture_output=True,
+                          text=True, timeout=300)
+
+
+def test_census_records_and_compares_one_seed(tmp_path):
+    record = tmp_path / "a.jsonl"
+    done = census("--cases", "infeasible-cli=1", "-o", str(record))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.strip() == "3 cases"
+    lines = [json.loads(text) for text in record.read_text().splitlines()]
+    assert [d["label"] for d in lines] == ["contradictory", "monogamy", "channel-clash"]
+    for d in lines:
+        assert (d["workload"], d["seed"]) == ("infeasible-cli", 1)
+        assert d["failed"] is False and d["wrong"] is False
+        assert len(d["digest"]) == 64 and int(d["digest"], 16) >= 0
+
+    again = tmp_path / "b.jsonl"
+    assert census("--cases", "infeasible-cli=1", "-o", str(again)).returncode == 0
+    same = census("--compare", str(record), str(again))
+    assert same.returncode == 0 and same.stdout == ""
+    assert same.stderr.strip() == "3 cases, 0 differences"
+
+    lines[1]["digest"] = "0" * 64
+    again.write_text("".join(json.dumps(d) + "\n" for d in lines[:2]))
+    differ = census("--compare", str(record), str(again))
+    assert differ.returncode == 1
+    assert differ.stderr.strip() == "3 cases, 2 differences"
+    assert "'monogamy'): digest" in differ.stdout
+    assert "'channel-clash'): only in" in differ.stdout

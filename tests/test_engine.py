@@ -314,8 +314,13 @@ def reference_correction(instance, x, v):
     return v @ sum(d * e for d, e in zip(delta, herm_basis(r))) @ v.conj().T
 
 
+def random_matrix(rng, d, k=None):
+    shape = (d, d if k is None else k)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def random_hermitian(rng, d):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g = random_matrix(rng, d)
     return (g + g.conj().T) / 2
 
 
@@ -375,19 +380,21 @@ def test_projection_on_a_contradictory_instance_is_least_squares():
 
 
 def test_row_residuals_match_the_maps():
-    """The feasibility solver's residuals, block norms of A coords(x) - b,
-    are the trace defect and the Frobenius residual of every constraint
-    map."""
+    """The norms of the blocks of A coords(x) - b, split at the factor's
+    offsets, are the trace defect and the Frobenius residual of every
+    constraint map, and the feasibility solver's residual is the largest."""
     rng = np.random.default_rng(29)
     for instance in projection_cases():
         system = instance.system
         x = random_hermitian(rng, system.dim)
         f = system.affine
-        got = f.block_norms(f.apply(x) - f.target)
+        dev = f.apply(x) - f.target
+        got = np.sqrt(np.add.reduceat(dev * dev, f.offsets))
         want = [abs(np.trace(x) - 1.0)] + [np.linalg.norm(c.apply(x) - c.target)
                                            for c in system.constraints]
         assert got.shape == (len(want),)
         assert np.abs(got - want).max() <= 1e-12
+        assert f.max_block_norm(dev) == got.max()
 
 
 def contradictory_instance():
@@ -632,6 +639,30 @@ def clashing_pairs_system():
     ).system
 
 
+def test_plateau_below_full_width_pads_to_d(monkeypatch):
+    """With the stationary exit switched off, the clashing pairs (bound
+    6 < D = 8) plateau at width 6 after 508 iterations.  That is no verdict:
+    the factor is padded to D there, as at a stationary point, and the
+    window restarts, so the plateau is reported from width-8 iterates, a
+    full window after the pad."""
+    monkeypatch.setattr(_engine, "STATIONARY_RTOL", 0.0)
+    lbfgs = _engine._lbfgs_direction
+    widths = []
+
+    def spy(grad, g, *args):
+        widths.append(g.shape[1])
+        return lbfgs(grad, g, *args)
+
+    monkeypatch.setattr(_engine, "_lbfgs_direction", spy)
+    found = _engine.solve_feasible(clashing_pairs_system())
+    pad = widths.index(8)
+    assert pad == 508 and set(widths[:pad]) == {6} and set(widths[pad:]) == {8}
+    assert not found.converged and "possibly infeasible" in found.message
+    assert f"improvement over the last {_engine.PLATEAU_WINDOW}" in found.message
+    assert found.iterations > pad + _engine.PLATEAU_WINDOW
+    assert_history(found)
+
+
 def test_factor_rank_is_the_width_of_the_best_iterate(monkeypatch):
     """factor_rank is the width of the factor behind the returned state, the
     best iterate.  Both runs end at the rank-8 stationary point, with the
@@ -768,21 +799,27 @@ def test_line_search_cubic_triple_root():
         assert abs(cost - least) <= 1e-12 * abs(least)
 
 
+def assert_fresh_memory(s, y, sy, rinv):
+    """S Y^T and R^-1 as kept equal s @ y.T and inv(triu(.)) of the pairs,
+    to 1e-12 of their largest entry."""
+    fresh = s @ y.T
+    assert np.abs(sy - fresh).max() <= 1e-12 * np.abs(fresh).max()
+    inverse = np.linalg.inv(np.triu(fresh))
+    assert np.abs(rinv - inverse).max() <= 1e-12 * np.abs(inverse).max()
+
+
 def test_lbfgs_memory_matches_a_fresh_build(monkeypatch):
-    """Kept incrementally, S Y^T and R^-1 equal s @ y.T and inv(triu(.)) of
-    the pairs handed to the direction, to 1e-12 of their largest entry:
-    through the monogamy instance's pad from k = 1 to 8, appends past
-    LBFGS_MEMORY and a forced ascent fallback that empties the memory."""
+    """Kept incrementally, S Y^T and R^-1 equal fresh builds of the pairs
+    handed to the direction: through the monogamy instance's pad from k = 1
+    to 8, appends past LBFGS_MEMORY and a forced ascent fallback that
+    empties the memory."""
     lbfgs = _engine._lbfgs_direction
     seen = []
 
     def spy(grad, g, eta, s, y, sy, rinv):
         seen.append((g.shape[1], len(s)))
         if len(s):
-            fresh = s @ y.T
-            assert np.abs(sy - fresh).max() <= 1e-12 * np.abs(fresh).max()
-            inverse = np.linalg.inv(np.triu(fresh))
-            assert np.abs(rinv - inverse).max() <= 1e-12 * np.abs(inverse).max()
+            assert_fresh_memory(s, y, sy, rinv)
         if seen.count((8, _engine.LBFGS_MEMORY)) == 3:
             return grad.view(np.float64).ravel().copy()
         return lbfgs(grad, g, eta, s, y, sy, rinv)
@@ -794,6 +831,99 @@ def test_lbfgs_memory_matches_a_fresh_build(monkeypatch):
     assert widths[0] == 1 and widths[-1] == 8
     fallback = seen.index((8, _engine.LBFGS_MEMORY)) + 2
     assert seen[fallback + 1] == (8, 1) and len(seen) > fallback + 3
+
+
+def test_lbfgs_memory_window_moves_to_the_front(monkeypatch):
+    """The memory is a window on buffers of 2 LBFGS_MEMORY rows.  The rank-1
+    three-qubit witness appends a pair at each of 100 iterations with no
+    reset, so the window reaches the end of the buffers and moves to their
+    front at appends 40, 61 and 82; every direction still gets the last
+    pairs appended, oldest first, with S Y^T and R^-1 equal to fresh
+    builds.  (Nearer its convergence, at 227 iterations, R^-1 holds entries
+    of 1e18 and the two builds part by more than 1e-12 of that through
+    rounding alone, so the run is cut at 100.)"""
+    inst, _ = random_feasible_instance((2,) * 3, list(combinations(range(3), 2)),
+                                       1, seed=0)
+    remember, lbfgs = _engine._remember, _engine._lbfgs_direction
+    appended, moves, kept = [], [], []
+
+    def spy_remember(pairs, mats, lo, m, s, y):
+        appended.append((s.copy(), y.copy()))
+        out = remember(pairs, mats, lo, m, s, y)
+        moves.append(out[0] < lo)
+        return out
+
+    def spy_direction(grad, g, eta, s, y, sy, rinv):
+        kept.append(len(s))
+        if len(s):
+            last = appended[-len(s):]
+            assert np.array_equal(s, [a for a, _ in last])
+            assert np.array_equal(y, [b for _, b in last])
+            assert_fresh_memory(s, y, sy, rinv)
+        return lbfgs(grad, g, eta, s, y, sy, rinv)
+
+    monkeypatch.setattr(_engine, "_remember", spy_remember)
+    monkeypatch.setattr(_engine, "_lbfgs_direction", spy_direction)
+    found = _engine.solve_feasible(inst.system, max_iters=100)
+    assert found.iterations == len(appended) == 100
+    assert 0 not in kept[1:] and max(kept) == _engine.LBFGS_MEMORY
+    assert [i for i, moved in enumerate(moves) if moved] == [40, 61, 82]
+
+
+def reference_line_search(f, g, p, dev):
+    """The line search's a1 and a2 from two products and two single applies,
+    and its step and next deviation from them."""
+    m1 = g @ p.conj().T
+    a1 = f.apply(m1 + m1.conj().T)
+    a2 = f.apply(p @ p.conj().T)
+    t = _engine._least_cost_root(2 * float(a2 @ a2), 3 * float(a1 @ a2),
+                                 float(a1 @ a1 + 2 * (dev @ a2)), float(dev @ a1))
+    return t, dev + t * a1 + (t * t) * a2
+
+
+def reference_direction(grad, g, eta, s, y, sy, rinv):
+    """The compact L-BFGS direction with the metric applied to one vector
+    at a time."""
+    gram = g.conj().T @ g
+    gram.flat[::gram.shape[0] + 1] += eta
+    minv = np.linalg.inv(gram)
+
+    def metric(v):
+        return (v.view(np.complex128).reshape(g.shape) @ minv).view(np.float64).ravel()
+
+    q = grad.view(np.float64).ravel()
+    h0q = metric(q)
+    gamma = sy[-1, -1] / (y[-1] @ metric(y[-1]))
+    ra = rinv @ (s @ q)
+    h0y_ra = gamma * metric(ra @ y)
+    c = (sy.diagonal() * ra + y @ h0y_ra - gamma * (y @ h0q)) @ rinv
+    return -(gamma * h0q - h0y_ra + c @ s)
+
+
+def test_stacked_iteration_products_match_single_ones_bit_for_bit():
+    """On a qudit, a weighted sector and a channel system with its TP row:
+    A applied to a stack of two matrices is A applied to each; the line
+    search's step and deviation, the gradient, the residual and the L-BFGS
+    direction equal their one-matrix forms to the last bit."""
+    rng = np.random.default_rng(41)
+    for instance in projection_cases():
+        f = instance.system.affine
+        d = f.dim
+        x = np.stack([random_hermitian(rng, d), random_matrix(rng, d)])
+        assert np.array_equal(f.apply(x), np.stack([f.apply(x[0]), f.apply(x[1])]))
+        k = max(2, d // 2)
+        g, p = random_matrix(rng, d, k), random_matrix(rng, d, k)
+        dev = f.apply(g @ g.conj().T) - f.target
+        t, nxt = _engine._exact_step(f, g, p, dev)
+        t_ref, nxt_ref = reference_line_search(f, g, p, dev)
+        assert t == t_ref and np.array_equal(nxt, nxt_ref)
+        assert np.array_equal(f.gradient(dev, g), 4 * f.adjoint(dev) @ g)
+        assert f.max_block_norm(dev) == np.sqrt(np.add.reduceat(dev * dev, f.offsets)).max()
+        s = rng.standard_normal((5, 2 * d * k))
+        y = s + 0.1 * rng.standard_normal(s.shape)
+        sy = s @ y.T
+        args = (random_matrix(rng, d, k), g, 0.3, s, y, sy, np.linalg.inv(np.triu(sy)))
+        assert np.array_equal(_engine._lbfgs_direction(*args), reference_direction(*args))
 
 
 def haar_unitary(rng, d):
