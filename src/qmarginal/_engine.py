@@ -18,7 +18,9 @@ Feasibility is a least-squares problem over factors: minimise
 rank bound, so an iteration is one sparse product with A (for both
 line-search terms), one with A^T, dense products with G and an L-BFGS
 memory on a sliding window, without calling the maps or decomposing a
-state.  Rank reduction (the paper's Theorem 1, walked on the support of a
+state; at iterations 0, 1, 2, 4, ... a screen seeks in the residual a dual
+certificate of infeasibility, checked with the maps, which ends the run.
+Rank reduction (the paper's Theorem 1, walked on the support of a
 feasible state) holds the state as its support factor x = V diag(p) V^dag:
 one eigendecomposition of the D x D start, then r x r ones that rotate V
 inside its own span.  The rows on span(V), from one builder (_affine_rows),
@@ -66,6 +68,23 @@ def _apply_maps(x: np.ndarray, index: np.ndarray,
         w = weight.swapaxes(-1, -2)
         y = y * (w[..., :, None] * w[..., None, :])
     return np.add.accumulate(y, axis=-3)[..., -1, :, :]
+
+
+def _adjoint_maps(y: np.ndarray, index: np.ndarray, weight: np.ndarray | None,
+                  dim: int) -> np.ndarray:
+    """The sum of M*(y) over index maps stacked as _apply_maps takes them,
+    y of shape (..., d_c, d_c): the D x D scatter of w[i, e] w[j, e]
+    y[..., i, j] onto [index[..., i, e], index[..., j, e]], the twin of
+    _apply_maps's gather, so <y, M(x)> = Tr(M*(y) x)."""
+    ix = index.swapaxes(-1, -2)
+    v = np.broadcast_to(y[..., None, :, :], ix.shape + ix.shape[-1:])
+    if weight is not None:
+        w = weight.swapaxes(-1, -2)
+        v = v * (w[..., :, None] * w[..., None, :])
+    at = (ix[..., :, None] * dim + ix[..., None, :]).ravel()
+    out = (np.bincount(at, v.real.ravel(), dim * dim)
+           + 1j * np.bincount(at, v.imag.ravel(), dim * dim))
+    return out.reshape(dim, dim)
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:
@@ -174,24 +193,17 @@ class AffineFactor:
         return np.bincount(row, val * xr[col], minlength=x.size // self.dim ** 2
                            * self.target.size).reshape(x.shape[:-2] + (-1,))
 
-    def _twice_adjoint(self, z: np.ndarray) -> np.ndarray:
+    def gradient(self, dev: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """4 S G, the gradient of ||dev||^2 at the factor G, and 2 S, for
+        S = coords^-1(A^T dev), the Hermitian S with <dev, A coords(x)> =
+        Tr(S x).  A^T dev puts half of each off-diagonal entry of S above
+        the diagonal and none below it, so 2 S is that matrix plus its
+        conjugate transpose; the gradient is 2 ((2 S) G)."""
         d = self.dim
-        w = np.bincount(self.col, self.val * z[self.row], minlength=2 * d * d)
+        w = np.bincount(self.col, self.val * dev[self.row], minlength=2 * d * d)
         w = w.view(np.complex128).reshape(d, d)
-        return w + w.conj().T
-
-    def adjoint(self, z: np.ndarray) -> np.ndarray:
-        """coords^-1(A^T z), the Hermitian S with <z, A coords(x)> = Tr(S x).
-
-        A^T z puts half of each off-diagonal entry of S above the diagonal
-        and none below it, so S is the Hermitian part of that matrix.
-        """
-        return self._twice_adjoint(z) / 2
-
-    def gradient(self, dev: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """4 adjoint(dev) G, the gradient of ||dev||^2 at the factor G, as
-        2 ((2 S) G): scaling by powers of two is exact, so the bits agree."""
-        return 2 * (self._twice_adjoint(dev) @ g)
+        two_s = w + w.conj().T
+        return 2 * (two_s @ g), two_s
 
     def max_block_norm(self, dev: np.ndarray) -> float:
         """The largest norm of the trace block and the constraint blocks of
@@ -297,6 +309,21 @@ class ResidualReport:
         return self.max_residual <= tol
 
 
+@dataclass(frozen=True)
+class InfeasibilityCertificate:
+    """Proof that no state meets every target (weak conic duality, Farkas'
+    lemma for the PSD cone): Z = trace_dual I + sum_c M_c*(duals[c]), duals
+    in constraint order, is PSD, so every state rho has Tr(Z rho) =
+    trace_dual + sum_c <duals[c], M_c(rho)> >= 0, while the targets give
+    that sum < 0.  So every rho has (sum_c ||M_c(rho) - T_c||^2)^(1/2) at
+    least lower, and upper is that distance for the state returned."""
+
+    trace_dual: float
+    duals: tuple[np.ndarray, ...]
+    lower: float
+    upper: float
+
+
 @dataclass
 class FeasibilityResult:
     """Outcome of the factored least-squares solver.
@@ -307,6 +334,7 @@ class FeasibilityResult:
     factor_rank is the width of that G: the square-sum bound (at most D), or
     D if an iterate after the pad to D columns is the best, so a run whose
     pad never improves reports the bound even when its message names rank D.
+    certificate is set when the run ended on a proof that no state exists.
     """
 
     state: np.ndarray
@@ -316,6 +344,7 @@ class FeasibilityResult:
     message: str
     residual_history: tuple[float, ...]
     factor_rank: int
+    certificate: InfeasibilityCertificate | None = None
 
 
 @dataclass(frozen=True)
@@ -508,11 +537,11 @@ def _remember(pairs: np.ndarray, mats: np.ndarray, lo: int, m: int,
     return lo, m + 1
 
 
-def _lbfgs_direction(grad: np.ndarray, g: np.ndarray, eta: float, s: np.ndarray,
+def _lbfgs_direction(q: np.ndarray, g: np.ndarray, eta: float, s: np.ndarray,
                      y: np.ndarray, sy: np.ndarray, rinv: np.ndarray) -> np.ndarray:
-    """-H grad for the L-BFGS inverse Hessian H of the pairs (s_i, y_i), the
-    rows of s and y (oldest first), with grad, g and the result as real
-    views.  H0(q) = gamma q (G^dag G + eta I)^-1, gamma fitted to the newest
+    """-H q for the L-BFGS inverse Hessian H of the pairs (s_i, y_i), the
+    rows of s and y (oldest first), with q the gradient and the result as
+    real views.  H0(q) = gamma q (G^dag G + eta I)^-1, gamma fitted to the newest
     pair, is the initial metric, applied to q, Y^T R^-1 S^T q and the newest
     y as one stacked product.  H is applied in the compact form of Byrd,
     Nocedal and Schnabel (Math. Program. 1994), the two-loop recursion in a
@@ -527,7 +556,6 @@ def _lbfgs_direction(grad: np.ndarray, g: np.ndarray, eta: float, s: np.ndarray,
         v = np.concatenate(rows).view(np.complex128).reshape(-1, g.shape[1])
         return (v @ minv).view(np.float64).reshape(len(rows), -1)
 
-    q = grad.view(np.float64).ravel()
     if len(s) == 0:
         return -metric(q)[0]
     ra = rinv @ (s @ q)
@@ -575,16 +603,53 @@ def _exact_step(f: AffineFactor, g: np.ndarray, p: np.ndarray,
     Tr(P P^dag) > 0), its constant term negative for a descent direction."""
     d = len(g)
     x = (np.concatenate([g, p]) @ p.conj().T).reshape(2, d, d)  # G P^dag, P P^dag
-    x[0] += x[0].conj().T  # G P^dag + P G^dag
+    gp = x[0]
+    gp += gp.conj().T  # G P^dag + P G^dag
     a1, a2 = f.apply(x)
     t = _least_cost_root(2 * float(a2 @ a2), 3 * float(a1 @ a2),
                          float(a1 @ a1 + 2 * (dev @ a2)), float(dev @ a1))
     return t, dev + t * a1 + (t * t) * a2
 
 
+def _screen(system: ConstraintSystem, dev: np.ndarray, two_s: np.ndarray,
+            tol: float) -> tuple[float, tuple[np.ndarray, ...], float] | None:
+    """(y'_0, the Y_c, lower) of a checked InfeasibilityCertificate from
+    y = dev, or None.  two_s is 2 S, S = coords^-1(A^T y); the trace row
+    adds I, so y' = y + t e_trace, t = max(0, -lambda_min(S)) plus a
+    rounding margin, has A^T y' PSD.  Free filters first: <y, b> < 0 and
+    min diag(S) > <y, b>, both needed for <y', b> = <y, b> + t < 0.  Then a
+    Cholesky of S + t_s I, t_s = -<y, b> - tol sqrt(C) ||y|| for C
+    constraints; if it succeeds, eigvalsh gives t.  y' passes only a check
+    with the maps, not A: lambda_min(y'_0 I + sum_c M_c*(Y_c)) >= 0 and,
+    for gap = y'_0 + sum_c <Y_c, T_c>, lower = -gap / ||y'|| > tol sqrt(C),
+    so gap < 0 and no state meets every target within tol."""
+    f, d = system.affine, system.dim
+    yb = float(dev @ f.target)
+    if yb >= 0 or two_s.diagonal().real.min() / 2 <= yb:
+        return None
+    bar = tol * math.sqrt(len(system.constraints))
+    try:
+        np.linalg.cholesky(two_s + 2 * (-yb - bar * math.sqrt(dev @ dev)) * np.eye(d))
+    except np.linalg.LinAlgError:
+        return None
+    w = np.linalg.eigvalsh(two_s) / 2
+    # the rounding margin: eigvalsh errs by a few d eps ||S||
+    y0 = float(dev[0]) + max(0.0, -w[0]) + 8 * d * np.finfo(float).eps * abs(w).max()
+    duals = tuple(_coords_to_herm(z, c.target.shape[0]) for z, c in
+                  zip(np.split(dev, f.offsets[1:])[1:], system.constraints))
+    z = y0 * np.eye(d) + sum(_adjoint_maps(np.stack([duals[p] for p in g.positions]),
+                                           g.index, g.weight, d) for g in system.groups)
+    gap = y0 + sum(np.vdot(y, c.target).real for y, c in zip(duals, system.constraints))
+    lower = -gap / math.sqrt(y0 * y0 + sum(np.vdot(y, y).real for y in duals))
+    if lower <= bar or np.linalg.eigvalsh(z)[0] < 0:
+        return None
+    return y0, duals, lower
+
+
 def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
                    max_iters: int = DEFAULT_MAX_ITERS) -> FeasibilityResult:
-    """Find a state satisfying every constraint, or report failure.
+    """Find a state satisfying every constraint, certify that none does, or
+    report failure.
 
     Minimises ||A coords(G G^dag) - b||^2 over G of size D x k, k the
     square-sum bound of the targets (at most D), by L-BFGS with exact line
@@ -596,14 +661,19 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
     truncates the state's eigenvalues below rank_tol before its first step,
     and a state handed over just under tol would then sit above the inner
     tolerance (repair_tol / 10) of its repair and pay confined repair
-    rounds that cannot reach it.  Above 10 tol, a stationary point, or a
-    best residual that improved by less than PLATEAU_RTOL over the last
-    PLATEAU_WINDOW iterations, is never reported at k < D: G gains D - k
-    small random columns, the window restarts, and the search goes on at
-    k = D, where every stationary point is a global least-squares minimum.
-    There either stops the run with a residual plateau: evidence of
-    infeasibility, never a certificate.  No step calls a constraint map or
-    decomposes a state; the returned state is checked by residual_report.
+    rounds that cannot reach it.  Above 10 tol, _screen seeks a dual
+    certificate at iterations 0, 1, 2, 4, 8, ... and at each stationary or
+    plateau trigger; one that passes its check ends the run, not converged,
+    with the certificate.  The screen writes nothing, so no iterate
+    changes.  Above 10 tol, a stationary point, or a best residual that
+    improved by less than PLATEAU_RTOL over the last PLATEAU_WINDOW
+    iterations, is never reported at k < D: G gains D - k small random
+    columns, the window restarts, and the search goes on at k = D, where
+    every stationary point is a global least-squares minimum.  There, with
+    no certificate, it stops the run with a residual plateau: evidence of
+    infeasibility, not a proof.  No step calls a constraint map or
+    decomposes a state but a screen past its Cholesky; the returned state
+    is checked by residual_report.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -622,21 +692,25 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
     g /= np.linalg.norm(g)
 
     def evaluate(g: np.ndarray, dev: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Deviation (from G unless given), gradient and residual at G."""
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Deviation (from G unless given), gradient, 2 S and residual at G."""
         if dev is None:
             dev = f.apply(g @ g.conj().T) - b
         # A coords(rho / t) = (dev + b) / t, and the first row is the trace
         scaled = (dev + b) / (dev[0] + b[0]) - b
-        return dev, f.gradient(dev, g), f.max_block_norm(scaled)
+        return (dev, *f.gradient(dev, g), f.max_block_norm(scaled))
 
-    def result(converged: bool, message: str) -> FeasibilityResult:
+    def result(converged: bool, message: str, dual=None) -> FeasibilityResult:
         x = best_g @ best_g.conj().T
         x = x / np.trace(x).real
-        return FeasibilityResult(x, residual_report(system, x), converged, it,
-                                 message, tuple(history), best_g.shape[1])
+        report, cert = residual_report(system, x), None
+        if dual is not None:
+            cert = InfeasibilityCertificate(*dual, math.hypot(*report.residuals))
+            message += f" [{cert.lower:.3e}, {cert.upper:.3e}] from consistent ones"
+        return FeasibilityResult(x, report, converged, it, message,
+                                 tuple(history), best_g.shape[1], cert)
 
-    dev, grad, res = evaluate(g)
+    dev, grad, two_s, res = evaluate(g)
     best_res, best_g = res, g
     history: list[float] = []
     # see _remember; the plateau window counts from start, the last pad
@@ -646,7 +720,7 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
     while True:
         if res <= tol / 100:
             # steps carry dev forward; confirm it on G itself
-            dev, grad, res = evaluate(g)
+            dev, grad, two_s, res = evaluate(g)
             if res <= tol / 100:
                 return result(True, f"converged in {it} iterations")
         rnorm = math.sqrt(dev @ dev)
@@ -655,6 +729,11 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
         stationary = np.vdot(grad, grad).real <= (STATIONARY_RTOL * rnorm * gnorm) ** 2
         plateau = it - start > PLATEAU_WINDOW and (
             (prev := history[it - PLATEAU_WINDOW - 1]) - best_res < PLATEAU_RTOL * prev)
+        if best_res > 10 * tol and (stationary or plateau or not it & (it - 1)):
+            dual = _screen(system, dev, two_s, tol)
+            if dual is not None:
+                return result(False, f"certified infeasible after {it} iterations: "
+                                     f"the targets lie at a distance in", dual)
         if (stationary or plateau) and best_res > 10 * tol:
             if g.shape[1] == d:
                 why = (f"stationary point of the rank-{d} least squares" if stationary
@@ -665,22 +744,23 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
             pad = (rng.standard_normal((d, d - g.shape[1]))
                    + 1j * rng.standard_normal((d, d - g.shape[1])))
             g = np.hstack([g, 1e-3 * np.linalg.norm(g) / np.linalg.norm(pad) * pad])
-            dev, grad, res = evaluate(g)
+            dev, grad, two_s, res = evaluate(g)
             rnorm = math.sqrt(dev @ dev)
             pairs, lo, kept, start = np.empty((2, 2 * LBFGS_MEMORY, 2 * g.size)), 0, 0, it
         if it == max_iters:
             break
         it += 1
         q = grad.view(np.float64).ravel()
-        p = _lbfgs_direction(grad, g, rnorm, *pairs[:, lo:lo + kept],
-                             *mats[:, lo:lo + kept, lo:lo + kept])
+        hi = lo + kept
+        p = _lbfgs_direction(q, g, rnorm, pairs[0, lo:hi], pairs[1, lo:hi],
+                             mats[0, lo:hi, lo:hi], mats[1, lo:hi, lo:hi])
         if p @ q >= 0:
             kept = 0
             p = -q
         p = p.view(np.complex128).reshape(g.shape)
         t, dev = _exact_step(f, g, p, dev)
         g_next = g + t * p
-        dev, grad_next, res = evaluate(g_next, dev)
+        dev, grad_next, two_s, res = evaluate(g_next, dev)
         s = (g_next - g).view(np.float64).ravel()
         y = (grad_next - grad).view(np.float64).ravel()
         if s @ y > 0:

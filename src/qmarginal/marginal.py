@@ -133,9 +133,9 @@ def find_feasible(instance: ConsistencyInstance | SectorInstance, *,
     rho = G G^dag / Tr with G of width theorem1_bound(instance) (at most the
     dimension), by L-BFGS from a fixed-seed start, so the run is
     deterministic and the state's rank is at most that bound.  A
-    non-converged result carries the best iterate and a plateau or
-    iteration-budget message; see _engine.solve_feasible.  The run uses the
-    instance's system, so a reduce_rank of the same instance reuses its
-    groups and target spectra.
+    non-converged result carries the best iterate and a certificate of
+    infeasibility, a plateau or a budget message; see
+    _engine.solve_feasible.  The run uses the instance's system, so a
+    reduce_rank of the same instance reuses its groups and target spectra.
     """
     return _engine.solve_feasible(instance.system, tol=tol, max_iters=max_iters)

@@ -246,8 +246,8 @@ def test_criterion_8_infeasibility_handling(capsys, tmp_path):
         dump_document(instance_to_doc(inst), str(inst_path))
         code = main(["solve", str(inst_path), "-o", str(out_path)])
         err = capsys.readouterr().err
-        ok = (ok and code == 1 and "plateau" in err
-              and "possibly infeasible" in err and not out_path.exists())
+        ok = (ok and code == 1 and err.startswith("certified infeasible after ")
+              and not out_path.exists())
         details.append(f"{name} exit {code}")
     report(capsys, 8, "infeasibility handling", ok, "; ".join(details))
 

@@ -11,9 +11,14 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
                      "bench")
 sys.path.insert(0, BENCH)
 
+import numpy as np  # noqa: E402
 import spans  # noqa: E402
+import workloads  # noqa: E402
+from qmarginal.cli import main  # noqa: E402
+from qmarginal.documents import dump_document, instance_to_doc  # noqa: E402
 from qmarginal.gallery import random_feasible_instance  # noqa: E402
-from qmarginal.marginal import find_feasible  # noqa: E402
+from qmarginal.marginal import (ConsistencyInstance, MarginalConstraint,  # noqa: E402
+                                find_feasible)
 from qmarginal.reduction import reduce_rank  # noqa: E402
 
 
@@ -85,3 +90,19 @@ def test_traced_reduction_counts_its_repair_rounds():
     m = spans.layer_metrics(tracer)
     assert m["engine.project_affine.repair_calls"] >= 1
     assert m["engine.reduce_core.steps"] == len(trace.steps) >= 1
+
+
+def test_certified_message_gives_the_bench_its_iteration_count(tmp_path, capsys):
+    """bench/workloads.py reads a CLI run's iterations from its standard
+    error with _ITERS_RE; solve's certified message on the contradictory
+    instance must still match it, with the run's own count."""
+    ket0 = np.diag([1.0, 0.0]).astype(complex)
+    inst = ConsistencyInstance((2, 2), (MarginalConstraint((0,), ket0),
+                                        MarginalConstraint((0, 1), np.eye(4) / 4)))
+    path = tmp_path / "contradictory.json"
+    dump_document(instance_to_doc(inst), str(path))
+    assert main(["solve", str(path), "-o", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    found = find_feasible(inst)
+    assert err.startswith("certified infeasible after ") and found.certificate is not None
+    assert int(workloads._ITERS_RE.search(err).group(1)) == found.iterations

@@ -151,7 +151,8 @@ def test_solve_infeasible_instance(tmp_path, capsys):
     out_path = tmp_path / "sol.json"
     assert main(["solve", inst_path, "-o", str(out_path)]) == 1
     err = capsys.readouterr().err
-    assert "possibly infeasible" in err
+    assert err.startswith("certified infeasible after ")
+    assert "from consistent ones" in err
     assert "best iterate" in err
     assert not out_path.exists()
 
@@ -369,8 +370,8 @@ def test_channel_reduce_aborted_reduction_exits_one(tmp_path, capsys, monkeypatc
 
 def test_channel_reduce_clashing_subchannels_exits_one(tmp_path, capsys):
     """The identity and the completely depolarising channel pinned to the
-    same qubit: no joint channel exists, the search stops at a residual
-    plateau and no document is written."""
+    same qubit: no joint channel exists, the search ends on a dual
+    certificate and no document is written."""
     paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
               np.diag([1.0, -1.0])]
     ident = choi_from_kraus([np.eye(2, dtype=complex)], (2,), (2,))
@@ -381,7 +382,9 @@ def test_channel_reduce_clashing_subchannels_exits_one(tmp_path, capsys):
     dump_document(channel_instance_to_doc(clash), str(inst_path))
     out_path = tmp_path / "red.json"
     assert main(["channel", "reduce", str(inst_path), "-o", str(out_path)]) == 1
-    assert capsys.readouterr().err.strip().endswith("instance possibly infeasible")
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("certified infeasible after ")
+    assert err.endswith("from consistent ones")
     assert not out_path.exists()
 
 

@@ -567,11 +567,11 @@ def test_ascent_direction_falls_back_to_the_gradient(monkeypatch):
     lbfgs = _engine._lbfgs_direction
     calls = []
 
-    def climb_once(grad, *args):
+    def climb_once(q, *args):
         calls.append(len(args[-1]))
         if len(calls) == 3:
-            return grad.view(np.float64).ravel().copy()
-        return lbfgs(grad, *args)
+            return q.copy()
+        return lbfgs(q, *args)
 
     monkeypatch.setattr(_engine, "_lbfgs_direction", climb_once)
     found = _engine.solve_feasible(inst.system)
@@ -595,11 +595,19 @@ def test_residual_history_of_a_converged_run():
     assert found.residual_history[-1] <= _engine.DEFAULT_TOL
 
 
-def test_residual_history_of_a_plateau():
+def no_screen(monkeypatch):
+    """Switch the certificate screen off, so that an infeasible instance
+    drives the pad, plateau, stationary and memory paths as it did before
+    the screen ended such runs."""
+    monkeypatch.setattr(_engine, "_screen", lambda *args: None)
+
+
+def test_residual_history_of_a_plateau(monkeypatch):
     """The contradictory two-qubit instance has its square-sum bound at
-    D = 4, so the search stops at a stationary point of the full-rank least
-    squares, well before the plateau window; its history ends at the best
-    residual the report recomputes."""
+    D = 4, so without the screen the search stops at a stationary point of
+    the full-rank least squares, well before the plateau window; its history
+    ends at the best residual the report recomputes."""
+    no_screen(monkeypatch)
     found = _engine.solve_feasible(contradictory_system())
     assert not found.converged and "plateau" in found.message
     assert "stationary point of the rank-4 least squares" in found.message
@@ -610,8 +618,10 @@ def test_residual_history_of_a_plateau():
 
 
 def test_plateau_rule_stops_a_run_without_a_stationary_exit(monkeypatch):
-    """With the stationary exit switched off, the contradictory instance
-    stops on the unchanged plateau rule after the window."""
+    """With the stationary exit and the screen switched off, the
+    contradictory instance stops on the unchanged plateau rule after the
+    window."""
+    no_screen(monkeypatch)
     monkeypatch.setattr(_engine, "STATIONARY_RTOL", 0.0)
     found = _engine.solve_feasible(contradictory_system())
     assert not found.converged and "plateau" in found.message
@@ -620,38 +630,45 @@ def test_plateau_rule_stops_a_run_without_a_stationary_exit(monkeypatch):
     assert_history(found)
 
 
-def monogamy_system():
+def monogamy_instance():
     """Two Bell pairs sharing a qubit: infeasible, with square-sum bound 1."""
     bell = np.zeros((4, 4), dtype=complex)
     bell[np.ix_([0, 3], [0, 3])] = 0.5
     return ConsistencyInstance((2, 2, 2), (MarginalConstraint((0, 1), bell),
-                                           MarginalConstraint((1, 2), bell))
-                               ).system
+                                           MarginalConstraint((1, 2), bell)))
 
 
-def clashing_pairs_system():
+def monogamy_system():
+    return monogamy_instance().system
+
+
+def clashing_pairs_instance():
     """All pairs of three qubits, each pinned to the marginal of a different
     random witness: infeasible, with square-sum bound 6 < D = 8."""
     pairs = list(combinations(range(3), 2))
     return ConsistencyInstance((2,) * 3, tuple(
         random_feasible_instance((2,) * 3, pairs, rank, seed=seed)[0].constraints[i]
-        for i, (rank, seed) in enumerate(((4, 269), (3, 307), (3, 40))))
-    ).system
+        for i, (rank, seed) in enumerate(((4, 269), (3, 307), (3, 40)))))
+
+
+def clashing_pairs_system():
+    return clashing_pairs_instance().system
 
 
 def test_plateau_below_full_width_pads_to_d(monkeypatch):
-    """With the stationary exit switched off, the clashing pairs (bound
-    6 < D = 8) plateau at width 6 after 508 iterations.  That is no verdict:
-    the factor is padded to D there, as at a stationary point, and the
-    window restarts, so the plateau is reported from width-8 iterates, a
-    full window after the pad."""
+    """With the stationary exit and the screen switched off, the clashing
+    pairs (bound 6 < D = 8) plateau at width 6 after 508 iterations.  That
+    is no verdict: the factor is padded to D there, as at a stationary
+    point, and the window restarts, so the plateau is reported from width-8
+    iterates, a full window after the pad."""
+    no_screen(monkeypatch)
     monkeypatch.setattr(_engine, "STATIONARY_RTOL", 0.0)
     lbfgs = _engine._lbfgs_direction
     widths = []
 
-    def spy(grad, g, *args):
+    def spy(q, g, *args):
         widths.append(g.shape[1])
-        return lbfgs(grad, g, *args)
+        return lbfgs(q, g, *args)
 
     monkeypatch.setattr(_engine, "_lbfgs_direction", spy)
     found = _engine.solve_feasible(clashing_pairs_system())
@@ -665,10 +682,12 @@ def test_plateau_below_full_width_pads_to_d(monkeypatch):
 
 def test_factor_rank_is_the_width_of_the_best_iterate(monkeypatch):
     """factor_rank is the width of the factor behind the returned state, the
-    best iterate.  Both runs end at the rank-8 stationary point, with the
-    plateau rule out of reach.  On the monogamy instance an iterate after
-    the pad to D beats the best residual at k = 1, so the width is 8; on the
-    clashing pairs none does, so it stays the bound, 6."""
+    best iterate.  Without the screen, both runs end at the rank-8
+    stationary point, with the plateau rule out of reach.  On the monogamy
+    instance an iterate after the pad to D beats the best residual at
+    k = 1, so the width is 8; on the clashing pairs none does, so it stays
+    the bound, 6."""
+    no_screen(monkeypatch)
     monkeypatch.setattr(_engine, "PLATEAU_WINDOW", 10 ** 9)
     padded = _engine.solve_feasible(monogamy_system())
     assert padded.factor_rank == 8
@@ -683,10 +702,11 @@ def test_factor_rank_is_the_width_of_the_best_iterate(monkeypatch):
                                                        rel=1e-9)
 
 
-def test_stationary_point_below_full_rank_is_never_reported():
+def test_stationary_point_below_full_rank_is_never_reported(monkeypatch):
     """At k = 1 the monogamy instance has a stationary point far above tol;
-    the factor is padded to D = 8 and the verdict comes from the full-rank
-    least squares."""
+    without the screen, the factor is padded to D = 8 and the verdict comes
+    from the full-rank least squares."""
+    no_screen(monkeypatch)
     system = monogamy_system()
     assert system.square_sum_bound() == 1
     found = _engine.solve_feasible(system)
@@ -694,6 +714,195 @@ def test_stationary_point_below_full_rank_is_never_reported():
     assert "stationary point of the rank-8 least squares" in found.message
     assert "possibly infeasible" in found.message
     assert found.report.max_residual > 0.1
+
+
+def test_adjoint_maps_match_embed_with_identity():
+    """On qudit groups, the scatter of one constraint's dual is
+    embed_with_identity's adjoint of its partial trace, and the scatter of a
+    group's stack is the sum over its constraints."""
+    rng = np.random.default_rng(43)
+    for dims, subsets in (((2, 3, 2), [(0, 1), (1, 2), (0, 2), (1,)]),
+                          ((2,) * 4, list(combinations(range(4), 2)))):
+        inst, _ = random_feasible_instance(dims, subsets, 2, seed=5)
+        system = inst.system
+        assert len(system.groups) < len(system.constraints)
+        for g in system.groups:
+            ys = np.stack([random_hermitian(rng, g.target.shape[-1]) for _ in g.positions])
+            want = [embed_with_identity(y, dims, inst.constraints[p].subsystems)
+                    for y, p in zip(ys, g.positions)]
+            for c, (y, w) in enumerate(zip(ys, want)):
+                got = _engine._adjoint_maps(y, g.index[c], None, system.dim)
+                assert np.abs(got - w).max() <= 1e-12
+            got = _engine._adjoint_maps(ys, g.index, g.weight, system.dim)
+            assert np.abs(got - sum(want)).max() <= 1e-12
+
+
+def test_adjoint_maps_are_the_adjoint_of_the_maps():
+    """<Y, M(X)> = Tr(M*(Y)^dag X) for every group of a weighted sector
+    system and of a channel with its TP row, for complex X and Y; and the
+    2 S that the solver's gradient returns for a deviation y is twice
+    y_0 I + sum_c M_c*(Y_c), Y_c its constraint blocks as matrices."""
+    rng = np.random.default_rng(47)
+    sector, _ = sector_pair(rng, "fermionic", 3, 5, 2, 4)
+    channel, _ = channel_pair()
+    assert sector.system.groups[0].weight is not None
+    assert len(channel.system.constraints) == 3
+    for instance in (sector, channel):
+        system, d = instance.system, instance.system.dim
+        for g in system.groups:
+            x = random_matrix(rng, d)
+            y = rng.standard_normal(g.target.shape) + 1j * rng.standard_normal(g.target.shape)
+            lhs = np.vdot(y, _engine._apply_maps(x, g.index, g.weight))
+            rhs = np.vdot(_engine._adjoint_maps(y, g.index, g.weight, d), x)
+            assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+        f = system.affine
+        dev = rng.standard_normal(f.target.size)
+        blocks = np.split(dev, f.offsets[1:])
+        duals = [_engine._coords_to_herm(z, c.target.shape[0])
+                 for z, c in zip(blocks[1:], system.constraints)]
+        s = dev[0] * np.eye(d) + sum(
+            _engine._adjoint_maps(np.stack([duals[p] for p in g.positions]),
+                                  g.index, g.weight, d) for g in system.groups)
+        two_s = f.gradient(dev, np.empty((d, 0)))[1]
+        assert np.abs(two_s / 2 - s).max() <= 1e-12 * np.abs(s).max()
+
+
+def assert_checked_certificate(inst, found):
+    """found ends on a certificate that a check from hilbert's partial trace
+    and its adjoint, not the engine's maps, confirms: y_0 I + sum_c
+    embed(Y_c) is PSD, y_0 + sum_c <Y_c, T_c> < 0, and lower is minus that
+    over the norm of (y_0, Y_c); upper is the norm of the residuals."""
+    cert = found.certificate
+    assert not found.converged and cert is not None
+    z = cert.trace_dual * np.eye(inst.system.dim) + sum(
+        embed_with_identity(y, inst.dims, c.subsystems)
+        for y, c in zip(cert.duals, inst.constraints))
+    assert np.linalg.eigvalsh(z)[0] >= 0
+    gap = cert.trace_dual + sum(np.vdot(y, c.target).real
+                                for y, c in zip(cert.duals, inst.constraints))
+    norm = math.sqrt(cert.trace_dual ** 2 + sum(np.linalg.norm(y) ** 2 for y in cert.duals))
+    assert gap < 0 and cert.lower == pytest.approx(-gap / norm, rel=1e-12)
+    residuals = [np.linalg.norm(partial_trace(found.state, inst.dims, c.subsystems)
+                                - c.target) for c in inst.constraints]
+    assert cert.upper == pytest.approx(np.linalg.norm(residuals), rel=1e-9)
+    return cert
+
+
+def test_infeasible_systems_end_on_a_checked_certificate():
+    """The contradictory, monogamy and clashing-pairs systems each end on a
+    certificate within eight iterations, with 0 < lower <= upper, and the
+    message carries the bracket."""
+    for inst in (contradictory_instance(), monogamy_instance(), clashing_pairs_instance()):
+        found = _engine.solve_feasible(inst.system)
+        cert = assert_checked_certificate(inst, found)
+        assert 0 < cert.lower <= cert.upper and found.iterations <= 8
+        assert found.message == (
+            f"certified infeasible after {found.iterations} iterations: the targets "
+            f"lie at a distance in [{cert.lower:.3e}, {cert.upper:.3e}] from "
+            f"consistent ones")
+        assert_history(found)
+
+
+def test_lower_end_never_exceeds_a_known_distance():
+    """Targets T_c + eps E_c, E_c random traceless Hermitian drawn apart
+    from the solver's start, lie at distance eps (sum_c ||E_c||^2)^(1/2)
+    from the consistent T_c, so no lower end may exceed that.  Rank-1 and
+    rank-2 witnesses, eps from 1e-1 to 1e-5: every rung is certified."""
+    for rank, seed in ((1, 0), (2, 1)):
+        inst, _ = random_feasible_instance((2,) * 3, list(combinations(range(3), 2)),
+                                           rank, seed=seed)
+        rng = np.random.default_rng(1234)
+        noise = []
+        for c in inst.system.constraints:
+            e = random_hermitian(rng, len(c.target))
+            noise.append(e - np.trace(e).real / len(e) * np.eye(len(e)))
+        size = math.sqrt(sum(np.linalg.norm(e) ** 2 for e in noise))
+        for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
+            system = _engine.ConstraintSystem(inst.system.dim, tuple(
+                _engine.Constraint(c.target + eps * e, c.index, c.weight, c.label)
+                for c, e in zip(inst.system.constraints, noise)))
+            cert = _engine.solve_feasible(system).certificate
+            assert cert is not None and 0 < cert.lower <= cert.upper
+            assert cert.lower <= eps * size
+
+
+def test_no_certificate_for_consistent_targets(monkeypatch):
+    """Weak duality: for targets b = A(X*) of a state X*, every dual y has
+    <y', b> = Tr(A^T y' X*) >= 0.  On random qudit, sector and channel
+    instances, random deviations with <y, b> < 0 are screened with the
+    Cholesky filter forced to pass, so the check alone must reject them."""
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: a)
+    rng = np.random.default_rng(53)
+    cases = [random_feasible_instance((2,) * 3, list(combinations(range(3), 2)), r,
+                                      seed=r) for r in (1, 2, 8)]
+    cases += [sector_pair(rng, "bosonic", 4, 2, 2, 1), channel_pair()]
+    screened = 0
+    for instance, witness in cases:
+        system = instance.system
+        f = system.affine
+        for noise in (0.0, 1e-3, 1e-1, 10.0):
+            for scale in (1e-6, 1e-3, 1.0):
+                # Y_c near -M_c(X*): X* then lies near the bottom of A^T y
+                dev = scale * np.concatenate([[0.0]] + [_engine._herm_coords(
+                    noise * random_hermitian(rng, len(c.target)) - c.apply(witness))
+                    for c in system.constraints])
+                dev[0] -= dev @ f.target + scale * rng.uniform(0, 1)
+                two_s = f.gradient(dev, np.empty((system.dim, 0)))[1]
+                screened += two_s.diagonal().real.min() / 2 > dev @ f.target
+                assert _engine._screen(system, dev, two_s, 1e-300) is None
+    assert screened >= 30
+
+
+def test_screens_are_scheduled_and_filtered(monkeypatch):
+    """A feasible five-qubit run with a 100-iteration budget screens at
+    iterations 0, 1, 2, 4, ... while its best residual is above 10 tol: at
+    most 7 screens, as these runs get below that before iteration 64.  The
+    two free filters spare the Cholesky of most of them, of all of them on
+    the full-rank witness, and no Cholesky succeeds."""
+    screen, cholesky = _engine._screen, np.linalg.cholesky
+    screens, factored = [], []
+
+    def spy_screen(*args):
+        screens.append(True)
+        return screen(*args)
+
+    def spy_cholesky(a):
+        factored.append(True)
+        cholesky(a)
+        raise AssertionError("a feasible run passed the Cholesky filter")
+
+    monkeypatch.setattr(_engine, "_screen", spy_screen)
+    monkeypatch.setattr(np.linalg, "cholesky", spy_cholesky)
+    for rank, seed in ((32, 0), (2, 0), (2, 1), (2, 2)):
+        screens.clear()
+        inst, _ = random_feasible_instance((2,) * 5, list(combinations(range(5), 2)),
+                                           rank, seed=seed)
+        found = _engine.solve_feasible(inst.system, max_iters=100)
+        assert found.converged and found.certificate is None
+        best = (math.inf,) + found.residual_history  # the best residual at each iteration
+        due = [it for it in range(found.iterations + 1)
+               if not it & (it - 1) and best[it] > 10 * _engine.DEFAULT_TOL]
+        assert len(screens) == len(due) <= 7
+        if rank == 32:
+            assert not factored
+    assert len(factored) <= 2
+
+
+def test_the_screen_changes_no_iterate(monkeypatch):
+    """The screen reads the solver's state and writes none of it: a run
+    stopped by its budget (rank 1) and one that converges (rank 2, at 88
+    iterations) keep their state, history and message bit for bit when the
+    screen is switched off."""
+    cases = [random_feasible_instance((2,) * 4, list(combinations(range(4), 2)),
+                                      rank, seed=0)[0] for rank in (1, 2)]
+    runs = [_engine.solve_feasible(inst.system, max_iters=100) for inst in cases]
+    assert [found.converged for found in runs] == [False, True]
+    no_screen(monkeypatch)
+    for inst, found in zip(cases, runs):
+        again = _engine.solve_feasible(inst.system, max_iters=100)
+        assert np.array_equal(found.state, again.state)
+        assert found.residual_history == again.residual_history
+        assert (found.message, found.certificate) == (again.message, None)
 
 
 def test_feasible_state_has_rank_at_most_the_bound():
@@ -715,17 +924,28 @@ def test_feasibility_iterations_decompose_no_state(monkeypatch):
     eigendecompositions of a run are those of the bound's target ranks and
     of the final residual_report, whatever the budget, and the one LAPACK
     call of an iteration is the k x k inverse of its metric.  The L-BFGS
-    memory and the line search's cubic add none."""
+    memory and the line search's cubic add none.  The screens, at
+    iterations 0, 1, 2, 4, 8, 16 and, in the longer run, 32, add a
+    Cholesky of the D x D dual matrix where both free filters pass: at four
+    of the first six and not at 32.  None succeeds, so no screen reaches
+    its eigvalsh."""
     inst, _ = random_feasible_instance((2,) * 4, list(combinations(range(4), 2)),
                                        1, seed=0)
     system = inst.system
     k = system.square_sum_bound()
     calls = []
-    for name in ("eigh", "eigvalsh", "eigvals", "inv"):
+    for name in ("eigh", "eigvalsh", "eigvals", "inv", "cholesky"):
         def spy(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
             calls.append((_name, np.shape(a)))
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, spy)
+    screen = _engine._screen
+
+    def spy_screen(*args):
+        calls.append(("screen", ()))
+        return screen(*args)
+
+    monkeypatch.setattr(_engine, "_screen", spy_screen)
 
     def run(max_iters):
         calls.clear()
@@ -735,9 +955,13 @@ def test_feasibility_iterations_decompose_no_state(monkeypatch):
         return list(calls)
 
     short, long = run(20), run(40)
-    assert [c for c in short if c[0] != "inv"] == [c for c in long if c[0] != "inv"]
+    assert short.count(("screen", ())) == 6 and long.count(("screen", ())) == 7
+    assert short.count(("cholesky", (16, 16))) == long.count(("cholesky", (16, 16))) == 4
+    iteration_calls = ("inv", "screen")
+    assert ([c for c in short if c[0] not in iteration_calls]
+            == [c for c in long if c[0] not in iteration_calls])
     assert short.count(("eigvalsh", (16, 16))) == 1
-    assert Counter(long) - Counter(short) == Counter({("inv", (k, k)): 20})
+    assert Counter(long) - Counter(short) == Counter({("inv", (k, k)): 20, ("screen", ()): 1})
     assert not Counter(short) - Counter(long)
     assert k < 16 and not any(name == "eigvals" for name, _ in long)
 
@@ -811,18 +1035,19 @@ def assert_fresh_memory(s, y, sy, rinv):
 def test_lbfgs_memory_matches_a_fresh_build(monkeypatch):
     """Kept incrementally, S Y^T and R^-1 equal fresh builds of the pairs
     handed to the direction: through the monogamy instance's pad from k = 1
-    to 8, appends past LBFGS_MEMORY and a forced ascent fallback that
-    empties the memory."""
+    to 8 (with the screen switched off), appends past LBFGS_MEMORY and a
+    forced ascent fallback that empties the memory."""
+    no_screen(monkeypatch)
     lbfgs = _engine._lbfgs_direction
     seen = []
 
-    def spy(grad, g, eta, s, y, sy, rinv):
+    def spy(q, g, eta, s, y, sy, rinv):
         seen.append((g.shape[1], len(s)))
         if len(s):
             assert_fresh_memory(s, y, sy, rinv)
         if seen.count((8, _engine.LBFGS_MEMORY)) == 3:
-            return grad.view(np.float64).ravel().copy()
-        return lbfgs(grad, g, eta, s, y, sy, rinv)
+            return q.copy()
+        return lbfgs(q, g, eta, s, y, sy, rinv)
 
     monkeypatch.setattr(_engine, "_lbfgs_direction", spy)
     found = _engine.solve_feasible(monogamy_system())
@@ -853,14 +1078,14 @@ def test_lbfgs_memory_window_moves_to_the_front(monkeypatch):
         moves.append(out[0] < lo)
         return out
 
-    def spy_direction(grad, g, eta, s, y, sy, rinv):
+    def spy_direction(q, g, eta, s, y, sy, rinv):
         kept.append(len(s))
         if len(s):
             last = appended[-len(s):]
             assert np.array_equal(s, [a for a, _ in last])
             assert np.array_equal(y, [b for _, b in last])
             assert_fresh_memory(s, y, sy, rinv)
-        return lbfgs(grad, g, eta, s, y, sy, rinv)
+        return lbfgs(q, g, eta, s, y, sy, rinv)
 
     monkeypatch.setattr(_engine, "_remember", spy_remember)
     monkeypatch.setattr(_engine, "_lbfgs_direction", spy_direction)
@@ -881,7 +1106,7 @@ def reference_line_search(f, g, p, dev):
     return t, dev + t * a1 + (t * t) * a2
 
 
-def reference_direction(grad, g, eta, s, y, sy, rinv):
+def reference_direction(q, g, eta, s, y, sy, rinv):
     """The compact L-BFGS direction with the metric applied to one vector
     at a time."""
     gram = g.conj().T @ g
@@ -891,7 +1116,6 @@ def reference_direction(grad, g, eta, s, y, sy, rinv):
     def metric(v):
         return (v.view(np.complex128).reshape(g.shape) @ minv).view(np.float64).ravel()
 
-    q = grad.view(np.float64).ravel()
     h0q = metric(q)
     gamma = sy[-1, -1] / (y[-1] @ metric(y[-1]))
     ra = rinv @ (s @ q)
@@ -904,7 +1128,8 @@ def test_stacked_iteration_products_match_single_ones_bit_for_bit():
     """On a qudit, a weighted sector and a channel system with its TP row:
     A applied to a stack of two matrices is A applied to each; the line
     search's step and deviation, the gradient, the residual and the L-BFGS
-    direction equal their one-matrix forms to the last bit."""
+    direction equal their one-matrix forms to the last bit, and the
+    gradient is 4 S G for the 2 S that comes with it."""
     rng = np.random.default_rng(41)
     for instance in projection_cases():
         f = instance.system.affine
@@ -917,12 +1142,14 @@ def test_stacked_iteration_products_match_single_ones_bit_for_bit():
         t, nxt = _engine._exact_step(f, g, p, dev)
         t_ref, nxt_ref = reference_line_search(f, g, p, dev)
         assert t == t_ref and np.array_equal(nxt, nxt_ref)
-        assert np.array_equal(f.gradient(dev, g), 4 * f.adjoint(dev) @ g)
+        grad, two_s = f.gradient(dev, g)
+        assert np.array_equal(grad, 4 * (two_s / 2) @ g)
         assert f.max_block_norm(dev) == np.sqrt(np.add.reduceat(dev * dev, f.offsets)).max()
         s = rng.standard_normal((5, 2 * d * k))
         y = s + 0.1 * rng.standard_normal(s.shape)
         sy = s @ y.T
-        args = (random_matrix(rng, d, k), g, 0.3, s, y, sy, np.linalg.inv(np.triu(sy)))
+        args = (random_matrix(rng, d, k).view(np.float64).ravel(), g, 0.3, s, y, sy,
+                np.linalg.inv(np.triu(sy)))
         assert np.array_equal(_engine._lbfgs_direction(*args), reference_direction(*args))
 
 

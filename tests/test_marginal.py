@@ -153,26 +153,33 @@ def test_find_feasible_random_targets():
         assert found.report.max_residual <= 1e-8
 
 
-def test_find_feasible_contradictory_plateaus():
-    """Conflicting single-qubit and pair targets produce a plateau report."""
+def assert_certified(found):
+    """A non-converged run that ends on a checked dual certificate, whose
+    bracket [lower, upper] the message carries, with 0 < lower <= upper and
+    upper the root square sum of the returned state's residuals."""
+    cert = found.certificate
+    assert not found.converged and cert is not None
+    assert found.message.startswith(
+        f"certified infeasible after {found.iterations} iterations: ")
+    assert f"[{cert.lower:.3e}, {cert.upper:.3e}]" in found.message
+    assert 0 < cert.lower <= cert.upper
+    assert cert.upper == pytest.approx(np.linalg.norm(found.report.residuals), rel=1e-12)
+    assert found.report.max_residual > 0.1
+
+
+def test_find_feasible_contradictory_is_certified():
+    """Conflicting single-qubit and pair targets end on a certificate."""
     ket0 = np.zeros((2, 2), dtype=complex)
     ket0[0, 0] = 1.0
     inst = ConsistencyInstance(
         (2, 2), (MarginalConstraint((0,), ket0),
                  MarginalConstraint((0, 1), np.eye(4) / 4)))
-    found = find_feasible(inst)
-    assert not found.converged
-    assert "possibly infeasible" in found.message
-    assert "plateau" in found.message
-    assert found.report.max_residual > 0.1
+    assert_certified(find_feasible(inst))
 
 
-def test_find_feasible_monogamy_plateaus():
+def test_find_feasible_monogamy_is_certified():
     bell = bell_state()
     inst = ConsistencyInstance(
         (2, 2, 2), (MarginalConstraint((0, 1), bell),
                     MarginalConstraint((1, 2), bell)))
-    found = find_feasible(inst)
-    assert not found.converged
-    assert "possibly infeasible" in found.message
-    assert found.report.max_residual > 0.1
+    assert_certified(find_feasible(inst))
