@@ -49,8 +49,6 @@ DEFAULT_MAX_ITERS = 5000
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_REPAIR_TOL = 1e-8
 DEFAULT_DERIV_TOL = 1e-9
-PLATEAU_WINDOW = 500
-PLATEAU_RTOL = 5e-3
 LBFGS_MEMORY = 20
 STATIONARY_RTOL = 1e-9
 
@@ -662,18 +660,16 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
     and a state handed over just under tol would then sit above the inner
     tolerance (repair_tol / 10) of its repair and pay confined repair
     rounds that cannot reach it.  Above 10 tol, _screen seeks a dual
-    certificate at iterations 0, 1, 2, 4, 8, ... and at each stationary or
-    plateau trigger; one that passes its check ends the run, not converged,
-    with the certificate.  The screen writes nothing, so no iterate
-    changes.  Above 10 tol, a stationary point, or a best residual that
-    improved by less than PLATEAU_RTOL over the last PLATEAU_WINDOW
-    iterations, is never reported at k < D: G gains D - k small random
-    columns, the window restarts, and the search goes on at k = D, where
-    every stationary point is a global least-squares minimum.  There, with
-    no certificate, it stops the run with a residual plateau: evidence of
-    infeasibility, not a proof.  No step calls a constraint map or
-    decomposes a state but a screen past its Cholesky; the returned state
-    is checked by residual_report.
+    certificate at iterations 0, 1, 2, 4, 8, ... and at every stationary
+    point; one that passes its check ends the run, not converged, with the
+    certificate.  The screen writes nothing, so no iterate changes.  A
+    stationary point above 10 tol that the screen does not certify is
+    never reported at k < D: G gains D - k small random columns and the
+    search goes on at k = D, where every stationary point is a global
+    least-squares minimum.  There it stops the run with a residual
+    plateau: evidence of infeasibility, not a proof.  No step calls a
+    constraint map or decomposes a state but a screen past its Cholesky;
+    the returned state is checked by residual_report.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -713,8 +709,7 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
     dev, grad, two_s, res = evaluate(g)
     best_res, best_g = res, g
     history: list[float] = []
-    # see _remember; the plateau window counts from start, the last pad
-    pairs, lo, kept, start = np.empty((2, 2 * LBFGS_MEMORY, 2 * g.size)), 0, 0, 0
+    pairs, lo, kept = np.empty((2, 2 * LBFGS_MEMORY, 2 * g.size)), 0, 0  # see _remember
     mats = np.zeros((2, 2 * LBFGS_MEMORY, 2 * LBFGS_MEMORY))
     it = 0
     while True:
@@ -727,26 +722,22 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
         # ||G||^2 = Tr G G^dag, which the trace row of dev holds
         gnorm = math.sqrt(dev[0] + b[0])
         stationary = np.vdot(grad, grad).real <= (STATIONARY_RTOL * rnorm * gnorm) ** 2
-        plateau = it - start > PLATEAU_WINDOW and (
-            (prev := history[it - PLATEAU_WINDOW - 1]) - best_res < PLATEAU_RTOL * prev)
-        if best_res > 10 * tol and (stationary or plateau or not it & (it - 1)):
+        if best_res > 10 * tol and (stationary or not it & (it - 1)):
             dual = _screen(system, dev, two_s, tol)
             if dual is not None:
                 return result(False, f"certified infeasible after {it} iterations: "
                                      f"the targets lie at a distance in", dual)
-        if (stationary or plateau) and best_res > 10 * tol:
-            if g.shape[1] == d:
-                why = (f"stationary point of the rank-{d} least squares" if stationary
-                       else f"< {PLATEAU_RTOL:.1%} improvement over the last {PLATEAU_WINDOW}")
+            if stationary and g.shape[1] == d:
                 return result(False, f"residual plateau at {best_res:.3e} after {it} "
-                                     f"iterations ({why}); instance possibly infeasible")
-            # small random columns move the factor off where rank k stalled
-            pad = (rng.standard_normal((d, d - g.shape[1]))
-                   + 1j * rng.standard_normal((d, d - g.shape[1])))
-            g = np.hstack([g, 1e-3 * np.linalg.norm(g) / np.linalg.norm(pad) * pad])
-            dev, grad, two_s, res = evaluate(g)
-            rnorm = math.sqrt(dev @ dev)
-            pairs, lo, kept, start = np.empty((2, 2 * LBFGS_MEMORY, 2 * g.size)), 0, 0, it
+                                     f"iterations (stationary point of the rank-{d} "
+                                     f"least squares); instance possibly infeasible")
+            if stationary:  # small random columns move G off where rank k stalled
+                pad = (rng.standard_normal((d, d - g.shape[1]))
+                       + 1j * rng.standard_normal((d, d - g.shape[1])))
+                g = np.hstack([g, 1e-3 * np.linalg.norm(g) / np.linalg.norm(pad) * pad])
+                dev, grad, two_s, res = evaluate(g)
+                rnorm = math.sqrt(dev @ dev)
+                pairs, lo, kept = np.empty((2, 2 * LBFGS_MEMORY, 2 * g.size)), 0, 0
         if it == max_iters:
             break
         it += 1
@@ -920,7 +911,6 @@ def _restricted_null_space(v0: np.ndarray, n0: np.ndarray,
 def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
                            rng: np.random.Generator, *,
                            rank_tol: float = DEFAULT_RANK_TOL,
-                           deriv_tol: float = DEFAULT_DERIV_TOL,
                            target_bases: Sequence[tuple[ConstraintGroup, np.ndarray]]
                            | None = None,
                            walk_basis: tuple[np.ndarray, np.ndarray] | None = None
@@ -939,13 +929,13 @@ def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
     Gram matrix (_row_space); a random seed is projected onto it.
     walk_basis = (v0, n0), a null basis of the rows on a span(v0) that holds
     span(v), replaces the rows: the direction is a normal combination of its
-    restriction to span(v).  One candidate is drawn and verified on H: |Tr H|
-    and every full constraint image must stay below deriv_tol.  If it fails
-    (the compressed rows miss part of a full image because a target support
-    was misjudged at rank_tol, or span(v0) does not hold span(v)), one more
-    is drawn from the row space of the full rows on span(v), which span the
-    compressed ones.  Returns None when the null space is (numerically)
-    empty or that candidate fails too.
+    restriction to span(v).  One candidate is drawn and verified on H:
+    |Tr H| and every full constraint image must stay below
+    DEFAULT_DERIV_TOL.  If it fails (the compressed rows miss part of a full
+    image because a target support was misjudged at rank_tol, or span(v0)
+    does not hold span(v)), one more is drawn from the row space of the
+    full rows on span(v), which span the compressed ones.  Returns None
+    when the null space is (numerically) empty or that candidate fails too.
     """
     r = v.shape[1]
     if r <= 1:
@@ -971,10 +961,10 @@ def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
 
     def posts_hold(h: np.ndarray) -> bool:
         x = v @ h @ v.conj().T
-        if abs(np.trace(x)) > deriv_tol:
+        if abs(np.trace(x)) > DEFAULT_DERIV_TOL:
             return False
-        return all(bool((_frobenius(_apply_maps(x, g.index, g.weight)) <= deriv_tol).all())
-                   for g in system.groups)
+        return all(bool((_frobenius(_apply_maps(x, g.index, g.weight))
+                         <= DEFAULT_DERIV_TOL).all()) for g in system.groups)
 
     y0 = rng.standard_normal(q.shape[1] if null else r * r)
     h = attempt(q, null, y0)
@@ -1082,11 +1072,16 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *,
     Every support lies in the span of the one before, so the first support
     V0 with r0^2 <= m, m the number of descent rows, gets the walk's one
     null basis of the rows (eigh of the r0^2 x r0^2 Gram matrix), which
-    each later step restricts.  While r^2 > m no r^2 x r^2 Gram is formed.
-    The returned state is the lift V diag(p) V^dag that the last repair
-    checked, and the trace's final rank is the size of p.  Small eigenvalues
-    are not truncated above rank_tol: a boundary step removes them without
-    moving any constraint.
+    each later step restricts.  While r^2 > m no r^2 x r^2 Gram is formed;
+    the direction comes from the row space of the rows (_row_space).  A
+    solve_feasible state has rank at most its factor's width, the
+    square-sum bound unless a stationary point padded it, and the bound's
+    square is at most m - 1, so its walk builds the null basis at the entry
+    and never takes that phase: it serves only states that a caller passes
+    in above the bound.  The returned state is the lift V diag(p) V^dag
+    that the last repair checked, and the trace's final rank is the size of
+    p.  Small eigenvalues are not truncated above rank_tol: a boundary step
+    removes them without moving any constraint.
     """
     rng = np.random.default_rng(seed)
     x = hermitian_part(np.asarray(rho0, dtype=complex))

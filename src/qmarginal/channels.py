@@ -17,7 +17,7 @@ from ._engine import DEFAULT_MAX_ITERS, DEFAULT_RANK_TOL, ReductionTrace
 from .hilbert import check_dims, check_subsystems, partial_trace, total_dim
 from .marginal import (ConsistencyInstance, FeasibilityResult,
                        MarginalConstraint, find_feasible)
-from .numerics import as_hermitian, eigenvalue_scale
+from .numerics import as_hermitian, eigenvalue_scale, support_mask
 from .reduction import reduce_rank
 
 DEFAULT_CP_TOL = 1e-8
@@ -152,11 +152,9 @@ def kraus_from_choi(channel: ChannelRepr, *, cp_tol: float = DEFAULT_CP_TOL,
     if w.min() < -cp_tol * scale:
         raise ValueError(
             f"channel is not completely positive: min Choi eigenvalue {w.min():.3e}")
-    kraus = []
-    for wi, vi in zip(w, v.T):
-        if wi <= rank_tol * scale:
-            continue
-        kraus.append(math.sqrt(din * wi) * vi.reshape(din, dout).T)
+    keep = support_mask(w, rank_tol)
+    kraus = [math.sqrt(din * wi) * vi.reshape(din, dout).T
+             for wi, vi in zip(w[keep], v.T[keep])]
     return check_kraus(kraus, din, dout, tp_tol)
 
 

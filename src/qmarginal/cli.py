@@ -119,84 +119,85 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_example(args) -> int:
-    name = args.name
-    if name == "ring-graph":
-        state = ring_graph_state(args.n)
-        doc = state_to_doc(state, (2,) * args.n, rank=1)
-        _emit(doc, args.output, [f"ring graph state on {args.n} qubits"])
-        return 0
-    if name == "mm-klocal":
-        instance = maximally_mixed_klocal_instance(args.n, args.k)
-        doc = instance_to_doc(instance)
-        _emit(doc, args.output,
-              [f"{len(instance.constraints)} maximally mixed "
-               f"{args.k}-local constraints on {args.n} qubits"])
-        return 0
-    if name == "boson-sigma":
-        state = bosonic_sigma_p(args.n, args.p)
-        doc = state_to_doc(state, (state.shape[0],), kind="bosonic",
-                           N=args.n, d=2, basis="occupation",
-                           rank=numerical_rank(state, args.rank_tol))
-        _emit(doc, args.output,
-              [f"sigma_{args.p} on {args.n} bosons, "
-               f"rank {numerical_rank(state, args.rank_tol)}"])
-        return 0
-    if name == "random-feasible":
-        from itertools import combinations
-        subsets = list(combinations(range(args.n), args.k))
-        rank = 2 ** args.n if args.rank is None else args.rank
-        instance, witness = random_feasible_instance(
-            (2,) * args.n, subsets, rank, args.seed)
-        doc = instance_to_doc(instance)
-        if args.state_out:
-            dump_document(state_to_doc(witness, instance.dims), args.state_out)
-        _emit(doc, args.output,
-              [f"random feasible instance: {args.n} qubits, "
-               f"{len(subsets)} {args.k}-local constraints, seed {args.seed}"])
-        return 0
-    raise DocumentError(f"unknown example {name!r}")
+def cmd_ring_graph(args) -> int:
+    state = ring_graph_state(args.n)
+    doc = state_to_doc(state, (2,) * args.n, rank=1)
+    _emit(doc, args.output, [f"ring graph state on {args.n} qubits"])
+    return 0
 
 
-def cmd_channel(args) -> int:
-    if args.channel_cmd == "kraus":
-        channel = channel_from_doc(load_document(args.channel))
-        try:
-            kraus = kraus_from_choi(channel)
-        except ValueError as err:
-            _fail(str(err))
-            return 1
-        doc = kraus_to_doc(kraus, channel.in_dims, channel.out_dims)
-        _emit(doc, args.output, [f"kraus operators: {len(kraus)}"])
-        return 0
-    if args.channel_cmd == "subchannel":
-        channel = channel_from_doc(load_document(args.channel))
-        sub = sub_channel(channel, args.in_keep, args.out_keep)
-        _emit(channel_to_doc(sub), args.output,
-              [f"sub-channel on inputs {args.in_keep}, outputs {args.out_keep}"])
-        return 0
-    if args.channel_cmd == "reduce":
-        instance = channel_instance_from_doc(load_document(args.instance))
-        try:
-            channel, trace = reduce_kraus_rank(
-                instance, tol=args.tol, max_iters=args.max_iters,
-                rank_tol=args.rank_tol, seed=args.seed)
-        except ChannelFeasibilityError as err:
-            _fail(str(err))
-            return 1
-        except ReductionError as err:
-            _fail(f"rank reduction aborted: {err}")
-            return 1
-        kraus = kraus_from_choi(channel, rank_tol=args.rank_tol)
-        options = {"tol": args.tol, "rank_tol": args.rank_tol,
-                   "max_iters": args.max_iters, "seed": args.seed}
-        doc = channel_solution_to_doc(channel, kraus, trace, options)
-        bounds = kraus_count_bounds(instance)
-        _emit(doc, args.output,
-              [f"kraus count: {len(kraus)} (paper bound {bounds['paper']}, "
-               f"tp-augmented bound {bounds['tp_augmented']})"])
-        return 0
-    raise DocumentError(f"unknown channel command {args.channel_cmd!r}")
+def cmd_mm_klocal(args) -> int:
+    instance = maximally_mixed_klocal_instance(args.n, args.k)
+    _emit(instance_to_doc(instance), args.output,
+          [f"{len(instance.constraints)} maximally mixed "
+           f"{args.k}-local constraints on {args.n} qubits"])
+    return 0
+
+
+def cmd_boson_sigma(args) -> int:
+    state = bosonic_sigma_p(args.n, args.p)
+    rank = numerical_rank(state, args.rank_tol)
+    doc = state_to_doc(state, (state.shape[0],), kind="bosonic",
+                       N=args.n, d=2, basis="occupation", rank=rank)
+    _emit(doc, args.output, [f"sigma_{args.p} on {args.n} bosons, rank {rank}"])
+    return 0
+
+
+def cmd_random_feasible(args) -> int:
+    from itertools import combinations
+    subsets = list(combinations(range(args.n), args.k))
+    rank = 2 ** args.n if args.rank is None else args.rank
+    instance, witness = random_feasible_instance(
+        (2,) * args.n, subsets, rank, args.seed)
+    if args.state_out:
+        dump_document(state_to_doc(witness, instance.dims), args.state_out)
+    _emit(instance_to_doc(instance), args.output,
+          [f"random feasible instance: {args.n} qubits, "
+           f"{len(subsets)} {args.k}-local constraints, seed {args.seed}"])
+    return 0
+
+
+def cmd_kraus(args) -> int:
+    channel = channel_from_doc(load_document(args.channel))
+    try:
+        kraus = kraus_from_choi(channel)
+    except ValueError as err:
+        _fail(str(err))
+        return 1
+    doc = kraus_to_doc(kraus, channel.in_dims, channel.out_dims)
+    _emit(doc, args.output, [f"kraus operators: {len(kraus)}"])
+    return 0
+
+
+def cmd_subchannel(args) -> int:
+    channel = channel_from_doc(load_document(args.channel))
+    sub = sub_channel(channel, args.in_keep, args.out_keep)
+    _emit(channel_to_doc(sub), args.output,
+          [f"sub-channel on inputs {args.in_keep}, outputs {args.out_keep}"])
+    return 0
+
+
+def cmd_channel_reduce(args) -> int:
+    instance = channel_instance_from_doc(load_document(args.instance))
+    try:
+        channel, trace = reduce_kraus_rank(
+            instance, tol=args.tol, max_iters=args.max_iters,
+            rank_tol=args.rank_tol, seed=args.seed)
+    except ChannelFeasibilityError as err:
+        _fail(str(err))
+        return 1
+    except ReductionError as err:
+        _fail(f"rank reduction aborted: {err}")
+        return 1
+    kraus = kraus_from_choi(channel, rank_tol=args.rank_tol)
+    options = {"tol": args.tol, "rank_tol": args.rank_tol,
+               "max_iters": args.max_iters, "seed": args.seed}
+    doc = channel_solution_to_doc(channel, kraus, trace, options)
+    bounds = kraus_count_bounds(instance)
+    _emit(doc, args.output,
+          [f"kraus count: {len(kraus)} (paper bound {bounds['paper']}, "
+           f"tp-augmented bound {bounds['tp_augmented']})"])
+    return 0
 
 
 def _add_common(p: argparse.ArgumentParser, *, tol: float = DEFAULT_TOL) -> None:
@@ -238,21 +239,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_ex = sub.add_parser("example", help="emit a gallery instance or state")
-    p_ex.add_argument("name", choices=["ring-graph", "mm-klocal",
-                                       "boson-sigma", "random-feasible"])
-    p_ex.add_argument("--n", "--N", dest="n", type=int, default=4,
-                      help="qubit count, or particle count for boson-sigma")
-    p_ex.add_argument("--k", type=int, default=2, help="local subset size")
-    p_ex.add_argument("--p", type=int, default=1,
-                      help="excitation number for boson-sigma")
-    p_ex.add_argument("--rank", type=int, default=None,
-                      help="witness rank for random-feasible (default: full)")
-    p_ex.add_argument("--seed", type=int, default=0)
-    p_ex.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
-    p_ex.add_argument("-o", "--output", default=None)
-    p_ex.add_argument("--state-out", default=None,
-                      help="also write the witness state here (random-feasible)")
-    p_ex.set_defaults(func=cmd_example)
+    ex_opts = argparse.ArgumentParser(add_help=False)
+    ex_opts.add_argument("--n", "--N", dest="n", type=int, default=4,
+                         help="qubit count, or particle count for boson-sigma")
+    ex_opts.add_argument("--k", type=int, default=2, help="local subset size")
+    ex_opts.add_argument("--p", type=int, default=1,
+                         help="excitation number for boson-sigma")
+    ex_opts.add_argument("--rank", type=int, default=None,
+                         help="witness rank for random-feasible (default: full)")
+    ex_opts.add_argument("--seed", type=int, default=0)
+    ex_opts.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
+    ex_opts.add_argument("-o", "--output", default=None)
+    ex_opts.add_argument("--state-out", default=None,
+                         help="also write the witness state here (random-feasible)")
+    ex_sub = p_ex.add_subparsers(dest="name", required=True)
+    for name, func in (("ring-graph", cmd_ring_graph), ("mm-klocal", cmd_mm_klocal),
+                       ("boson-sigma", cmd_boson_sigma),
+                       ("random-feasible", cmd_random_feasible)):
+        ex_sub.add_parser(name, parents=[ex_opts]).set_defaults(func=func)
 
     p_ch = sub.add_parser("channel", help="channel utilities")
     ch_sub = p_ch.add_subparsers(dest="channel_cmd", required=True)
@@ -260,20 +264,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_kraus = ch_sub.add_parser("kraus", help="extract Kraus operators")
     p_kraus.add_argument("channel")
     p_kraus.add_argument("-o", "--output", default=None)
-    p_kraus.set_defaults(func=cmd_channel)
+    p_kraus.set_defaults(func=cmd_kraus)
 
     p_subch = ch_sub.add_parser("subchannel", help="restrict to chosen factors")
     p_subch.add_argument("channel")
     p_subch.add_argument("--in-keep", type=_int_csv, required=True)
     p_subch.add_argument("--out-keep", type=_int_csv, required=True)
     p_subch.add_argument("-o", "--output", default=None)
-    p_subch.set_defaults(func=cmd_channel)
+    p_subch.set_defaults(func=cmd_subchannel)
 
     p_red = ch_sub.add_parser("reduce", help="match sub-channels, shrink Kraus count")
     p_red.add_argument("instance")
     p_red.add_argument("-o", "--output", default=None)
     _add_common(p_red, tol=1e-9)
-    p_red.set_defaults(func=cmd_channel)
+    p_red.set_defaults(func=cmd_channel_reduce)
 
     return parser
 

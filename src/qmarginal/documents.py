@@ -66,7 +66,9 @@ def _expect(obj: Any, key: str, kind, context: str):
     if not isinstance(obj, dict) or key not in obj:
         raise DocumentError(f"{context}: missing field {key!r}")
     val = obj[key]
-    if kind is not None and not isinstance(val, kind):
+    # JSON true/false load as bool, which Python counts as an int
+    if kind is not None and (not isinstance(val, kind)
+                             or kind is int and isinstance(val, bool)):
         raise DocumentError(
             f"{context}: field {key!r} has type {type(val).__name__}")
     return val

@@ -134,7 +134,8 @@ def find_feasible(instance: ConsistencyInstance | SectorInstance, *,
     dimension), by L-BFGS from a fixed-seed start, so the run is
     deterministic and the state's rank is at most that bound.  A
     non-converged result carries the best iterate and a certificate of
-    infeasibility, a plateau or a budget message; see
+    infeasibility, a stationary point of the full-width least squares
+    ("possibly infeasible") or a budget message; see
     _engine.solve_feasible.  The run uses the instance's system, so a
     reduce_rank of the same instance reuses its groups and target spectra.
     """

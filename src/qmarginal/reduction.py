@@ -13,8 +13,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _engine
-from ._engine import (DEFAULT_DERIV_TOL, DEFAULT_RANK_TOL, DEFAULT_REPAIR_TOL,
-                      ReductionError, ReductionStep, ReductionTrace)
+from ._engine import (DEFAULT_RANK_TOL, DEFAULT_REPAIR_TOL, ReductionError,
+                      ReductionStep, ReductionTrace)
 from .hilbert import support_basis
 from .marginal import ConsistencyInstance
 from .numerics import hermitian_part
@@ -27,8 +27,8 @@ __all__ = ["ReductionStep", "ReductionTrace", "ReductionError",
 
 
 def descent_direction(rho: np.ndarray, instance: ConsistencyInstance, *,
-                      seed: int = 0, rank_tol: float = DEFAULT_RANK_TOL,
-                      deriv_tol: float = DEFAULT_DERIV_TOL) -> np.ndarray | None:
+                      seed: int = 0, rank_tol: float = DEFAULT_RANK_TOL
+                      ) -> np.ndarray | None:
     """Unit-norm traceless Hermitian H on supp(rho) with vanishing marginals.
 
     Returns None when no such direction exists numerically (the null space
@@ -36,8 +36,7 @@ def descent_direction(rho: np.ndarray, instance: ConsistencyInstance, *,
     """
     rng = np.random.default_rng(seed)
     v = support_basis(rho, rank_tol)[0]
-    h = _engine.descent_direction_core(v, instance.system, rng,
-                                       rank_tol=rank_tol, deriv_tol=deriv_tol)
+    h = _engine.descent_direction_core(v, instance.system, rng, rank_tol=rank_tol)
     return None if h is None else hermitian_part(v @ h @ v.conj().T)
 
 

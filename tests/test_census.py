@@ -30,12 +30,16 @@ def test_census_records_and_compares_one_seed(tmp_path):
     assert census("--cases", "infeasible-cli=1", "-o", str(again)).returncode == 0
     same = census("--compare", str(record), str(again))
     assert same.returncode == 0 and same.stdout == ""
-    assert same.stderr.strip() == "3 cases, 0 differences"
+    assert same.stderr.splitlines() == ["infeasible-cli: failed 0/3 -> 0/3",
+                                        "3 cases, 0 differences"]
 
     lines[1]["digest"] = "0" * 64
+    lines[0]["failed"] = True
     again.write_text("".join(json.dumps(d) + "\n" for d in lines[:2]))
     differ = census("--compare", str(record), str(again))
     assert differ.returncode == 1
-    assert differ.stderr.strip() == "3 cases, 2 differences"
+    assert differ.stderr.splitlines() == [
+        "infeasible-cli: failed 0/3 -> 1/2  (failed share rose)", "3 cases, 3 differences"]
+    assert "'contradictory'): failed False != True" in differ.stdout
     assert "'monogamy'): digest" in differ.stdout
     assert "'channel-clash'): only in" in differ.stdout

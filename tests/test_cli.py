@@ -235,6 +235,18 @@ def test_each_entry_point_builds_one_system(tmp_path, monkeypatch):
     assert count(lambda: main(["check", inst_path, state_path])) == 1
 
 
+def test_solve_rejects_a_boolean_particle_count(tmp_path, capsys):
+    doc = {"kind": "fermionic", "N": True, "d": 2, "k": True,
+           "constraints": [{"matrix": {"re": [[0.5, 0], [0, 0.5]],
+                                       "im": [[0, 0], [0, 0]]}}]}
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out_path = tmp_path / "sol.json"
+    assert main(["solve", str(path), "-o", str(out_path)]) == 2
+    assert "field 'N' has type bool" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_check_sector_solution(tmp_path, capsys):
     inst_path = boson_mm_path(tmp_path)
     out_path = tmp_path / "sol.json"

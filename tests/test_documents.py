@@ -94,6 +94,16 @@ def test_instance_doc_validation():
         instance_from_doc(bad)
 
 
+def test_sector_instance_doc_rejects_booleans():
+    """JSON true loads as a Python bool, an int subclass; N, d and k refuse
+    it as dims does, so no document turns true into a 1-particle sector."""
+    good = instance_to_doc(SectorInstance("fermionic", 1, 2, 1, np.eye(2) / 2))
+    assert isinstance(instance_from_doc(good), SectorInstance)
+    for key in ("N", "d", "k"):
+        with pytest.raises(DocumentError, match=f"field '{key}' has type bool"):
+            instance_from_doc({**good, key: True})
+
+
 def test_state_doc_roundtrip():
     rng = np.random.default_rng(1)
     rho = random_complex(rng, 4)

@@ -597,37 +597,24 @@ def test_residual_history_of_a_converged_run():
 
 def no_screen(monkeypatch):
     """Switch the certificate screen off, so that an infeasible instance
-    drives the pad, plateau, stationary and memory paths as it did before
-    the screen ended such runs."""
+    drives the pad, stationary and memory paths as it did before the screen
+    ended such runs."""
     monkeypatch.setattr(_engine, "_screen", lambda *args: None)
 
 
 def test_residual_history_of_a_plateau(monkeypatch):
     """The contradictory two-qubit instance has its square-sum bound at
     D = 4, so without the screen the search stops at a stationary point of
-    the full-rank least squares, well before the plateau window; its history
-    ends at the best residual the report recomputes."""
+    the full-rank least squares; its history ends at the best residual the
+    report recomputes."""
     no_screen(monkeypatch)
     found = _engine.solve_feasible(contradictory_system())
     assert not found.converged and "plateau" in found.message
     assert "stationary point of the rank-4 least squares" in found.message
-    assert found.iterations < _engine.PLATEAU_WINDOW and found.factor_rank == 4
+    assert found.factor_rank == 4
     assert_history(found)
     assert found.residual_history[-1] == pytest.approx(found.report.max_residual,
                                                        rel=1e-9)
-
-
-def test_plateau_rule_stops_a_run_without_a_stationary_exit(monkeypatch):
-    """With the stationary exit and the screen switched off, the
-    contradictory instance stops on the unchanged plateau rule after the
-    window."""
-    no_screen(monkeypatch)
-    monkeypatch.setattr(_engine, "STATIONARY_RTOL", 0.0)
-    found = _engine.solve_feasible(contradictory_system())
-    assert not found.converged and "plateau" in found.message
-    assert f"improvement over the last {_engine.PLATEAU_WINDOW}" in found.message
-    assert found.iterations > _engine.PLATEAU_WINDOW
-    assert_history(found)
 
 
 def monogamy_instance():
@@ -655,14 +642,19 @@ def clashing_pairs_system():
     return clashing_pairs_instance().system
 
 
-def test_plateau_below_full_width_pads_to_d(monkeypatch):
-    """With the stationary exit and the screen switched off, the clashing
-    pairs (bound 6 < D = 8) plateau at width 6 after 508 iterations.  That
-    is no verdict: the factor is padded to D there, as at a stationary
-    point, and the window restarts, so the plateau is reported from width-8
-    iterates, a full window after the pad."""
+def test_factor_rank_is_the_width_of_the_best_iterate(monkeypatch):
+    """factor_rank is the width of the factor behind the returned state, the
+    best iterate.  Without the screen, both runs end at the rank-8
+    stationary point.  On the monogamy instance an iterate after the pad to
+    D beats the best residual at k = 1, so the width is 8.  The clashing
+    pairs (bound 6 < D = 8) reach a stationary point at width 6 after 61
+    iterations; that is no verdict, and the factor is padded to D there,
+    once.  No later iterate beats the best one at width 6, so the width
+    stays the bound, 6."""
     no_screen(monkeypatch)
-    monkeypatch.setattr(_engine, "STATIONARY_RTOL", 0.0)
+    padded = _engine.solve_feasible(monogamy_system())
+    assert padded.factor_rank == 8
+    assert "stationary point of the rank-8 least squares" in padded.message
     lbfgs = _engine._lbfgs_direction
     widths = []
 
@@ -671,29 +663,12 @@ def test_plateau_below_full_width_pads_to_d(monkeypatch):
         return lbfgs(q, g, *args)
 
     monkeypatch.setattr(_engine, "_lbfgs_direction", spy)
-    found = _engine.solve_feasible(clashing_pairs_system())
-    pad = widths.index(8)
-    assert pad == 508 and set(widths[:pad]) == {6} and set(widths[pad:]) == {8}
-    assert not found.converged and "possibly infeasible" in found.message
-    assert f"improvement over the last {_engine.PLATEAU_WINDOW}" in found.message
-    assert found.iterations > pad + _engine.PLATEAU_WINDOW
-    assert_history(found)
-
-
-def test_factor_rank_is_the_width_of_the_best_iterate(monkeypatch):
-    """factor_rank is the width of the factor behind the returned state, the
-    best iterate.  Without the screen, both runs end at the rank-8
-    stationary point, with the plateau rule out of reach.  On the monogamy
-    instance an iterate after the pad to D beats the best residual at
-    k = 1, so the width is 8; on the clashing pairs none does, so it stays
-    the bound, 6."""
-    no_screen(monkeypatch)
-    monkeypatch.setattr(_engine, "PLATEAU_WINDOW", 10 ** 9)
-    padded = _engine.solve_feasible(monogamy_system())
-    assert padded.factor_rank == 8
-    assert "stationary point of the rank-8 least squares" in padded.message
     system = clashing_pairs_system()
     found = _engine.solve_feasible(system)
+    pad = widths.index(8)
+    assert pad == 61 and set(widths[:pad]) == {6} and set(widths[pad:]) == {8}
+    assert len(widths) == found.iterations > pad
+    assert not found.converged and "possibly infeasible" in found.message
     assert "stationary point of the rank-8 least squares" in found.message
     assert found.factor_rank == 6
     assert system.square_sum_bound() == 6
@@ -1386,6 +1361,37 @@ def test_each_support_lies_in_the_one_before(monkeypatch):
         for before, after in zip(supports, supports[1:]):
             assert np.linalg.norm(after - before @ (before.conj().T @ after)) <= 1e-12
         assert sum(builds) == 1
+
+
+def test_a_solver_start_never_takes_the_row_space_phase(monkeypatch):
+    """find_feasible's state has rank at most the square-sum bound, and
+    bound^2 <= m - 1 for m = 1 + sum_c rank(T_c)^2 descent rows, so the walk
+    builds its null basis at the entry and never calls _row_space: on all
+    pairs of 4 qubits and on a fermionic sector.  A full-rank witness above
+    the bound starts in the row-space phase and calls it."""
+    row_space, calls = _engine._row_space, []
+
+    def spy(a):
+        calls.append(a.shape)
+        return row_space(a)
+
+    monkeypatch.setattr(_engine, "_row_space", spy)
+    qudit, witness = random_feasible_instance((2,) * 4, list(combinations(range(4), 2)),
+                                              16, seed=1)
+    sector, sigma = sector_pair(np.random.default_rng(47), "fermionic", 3, 6, 2, 20)
+    for instance, full, bound in ((qudit, witness, 9), (sector, sigma, 15)):
+        system = instance.system
+        m = 1 + sum(vc.shape[0] * vc.shape[2] ** 2 for _, vc in system.target_bases())
+        assert system.square_sum_bound() == bound and bound ** 2 < m
+        found = find_feasible(instance)
+        assert found.converged and numerical_rank(found.state) <= bound
+        calls.clear()
+        _, trace = reduce_rank(found.state, instance)
+        assert len(trace.steps) >= 1 and calls == []
+        assert numerical_rank(full) == system.dim > bound
+        _, trace = reduce_rank(full, instance)
+        assert calls and all(a[1] > m for a in calls)
+        assert trace.final_rank <= bound
 
 
 def test_non_finite_states_are_rejected():

@@ -22,7 +22,8 @@ iterations, width and message, and the reduced state with its steps (or
 the reduction's error).  For a CLI case it covers the exit code, the
 standard error and the bytes of the output document.  --compare reads two
 such files, prints every case whose line differs or that only one of them
-holds, and exits 1 if there is any.
+holds, and exits 1 if there is any; on standard error it gives each
+workload's failed count in both files, marking a failed share that rose.
 """
 from __future__ import annotations
 
@@ -115,6 +116,11 @@ def compare(path_a: str, path_b: str) -> list[str]:
         elif a[key] != b[key]:
             fields = [k for k in a[key] if a[key][k] != b[key].get(k)]
             out.append(f"{key}: {', '.join(f'{k} {a[key][k]!r} != {b[key][k]!r}' for k in fields)}")
+    for name in sorted({key[0] for key in a.keys() | b.keys()}):
+        (fa, na), (fb, nb) = ((sum(d["failed"] for k, d in r.items() if k[0] == name),
+                               sum(k[0] == name for k in r)) for r in (a, b))
+        rose = "  (failed share rose)" if fb * na > fa * nb else ""
+        print(f"{name}: failed {fa}/{na} -> {fb}/{nb}{rose}", file=sys.stderr)
     print(f"{len(a.keys() | b.keys())} cases, {len(out)} differences", file=sys.stderr)
     return out
 
