@@ -642,19 +642,12 @@ def clashing_pairs_system():
     return clashing_pairs_instance().system
 
 
-def test_factor_rank_is_the_width_of_the_best_iterate(monkeypatch):
-    """factor_rank is the width of the factor behind the returned state, the
-    best iterate.  Without the screen, both runs end at the rank-8
-    stationary point.  On the monogamy instance an iterate after the pad to
-    D beats the best residual at k = 1, so the width is 8.  The clashing
-    pairs (bound 6 < D = 8) reach a stationary point at width 6 after 61
-    iterations; that is no verdict, and the factor is padded to D there,
-    once.  No later iterate beats the best one at width 6, so the width
-    stays the bound, 6."""
+def test_plateau_below_full_width_pads_to_d(monkeypatch):
+    """With the screen switched off, the clashing pairs (bound 6 < D = 8)
+    reach a stationary point at width 6 after 61 iterations.  That is no
+    verdict: the factor is padded to D there, once, and the run goes on
+    until the rank-8 stationary point."""
     no_screen(monkeypatch)
-    padded = _engine.solve_feasible(monogamy_system())
-    assert padded.factor_rank == 8
-    assert "stationary point of the rank-8 least squares" in padded.message
     lbfgs = _engine._lbfgs_direction
     widths = []
 
@@ -663,12 +656,27 @@ def test_factor_rank_is_the_width_of_the_best_iterate(monkeypatch):
         return lbfgs(q, g, *args)
 
     monkeypatch.setattr(_engine, "_lbfgs_direction", spy)
-    system = clashing_pairs_system()
-    found = _engine.solve_feasible(system)
+    found = _engine.solve_feasible(clashing_pairs_system())
     pad = widths.index(8)
     assert pad == 61 and set(widths[:pad]) == {6} and set(widths[pad:]) == {8}
     assert len(widths) == found.iterations > pad
     assert not found.converged and "possibly infeasible" in found.message
+    assert "stationary point of the rank-8 least squares" in found.message
+    assert_history(found)
+
+
+def test_factor_rank_is_the_width_of_the_best_iterate(monkeypatch):
+    """factor_rank is the width of the factor behind the returned state, the
+    best iterate.  Without the screen, both runs end at the rank-8
+    stationary point.  On the monogamy instance an iterate after the pad to
+    D beats the best residual at k = 1, so the width is 8; on the clashing
+    pairs none does, so it stays the bound, 6."""
+    no_screen(monkeypatch)
+    padded = _engine.solve_feasible(monogamy_system())
+    assert padded.factor_rank == 8
+    assert "stationary point of the rank-8 least squares" in padded.message
+    system = clashing_pairs_system()
+    found = _engine.solve_feasible(system)
     assert "stationary point of the rank-8 least squares" in found.message
     assert found.factor_rank == 6
     assert system.square_sum_bound() == 6
