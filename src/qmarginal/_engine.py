@@ -40,14 +40,12 @@ from typing import Sequence
 import numpy as np
 
 from .hilbert import support_basis
-from .numerics import hermitian_part, rank_counts, support_mask
+from .numerics import DEFAULT_RANK_TOL, hermitian_part, rank_counts, support_mask
 # unused here; kept as module attributes because bench/spans.py wraps them
 from .numerics import numerical_rank, psd_project  # noqa: F401
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 5000
-DEFAULT_RANK_TOL = 1e-9
-DEFAULT_REPAIR_TOL = 1e-8
 DEFAULT_DERIV_TOL = 1e-9
 LBFGS_MEMORY = 20
 STATIONARY_RTOL = 1e-9
@@ -141,15 +139,9 @@ class ConstraintGroup:
                                self.target[members])
 
     @cached_property
-    def target_eigvals(self) -> np.ndarray:
-        """Eigenvalues of every target, by eigvalsh as numerical_rank takes
-        them: the spectra of square_sum_bound."""
-        return np.linalg.eigvalsh(hermitian_part(self.target))
-
-    @cached_property
     def target_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs of every target, by eigh as support_basis takes them:
-        the spectra of target_bases."""
+        the spectra of square_sum_bound and target_bases."""
         return np.linalg.eigh(hermitian_part(self.target))
 
 
@@ -251,7 +243,7 @@ class ConstraintSystem:
         """floor(sqrt(sum of squared numerical target ranks)), from the
         groups' kept spectra: the paper's bound on the rank of some solution
         of any satisfiable instance."""
-        return math.isqrt(sum(int((rank_counts(g.target_eigvals, rank_tol) ** 2).sum())
+        return math.isqrt(sum(int((rank_counts(g.target_eigh[0], rank_tol) ** 2).sum())
                               for g in self.groups))
 
     def target_bases(self, rank_tol: float = DEFAULT_RANK_TOL
@@ -658,7 +650,7 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
     polishing to tol / 100, or until the budget ends: the rank reduction
     truncates the state's eigenvalues below rank_tol before its first step,
     and a state handed over just under tol would then sit above the inner
-    tolerance (repair_tol / 10) of its repair and pay confined repair
+    tolerance (its tol / 10) of its repair and pay confined repair
     rounds that cannot reach it.  Above 10 tol, _screen seeks a dual
     certificate at iterations 0, 1, 2, 4, 8, ... and at every stationary
     point; one that passes its check ends the run, not converged, with the
@@ -1027,37 +1019,37 @@ def _truncate(v: np.ndarray, m: np.ndarray, rank_tol: float
 
 
 def _repair(system: ConstraintSystem, v: np.ndarray, p: np.ndarray, *,
-            inner_tol: float, hard_tol: float, rank_tol: float
+            tol: float, rank_tol: float
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     """Restore the feasibility of V diag(p) V^dag after a truncation,
     confined to span(V).  Returns the repaired factor, the state x it lifts
     to, which residual_report checked last, and the max residual before and
     after.
 
-    Up to four rounds, until the residual is at most inner_tol, each an
+    Up to four rounds, until the residual is at most tol / 10, each an
     affine projection of diag(p) confined to the current support followed by
     a truncation; the factor comes back as it was when it needs no round.
     More than one round is needed on starts that the solver's budget
-    stopped near its tolerance.  A residual above hard_tol after the rounds
+    stopped near its tolerance.  A residual above tol after the rounds
     aborts the reduction.
     """
     x = hermitian_part((v * p) @ v.conj().T)
     before = cur = residual_report(system, x).max_residual
     for _ in range(4):
-        if cur <= inner_tol:
+        if cur <= tol / 10:
             break
         v, p = _truncate(v, project_affine(system, v, np.diag(p)), rank_tol)
         x = hermitian_part((v * p) @ v.conj().T)
         cur = residual_report(system, x).max_residual
-    if cur > hard_tol:
+    if cur > tol:
         raise ReductionError(
-            f"feasibility repair failed: residual {cur:.3e} exceeds {hard_tol:.1e}")
+            f"feasibility repair failed: residual {cur:.3e} exceeds {tol:.1e}")
     return v, p, x, before, cur
 
 
 def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *,
                 rank_tol: float = DEFAULT_RANK_TOL,
-                repair_tol: float = DEFAULT_REPAIR_TOL,
+                repair_tol: float = DEFAULT_TOL,
                 seed: int = 0,
                 max_steps: int | None = None) -> tuple[np.ndarray, ReductionTrace]:
     """Greedy boundary-step loop; stops when no null-space direction remains.
@@ -1091,8 +1083,6 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *,
     if start_res > 1e-6:
         raise ValueError(
             f"starting state is not feasible: residual {start_res:.3e} exceeds 1.0e-06")
-    repair_kwargs = dict(inner_tol=repair_tol / 10, hard_tol=repair_tol,
-                         rank_tol=rank_tol)
     steps: list[ReductionStep] = []
     # targets are fixed, so their supports are taken once per reduction
     target_bases = system.target_bases(rank_tol)
@@ -1107,7 +1097,7 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *,
     limit = system.dim if max_steps is None else int(max_steps)
     try:
         v, p = _truncate(np.eye(system.dim), x, rank_tol)
-        v, p, x, _, _ = _repair(system, v, p, **repair_kwargs)
+        v, p, x, _, _ = _repair(system, v, p, tol=repair_tol, rank_tol=rank_tol)
         while len(steps) < limit:
             if walk_basis is None and p.size ** 2 <= m:
                 walk_basis = v, _null_space(_affine_rows(system, v, target_bases))
@@ -1118,7 +1108,7 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *,
             lam, sign = step_length_core(p, h)
             v_next, p_next, y, pre, after = _repair(
                 system, *_truncate(v, np.diag(p) - sign * lam * h, rank_tol),
-                **repair_kwargs)
+                tol=repair_tol, rank_tol=rank_tol)
             if p_next.size >= p.size:
                 raise ReductionError(
                     f"step did not reduce rank ({p.size} -> {p_next.size})",

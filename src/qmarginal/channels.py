@@ -20,8 +20,9 @@ from .marginal import (ConsistencyInstance, FeasibilityResult,
 from .numerics import as_hermitian, eigenvalue_scale, support_mask
 from .reduction import reduce_rank
 
-DEFAULT_CP_TOL = 1e-8
-DEFAULT_TP_TOL = 1e-8
+CP_TOL = 1e-8
+TP_TOL = 1e-8
+DEFAULT_CHANNEL_TOL = 1e-9
 
 __all__ = ["ChannelRepr", "LocalChannel", "ChannelInstance",
            "ChannelFeasibilityError", "choi_from_kraus", "kraus_from_choi",
@@ -104,8 +105,7 @@ def _vec(k: np.ndarray) -> np.ndarray:
     return k.T.reshape(-1)
 
 
-def check_kraus(kraus, dim_in: int, dim_out: int,
-                tp_tol: float = DEFAULT_TP_TOL) -> list[np.ndarray]:
+def check_kraus(kraus, dim_in: int, dim_out: int) -> list[np.ndarray]:
     kraus = [np.asarray(k, dtype=complex) for k in kraus]
     if not kraus:
         raise ValueError("need at least one Kraus operator")
@@ -117,19 +117,18 @@ def check_kraus(kraus, dim_in: int, dim_out: int,
             raise ValueError("Kraus operator has non-finite entries")
     total = sum(k.conj().T @ k for k in kraus)
     defect = float(np.linalg.norm(total - np.eye(dim_in)))
-    if defect > tp_tol:
+    if defect > TP_TOL:
         raise ValueError(
             f"Kraus set is not trace preserving: ||sum K^dag K - I|| = {defect:.3e}")
     return kraus
 
 
-def choi_from_kraus(kraus, in_dims, out_dims,
-                    tp_tol: float = DEFAULT_TP_TOL) -> ChannelRepr:
+def choi_from_kraus(kraus, in_dims, out_dims) -> ChannelRepr:
     """Unit-trace Choi state of the channel with the given Kraus operators."""
     in_dims = check_dims(in_dims)
     out_dims = check_dims(out_dims)
     din, dout = total_dim(in_dims), total_dim(out_dims)
-    kraus = check_kraus(kraus, din, dout, tp_tol)
+    kraus = check_kraus(kraus, din, dout)
     choi = np.zeros((din * dout, din * dout), dtype=complex)
     for k in kraus:
         w = _vec(k)
@@ -137,25 +136,24 @@ def choi_from_kraus(kraus, in_dims, out_dims,
     return ChannelRepr(in_dims, out_dims, choi / din)
 
 
-def kraus_from_choi(channel: ChannelRepr, *, cp_tol: float = DEFAULT_CP_TOL,
-                    tp_tol: float = DEFAULT_TP_TOL,
+def kraus_from_choi(channel: ChannelRepr, *,
                     rank_tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
     """Kraus operators from the Choi eigendecomposition.
 
     Raises ValueError when the Choi state is not positive semidefinite
-    within cp_tol (not completely positive) or when the extracted set is not
-    trace preserving within tp_tol.
+    within CP_TOL (not completely positive) or when the extracted set is not
+    trace preserving within TP_TOL.
     """
     din, dout = channel.dim_in, channel.dim_out
     w, v = np.linalg.eigh(channel.choi)
     scale = eigenvalue_scale(w)
-    if w.min() < -cp_tol * scale:
+    if w.min() < -CP_TOL * scale:
         raise ValueError(
             f"channel is not completely positive: min Choi eigenvalue {w.min():.3e}")
     keep = support_mask(w, rank_tol)
     kraus = [math.sqrt(din * wi) * vi.reshape(din, dout).T
              for wi, vi in zip(w[keep], v.T[keep])]
-    return check_kraus(kraus, din, dout, tp_tol)
+    return check_kraus(kraus, din, dout)
 
 
 def apply_channel(channel: ChannelRepr, rho: np.ndarray) -> np.ndarray:
@@ -186,13 +184,12 @@ def sub_channel(channel: ChannelRepr, in_keep, out_keep) -> ChannelRepr:
                        tuple(channel.out_dims[o] for o in out_keep), reduced)
 
 
-def channel_instance_to_marginal(instance: ChannelInstance, *,
-                                 include_tp: bool = True) -> ConsistencyInstance:
+def channel_instance_to_marginal(instance: ChannelInstance) -> ConsistencyInstance:
     """Rewrite sub-channel constraints as marginal constraints on in (x) out.
 
     Each local channel pins the joint-state marginal on its input factors
-    plus its output factors; include_tp adds the trace-preservation row (the
-    marginal on all input factors is maximally mixed).
+    plus its output factors; a last constraint, the trace-preservation row,
+    pins the marginal on all input factors to the maximally mixed state.
     """
     n_in = len(instance.in_dims)
     dims = instance.in_dims + instance.out_dims
@@ -200,10 +197,9 @@ def channel_instance_to_marginal(instance: ChannelInstance, *,
     for lc in instance.locals:
         subs = lc.in_subsystems + tuple(n_in + o for o in lc.out_subsystems)
         constraints.append(MarginalConstraint(subs, lc.channel.choi))
-    if include_tp:
-        din = total_dim(instance.in_dims)
-        constraints.append(MarginalConstraint(
-            tuple(range(n_in)), np.eye(din, dtype=complex) / din))
+    din = total_dim(instance.in_dims)
+    constraints.append(MarginalConstraint(
+        tuple(range(n_in)), np.eye(din, dtype=complex) / din))
     return ConsistencyInstance(dims, tuple(constraints))
 
 
@@ -220,26 +216,26 @@ def kraus_count_bounds(instance: ChannelInstance) -> dict[str, int]:
             "tp_augmented": math.isqrt(base + din * din)}
 
 
-def reduce_kraus_rank(instance: ChannelInstance, *, tol: float = 1e-9,
+def reduce_kraus_rank(instance: ChannelInstance, *,
+                      tol: float = DEFAULT_CHANNEL_TOL,
                       max_iters: int = DEFAULT_MAX_ITERS,
                       rank_tol: float = DEFAULT_RANK_TOL,
-                      repair_tol: float = 1e-9,
                       seed: int = 0) -> tuple[ChannelRepr, ReductionTrace]:
     """Find a joint channel matching every sub-channel, then shrink its
     Kraus count by rank-reducing the Choi state.
 
-    The marginal instance keeps the trace-preservation row, so the result is
-    a channel, not just a consistent state.  Raises ChannelFeasibilityError
-    when no joint channel is found.
+    tol is the residual that the search meets and that every repair of the
+    reduction keeps, so the returned Choi state meets it.  The marginal
+    instance keeps the trace-preservation row, so the result is a channel,
+    not just a consistent state.  Raises ChannelFeasibilityError when no
+    joint channel is found.
     """
-    marginal_instance = channel_instance_to_marginal(instance, include_tp=True)
-    found = find_feasible(marginal_instance, tol=min(tol, repair_tol),
-                          max_iters=max_iters)
+    marginal_instance = channel_instance_to_marginal(instance)
+    found = find_feasible(marginal_instance, tol=tol, max_iters=max_iters)
     if not found.converged:
         raise ChannelFeasibilityError(found)
     reduced, trace = reduce_rank(found.state, marginal_instance,
-                                 rank_tol=rank_tol, repair_tol=repair_tol,
-                                 seed=seed)
+                                 rank_tol=rank_tol, repair_tol=tol, seed=seed)
     channel = ChannelRepr(instance.in_dims, instance.out_dims, reduced)
     trace.notes.update(kraus_count_bounds(instance))
     trace.notes["kraus_count"] = trace.final_rank

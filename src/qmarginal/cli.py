@@ -12,8 +12,9 @@ from functools import lru_cache
 
 from ._engine import (DEFAULT_MAX_ITERS, DEFAULT_RANK_TOL, DEFAULT_TOL,
                       ReductionError)
-from .channels import (ChannelFeasibilityError, kraus_count_bounds,
-                       kraus_from_choi, reduce_kraus_rank, sub_channel)
+from .channels import (DEFAULT_CHANNEL_TOL, ChannelFeasibilityError,
+                       kraus_count_bounds, kraus_from_choi, reduce_kraus_rank,
+                       sub_channel)
 from .documents import (DocumentError, channel_from_doc,
                         channel_instance_from_doc, channel_instance_to_doc,
                         channel_solution_to_doc, channel_to_doc,
@@ -36,6 +37,12 @@ def _int_csv(text: str) -> tuple[int, ...]:
         return tuple(int(v) for v in text.split(",") if v.strip() != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _positive_float(text: str) -> float:
+    if not float(text) > 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return float(text)
 
 
 def _fail(message: str) -> None:
@@ -64,7 +71,7 @@ def _report_lines(instance, report) -> list[str]:
 def cmd_check(args) -> int:
     instance = instance_from_doc(load_document(args.instance))
     state = state_from_doc(load_document(args.state))
-    report = check_consistency(instance, state, args.tol)
+    report = check_consistency(instance, state)
     for line in _report_lines(instance, report):
         print(line)
     if report.is_consistent(args.tol):
@@ -99,11 +106,11 @@ def cmd_solve(args) -> int:
     if not args.no_reduce:
         try:
             state, trace = reduce_rank(state, instance, rank_tol=args.rank_tol,
-                                       seed=args.seed)
+                                       repair_tol=args.tol, seed=args.seed)
         except ReductionError as err:
             _fail(f"rank reduction aborted: {err}")
             return 1
-    report = check_consistency(instance, state, args.tol)
+    report = check_consistency(instance, state)
     t, b = theorem1_bound(instance, args.rank_tol), barvinok_bound(instance)
     rank = numerical_rank(state, args.rank_tol)
     bounds = {"theorem1": t, "barvinok": b, "achieved": rank}
@@ -189,7 +196,11 @@ def cmd_channel_reduce(args) -> int:
     except ReductionError as err:
         _fail(f"rank reduction aborted: {err}")
         return 1
-    kraus = kraus_from_choi(channel, rank_tol=args.rank_tol)
+    try:  # the Choi state meets --tol; its Kraus set must also meet TP_TOL
+        kraus = kraus_from_choi(channel, rank_tol=args.rank_tol)
+    except ValueError as err:
+        _fail(f"reduced channel rejected: {err}")
+        return 1
     options = {"tol": args.tol, "rank_tol": args.rank_tol,
                "max_iters": args.max_iters, "seed": args.seed}
     doc = channel_solution_to_doc(channel, kraus, trace, options)
@@ -201,8 +212,9 @@ def cmd_channel_reduce(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, *, tol: float = DEFAULT_TOL) -> None:
-    p.add_argument("--tol", type=float, default=tol,
-                   help=f"constraint residual tolerance (default {tol:g})")
+    p.add_argument("--tol", type=_positive_float, default=tol,
+                   help="residual tolerance of the search, of every repair "
+                        f"and of the final check (default {tol:g})")
     p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
                    help="relative eigenvalue threshold for ranks "
                         f"(default {DEFAULT_RANK_TOL:g})")
@@ -222,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="residuals of a state against an instance")
     p_check.add_argument("instance")
     p_check.add_argument("state")
-    p_check.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_check.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     p_check.set_defaults(func=cmd_check)
 
     p_solve = sub.add_parser("solve", help="find a low-rank state meeting an instance")
@@ -239,24 +251,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_ex = sub.add_parser("example", help="emit a gallery instance or state")
-    ex_opts = argparse.ArgumentParser(add_help=False)
-    ex_opts.add_argument("--n", "--N", dest="n", type=int, default=4,
-                         help="qubit count, or particle count for boson-sigma")
-    ex_opts.add_argument("--k", type=int, default=2, help="local subset size")
-    ex_opts.add_argument("--p", type=int, default=1,
-                         help="excitation number for boson-sigma")
-    ex_opts.add_argument("--rank", type=int, default=None,
-                         help="witness rank for random-feasible (default: full)")
-    ex_opts.add_argument("--seed", type=int, default=0)
-    ex_opts.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
-    ex_opts.add_argument("-o", "--output", default=None)
-    ex_opts.add_argument("--state-out", default=None,
-                         help="also write the witness state here (random-feasible)")
     ex_sub = p_ex.add_subparsers(dest="name", required=True)
-    for name, func in (("ring-graph", cmd_ring_graph), ("mm-klocal", cmd_mm_klocal),
-                       ("boson-sigma", cmd_boson_sigma),
-                       ("random-feasible", cmd_random_feasible)):
-        ex_sub.add_parser(name, parents=[ex_opts]).set_defaults(func=func)
+
+    def example(name: str, func, *n_flags: str) -> argparse.ArgumentParser:
+        p = ex_sub.add_parser(name)
+        p.add_argument(*n_flags, dest="n", type=int, default=4,
+                       help="particle count" if "--N" in n_flags else "qubit count")
+        p.add_argument("-o", "--output", default=None)
+        p.set_defaults(func=func)
+        return p
+
+    k_flag = dict(type=int, default=2, help="local subset size")
+    example("ring-graph", cmd_ring_graph, "--n")
+    example("mm-klocal", cmd_mm_klocal, "--n").add_argument("--k", **k_flag)
+    p_boson = example("boson-sigma", cmd_boson_sigma, "--n", "--N")
+    p_boson.add_argument("--p", type=int, default=1, help="excitation number")
+    p_boson.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
+    p_rand = example("random-feasible", cmd_random_feasible, "--n")
+    p_rand.add_argument("--k", **k_flag)
+    p_rand.add_argument("--rank", type=int, default=None, help="witness rank (default: full)")
+    p_rand.add_argument("--seed", type=int, default=0)
+    p_rand.add_argument("--state-out", default=None, help="also write the witness state here")
 
     p_ch = sub.add_parser("channel", help="channel utilities")
     ch_sub = p_ch.add_subparsers(dest="channel_cmd", required=True)
@@ -276,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_red = ch_sub.add_parser("reduce", help="match sub-channels, shrink Kraus count")
     p_red.add_argument("instance")
     p_red.add_argument("-o", "--output", default=None)
-    _add_common(p_red, tol=1e-9)
+    _add_common(p_red, tol=DEFAULT_CHANNEL_TOL)
     p_red.set_defaults(func=cmd_channel_reduce)
 
     return parser

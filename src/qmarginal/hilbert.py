@@ -18,8 +18,8 @@ from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
-from .numerics import (DEFAULT_RANK_TOL, as_hermitian, eigenvalue_scale,
-                       hermitian_part, support_mask)
+from .numerics import (DEFAULT_RANK_TOL, TARGET_PSD_TOL, as_hermitian,
+                       eigenvalue_scale, hermitian_part, support_mask)
 
 
 class PauliExclusionError(ValueError):
@@ -104,13 +104,12 @@ def partial_trace_index(dims, keep) -> np.ndarray:
     return np.arange(math.prod(dims)).reshape(dims).transpose(keep + rest).reshape(d_keep, -1)
 
 
-def support_projector(rho, rank_tol: float = DEFAULT_RANK_TOL,
-                      psd_tol: float = 1e-8) -> np.ndarray:
-    """Orthogonal projector onto the span of eigenvectors with w > rank_tol * scale."""
+def support_projector(rho, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Orthogonal projector onto the eigenvectors of PSD rho with w > rank_tol * scale."""
     rho = as_hermitian(rho)
     w, v = np.linalg.eigh(rho)
     scale = eigenvalue_scale(w)
-    if w.size and w.min() < -psd_tol * scale:
+    if w.size and w.min() < -TARGET_PSD_TOL * scale:
         raise ValueError(f"state is not positive semidefinite: min eigenvalue {w.min():.3e}")
     cols = v[:, support_mask(w, rank_tol)]
     return hermitian_part(cols @ cols.conj().T)

@@ -91,10 +91,9 @@ class ConsistencyInstance:
 
 
 def check_consistency(instance: ConsistencyInstance | SectorInstance,
-                      rho: np.ndarray, tol: float = DEFAULT_TOL) -> ResidualReport:
-    """Residuals of rho against the instance; consistent iff all are <= tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+                      rho: np.ndarray) -> ResidualReport:
+    """Residuals of rho against the instance (residual_report); rho is
+    consistent within a tol when report.is_consistent(tol)."""
     system = instance.system
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (system.dim, system.dim):

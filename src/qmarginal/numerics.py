@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_HERM_TOL = 1e-8
+HERM_TOL = 1e-8
 DEFAULT_RANK_TOL = 1e-9
 TARGET_TRACE_TOL = 1e-9
 TARGET_PSD_TOL = 1e-8
@@ -32,15 +32,15 @@ def hermitian_part(a) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
-def as_hermitian(a, herm_tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
-    """Validate that A is Hermitian up to herm_tol (relative) and symmetrize.
+def as_hermitian(a) -> np.ndarray:
+    """Validate that A is Hermitian up to HERM_TOL (relative) and symmetrize.
 
-    The check is ||A - A^dagger||_F <= herm_tol * max(1, ||A||_F); the returned
+    The check is ||A - A^dagger||_F <= HERM_TOL * max(1, ||A||_F); the returned
     matrix is exactly Hermitian.
     """
     a = _as_square(a)
     asym = np.linalg.norm(a - a.conj().T)
-    if asym > herm_tol * max(1.0, np.linalg.norm(a)):
+    if asym > HERM_TOL * max(1.0, np.linalg.norm(a)):
         raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e}")
     return (a + a.conj().T) / 2
 
@@ -85,15 +85,13 @@ def check_target(a) -> np.ndarray:
     return a
 
 
-def eig_hermitian(a, herm_tol: float = DEFAULT_HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (w, v) with real eigenvalues w sorted ascending and orthonormal
     eigenvector columns v, so that a = v @ diag(w) @ v^dagger.
     """
-    a = as_hermitian(a, herm_tol)
-    w, v = np.linalg.eigh(a)
-    return w, v
+    return np.linalg.eigh(as_hermitian(a))
 
 
 def numerical_rank(a, rank_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -102,9 +100,9 @@ def numerical_rank(a, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(rank_counts(np.linalg.eigvalsh(as_hermitian(a)), rank_tol))
 
 
-def psd_project(a, herm_tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
+def psd_project(a) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix: clip negative eigenvalues."""
-    w, v = eig_hermitian(a, herm_tol)
+    w, v = eig_hermitian(a)
     w = np.clip(w, 0.0, None)
     return hermitian_part((v * w) @ v.conj().T)
 

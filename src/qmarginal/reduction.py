@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _engine
-from ._engine import (DEFAULT_RANK_TOL, DEFAULT_REPAIR_TOL, ReductionError,
+from ._engine import (DEFAULT_RANK_TOL, DEFAULT_TOL, ReductionError,
                       ReductionStep, ReductionTrace)
 from .hilbert import support_basis
 from .marginal import ConsistencyInstance
@@ -63,14 +63,16 @@ def step_length(rho: np.ndarray, h: np.ndarray, *,
 
 def reduce_rank(rho0: np.ndarray, instance: ConsistencyInstance | SectorInstance, *,
                 rank_tol: float = DEFAULT_RANK_TOL,
-                repair_tol: float = DEFAULT_REPAIR_TOL,
+                repair_tol: float = DEFAULT_TOL,
                 seed: int = 0,
                 max_steps: int | None = None) -> tuple[np.ndarray, ReductionTrace]:
     """Greedy rank reduction of a feasible state of a qudit or sector instance.
 
-    The trace records theorem1_bound(instance) as its bound.  Raises
-    ValueError when rho0 is not feasible for the instance, and
-    ReductionError (with a partial trace attached) if a repair fails.
+    Every repair of the walk must end within repair_tol, so the returned
+    state meets it; pass the tol that find_feasible met.  The trace records
+    theorem1_bound(instance) as its bound.  Raises ValueError when rho0 is
+    not feasible for the instance, and ReductionError (with a partial
+    trace attached) if a repair fails.
     """
     return _engine.reduce_core(
         np.asarray(rho0, dtype=complex), instance.system,

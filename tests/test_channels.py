@@ -183,8 +183,6 @@ def test_channel_instance_to_marginal_shapes():
     assert marg.dims == (2, 2, 2, 2)
     # two sub-channel constraints plus the trace-preservation constraint
     assert len(marg.constraints) == 3
-    bare = channel_instance_to_marginal(inst, include_tp=False)
-    assert len(bare.constraints) == 2
 
 
 def test_kraus_count_bounds_two_qubit_locals():

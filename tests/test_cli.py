@@ -8,7 +8,7 @@ import pytest
 
 from qmarginal.channels import (choi_from_kraus, reduce_kraus_rank, sub_channel,
                                 LocalChannel, ChannelInstance)
-from qmarginal import _engine, cli
+from qmarginal import _engine, channels, cli
 from qmarginal.cli import build_parser, main
 from qmarginal.documents import (channel_instance_to_doc, channel_to_doc,
                                  dump_document, instance_from_doc,
@@ -460,14 +460,79 @@ def test_help_exits_zero(capsys):
 
 def test_parser_defaults_are_the_engine_defaults():
     """Every tolerance and budget default of the parser is the engine's
-    constant, except channel reduce's tighter 1e-9 tolerance."""
+    constant, except channel reduce's tighter tolerance, which is the
+    channels module's."""
     parse = build_parser().parse_args
     tol, rank_tol = _engine.DEFAULT_TOL, _engine.DEFAULT_RANK_TOL
     max_iters = _engine.DEFAULT_MAX_ITERS
     solve = parse(["solve", "i.json"])
     assert (solve.tol, solve.rank_tol, solve.max_iters) == (tol, rank_tol, max_iters)
     reduce = parse(["channel", "reduce", "i.json"])
-    assert (reduce.tol, reduce.rank_tol, reduce.max_iters) == (1e-9, rank_tol, max_iters)
+    assert (reduce.tol, reduce.rank_tol, reduce.max_iters) == (
+        channels.DEFAULT_CHANNEL_TOL, rank_tol, max_iters)
+    assert reduce_kraus_rank.__kwdefaults__["tol"] == channels.DEFAULT_CHANNEL_TOL
     assert parse(["check", "i.json", "s.json"]).tol == tol
     assert parse(["bounds", "i.json"]).rank_tol == rank_tol
-    assert parse(["example", "ring-graph"]).rank_tol == rank_tol
+    assert parse(["example", "boson-sigma"]).rank_tol == rank_tol
+
+
+def test_solve_output_passes_check_at_a_tight_tol(tmp_path, capsys):
+    """--tol holds for the whole run: all pairs of 5 qubits with a rank-1
+    witness, solved and reduced at --tol 1e-11, gives a state that check
+    accepts at the same tol, because the walk's repairs keep it too."""
+    inst, _ = random_feasible_instance((2,) * 5, list(combinations(range(5), 2)),
+                                       1, seed=0)
+    inst_path = write_instance(tmp_path / "inst.json", inst)
+    out_path = str(tmp_path / "sol.json")
+    assert main(["solve", inst_path, "--tol", "1e-11", "-o", out_path]) == 0
+    capsys.readouterr()
+    assert main(["check", inst_path, out_path, "--tol", "1e-11"]) == 0
+    assert "consistent within tol 1.0e-11" in capsys.readouterr().out
+
+
+def test_channel_reduce_tol_drives_search_and_repair(tmp_path, capsys, monkeypatch):
+    """channel reduce --tol reaches both stages: the search runs at that
+    tol and the reduction repairs to it.  At 1e-6 the Choi state meets the
+    tol, but its trace-preservation residual, 4.8e-9 here, times dim_in = 4
+    exceeds the Kraus set's fixed TP_TOL: a failed run, exit 1, no
+    document."""
+    inst_path = tmp_path / "chinst.json"
+    dump_document(channel_instance_to_doc(two_qubit_channel_instance()),
+                  str(inst_path))
+    seen = {}
+    find, reduce = channels.find_feasible, channels.reduce_rank
+
+    def find_spy(instance, **kwargs):
+        seen["find"] = kwargs["tol"]
+        return find(instance, **kwargs)
+
+    def reduce_spy(rho, instance, **kwargs):
+        seen["repair"] = kwargs["repair_tol"]
+        return reduce(rho, instance, **kwargs)
+
+    monkeypatch.setattr(channels, "find_feasible", find_spy)
+    monkeypatch.setattr(channels, "reduce_rank", reduce_spy)
+    out_path = tmp_path / "red.json"
+    assert main(["channel", "reduce", str(inst_path), "--tol", "1e-6",
+                 "-o", str(out_path)]) == 1
+    assert seen == {"find": 1e-6, "repair": 1e-6}
+    assert capsys.readouterr().err.startswith(
+        "reduced channel rejected: Kraus set is not trace preserving")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [["example", "ring-graph", "--p", "2"],
+                                  ["example", "ring-graph", "--state-out", "w.json"],
+                                  ["example", "mm-klocal", "--seed", "3"]])
+def test_example_rejects_flags_it_does_not_read(argv, capsys):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["check", "i.json", "s.json"], ["solve", "i.json"],
+                                  ["channel", "reduce", "i.json"]])
+@pytest.mark.parametrize("tol", ["0", "-1e-8", "nan"])
+def test_non_positive_tol_exits_two(argv, tol, capsys):
+    """The parser refuses the tolerance before any file is read."""
+    assert main(argv + [f"--tol={tol}"]) == 2
+    assert f"expected a positive number, got '{tol}'" in capsys.readouterr().err

@@ -143,8 +143,7 @@ def channel_pair():
     joint = choi_from_kraus([k @ inv_sqrt for k in kraus], (2, 2), (2, 2))
     locs = tuple(LocalChannel(ins, outs, sub_channel(joint, ins, outs))
                  for ins, outs in (((0,), (0,)), ((1,), (0, 1))))
-    inst = channel_instance_to_marginal(
-        ChannelInstance((2, 2), (2, 2), locs), include_tp=True)
+    inst = channel_instance_to_marginal(ChannelInstance((2, 2), (2, 2), locs))
     assert inst.constraints[-1].subsystems == (0, 1)
     return inst, joint.choi
 
@@ -1186,8 +1185,7 @@ def test_repair_fails_after_four_confined_projections(monkeypatch):
 
     monkeypatch.setattr(_engine, "project_affine", spy)
     with pytest.raises(_engine.ReductionError, match="^feasibility repair failed: "):
-        _engine._repair(system, np.eye(4)[:, :1], np.ones(1), inner_tol=1e-9,
-                        hard_tol=1e-8, rank_tol=1e-9)
+        _engine._repair(system, np.eye(4)[:, :1], np.ones(1), tol=1e-8, rank_tol=1e-9)
     assert full_space == [False] * 4
 
 
@@ -1227,7 +1225,7 @@ def test_budget_stopped_start_is_repaired_on_its_support(monkeypatch):
     assert any(changed)
     assert supports and all(s < 16 for s in supports)
     assert nonzero_builds == []
-    assert check_consistency(inst, state).max_residual <= _engine.DEFAULT_REPAIR_TOL
+    assert check_consistency(inst, state).max_residual <= _engine.DEFAULT_TOL
 
 
 def test_reduction_error_carries_the_partial_trace(monkeypatch):

@@ -160,8 +160,7 @@ def channel_system():
     joint = choi_from_kraus([k @ inv_sqrt for k in kraus], (2, 2), (2, 2))
     locs = tuple(LocalChannel(ins, outs, sub_channel(joint, ins, outs))
                  for ins, outs in (((0,), (0,)), ((1,), (0, 1)), ((0,), (1,))))
-    return channel_instance_to_marginal(ChannelInstance((2, 2), (2, 2), locs),
-                                        include_tp=True).system
+    return channel_instance_to_marginal(ChannelInstance((2, 2), (2, 2), locs)).system
 
 
 def weighted_sector_system():
