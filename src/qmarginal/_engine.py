@@ -15,7 +15,8 @@ nonzeros, built in closed form by index arithmetic on the same map, against
 the entries of the state's real view, without forming the dense rows.
 Feasibility is a least-squares problem over factors: minimise
 ||A coords(G G^dag) - b||^2 for G of size D x k, k the paper's square-sum
-rank bound, so an iteration is one sparse product with A (for both
+rank bound, with G on the face that rank-deficient targets force (an
+empty face is a certificate at once), so an iteration is one sparse product with A (for both
 line-search terms), one with A^T, dense products with G and an L-BFGS
 memory on a sliding window, without calling the maps or decomposing a
 state; at iterations 0, 1, 2, 4, ... a screen seeks in the residual a dual
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -203,6 +204,18 @@ class AffineFactor:
         return math.sqrt(np.add.reduceat(dev * dev, self.offsets).max())
 
 
+class Face(NamedTuple):
+    """ConstraintSystem.face: the projectors P_c off the targets' supports,
+    in constraint order, the eigenvalues (ascending) and eigenvectors of
+    Q = sum_c M_c*(P_c), and dim, the dimension D' of ker Q, whose basis is
+    the first dim eigenvectors."""
+
+    projectors: tuple[np.ndarray, ...]
+    values: np.ndarray
+    vectors: np.ndarray
+    dim: int
+
+
 @dataclass(frozen=True)
 class ConstraintSystem:
     """The state dimension and the constraints, as given and as groups.
@@ -245,6 +258,26 @@ class ConstraintSystem:
         of any satisfiable instance."""
         return math.isqrt(sum(int((rank_counts(g.target_eigh[0], rank_tol) ** 2).sum())
                               for g in self.groups))
+
+    def face(self, rank_tol: float = DEFAULT_RANK_TOL) -> Face | None:
+        """The face that rank-deficient targets force, or None when every
+        target has full rank at rank_tol, so that no Q is formed.  P_c, the
+        projector off supp(T_c), comes from the kept spectra by support_mask,
+        the walk's support rule, and Q = sum_c M_c*(P_c) from one
+        _adjoint_maps call per group.  A state meeting every target has
+        Tr(Q rho) = sum_c <P_c, T_c> = 0 with Q PSD, so it lives on ker Q;
+        the kernel is the first eigenvectors of Q, those whose eigenvalues
+        support_mask rejects."""
+        spectra = [g.target_eigh for g in self.groups]
+        masks = [~support_mask(w, rank_tol) for w, _ in spectra]
+        if not any(m.any() for m in masks):
+            return None
+        perps = [(g, (v * m[..., None, :]) @ v.conj().swapaxes(-1, -2))
+                 for g, (_, v), m in zip(self.groups, spectra, masks)]
+        w, u = np.linalg.eigh(sum(_adjoint_maps(p, g.index, g.weight, self.dim)
+                                  for g, p in perps))
+        return Face(tuple(self.in_order(perps)), w, u,
+                    int(np.count_nonzero(~support_mask(w, rank_tol))))
 
     def target_bases(self, rank_tol: float = DEFAULT_RANK_TOL
                      ) -> list[tuple[ConstraintGroup, np.ndarray]]:
@@ -321,10 +354,13 @@ class FeasibilityResult:
     state is G G^dag / Tr for the solver's best iterate G; when converged is
     False, it is a diagnostic, not a solution.  residual_history holds, per
     iteration, the best residual reached so far, so it never increases.
-    factor_rank is the width of that G: the square-sum bound (at most D), or
-    D if an iterate after the pad to D columns is the best, so a run whose
-    pad never improves reports the bound even when its message names rank D.
-    certificate is set when the run ended on a proof that no state exists.
+    factor_rank is the width of that G: min(D', square-sum bound), D' the
+    dimension of the face that rank-deficient targets force (D when every
+    target has full rank), or D' if an iterate after the pad to D' columns
+    is the best, so a run whose pad never improves reports the smaller
+    width even when its message names rank D'.  An empty face certified
+    before any iteration reports D, for its state I/D.  certificate is set
+    when the run ended on a proof that no state exists.
     """
 
     state: np.ndarray
@@ -496,9 +532,10 @@ def project_affine(system: ConstraintSystem, v: np.ndarray,
 # ---------------------------------------------------------------------------
 # Feasibility: least squares over factors rho = G G^dag (Burer-Monteiro).
 # The paper guarantees a solution of rank at most the square-sum bound
-# whenever one exists, so G is D x k with k = min(D, bound).  With
-# r = A coords(G G^dag) - b, f(G) = ||r||^2 has gradient 4 S G for
-# S = coords^-1(A^T r).  Along a direction P, r(t) = r + t a1 + t^2 a2 with
+# whenever one exists, so G is D x k with k = min(D', bound) and its
+# columns on the face ker Q of dimension D' (ConstraintSystem.face; D' = D
+# without one).  With r = A coords(G G^dag) - b, f(G) = ||r||^2 has
+# gradient 4 S G for S = coords^-1(A^T r).  Along a direction P, r(t) = r + t a1 + t^2 a2 with
 # a1 = A coords(G P^dag + P G^dag) and a2 = A coords(P P^dag), both from one
 # product [G; P] P^dag and one bincount, so f is a quartic in t, and the line
 # search takes a root of its cubic derivative (_least_cost_root).  Directions
@@ -601,67 +638,121 @@ def _exact_step(f: AffineFactor, g: np.ndarray, p: np.ndarray,
     return t, dev + t * a1 + (t * t) * a2
 
 
-def _screen(system: ConstraintSystem, dev: np.ndarray, two_s: np.ndarray,
-            tol: float) -> tuple[float, tuple[np.ndarray, ...], float] | None:
-    """(y'_0, the Y_c, lower) of a checked InfeasibilityCertificate from
-    y = dev, or None.  two_s is 2 S, S = coords^-1(A^T y); the trace row
-    adds I, so y' = y + t e_trace, t = max(0, -lambda_min(S)) plus a
-    rounding margin, has A^T y' PSD.  Free filters first: <y, b> < 0 and
-    min diag(S) > <y, b>, both needed for <y', b> = <y, b> + t < 0.  Then a
-    Cholesky of S + t_s I, t_s = -<y, b> - tol sqrt(C) ||y|| for C
-    constraints; if it succeeds, eigvalsh gives t.  y' passes only a check
-    with the maps, not A: lambda_min(y'_0 I + sum_c M_c*(Y_c)) >= 0 and,
-    for gap = y'_0 + sum_c <Y_c, T_c>, lower = -gap / ||y'|| > tol sqrt(C),
-    so gap < 0 and no state meets every target within tol."""
-    f, d = system.affine, system.dim
-    yb = float(dev @ f.target)
-    if yb >= 0 or two_s.diagonal().real.min() / 2 <= yb:
-        return None
-    bar = tol * math.sqrt(len(system.constraints))
-    try:
-        np.linalg.cholesky(two_s + 2 * (-yb - bar * math.sqrt(dev @ dev)) * np.eye(d))
-    except np.linalg.LinAlgError:
-        return None
-    w = np.linalg.eigvalsh(two_s) / 2
-    # the rounding margin: eigvalsh errs by a few d eps ||S||
-    y0 = float(dev[0]) + max(0.0, -w[0]) + 8 * d * np.finfo(float).eps * abs(w).max()
-    duals = tuple(_coords_to_herm(z, c.target.shape[0]) for z, c in
-                  zip(np.split(dev, f.offsets[1:])[1:], system.constraints))
+def _checked_dual(system: ConstraintSystem, y0: float, duals: tuple[np.ndarray, ...],
+                  tol: float) -> tuple[float, tuple[np.ndarray, ...], float] | None:
+    """(y0, duals, lower) of a checked InfeasibilityCertificate, or None.
+    The check uses the maps and the true targets, not A or a face:
+    lambda_min(y0 I + sum_c M_c*(duals[c])) >= 0 and, for gap = y0 +
+    sum_c <duals[c], T_c>, lower = -gap / ||(y0, duals)|| > tol sqrt(C) for
+    C constraints, so gap < 0 and no state meets every target within tol."""
+    d = system.dim
     z = y0 * np.eye(d) + sum(_adjoint_maps(np.stack([duals[p] for p in g.positions]),
                                            g.index, g.weight, d) for g in system.groups)
     gap = y0 + sum(np.vdot(y, c.target).real for y, c in zip(duals, system.constraints))
     lower = -gap / math.sqrt(y0 * y0 + sum(np.vdot(y, y).real for y in duals))
-    if lower <= bar or np.linalg.eigvalsh(z)[0] < 0:
+    if lower <= tol * math.sqrt(len(system.constraints)) or np.linalg.eigvalsh(z)[0] < 0:
         return None
     return y0, duals, lower
 
 
+def _margin(w: np.ndarray) -> float:
+    """The rounding margin of a shift by -min(w): eigvalsh errs by a few d
+    eps ||S|| on the d eigenvalues w of S."""
+    return 8 * w.size * np.finfo(float).eps * abs(w).max()
+
+
+def _screen(system: ConstraintSystem, dev: np.ndarray, two_s: np.ndarray,
+            tol: float, face: Face | None = None
+            ) -> tuple[float, tuple[np.ndarray, ...], float] | None:
+    """_checked_dual of a certificate from y = dev, or None.  two_s is 2 S,
+    S = coords^-1(A^T y); the trace row adds I, so y' = y + t e_trace has
+    A^T y' = S + t I.  The filter <y, b> < 0 is free, and <y', b> =
+    <y, b> + t < -tol sqrt(C) ||y|| is needed.  In the full space t =
+    max(0, -lambda_min(S)) plus a rounding margin makes S + t I PSD; a
+    second free filter, min diag(S) > <y, b>, and a Cholesky of S + t_s I,
+    t_s = -<y, b> - tol sqrt(C) ||y||, come before its eigvalsh.  On a face
+    of dimension D' < D, t need only make V^dag (S + t I) V positive
+    definite, V = ker Q; t splits the room that <y, b> leaves above
+    lambda_min(V^dag S V) in half, so s, that half, is left on both sides.
+    Then the Y_c gain tau P_c, which adds tau Q and moves <y', b> by only
+    tau sum_c <P_c, T_c>: in Q's eigenbasis, tau Lambda needs to cover the
+    Schur complement C - B^dag A^-1 B of S + t I against its kernel block
+    A, plus s, so that it too is left at least s."""
+    f, d = system.affine, system.dim
+    yb = float(dev @ f.target)
+    bar = tol * math.sqrt(len(system.constraints)) * math.sqrt(dev @ dev)
+    if yb >= 0:
+        return None
+    if face is None:
+        if two_s.diagonal().real.min() / 2 <= yb:
+            return None
+        try:
+            np.linalg.cholesky(two_s + 2 * (-yb - bar) * np.eye(d))
+        except np.linalg.LinAlgError:
+            return None
+        w = np.linalg.eigvalsh(two_s) / 2
+        y0 = float(dev[0]) + max(0.0, -w[0]) + _margin(w)
+    else:
+        n, u = face.dim, face.vectors
+        w = np.linalg.eigvalsh(u[:, :n].conj().T @ two_s @ u[:, :n]) / 2
+        slack = (-yb - bar - max(0.0, -w[0]) - _margin(w)) / 2
+        if slack <= 0:
+            return None
+        t = -yb - bar - slack
+        m = u.conj().T @ (two_s / 2) @ u + t * np.eye(d)  # S + t I in Q's eigenbasis
+        b, lam = m[:n, n:], face.values[n:]
+        schur = (m[n:, n:] - b.conj().T @ np.linalg.solve(m[:n, :n], b)) / np.sqrt(
+            np.outer(lam, lam))
+        lift = max(0.0, -np.linalg.eigvalsh(schur)[0]) + slack / lam[0]
+        y0 = float(dev[0]) + t
+    duals = tuple(_coords_to_herm(z, c.target.shape[0]) for z, c in
+                  zip(np.split(dev, f.offsets[1:])[1:], system.constraints))
+    if face is not None:
+        duals = tuple(y + lift * p for y, p in zip(duals, face.projectors))
+    return _checked_dual(system, y0, duals, tol)
+
+
 def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
-                   max_iters: int = DEFAULT_MAX_ITERS) -> FeasibilityResult:
+                   max_iters: int = DEFAULT_MAX_ITERS,
+                   rank_tol: float = DEFAULT_RANK_TOL) -> FeasibilityResult:
     """Find a state satisfying every constraint, certify that none does, or
     report failure.
 
-    Minimises ||A coords(G G^dag) - b||^2 over G of size D x k, k the
-    square-sum bound of the targets (at most D), by L-BFGS with exact line
-    searches from a fixed-seed Gaussian G, so runs are deterministic.  Each
-    step is one iteration of max_iters.  The residual of an iterate is the
-    largest block norm of A coords(rho) - b at rho = G G^dag / Tr, the state
-    it stands for; the run is converged when that is at most tol.  It keeps
-    polishing to tol / 100, or until the budget ends: the rank reduction
-    truncates the state's eigenvalues below rank_tol before its first step,
-    and a state handed over just under tol would then sit above the inner
-    tolerance (its tol / 10) of its repair and pay confined repair
-    rounds that cannot reach it.  Above 10 tol, _screen seeks a dual
+    A presolve takes the face that rank-deficient targets force
+    (ConstraintSystem.face at rank_tol; none when every target has full
+    rank), ker Q of dimension D'.  At D' = 0, Y_c = P_c and y_0 =
+    -lambda_min(Q) plus a rounding margin give a certificate before any
+    iteration, with the state I/D; if the check rejects it, the run goes
+    on in the full space.  Otherwise it minimises ||A coords(G G^dag) -
+    b||^2 over G = V H of size D x k, V a basis of ker Q (V = I and D' = D
+    without a face) and k = min(D', square-sum bound at rank_tol), by
+    L-BFGS with exact line searches from a fixed-seed Gaussian G on the
+    face, each gradient projected onto it, so runs are deterministic and
+    stay on the face.  Each step is one iteration of max_iters.  The
+    residual of an iterate is the largest block norm of A coords(rho) - b
+    at rho = G G^dag / Tr, the state it stands for; the run is converged
+    when that is at most tol.  It keeps polishing to tol / 100, or until
+    the budget ends: the rank reduction truncates the state's eigenvalues
+    below rank_tol before its first step, and a state handed over just
+    under tol would then sit above the inner tolerance (its tol / 10) of
+    its repair and pay confined repair rounds that cannot reach it.  A
+    zero step that leaves the L-BFGS memory as it was also ends the run,
+    after the screen that every later iteration would repeat: a face that
+    drops target eigenvalues above tol / 100 floors the residual there.
+    Above 10 tol, _screen seeks a dual
     certificate at iterations 0, 1, 2, 4, 8, ... and at every stationary
-    point; one that passes its check ends the run, not converged, with the
-    certificate.  The screen writes nothing, so no iterate changes.  A
-    stationary point above 10 tol that the screen does not certify is
-    never reported at k < D: G gains D - k small random columns and the
-    search goes on at k = D, where every stationary point is a global
-    least-squares minimum.  There it stops the run with a residual
-    plateau: evidence of infeasibility, not a proof.  No step calls a
-    constraint map or decomposes a state but a screen past its Cholesky;
-    the returned state is checked by residual_report.
+    point, lifted off the face when there is one; one that passes its
+    check ends the run, not converged, with the certificate.  The screen
+    writes nothing, so no iterate changes.  A stationary point above
+    10 tol that the screen does not certify is never reported at k < D':
+    G gains D' - k small random columns inside the face and the search
+    goes on at k = D', where every stationary point is a global
+    least-squares minimum on the face.  There it stops the run with a
+    residual plateau: evidence of infeasibility, not a proof.  No step
+    calls a constraint map or decomposes a state but a screen past its
+    first filters.  The returned state is checked by residual_report, a
+    certificate by the maps and the true targets, so a support misjudged at
+    rank_tol can fail a run but not return a wrong state or certificate.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -672,38 +763,56 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
         x = np.eye(d, dtype=complex) / d
         return FeasibilityResult(x, residual_report(system, x), True, 0,
                                  "converged in 0 iterations", (), d)
-    f = system.affine
-    b = f.target
-    k = min(d, system.square_sum_bound())
-    rng = np.random.default_rng(0)
-    g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-    g /= np.linalg.norm(g)
+    it, history = 0, []
 
-    def evaluate(g: np.ndarray, dev: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Deviation (from G unless given), gradient, 2 S and residual at G."""
-        if dev is None:
-            dev = f.apply(g @ g.conj().T) - b
-        # A coords(rho / t) = (dev + b) / t, and the first row is the trace
-        scaled = (dev + b) / (dev[0] + b[0]) - b
-        return (dev, *f.gradient(dev, g), f.max_block_norm(scaled))
-
-    def result(converged: bool, message: str, dual=None) -> FeasibilityResult:
+    def result(converged: bool, message: str = "", dual=None) -> FeasibilityResult:
         x = best_g @ best_g.conj().T
         x = x / np.trace(x).real
         report, cert = residual_report(system, x), None
         if dual is not None:
             cert = InfeasibilityCertificate(*dual, math.hypot(*report.residuals))
-            message += f" [{cert.lower:.3e}, {cert.upper:.3e}] from consistent ones"
+            message = (f"certified infeasible after {it} iterations: the targets lie at "
+                       f"a distance in [{cert.lower:.3e}, {cert.upper:.3e}] from "
+                       f"consistent ones")
         return FeasibilityResult(x, report, converged, it, message,
                                  tuple(history), best_g.shape[1], cert)
 
+    face = system.face(rank_tol)
+    if face is not None and face.dim == 0:
+        w = face.values
+        dual = _checked_dual(system, -w[0] + _margin(w), face.projectors, tol)
+        if dual is not None:
+            best_g = np.eye(d)
+            return result(False, dual=dual)
+        face = None
+    v = None if face is None else face.vectors[:, :face.dim]
+    width = d if v is None else face.dim
+    f = system.affine
+    b = f.target
+    k = min(width, system.square_sum_bound(rank_tol))
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((width, k)) + 1j * rng.standard_normal((width, k))
+    if v is not None:
+        g = v @ g
+    g /= np.linalg.norm(g)
+
+    def evaluate(g: np.ndarray, dev: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Deviation (from G unless given), gradient on the face, 2 S and
+        residual at G."""
+        if dev is None:
+            dev = f.apply(g @ g.conj().T) - b
+        # A coords(rho / t) = (dev + b) / t, and the first row is the trace
+        scaled = (dev + b) / (dev[0] + b[0]) - b
+        grad, two_s = f.gradient(dev, g)
+        if v is not None:
+            grad = v @ (v.conj().T @ grad)
+        return dev, grad, two_s, f.max_block_norm(scaled)
+
     dev, grad, two_s, res = evaluate(g)
     best_res, best_g = res, g
-    history: list[float] = []
     pairs, lo, kept = np.empty((2, 2 * LBFGS_MEMORY, 2 * g.size)), 0, 0  # see _remember
     mats = np.zeros((2, 2 * LBFGS_MEMORY, 2 * LBFGS_MEMORY))
-    it = 0
     while True:
         if res <= tol / 100:
             # steps carry dev forward; confirm it on G itself
@@ -715,17 +824,18 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
         gnorm = math.sqrt(dev[0] + b[0])
         stationary = np.vdot(grad, grad).real <= (STATIONARY_RTOL * rnorm * gnorm) ** 2
         if best_res > 10 * tol and (stationary or not it & (it - 1)):
-            dual = _screen(system, dev, two_s, tol)
+            dual = _screen(system, dev, two_s, tol, face)
             if dual is not None:
-                return result(False, f"certified infeasible after {it} iterations: "
-                                     f"the targets lie at a distance in", dual)
-            if stationary and g.shape[1] == d:
+                return result(False, dual=dual)
+            if stationary and g.shape[1] == width:
                 return result(False, f"residual plateau at {best_res:.3e} after {it} "
-                                     f"iterations (stationary point of the rank-{d} "
+                                     f"iterations (stationary point of the rank-{width} "
                                      f"least squares); instance possibly infeasible")
             if stationary:  # small random columns move G off where rank k stalled
-                pad = (rng.standard_normal((d, d - g.shape[1]))
-                       + 1j * rng.standard_normal((d, d - g.shape[1])))
+                pad = (rng.standard_normal((width, width - g.shape[1]))
+                       + 1j * rng.standard_normal((width, width - g.shape[1])))
+                if v is not None:
+                    pad = v @ pad
                 g = np.hstack([g, 1e-3 * np.linalg.norm(g) / np.linalg.norm(pad) * pad])
                 dev, grad, two_s, res = evaluate(g)
                 rnorm = math.sqrt(dev @ dev)
@@ -742,6 +852,12 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
             p = -q
         p = p.view(np.complex128).reshape(g.shape)
         t, dev = _exact_step(f, g, p, dev)
+        if t == 0 and kept == hi - lo:  # nothing moves: every later iteration is this one
+            history.append(best_res)
+            dual = _screen(system, dev, two_s, tol, face) if best_res > 10 * tol else None
+            if dual is not None:  # the one screen that later iterations would repeat
+                return result(False, dual=dual)
+            break
         g_next = g + t * p
         dev, grad_next, two_s, res = evaluate(g_next, dev)
         s = (g_next - g).view(np.float64).ravel()
@@ -754,7 +870,7 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
         history.append(best_res)
     if best_res <= tol:
         return result(True, f"converged in {it} iterations")
-    return result(False, f"no convergence after {max_iters} iterations; "
+    return result(False, f"no convergence after {it} iterations; "
                          f"best residual {best_res:.3e}")
 
 

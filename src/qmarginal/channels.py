@@ -231,7 +231,8 @@ def reduce_kraus_rank(instance: ChannelInstance, *,
     joint channel is found.
     """
     marginal_instance = channel_instance_to_marginal(instance)
-    found = find_feasible(marginal_instance, tol=tol, max_iters=max_iters)
+    found = find_feasible(marginal_instance, tol=tol, max_iters=max_iters,
+                          rank_tol=rank_tol)
     if not found.converged:
         raise ChannelFeasibilityError(found)
     reduced, trace = reduce_rank(found.state, marginal_instance,

@@ -86,7 +86,10 @@ def cmd_bounds(args) -> int:
     instance = instance_from_doc(load_document(args.instance))
     t, b = theorem1_bound(instance, args.rank_tol), barvinok_bound(instance)
     marker = "" if instance.targets else " (degenerate)"
-    print(f"theorem1: {t}{marker}, barvinok: {b}")
+    # no solution has a rank above the dimension of the face
+    face = instance.system.face(args.rank_tol)
+    print(f"theorem1: {t}{marker}, barvinok: {b}, "
+          f"face: {instance.system.dim if face is None else face.dim}")
     return 0
 
 
@@ -95,7 +98,8 @@ def cmd_solve(args) -> int:
     calls, which share the instance's engine system, so its groups and
     target spectra are built once."""
     instance = instance_from_doc(load_document(args.instance))
-    found = find_feasible(instance, tol=args.tol, max_iters=args.max_iters)
+    found = find_feasible(instance, tol=args.tol, max_iters=args.max_iters,
+                          rank_tol=args.rank_tol)
     if not found.converged:
         _fail(found.message)
         for line in _report_lines(instance, found.report):

@@ -107,8 +107,8 @@ def theorem1_bound(instance: ConsistencyInstance | SectorInstance,
 
     Whenever the instance is satisfiable at all, it is satisfiable by a state
     of at most this rank; 0 for the degenerate empty instance.  A sector
-    instance has one constraint, so its bound is the target rank.  It is the
-    factor width of find_feasible, read from the spectra the instance's
+    instance has one constraint, so its bound is the target rank.  It caps
+    the factor width of find_feasible, read from the spectra the instance's
     system keeps (ConstraintSystem.square_sum_bound).
     """
     return instance.system.square_sum_bound(rank_tol)
@@ -125,17 +125,22 @@ def barvinok_bound(instance: ConsistencyInstance | SectorInstance) -> int:
 
 def find_feasible(instance: ConsistencyInstance | SectorInstance, *,
                   tol: float = DEFAULT_TOL,
-                  max_iters: int = DEFAULT_MAX_ITERS) -> FeasibilityResult:
+                  max_iters: int = DEFAULT_MAX_ITERS,
+                  rank_tol: float = DEFAULT_RANK_TOL) -> FeasibilityResult:
     """Search for a state meeting every constraint within tol.
 
-    Takes a qudit or a sector instance.  Least squares over factors
-    rho = G G^dag / Tr with G of width theorem1_bound(instance) (at most the
-    dimension), by L-BFGS from a fixed-seed start, so the run is
-    deterministic and the state's rank is at most that bound.  A
-    non-converged result carries the best iterate and a certificate of
-    infeasibility, a stationary point of the full-width least squares
-    ("possibly infeasible") or a budget message; see
-    _engine.solve_feasible.  The run uses the instance's system, so a
+    Takes a qudit or a sector instance.  rank_tol sets the targets' ranks
+    and supports.  Where targets are rank-deficient, every solution lives
+    on the face they force, of dimension D' (ConstraintSystem.face), and
+    the search runs there; an empty face gives a certificate at once.
+    Least squares over factors rho = G G^dag / Tr with G of width
+    min(D', theorem1_bound(instance, rank_tol)), by L-BFGS from a
+    fixed-seed start, so the run is deterministic and the state's rank is
+    at most that width.  A non-converged result carries the best iterate
+    and a certificate of infeasibility, a stationary point of the
+    least squares at width D' ("possibly infeasible") or a budget message;
+    see _engine.solve_feasible.  The run uses the instance's system, so a
     reduce_rank of the same instance reuses its groups and target spectra.
     """
-    return _engine.solve_feasible(instance.system, tol=tol, max_iters=max_iters)
+    return _engine.solve_feasible(instance.system, tol=tol, max_iters=max_iters,
+                                  rank_tol=rank_tol)

@@ -1,5 +1,6 @@
 """tools/census.py records one line per benchmark case and compares two
-records; a smoke run on one seed of the infeasible-cli workload."""
+records; a smoke run on one seed of the infeasible-cli workload, and a
+comparison of hand-made records that counts differences per label."""
 import json
 import os
 import subprocess
@@ -39,7 +40,28 @@ def test_census_records_and_compares_one_seed(tmp_path):
     differ = census("--compare", str(record), str(again))
     assert differ.returncode == 1
     assert differ.stderr.splitlines() == [
+        "infeasible-cli channel-clash: 1/1 differ", "infeasible-cli contradictory: 1/1 differ",
+        "infeasible-cli monogamy: 1/1 differ",
         "infeasible-cli: failed 0/3 -> 1/2  (failed share rose)", "3 cases, 3 differences"]
     assert "'contradictory'): failed False != True" in differ.stdout
     assert "'monogamy'): digest" in differ.stdout
     assert "'channel-clash'): only in" in differ.stdout
+
+
+def test_compare_counts_differing_cases_per_label(tmp_path):
+    """Two of three seeds of one label differ: the count reads 2/3 for that
+    label, and a label whose cases all agree gets no line."""
+    def record(path, digests):
+        path.write_text("".join(json.dumps(
+            {"workload": "w", "seed": seed, "label": label, "failed": False,
+             "wrong": False, "rank": 1, "steps": 0, "iters": 1, "digest": digest}) + "\n"
+            for (seed, label), digest in digests.items()))
+        return str(path)
+
+    base = {(seed, label): "0" * 64 for seed in (1, 2, 3) for label in ("a", "b")}
+    changed = {**base, (1, "a"): "1" * 64, (3, "a"): "1" * 64}
+    done = census("--compare", record(tmp_path / "a.jsonl", base),
+                  record(tmp_path / "b.jsonl", changed))
+    assert done.returncode == 1 and len(done.stdout.splitlines()) == 2
+    assert done.stderr.splitlines() == ["w a: 2/3 differ", "w: failed 0/6 -> 0/6",
+                                        "6 cases, 2 differences"]

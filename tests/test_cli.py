@@ -15,6 +15,7 @@ from qmarginal.documents import (channel_instance_to_doc, channel_to_doc,
                                  instance_to_doc, load_document, state_to_doc)
 from qmarginal.gallery import (maximally_mixed_klocal_instance,
                                random_feasible_instance, ring_graph_state)
+from qmarginal.hilbert import partial_trace
 from qmarginal.marginal import (ConsistencyInstance, MarginalConstraint,
                                 find_feasible)
 from qmarginal.numerics import numerical_rank
@@ -49,7 +50,7 @@ def test_bounds_output_line(tmp_path, capsys):
     path = write_instance(tmp_path / "mm.json",
                           maximally_mixed_klocal_instance(5, 2))
     assert main(["bounds", path]) == 0
-    assert capsys.readouterr().out.strip() == "theorem1: 12, barvinok: 17"
+    assert capsys.readouterr().out.strip() == "theorem1: 12, barvinok: 17, face: 32"
 
 
 def test_bounds_rank_one_target(tmp_path, capsys):
@@ -59,13 +60,45 @@ def test_bounds_rank_one_target(tmp_path, capsys):
         (2, 2), (MarginalConstraint((0, 1), np.outer(v, v.conj())),))
     path = write_instance(tmp_path / "pure.json", inst)
     assert main(["bounds", path]) == 0
-    assert capsys.readouterr().out.strip() == "theorem1: 1, barvinok: 5"
+    assert capsys.readouterr().out.strip() == "theorem1: 1, barvinok: 5, face: 1"
+
+
+def test_bounds_face_of_a_ring_graph_state(tmp_path, capsys):
+    """The ring graph state on five qubits pinned by its 3-local windows:
+    the face its pure-state marginals force is the state alone, so no
+    solution has a rank above 1, far below theorem1."""
+    n = 5
+    rho = ring_graph_state(n)
+    windows = [tuple(sorted({i, (i + 1) % n, (i + 2) % n})) for i in range(n)]
+    inst = ConsistencyInstance((2,) * n, tuple(
+        MarginalConstraint(w, partial_trace(rho, (2,) * n, w)) for w in windows))
+    assert main(["bounds", write_instance(tmp_path / "ring.json", inst)]) == 0
+    assert capsys.readouterr().out.strip() == "theorem1: 8, barvinok: 25, face: 1"
+
+
+def test_solve_rank_tol_sets_the_factor_width(tmp_path, capsys):
+    """--rank-tol reaches the solver: a target eigenvalue of 5e-9, which
+    rank_tol 1e-6 drops and whose loss tol 1e-6 forgives, counts neither in
+    theorem1 nor in the width of the feasibility factor."""
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+    target = (1 - 5e-9) * np.outer(q[:, 0], q[:, 0].conj()) + 5e-9 * np.outer(
+        q[:, 1], q[:, 1].conj())
+    inst_path = write_instance(tmp_path / "tiny.json", ConsistencyInstance(
+        (2, 2, 2), (MarginalConstraint((0, 1), target),)))
+    out_path = tmp_path / "sol.json"
+    assert main(["solve", inst_path, "--tol", "1e-6", "--rank-tol", "1e-6",
+                 "-o", str(out_path)]) == 0
+    assert "theorem1 bound 1," in capsys.readouterr().out
+    doc = json.loads(out_path.read_text(encoding="utf-8"))
+    assert doc["bounds"]["theorem1"] == 1
+    assert 1 <= doc["feasibility"]["factor_rank"] <= 1
 
 
 def test_bounds_degenerate(tmp_path, capsys):
     path = write_instance(tmp_path / "empty.json", ConsistencyInstance((2, 2), ()))
     assert main(["bounds", path]) == 0
-    assert capsys.readouterr().out.strip() == "theorem1: 0 (degenerate), barvinok: 0"
+    assert capsys.readouterr().out.strip() == "theorem1: 0 (degenerate), barvinok: 0, face: 4"
 
 
 def test_check_consistent_state(tmp_path, capsys):
@@ -177,7 +210,7 @@ def boson_mm_path(tmp_path):
 
 def test_bounds_sector_instance(tmp_path, capsys):
     assert main(["bounds", boson_mm_path(tmp_path)]) == 0
-    assert capsys.readouterr().out.strip() == "theorem1: 3, barvinok: 4"
+    assert capsys.readouterr().out.strip() == "theorem1: 3, barvinok: 4, face: 5"
 
 
 def test_sector_bounds_build_no_isometry(tmp_path, capsys, monkeypatch):
@@ -195,7 +228,7 @@ def test_sector_bounds_build_no_isometry(tmp_path, capsys, monkeypatch):
     inst = sector.SectorInstance("fermionic", 4, 8, 2, np.eye(28) / 28)
     assert (theorem1_bound(inst), barvinok_bound(inst)) == (28, 39)
     assert main(["bounds", write_instance(tmp_path / "f.json", inst)]) == 0
-    assert capsys.readouterr().out.strip() == "theorem1: 28, barvinok: 39"
+    assert capsys.readouterr().out.strip() == "theorem1: 28, barvinok: 39, face: 70"
     assert calls == []
 
 

@@ -14,7 +14,7 @@ from qmarginal.channels import (ChannelInstance, LocalChannel,
                                 channel_instance_to_marginal, choi_from_kraus,
                                 sub_channel)
 from qmarginal.gallery import (maximally_mixed_klocal_instance,
-                               random_feasible_instance)
+                               random_feasible_instance, ring_graph_state)
 from qmarginal.hilbert import (embed_with_identity, partial_trace,
                                partial_trace_index, sector_isometry,
                                sector_partial_trace, sector_size,
@@ -22,7 +22,7 @@ from qmarginal.hilbert import (embed_with_identity, partial_trace,
 from qmarginal.marginal import (ConsistencyInstance, MarginalConstraint,
                                 check_consistency, find_feasible,
                                 theorem1_bound)
-from qmarginal.numerics import numerical_rank
+from qmarginal.numerics import numerical_rank, support_mask
 from qmarginal.reduction import reduce_rank
 from qmarginal.sector import SectorInstance
 
@@ -601,12 +601,20 @@ def no_screen(monkeypatch):
     monkeypatch.setattr(_engine, "_screen", lambda *args: None)
 
 
+def no_face(monkeypatch):
+    """Switch the face off, as if every target had full rank, so that a
+    rank-deficient instance drives the solver in the full space as it did
+    before the face restricted such runs."""
+    monkeypatch.setattr(_engine.ConstraintSystem, "face", lambda self, rank_tol=0: None)
+
+
 def test_residual_history_of_a_plateau(monkeypatch):
     """The contradictory two-qubit instance has its square-sum bound at
-    D = 4, so without the screen the search stops at a stationary point of
-    the full-rank least squares; its history ends at the best residual the
-    report recomputes."""
+    D = 4, so without the screen and the face the search stops at a
+    stationary point of the full-rank least squares; its history ends at
+    the best residual the report recomputes."""
     no_screen(monkeypatch)
+    no_face(monkeypatch)
     found = _engine.solve_feasible(contradictory_system())
     assert not found.converged and "plateau" in found.message
     assert "stationary point of the rank-4 least squares" in found.message
@@ -669,8 +677,10 @@ def test_factor_rank_is_the_width_of_the_best_iterate(monkeypatch):
     best iterate.  Without the screen, both runs end at the rank-8
     stationary point.  On the monogamy instance an iterate after the pad to
     D beats the best residual at k = 1, so the width is 8; on the clashing
-    pairs none does, so it stays the bound, 6."""
+    pairs none does, so it stays the bound, 6.  The face is switched off,
+    since the monogamy targets force an empty one."""
     no_screen(monkeypatch)
+    no_face(monkeypatch)
     padded = _engine.solve_feasible(monogamy_system())
     assert padded.factor_rank == 8
     assert "stationary point of the rank-8 least squares" in padded.message
@@ -686,9 +696,10 @@ def test_factor_rank_is_the_width_of_the_best_iterate(monkeypatch):
 
 def test_stationary_point_below_full_rank_is_never_reported(monkeypatch):
     """At k = 1 the monogamy instance has a stationary point far above tol;
-    without the screen, the factor is padded to D = 8 and the verdict comes
-    from the full-rank least squares."""
+    without the screen and the face, the factor is padded to D = 8 and the
+    verdict comes from the full-rank least squares."""
     no_screen(monkeypatch)
+    no_face(monkeypatch)
     system = monogamy_system()
     assert system.square_sum_bound() == 1
     found = _engine.solve_feasible(system)
@@ -812,16 +823,17 @@ def test_no_certificate_for_consistent_targets(monkeypatch):
     """Weak duality: for targets b = A(X*) of a state X*, every dual y has
     <y', b> = Tr(A^T y' X*) >= 0.  On random qudit, sector and channel
     instances, random deviations with <y, b> < 0 are screened with the
-    Cholesky filter forced to pass, so the check alone must reject them."""
+    Cholesky filter forced to pass, so the check alone must reject them.
+    Where the targets force a face, the screen on it must reject them too."""
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: a)
     rng = np.random.default_rng(53)
     cases = [random_feasible_instance((2,) * 3, list(combinations(range(3), 2)), r,
                                       seed=r) for r in (1, 2, 8)]
     cases += [sector_pair(rng, "bosonic", 4, 2, 2, 1), channel_pair()]
-    screened = 0
+    screened = faced = 0
     for instance, witness in cases:
         system = instance.system
-        f = system.affine
+        f, face = system.affine, system.face()
         for noise in (0.0, 1e-3, 1e-1, 10.0):
             for scale in (1e-6, 1e-3, 1.0):
                 # Y_c near -M_c(X*): X* then lies near the bottom of A^T y
@@ -832,7 +844,10 @@ def test_no_certificate_for_consistent_targets(monkeypatch):
                 two_s = f.gradient(dev, np.empty((system.dim, 0)))[1]
                 screened += two_s.diagonal().real.min() / 2 > dev @ f.target
                 assert _engine._screen(system, dev, two_s, 1e-300) is None
-    assert screened >= 30
+                if face is not None:
+                    faced += 1
+                    assert _engine._screen(system, dev, two_s, 1e-300, face) is None
+    assert screened >= 30 and faced == 24
 
 
 def test_screens_are_scheduled_and_filtered(monkeypatch):
@@ -889,16 +904,191 @@ def test_the_screen_changes_no_iterate(monkeypatch):
 
 def test_feasible_state_has_rank_at_most_the_bound():
     """A rank-1 witness on three qubits with every pair pinned: the factor
-    has the square-sum bound as its width, so the state's rank is at most
-    that, and it is handed over well inside the repair's inner tolerance."""
+    has min(D', square-sum bound) as its width, D' = 2 the dimension of the
+    face its rank-2 targets force, so the state's rank is at most that, and
+    it is handed over well inside the repair's inner tolerance."""
     inst, _ = random_feasible_instance((2,) * 3, list(combinations(range(3), 2)),
                                        1, seed=0)
     system = inst.system
     found = _engine.solve_feasible(system)
-    bound = system.square_sum_bound()
-    assert found.converged and found.factor_rank == bound == 3
+    bound = min(system.face().dim, system.square_sum_bound())
+    assert found.converged and found.factor_rank == bound == 2
     assert np.linalg.matrix_rank(found.state, tol=1e-12) <= bound
     assert found.report.max_residual <= _engine.DEFAULT_TOL / 10
+
+
+def ring_windows_instance(n):
+    """The ring graph state on n qubits pinned by its 3-local windows."""
+    rho = ring_graph_state(n)
+    windows = [tuple(sorted({i, (i + 1) % n, (i + 2) % n})) for i in range(n)]
+    return ConsistencyInstance((2,) * n, tuple(
+        MarginalConstraint(w, partial_trace(rho, (2,) * n, w)) for w in windows))
+
+
+def identity_subchannels_instance():
+    """Both qubits of a two-qubit channel pinned to the identity channel."""
+    ident = choi_from_kraus([np.eye(2, dtype=complex)], (2,), (2,))
+    return channel_instance_to_marginal(ChannelInstance((2, 2), (2, 2), (
+        LocalChannel((0,), (0,), ident), LocalChannel((1,), (1,), ident))))
+
+
+def clashing_channels_instance():
+    """Two different random two-Kraus qubit channels pinned to the same
+    input and output: infeasible, and their rank-2 Choi states' supports
+    meet only in 0."""
+    rng = np.random.default_rng(59)
+    chans = []
+    for _ in range(2):
+        q, _ = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+        chans.append(choi_from_kraus([q[:2], q[2:]], (2,), (2,)))
+    return channel_instance_to_marginal(ChannelInstance((2,), (2,), tuple(
+        LocalChannel((0,), (0,), ch) for ch in chans)))
+
+
+def face_operator(system, rank_tol=1e-9):
+    """Q = sum_c M_c*(P_c), P_c the projector off supp(T_c) by
+    support_mask, from numpy's eigh of each target and one map at a time,
+    not from the system's kept spectra and groups."""
+    q = np.zeros((system.dim, system.dim), dtype=complex)
+    for c in system.constraints:
+        w, v = np.linalg.eigh(c.target)
+        off = v[:, ~support_mask(w, rank_tol)]
+        q += _engine._adjoint_maps(off @ off.conj().T, c.index, c.weight, system.dim)
+    return q
+
+
+def test_empty_face_is_certified_before_any_iteration():
+    """Monogamy and the clashing channels force an empty face, D' = 0.
+    Y_c = P_c and y_0 = -lambda_min(Q) certify them at iteration 0, with
+    the state I/D giving the upper end, and the run builds no affine
+    factor."""
+    for inst in (monogamy_instance(), clashing_channels_instance()):
+        system = inst.system
+        assert system.face().dim == 0
+        found = _engine.solve_feasible(system)
+        cert = assert_checked_certificate(inst, found)
+        assert 0 < cert.lower <= cert.upper
+        assert found.iterations == 0 and found.residual_history == ()
+        assert found.message.startswith("certified infeasible after 0 iterations")
+        assert np.array_equal(found.state, np.eye(system.dim) / system.dim)
+        assert "affine" not in vars(system)
+
+
+def test_one_dimensional_face_converges_at_iteration_0():
+    """The ring graph state on six qubits pinned by its 3-local windows
+    (5,000 iterations in the full space) and the identity sub-channels
+    (3,589 at tol 1e-9) force a face of dimension 1.  Its one candidate,
+    V V^dag, is the solution, so both converge at iteration 0, at width 1."""
+    for system, tol in ((ring_windows_instance(6).system, _engine.DEFAULT_TOL),
+                        (identity_subchannels_instance().system, 1e-9)):
+        assert system.face().dim == 1
+        found = _engine.solve_feasible(system, tol=tol)
+        assert found.converged and found.iterations == 0 and found.factor_rank == 1
+        assert found.report.max_residual <= 1e-12
+
+
+def test_iterates_stay_on_the_face(monkeypatch):
+    """The rank-1 three-qubit witness with every pair pinned (D' = 2 of 8)
+    and a fermionic (3,6,2) rank-1 target (D' = 2 of 20): every iterate G
+    has ||Q G|| <= 1e-12 ||G||, at width min(D', bound) = 2, and both
+    runs converge."""
+    lbfgs = _engine._lbfgs_direction
+    factors = []
+
+    def spy(q, g, *args):
+        factors.append(g)
+        return lbfgs(q, g, *args)
+
+    monkeypatch.setattr(_engine, "_lbfgs_direction", spy)
+    n3, _ = random_feasible_instance((2,) * 3, list(combinations(range(3), 2)), 1, seed=0)
+    fermionic, _ = sector_pair(np.random.default_rng(3), "fermionic", 3, 6, 2, 1)
+    for inst in (n3, fermionic):
+        factors.clear()
+        system = inst.system
+        q = face_operator(system)
+        width = min(system.face().dim, system.square_sum_bound())
+        found = _engine.solve_feasible(system)
+        assert found.converged and found.factor_rank == width == 2
+        assert factors and all(g.shape[1] == width for g in factors)
+        assert max(np.linalg.norm(q @ g) / np.linalg.norm(g) for g in factors) <= 1e-12
+        assert np.linalg.norm(q @ found.state) <= 1e-12
+
+
+def test_certificate_on_a_face_is_lifted_off_it(monkeypatch):
+    """The contradictory instance forces a face of dimension 2 of 4, qubit 0
+    in |0>, on which no state is consistent.  The screen's dual is positive
+    only on the face; adding tau P_c lifts it to a certificate that hilbert's
+    maps confirm, after one iteration."""
+    screen = _engine._screen
+    faces = []
+
+    def spy(*args):
+        faces.append(args[4])
+        return screen(*args)
+
+    monkeypatch.setattr(_engine, "_screen", spy)
+    inst = contradictory_instance()
+    assert inst.system.face().dim == 2
+    found = _engine.solve_feasible(inst.system)
+    cert = assert_checked_certificate(inst, found)
+    assert 0 < cert.lower <= cert.upper
+    assert found.iterations == 1 and found.factor_rank == 2
+    assert len(faces) == 2 and all(f is not None and f.dim == 2 for f in faces)
+
+
+def test_eigenvalues_straddling_rank_tol_never_mislead():
+    """Targets of (1 - eps) rho_1 + eps rho_2, rho_1 the rank-1 three-qubit
+    witness and rho_2 full rank, are consistent for every eps.  For eps up
+    to about rank_tol the support rule drops the eps eigenvalues, and the
+    run goes on a face that misses part of every consistent state; above,
+    every target has full rank.  No run gives a certificate, and every
+    converged state meets the targets, checked with hilbert's partial
+    trace.  On a face that dropped eps eigenvalues above tol / 100 the
+    polish stalls at a zero step, which ends the run before its budget."""
+    inst, w1 = random_feasible_instance((2,) * 3, list(combinations(range(3), 2)), 1, seed=0)
+    w2 = low_rank_state(np.random.default_rng(5), 8, 8)
+    faces = []
+    for eps in (1e-11, 1e-10, 1e-9, 2e-9, 5e-9, 1e-8, 1e-7):
+        x = (1 - eps) * w1 + eps * w2
+        mixed = ConsistencyInstance(inst.dims, tuple(
+            MarginalConstraint(c.subsystems, partial_trace(x, inst.dims, c.subsystems))
+            for c in inst.constraints))
+        faces.append(mixed.system.face() is not None)
+        found = _engine.solve_feasible(mixed.system, max_iters=300)
+        assert found.certificate is None and found.iterations < 300
+        assert_history(found)
+        if found.converged:
+            assert max(np.linalg.norm(partial_trace(found.state, inst.dims, c.subsystems)
+                                      - c.target) for c in mixed.constraints) <= 1e-8
+    assert faces == [True] * 5 + [False] * 2
+
+
+def test_empty_face_that_fails_the_check_solves_in_the_full_space(monkeypatch):
+    """Bell pairs mixed half and half with white noise on qubits (0, 1) and
+    (1, 2) are consistent, since that mixture is 2-extendible.  At rank_tol
+    0.2 each target's support is the Bell state alone, which forces an
+    empty face, as monogamy's does.  Its certificate fails the check with
+    the true targets (by weak duality its gap is positive), so the run goes
+    on in the full space and converges."""
+    checked = []
+    check = _engine._checked_dual
+
+    def spy(*args):
+        checked.append(check(*args))
+        return checked[-1]
+
+    monkeypatch.setattr(_engine, "_checked_dual", spy)
+    bell = np.zeros((4, 4), dtype=complex)
+    bell[np.ix_([0, 3], [0, 3])] = 0.5
+    noisy = bell / 2 + np.eye(4) / 8
+    inst = ConsistencyInstance((2, 2, 2), (MarginalConstraint((0, 1), noisy),
+                                           MarginalConstraint((1, 2), noisy)))
+    assert inst.system.face(0.2).dim == 0
+    found = _engine.solve_feasible(inst.system, rank_tol=0.2)
+    assert checked[0] is None
+    assert found.converged and found.certificate is None
+    assert max(np.linalg.norm(partial_trace(found.state, inst.dims, c.subsystems)
+                              - c.target) for c in inst.constraints) <= 1e-8
 
 
 def test_feasibility_iterations_decompose_no_state(monkeypatch):
@@ -1020,6 +1210,7 @@ def test_lbfgs_memory_matches_a_fresh_build(monkeypatch):
     to 8 (with the screen switched off), appends past LBFGS_MEMORY and a
     forced ascent fallback that empties the memory."""
     no_screen(monkeypatch)
+    no_face(monkeypatch)
     lbfgs = _engine._lbfgs_direction
     seen = []
 
@@ -1048,7 +1239,9 @@ def test_lbfgs_memory_window_moves_to_the_front(monkeypatch):
     pairs appended, oldest first, with S Y^T and R^-1 equal to fresh
     builds.  (Nearer its convergence, at 227 iterations, R^-1 holds entries
     of 1e18 and the two builds part by more than 1e-12 of that through
-    rounding alone, so the run is cut at 100.)"""
+    rounding alone, so the run is cut at 100.)  The face is switched off:
+    on it the run converges in 44 iterations."""
+    no_face(monkeypatch)
     inst, _ = random_feasible_instance((2,) * 3, list(combinations(range(3), 2)),
                                        1, seed=0)
     remember, lbfgs = _engine._remember, _engine._lbfgs_direction

@@ -22,8 +22,9 @@ iterations, width and message, and the reduced state with its steps (or
 the reduction's error).  For a CLI case it covers the exit code, the
 standard error and the bytes of the output document.  --compare reads two
 such files, prints every case whose line differs or that only one of them
-holds, and exits 1 if there is any; on standard error it gives each
-workload's failed count in both files, marking a failed share that rose.
+holds, and exits 1 if there is any; on standard error it gives the
+count of differing cases per workload and label, then each workload's
+failed count in both files, marking a failed share that rose.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -110,12 +112,19 @@ def compare(path_a: str, path_b: str) -> list[str]:
     """One message per case that differs between the two files."""
     a, b = _load(path_a), _load(path_b)
     out = []
+    cases, differing = Counter(), Counter()
     for key in sorted(a.keys() | b.keys(), key=repr):
+        cases[key[0], key[2]] += 1
         if key not in a or key not in b:
             out.append(f"{key}: only in {path_a if key in a else path_b}")
         elif a[key] != b[key]:
             fields = [k for k in a[key] if a[key][k] != b[key].get(k)]
             out.append(f"{key}: {', '.join(f'{k} {a[key][k]!r} != {b[key][k]!r}' for k in fields)}")
+        else:
+            continue
+        differing[key[0], key[2]] += 1
+    for (name, label), count in sorted(differing.items()):
+        print(f"{name} {label}: {count}/{cases[name, label]} differ", file=sys.stderr)
     for name in sorted({key[0] for key in a.keys() | b.keys()}):
         (fa, na), (fb, nb) = ((sum(d["failed"] for k, d in r.items() if k[0] == name),
                                sum(k[0] == name for k in r)) for r in (a, b))
