@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,16 +133,10 @@ class ConstraintGroup:
     weight: np.ndarray | None
     target: np.ndarray
 
-    def take(self, members: np.ndarray) -> ConstraintGroup:
-        """The group of the constraints at members (indices into this one)."""
-        return ConstraintGroup(self.positions[members], self.index[members],
-                               None if self.weight is None else self.weight[members],
-                               self.target[members])
-
     @cached_property
     def target_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs of every target, by eigh as support_basis takes them:
-        the spectra of square_sum_bound and target_bases."""
+        the spectra of square_sum_bound and face."""
         return np.linalg.eigh(hermitian_part(self.target))
 
 
@@ -279,22 +273,6 @@ class ConstraintSystem:
         return Face(tuple(self.in_order(perps)), w, u,
                     int(np.count_nonzero(~support_mask(w, rank_tol))))
 
-    def target_bases(self, rank_tol: float = DEFAULT_RANK_TOL
-                     ) -> list[tuple[ConstraintGroup, np.ndarray]]:
-        """The targets' support bases at rank_tol, support_basis's rule on
-        the kept eigenpairs: (group, bases) pairs, each group split by the
-        width of its bases, with the bases stacked as (C, d_c, width).  The
-        eigenvalues ascend, so a support is the last width eigenvectors."""
-        out = []
-        for g in self.groups:
-            w, v = g.target_eigh
-            widths = np.count_nonzero(support_mask(w, rank_tol), axis=-1)
-            for width in sorted(set(widths.tolist())):
-                members = np.flatnonzero(widths == width)
-                out.append((g if members.size == widths.size else g.take(members),
-                            v[members, :, v.shape[-1] - width:]))
-        return out
-
     @cached_property
     def rhs(self) -> tuple[np.ndarray, np.ndarray]:
         """b, the right-hand side of A coords(y) = b (the trace row's 1,
@@ -415,11 +393,10 @@ def residual_report(system: ConstraintSystem, x: np.ndarray) -> ResidualReport:
 
 # ---------------------------------------------------------------------------
 # The affine rows A: the unit-trace row plus every constraint's rows,
-# constraint_rows(group, V, I) for each group, in the coordinates of
-# corrections V herm(y) V^dag (the descent compresses each constraint's rows
-# to its target support).  A group's rows are one batched build, placed back
-# at its constraints' positions.  The trace row rides along even though the
-# marginal rows imply it; this keeps a projected point exactly on the
+# constraint_rows(group, V) for each group, in the coordinates of
+# corrections V herm(y) V^dag.  A group's rows are one batched build, placed
+# back at its constraints' positions.  The trace row rides along even though
+# the marginal rows imply it; this keeps a projected point exactly on the
 # trace-one slice regardless of rounding in the other rows.  A row of a
 # constraint has at most one nonzero per summed index e among its D^2
 # entries, so the full-space A (V = I) is kept as its nonzeros, against the
@@ -433,21 +410,18 @@ def residual_report(system: ConstraintSystem, x: np.ndarray) -> ResidualReport:
 # (R_V = A C_V for the linear map C_V from coordinates on span(V) to
 # coordinates on the full space), so R_V coords(m) = A coords(x): the
 # projection reads its residual and solves for its correction with R_V
-# alone.
+# alone.  The descent takes the null space of the same rows.  A feasible
+# state's support lies in ker Q (ConstraintSystem.face), so H = V h V^dag
+# has P_c M_c(H) = 0, P_c the projector off supp(T_c): M_c(H) lives on
+# supp(T_c), and the full rows have the null space of the rows compressed
+# onto the target supports.
 # ---------------------------------------------------------------------------
 
-def _affine_rows(system: ConstraintSystem, v: np.ndarray,
-                 target_bases: Sequence[tuple[ConstraintGroup, np.ndarray]] | None = None
-                 ) -> np.ndarray:
+def _affine_rows(system: ConstraintSystem, v: np.ndarray) -> np.ndarray:
     """The dense affine rows on span(v): the trace row, then every
-    constraint's rows, compressed to target_bases when given (pairs of a
-    group and its stacked bases, as ConstraintSystem.target_bases gives
-    them) and full otherwise."""
-    if target_bases is None:
-        target_bases = [(g, np.broadcast_to(np.eye(g.target.shape[-1]), g.target.shape))
-                        for g in system.groups]
+    constraint's full rows."""
     return np.vstack([_herm_coords(np.eye(v.shape[1]))] + system.in_order(
-        (g, constraint_rows(g, v, vc)) for g, vc in target_bases))
+        (g, constraint_rows(g, v)) for g in system.groups))
 
 
 def _affine_nonzeros(system: ConstraintSystem
@@ -471,7 +445,7 @@ def _affine_nonzeros(system: ConstraintSystem
 
 def _constraint_nonzeros(g: ConstraintGroup, d: int, starts: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzeros of constraint_rows(g, I, I), by index arithmetic, each
+    """The nonzeros of constraint_rows(g, I), by index arithmetic, each
     at its entry of the real view of the D x D matrix; the rows of
     constraint c start at starts[c], and each constraint's nonzeros are
     contiguous.
@@ -598,7 +572,9 @@ def _least_cost_root(c3: float, c2: float, c1: float, c0: float) -> float:
     cost 2 c0 t + c1 t^2 + 2 c2 t^3 / 3 + c3 t^4 / 2, or 0 if there is none:
     one in closed form (the largest in size if three are real), the others
     from the quotient quadratic.  Newton steps polish each, then the cheapest,
-    which for c0 < 0 no t > 0 undercuts, so no candidate off a root does."""
+    which for c0 < 0 no t > 0 undercuts, so no candidate off a root does; a
+    polish that ends at t <= 0 (a candidate off every positive root, which
+    c0 > 0 allows) gives 0."""
     a, b, c = c2 / c3, c1 / c3, c0 / c3
     p, q = b - a * a / 3, (2 * a * a / 27 - b / 3) * a + c
     disc = q * q / 4 + p * p * p / 27
@@ -619,7 +595,7 @@ def _least_cost_root(c3: float, c2: float, c1: float, c0: float) -> float:
         return t
     t = min((t for t in map(newton, [t, h, f / h] if h else [t]) if t > 0), default=0.0,
             key=lambda t: t * (2 * c0 + t * (c1 + t * (2 * c2 / 3 + t * c3 / 2))))
-    return newton(t) if t else 0.0
+    return max(newton(t), 0.0) if t else 0.0
 
 
 def _exact_step(f: AffineFactor, g: np.ndarray, p: np.ndarray,
@@ -882,11 +858,10 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
 # The rows of the affine projection and of the descent system are built in
 # these coordinates without a loop over basis elements.  The adjoint of a
 # constraint's map sends |i><j| to sum_e w[i,e] w[j,e] |P[i,e]><P[j,e]|,
-# P its index.  So with support basis V of rho and target support basis
-# V_c, the compressed adjoint image of V_c|a><b|V_c^dag is
-# G_ab = w_a^dag w_b, where row e of w_a is sum_i conj(V_c[i,a]) w[i,e]
-# V[P[i,e], :].  G_ba = G_ab^dag, so the products for a <= b give the
-# image of every target basis element: G_aa, then
+# P its index.  So with support basis V of rho, the image of |a><b| on
+# span(V) is G_ab = w_a^dag w_b, where row e of w_a is w[a,e] V[P[a,e], :].
+# G_ba = G_ab^dag, so the products for a <= b give the image of every
+# target basis element: G_aa, then
 # (G_ab + G_ab^dag)/sqrt(2) and i(G_ab - G_ab^dag)/sqrt(2) for a < b.  Their
 # coordinates are the constraint's rows.
 # ---------------------------------------------------------------------------
@@ -925,19 +900,13 @@ def _coords_to_herm(y: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-def _row_factors(g: ConstraintGroup, v: np.ndarray, vc: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _row_factors(g: ConstraintGroup, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """w with w[c, a] = w_a of constraint c, of shape (C, rc, n_e, r): the
-    rows of v at the group's index, scaled by the weights and compressed by
-    vc[c]^dag, and their conjugate transposes w_a^dag, so that
-    G_ab = wh[c, a] @ w[c, b]."""
-    u = v[g.index]
+    rows of v at the group's index, scaled by the weights, and their
+    conjugate transposes w_a^dag, so that G_ab = wh[c, a] @ w[c, b]."""
+    w = v[g.index]
     if g.weight is not None:
-        u = u * g.weight[..., None]
-    n, r, rc = u.shape[0], v.shape[1], vc.shape[-1]
-    # a fixed layout: BLAS rounds a product by its operands' layout
-    vch = np.ascontiguousarray(vc.conj().swapaxes(-1, -2))
-    w = (vch @ u.reshape(n, u.shape[1], -1)).reshape(n, rc, -1, r)
+        w = w * g.weight[..., None]
     return w, w.conj().swapaxes(-1, -2)
 
 
@@ -949,18 +918,17 @@ def _pair_rows(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             _herm_coords(1j * (g - gh) / math.sqrt(2)))
 
 
-def constraint_rows(g: ConstraintGroup, v: np.ndarray, vc: np.ndarray) -> np.ndarray:
+def constraint_rows(g: ConstraintGroup, v: np.ndarray) -> np.ndarray:
     """Rows of every constraint of a group in the engine's linear systems,
     one batched build, shape (C, rc^2, r^2).
 
     Row a of constraint c is the coordinate vector of V^dag M_c*(F_a) V,
     the Riesz vector of the scalar equality <F_a, M_c(H)> = 0 for
     H = V herm(y) V^dag, where F_a runs over the Hermitian basis of
-    operators on span(vc[c]): vc stacks the target support bases for the
-    compressed rows, identities for the full ones.  A single constraint is
-    a group of one.
+    operators on the target's space.  A single constraint is a group of
+    one.
     """
-    w, wh = _row_factors(g, v, vc)
+    w, wh = _row_factors(g, v)
     _, a, b = _coord_index(w.shape[1])
     return np.concatenate([_herm_coords(wh @ w), *_pair_rows(wh[:, a] @ w[:, b])],
                           axis=-2)
@@ -1003,8 +971,8 @@ def _restricted_null_space(v0: np.ndarray, n0: np.ndarray,
     n0 (coordinates on span(v0)) that lives on span(v): the combinations h
     with C^dag h = 0, C the complement of U = v0^dag v, mapped as U^dag h U.
     For span(v) inside span(v0) it is exactly the null space of the descent
-    rows on span(v), since the compressed rows are fixed functionals of the
-    D x D operator.
+    rows on span(v), since the rows are fixed functionals of the D x D
+    operator.
     """
     r0, r = v0.shape[1], v.shape[1]
     u = v0.conj().T @ v
@@ -1018,32 +986,23 @@ def _restricted_null_space(v0: np.ndarray, n0: np.ndarray,
 
 def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
                            rng: np.random.Generator, *,
-                           rank_tol: float = DEFAULT_RANK_TOL,
-                           target_bases: Sequence[tuple[ConstraintGroup, np.ndarray]]
-                           | None = None,
                            walk_basis: tuple[np.ndarray, np.ndarray] | None = None
                            ) -> np.ndarray | None:
     """Random unit-norm traceless Hermitian h on span(v), in v's coordinates
     (r x r), such that the direction H = V h V^dag moves no constraint.
 
     Parametrizes candidates on span(v), v the state's support basis, and
-    builds the linear system they must satisfy: an explicit trace row plus,
-    per constraint, the rows of its map compressed onto the target support
-    (constraint_rows, one build per group and support width; target_bases
-    holds those supports as ConstraintSystem.target_bases gives them, and
-    comes from the system's kept target spectra at rank_tol when not
-    given).  The null space of the rows is the orthogonal complement of
+    builds the linear system they must satisfy: an explicit trace row plus
+    every constraint's full rows on span(v) (_affine_rows, one build per
+    group).  The null space of the rows is the orthogonal complement of
     their row space, which comes from one eigendecomposition of the m x m
     Gram matrix (_row_space); a random seed is projected onto it.
     walk_basis = (v0, n0), a null basis of the rows on a span(v0) that holds
     span(v), replaces the rows: the direction is a normal combination of its
     restriction to span(v).  One candidate is drawn and verified on H:
-    |Tr H| and every full constraint image must stay below
-    DEFAULT_DERIV_TOL.  If it fails (the compressed rows miss part of a full
-    image because a target support was misjudged at rank_tol, or span(v0)
-    does not hold span(v)), one more is drawn from the row space of the
-    full rows on span(v), which span the compressed ones.  Returns None
-    when the null space is (numerically) empty or that candidate fails too.
+    |Tr H| and every constraint image must stay below DEFAULT_DERIV_TOL.
+    Returns None when the null space is (numerically) empty or the
+    candidate fails, which a walk basis whose span misses span(v) does.
     """
     r = v.shape[1]
     if r <= 1:
@@ -1051,36 +1010,23 @@ def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
     if walk_basis is not None:
         q, null = _restricted_null_space(*walk_basis, v), True
     else:
-        if target_bases is None:
-            target_bases = system.target_bases(rank_tol)
-        q, null = _row_space(_affine_rows(system, v, target_bases)), False
+        q, null = _row_space(_affine_rows(system, v)), False
     if (q.shape[1] if null else r * r - q.shape[1]) == 0:
         return None
     trace_row = _herm_coords(np.eye(r))
     id_dir = trace_row / np.linalg.norm(trace_row)
-
-    def attempt(q: np.ndarray, null: bool, y0: np.ndarray) -> np.ndarray | None:
-        y = q @ y0 if null else y0 - q @ (q.T @ y0)
-        y -= (y @ id_dir) * id_dir
-        nrm = np.linalg.norm(y)
-        if nrm < 1e-10 * np.linalg.norm(y0):
-            return None
-        return _coords_to_herm(y / nrm, r)  # coordinates are an isometry
-
-    def posts_hold(h: np.ndarray) -> bool:
-        x = v @ h @ v.conj().T
-        if abs(np.trace(x)) > DEFAULT_DERIV_TOL:
-            return False
-        return all(bool((_frobenius(_apply_maps(x, g.index, g.weight))
-                         <= DEFAULT_DERIV_TOL).all()) for g in system.groups)
-
     y0 = rng.standard_normal(q.shape[1] if null else r * r)
-    h = attempt(q, null, y0)
-    if h is not None and posts_hold(h):
-        return h
-    q_full = _row_space(_affine_rows(system, v))
-    h = attempt(q_full, False, rng.standard_normal(r * r) if null else y0)
-    return h if h is not None and posts_hold(h) else None
+    y = q @ y0 if null else y0 - q @ (q.T @ y0)
+    y -= (y @ id_dir) * id_dir
+    nrm = np.linalg.norm(y)
+    if nrm < 1e-10 * np.linalg.norm(y0):
+        return None
+    h = _coords_to_herm(y / nrm, r)  # coordinates are an isometry
+    x = v @ h @ v.conj().T
+    holds = abs(np.trace(x)) <= DEFAULT_DERIV_TOL and all(
+        bool((_frobenius(_apply_maps(x, g.index, g.weight)) <= DEFAULT_DERIV_TOL).all())
+        for g in system.groups)
+    return h if holds else None
 
 
 def step_length_core(p: np.ndarray, h: np.ndarray) -> tuple[float, int]:
@@ -1200,10 +1146,7 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *,
         raise ValueError(
             f"starting state is not feasible: residual {start_res:.3e} exceeds 1.0e-06")
     steps: list[ReductionStep] = []
-    # targets are fixed, so their supports are taken once per reduction
-    target_bases = system.target_bases(rank_tol)
-    # the descent rows: the trace row and rank(T_c)^2 per constraint
-    m = 1 + sum(vc.shape[0] * vc.shape[2] ** 2 for _, vc in target_bases)
+    m = system.rhs[0].size  # the descent rows: the trace row and d_c^2 per constraint
     bound = system.square_sum_bound(rank_tol)
     walk_basis, p = None, np.empty(0)  # rank 0 until the entry truncates
 
@@ -1216,9 +1159,8 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *,
         v, p, x, _, _ = _repair(system, v, p, tol=repair_tol, rank_tol=rank_tol)
         while len(steps) < limit:
             if walk_basis is None and p.size ** 2 <= m:
-                walk_basis = v, _null_space(_affine_rows(system, v, target_bases))
-            h = descent_direction_core(v, system, rng, rank_tol=rank_tol,
-                                       target_bases=target_bases, walk_basis=walk_basis)
+                walk_basis = v, _null_space(_affine_rows(system, v))
+            h = descent_direction_core(v, system, rng, walk_basis=walk_basis)
             if h is None:
                 return x, record(True)
             lam, sign = step_length_core(p, h)

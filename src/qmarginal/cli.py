@@ -15,7 +15,7 @@ from ._engine import (DEFAULT_MAX_ITERS, DEFAULT_RANK_TOL, DEFAULT_TOL,
 from .channels import (DEFAULT_CHANNEL_TOL, ChannelFeasibilityError,
                        kraus_count_bounds, kraus_from_choi, reduce_kraus_rank,
                        sub_channel)
-from .documents import (DocumentError, channel_from_doc,
+from .documents import (channel_from_doc,
                         channel_instance_from_doc, channel_instance_to_doc,
                         channel_solution_to_doc, channel_to_doc,
                         dump_document, instance_from_doc, instance_to_doc,
@@ -156,6 +156,8 @@ def cmd_boson_sigma(args) -> int:
 
 def cmd_random_feasible(args) -> int:
     from itertools import combinations
+    if not 1 <= args.k <= args.n:
+        raise ValueError(f"local size must be in 1..{args.n}, got {args.k}")
     subsets = list(combinations(range(args.n), args.k))
     rank = 2 ** args.n if args.rank is None else args.rank
     instance, witness = random_feasible_instance(
@@ -317,10 +319,7 @@ def main(argv=None) -> int:
         return 0 if code in (0, None) else 2
     try:
         return args.func(args)
-    except DocumentError as err:
-        _fail(str(err))
-        return 2
-    except ValueError as err:
+    except ValueError as err:  # a DocumentError is one
         _fail(str(err))
         return 2
 

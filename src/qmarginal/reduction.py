@@ -36,7 +36,7 @@ def descent_direction(rho: np.ndarray, instance: ConsistencyInstance, *,
     """
     rng = np.random.default_rng(seed)
     v = support_basis(rho, rank_tol)[0]
-    h = _engine.descent_direction_core(v, instance.system, rng, rank_tol=rank_tol)
+    h = _engine.descent_direction_core(v, instance.system, rng)
     return None if h is None else hermitian_part(v @ h @ v.conj().T)
 
 

@@ -32,7 +32,7 @@ def test_census_records_and_compares_one_seed(tmp_path):
     same = census("--compare", str(record), str(again))
     assert same.returncode == 0 and same.stdout == ""
     assert same.stderr.splitlines() == ["infeasible-cli: failed 0/3 -> 0/3",
-                                        "3 cases, 0 differences"]
+                                        "3 cases, 0 differences, 0 verdict differences"]
 
     lines[1]["digest"] = "0" * 64
     lines[0]["failed"] = True
@@ -40,9 +40,11 @@ def test_census_records_and_compares_one_seed(tmp_path):
     differ = census("--compare", str(record), str(again))
     assert differ.returncode == 1
     assert differ.stderr.splitlines() == [
-        "infeasible-cli channel-clash: 1/1 differ", "infeasible-cli contradictory: 1/1 differ",
-        "infeasible-cli monogamy: 1/1 differ",
-        "infeasible-cli: failed 0/3 -> 1/2  (failed share rose)", "3 cases, 3 differences"]
+        "infeasible-cli channel-clash: 1/1 differ, 1 in a verdict",
+        "infeasible-cli contradictory: 1/1 differ, 1 in a verdict",
+        "infeasible-cli monogamy: 1/1 differ, 0 in a verdict",
+        "infeasible-cli: failed 0/3 -> 1/2  (failed share rose)",
+        "3 cases, 3 differences, 2 verdict differences"]
     assert "'contradictory'): failed False != True" in differ.stdout
     assert "'monogamy'): digest" in differ.stdout
     assert "'channel-clash'): only in" in differ.stdout
@@ -50,18 +52,33 @@ def test_census_records_and_compares_one_seed(tmp_path):
 
 def test_compare_counts_differing_cases_per_label(tmp_path):
     """Two of three seeds of one label differ: the count reads 2/3 for that
-    label, and a label whose cases all agree gets no line."""
-    def record(path, digests):
+    label, and a label whose cases all agree gets no line.  Each verdict
+    field (failed, wrong, rank, steps, iters) counts as a verdict
+    difference, as does a case held by one file only; a digest alone does
+    not."""
+    def record(path, cases):
         path.write_text("".join(json.dumps(
             {"workload": "w", "seed": seed, "label": label, "failed": False,
-             "wrong": False, "rank": 1, "steps": 0, "iters": 1, "digest": digest}) + "\n"
-            for (seed, label), digest in digests.items()))
+             "wrong": False, "rank": 1, "steps": 0, "iters": 1, **fields}) + "\n"
+            for (seed, label), fields in cases.items()))
         return str(path)
 
-    base = {(seed, label): "0" * 64 for seed in (1, 2, 3) for label in ("a", "b")}
-    changed = {**base, (1, "a"): "1" * 64, (3, "a"): "1" * 64}
+    base = {(seed, label): {"digest": "0" * 64} for seed in (1, 2, 3) for label in "ab"}
+    changed = {**base, (1, "a"): {"digest": "1" * 64}, (3, "a"): {"digest": "1" * 64}}
     done = census("--compare", record(tmp_path / "a.jsonl", base),
                   record(tmp_path / "b.jsonl", changed))
     assert done.returncode == 1 and len(done.stdout.splitlines()) == 2
-    assert done.stderr.splitlines() == ["w a: 2/3 differ", "w: failed 0/6 -> 0/6",
-                                        "6 cases, 2 differences"]
+    assert done.stderr.splitlines() == ["w a: 2/3 differ, 0 in a verdict",
+                                        "w: failed 0/6 -> 0/6",
+                                        "6 cases, 2 differences, 0 verdict differences"]
+
+    flipped = {"failed": True, "wrong": True, "rank": 2, "steps": 1, "iters": 2}
+    verdicts = {(seed, "b"): {"digest": "0" * 64, field: value}
+                for seed, (field, value) in enumerate(flipped.items(), 1)}
+    done = census("--compare", record(tmp_path / "a.jsonl", base),
+                  record(tmp_path / "c.jsonl", {**changed, **verdicts}))
+    assert done.returncode == 1 and len(done.stdout.splitlines()) == 7
+    assert done.stderr.splitlines() == ["w a: 2/3 differ, 0 in a verdict",
+                                        "w b: 5/5 differ, 5 in a verdict",
+                                        "w: failed 0/6 -> 1/8  (failed share rose)",
+                                        "8 cases, 7 differences, 5 verdict differences"]

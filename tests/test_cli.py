@@ -332,6 +332,22 @@ def test_example_random_feasible_with_state(tmp_path):
     assert main(["check", str(inst_path), str(state_path)]) == 0
 
 
+def test_example_random_feasible_rejects_k_outside_1_to_n(tmp_path, capsys):
+    """--k above n would pin no subset and --k 0 only the empty one: both
+    exit 2 and write nothing, as mm-klocal does; k = n pins the whole
+    state."""
+    out_path = tmp_path / "inst.json"
+    for k in ("4", "0", "-1"):
+        assert main(["example", "random-feasible", "--n", "3", "--k", k,
+                     "-o", str(out_path)]) == 2
+        assert f"local size must be in 1..3, got {k}" in capsys.readouterr().err
+        assert not out_path.exists()
+    assert main(["example", "random-feasible", "--n", "3", "--k", "3",
+                 "-o", str(out_path)]) == 0
+    assert len(json.loads(out_path.read_text(encoding="utf-8"))["constraints"]) == 1
+    assert main(["example", "mm-klocal", "--n", "3", "--k", "4"]) == 2
+
+
 def test_example_mm_klocal_roundtrip(tmp_path, capsys):
     inst_path = tmp_path / "mm.json"
     assert main(["example", "mm-klocal", "--n", "4", "--k", "2",

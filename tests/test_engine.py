@@ -63,36 +63,30 @@ def reference_maps(instance):
             for c in instance.constraints]
 
 
-def reference_rows(adjoint, v, vc):
-    """One adjoint call per target basis element F: the row is the
-    coordinate vector of V^dag M*(vc F vc^dag) V."""
+def reference_rows(adjoint, v, dc):
+    """One adjoint call per basis element F of the d_c x d_c Hermitian
+    matrices: the row is the coordinate vector of V^dag M*(F) V."""
     state_basis = herm_basis(v.shape[1])
     rows = []
-    for f in herm_basis(vc.shape[1]):
-        z = v.conj().T @ adjoint(vc @ f @ vc.conj().T) @ v
+    for f in herm_basis(dc):
+        z = v.conj().T @ adjoint(f) @ v
         rows.append([np.vdot(e, z).real for e in state_basis])
     return np.array(rows)
 
 
-def full_bases(system):
-    """Identity target bases for every group: the full rows."""
-    return [(g, np.broadcast_to(np.eye(g.target.shape[-1]), g.target.shape))
-            for g in system.groups]
-
-
 def assert_rows_match(instance, rho):
-    """Every group's batched rows, compressed and full, against one adjoint
-    call per target basis element of each of its constraints."""
+    """Every group's batched rows against one adjoint call per target basis
+    element of each of its constraints."""
     system = instance.system
     v, _ = support_basis(rho)
     assert 1 < v.shape[1] < system.dim
     adjoints = [adjoint for _, adjoint in reference_maps(instance)]
-    for bases in (system.target_bases(), full_bases(system)):
-        for g, vc in bases:
-            got = _engine.constraint_rows(g, v, vc)
-            assert got.shape == (len(g.positions), vc.shape[-1] ** 2, v.shape[1] ** 2)
-            for p, rows, basis in zip(g.positions, got, vc):
-                assert np.abs(rows - reference_rows(adjoints[p], v, basis)).max() <= 1e-12
+    for g in system.groups:
+        got = _engine.constraint_rows(g, v)
+        dc = g.target.shape[-1]
+        assert got.shape == (len(g.positions), dc ** 2, v.shape[1] ** 2)
+        for p, rows in zip(g.positions, got):
+            assert np.abs(rows - reference_rows(adjoints[p], v, dc)).max() <= 1e-12
 
 
 def low_rank_state(rng, d, r):
@@ -113,7 +107,7 @@ def sector_pair(rng, statistics, n, d, k, rank):
 
 def test_rows_match_reference_qudit():
     """Mixed local dimensions, non-adjacent kept factors, and targets of
-    less than full rank, so the compressed rows differ from the full ones."""
+    less than full rank."""
     inst, rho = random_feasible_instance((2, 3, 2), [(0, 1), (1, 2), (0, 2)], 2,
                                          seed=7)
     assert any(np.linalg.matrix_rank(c.target) < c.target.shape[0]
@@ -158,8 +152,8 @@ def test_row_space_projector_matches_svd_with_duplicate_rows():
     Gram projector must still equal the SVD one and find the same rank."""
     inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 6, seed=3)
     v, _ = support_basis(rho)
-    (group, bases), = inst.system.target_bases()
-    first, second = _engine.constraint_rows(group, v, bases)
+    (group,) = inst.system.groups
+    first, second = _engine.constraint_rows(group, v)
     a = np.vstack([first, second, first])
     q = _engine._row_space(a)
     _, s, vt = np.linalg.svd(a)
@@ -176,8 +170,8 @@ def test_null_space_matches_svd_with_duplicate_rows():
     complements the row space of _row_space."""
     inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 6, seed=3)
     v, _ = support_basis(rho)
-    (group, bases), = inst.system.target_bases()
-    first, second = _engine.constraint_rows(group, v, bases)
+    (group,) = inst.system.groups
+    first, second = _engine.constraint_rows(group, v)
     a = np.vstack([first, second, first])
     assert a.shape[0] > a.shape[1]
     n = _engine._null_space(a)
@@ -203,13 +197,12 @@ def test_restricted_null_space_equals_a_fresh_build():
     channel, _ = channel_pair()
     for instance, r0 in ((inst, 12), (sector, 17), (channel, 12)):
         system = instance.system
-        bases = system.target_bases()
         v0 = random_isometry(rng, system.dim, r0)
-        n0 = _engine._null_space(_engine._affine_rows(system, v0, bases))
+        n0 = _engine._null_space(_engine._affine_rows(system, v0))
         for drop in (1, 2):
             v = v0 @ random_isometry(rng, r0, r0 - drop)
             got = _engine._restricted_null_space(v0, n0, v)
-            fresh = _engine._null_space(_engine._affine_rows(system, v, bases))
+            fresh = _engine._null_space(_engine._affine_rows(system, v))
             assert 0 < got.shape[1] == fresh.shape[1] < n0.shape[1]
             assert np.abs(got.T @ got - np.eye(got.shape[1])).max() <= 1e-10
             assert np.abs(got @ got.T - fresh @ fresh.T).max() <= 1e-10
@@ -256,36 +249,22 @@ def test_empty_null_space_fully_pinned():
     assert_none_without_draws(sigma, inst.system)
 
 
-def test_full_rows_retry_when_compressed_rows_miss_an_image():
-    """Target bases that miss part of a target's support leave the compressed
-    rows blind to it; the posts check fails and the full rows take over."""
-    inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 8, seed=6)
-    system = inst.system
-    narrow = [(g, vc[..., :1]) for g, vc in system.target_bases()]
-    v = support_basis(rho)[0]
-    h = _engine.descent_direction_core(v, system, np.random.default_rng(0),
-                                       target_bases=narrow)
-    assert h is not None
-    for c in system.constraints:
-        assert np.linalg.norm(c.apply(lift(v, h))) <= 1e-9
-
-
 def test_stale_walk_basis_is_caught_by_the_posts_check():
     """A walk basis whose span does not hold the support gives candidates
-    that move the constraints.  The posts check rejects them, and the
-    full-row retry finds a direction from the rows on the support itself,
-    in the support's coordinates."""
+    that move the constraints.  The posts check rejects the one candidate,
+    so the descent returns None; a walk basis built on the support itself
+    gives a unit traceless direction that moves no constraint."""
     inst, _ = random_feasible_instance((2,) * 5, list(combinations(range(5), 2)),
                                        32, seed=0)
     system = inst.system
     v, _ = support_basis(find_feasible(inst).state)
-    bases = system.target_bases()
-    assert v.shape[1] ** 2 <= 1 + sum(vc.shape[0] * vc.shape[2] ** 2 for _, vc in bases)
+    assert v.shape[1] ** 2 <= system.rhs[0].size
     rng = np.random.default_rng(61)
     other = random_isometry(rng, system.dim, v.shape[1])
-    stale = other, _engine._null_space(_engine._affine_rows(system, other, bases))
-    h = _engine.descent_direction_core(v, system, rng, target_bases=bases,
-                                       walk_basis=stale)
+    stale = other, _engine._null_space(_engine._affine_rows(system, other))
+    assert _engine.descent_direction_core(v, system, rng, walk_basis=stale) is None
+    fresh = v, _engine._null_space(_engine._affine_rows(system, v))
+    h = _engine.descent_direction_core(v, system, rng, walk_basis=fresh)
     assert h is not None and h.shape == (v.shape[1],) * 2
     assert abs(np.linalg.norm(h) - 1.0) <= 1e-12
     assert abs(np.trace(lift(v, h))) <= 1e-9
@@ -305,7 +284,7 @@ def reference_correction(instance, x, v):
     r = v.shape[1]
     maps = reference_maps(instance)
     a = np.vstack([coords(np.eye(r))] + [
-        reference_rows(adjoint, v, np.eye(t.shape[0]))
+        reference_rows(adjoint, v, t.shape[0])
         for t, (_, adjoint) in zip(instance.targets, maps)])
     res = np.concatenate([[1.0 - np.trace(x).real]] + [
         coords(t - forward(x)) for t, (forward, _) in zip(instance.targets, maps)])
@@ -1044,10 +1023,14 @@ def test_eigenvalues_straddling_rank_tol_never_mislead():
     every target has full rank.  No run gives a certificate, and every
     converged state meets the targets, checked with hilbert's partial
     trace.  On a face that dropped eps eigenvalues above tol / 100 the
-    polish stalls at a zero step, which ends the run before its budget."""
+    polish stalls at a zero step, which ends the run before its budget.
+    The walk from the mixed witness and from the solver's state, on target
+    supports misjudged or not, returns states that meet the targets too,
+    and every step drops the rank (the witness at eps = 1e-7 goes 8 -> 5
+    in three steps)."""
     inst, w1 = random_feasible_instance((2,) * 3, list(combinations(range(3), 2)), 1, seed=0)
     w2 = low_rank_state(np.random.default_rng(5), 8, 8)
-    faces = []
+    faces, walks = [], []
     for eps in (1e-11, 1e-10, 1e-9, 2e-9, 5e-9, 1e-8, 1e-7):
         x = (1 - eps) * w1 + eps * w2
         mixed = ConsistencyInstance(inst.dims, tuple(
@@ -1057,10 +1040,21 @@ def test_eigenvalues_straddling_rank_tol_never_mislead():
         found = _engine.solve_feasible(mixed.system, max_iters=300)
         assert found.certificate is None and found.iterations < 300
         assert_history(found)
+        starts = [x]
         if found.converged:
             assert max(np.linalg.norm(partial_trace(found.state, inst.dims, c.subsystems)
                                       - c.target) for c in mixed.constraints) <= 1e-8
+            starts.append(found.state)
+        for start in starts:
+            state, trace = reduce_rank(start, mixed)
+            assert max(np.linalg.norm(partial_trace(state, inst.dims, c.subsystems)
+                                      - c.target) for c in mixed.constraints) <= 1e-8
+            ranks = [s.rank_before for s in trace.steps] + [trace.final_rank]
+            assert [s.rank_after for s in trace.steps] == ranks[1:]
+            assert all(a > b for a, b in zip(ranks, ranks[1:]))
+            walks.append([(s.rank_before, s.rank_after) for s in trace.steps])
     assert faces == [True] * 5 + [False] * 2
+    assert len(walks) == 14 and [(8, 7), (7, 6), (6, 5)] in walks
 
 
 def test_empty_face_that_fails_the_check_solves_in_the_full_space(monkeypatch):
@@ -1179,6 +1173,22 @@ def test_line_search_cubic_matches_companion_roots():
         t, expected = _engine._least_cost_root(*c), reference_step(*c)
         assert type(t) is float and expected > 0
         assert abs(t - expected) <= 1e-12 * expected, (c, t, expected)
+
+
+def test_line_search_never_steps_backwards():
+    """Where c0 > 0, which a descent direction shows only at rounding level,
+    Newton's polish of a positive candidate can walk to a negative root.
+    The step is then 0: on coefficients recorded from a solver iterate,
+    whose one real root is -0.07 (the polish used to give t = -19.9), and
+    on 300 random cubics with c3 > 0 < c0."""
+    recorded = (1.4e-44, -4.7e-38, 2.3e-31, 1.6e-32)
+    assert [r.real < 0 for r in np.roots(recorded) if r.imag == 0] == [True]
+    assert _engine._least_cost_root(*recorded) == 0.0
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        c = rng.standard_normal(4) * 10.0 ** rng.uniform(-3, 3, 4)
+        c = tuple(map(float, (abs(c[0]), c[1], c[2], abs(c[3]))))
+        assert _engine._least_cost_root(*c) >= 0, c
 
 
 def test_line_search_cubic_triple_root():
@@ -1487,28 +1497,32 @@ def test_reduction_factors_the_state_once_per_step(monkeypatch):
     assert decompositions == ["eigvalsh", "eigh"] + ["eigvalsh"] * (1 + steps)
 
 
-def test_walk_builds_the_compressed_rows_once(monkeypatch):
+def test_walk_builds_the_descent_rows_once(monkeypatch):
     """From find_feasible's state on a full-rank 5-qubit all-pairs instance,
     the walk builds its null basis once and restricts it at every later
-    step: the ten pair constraints are one group with full-rank targets, so
-    constraint_rows runs with target bases once per walk, for all ten at
-    once, not once per step or per constraint."""
+    step: the ten pair constraints are one group, so constraint_rows runs
+    once per walk for the descent, for all ten at once, not once per step
+    or per constraint; every other build is a repair's projection."""
     inst, _ = random_feasible_instance((2,) * 5, list(combinations(range(5), 2)),
                                        32, seed=0)
     found = find_feasible(inst)
-    compressed = []
-    rows = _engine.constraint_rows
+    groups, projections = [], []
+    rows, project = _engine.constraint_rows, _engine.project_affine
 
-    def spy(g, v, vc):
-        if not (vc.shape[-1] == vc.shape[-2] and (vc == np.eye(vc.shape[-1])).all()):
-            compressed.append(g)
-        return rows(g, v, vc)
+    def rows_spy(g, v):
+        groups.append(g)
+        return rows(g, v)
 
-    monkeypatch.setattr(_engine, "constraint_rows", spy)
+    def project_spy(*args):
+        projections.append(len(groups))
+        return project(*args)
+
+    monkeypatch.setattr(_engine, "constraint_rows", rows_spy)
+    monkeypatch.setattr(_engine, "project_affine", project_spy)
     _, trace = reduce_rank(found.state, inst)
     assert len(trace.steps) >= 2 and trace.null_space_exhausted
-    assert len(inst.system.groups) == len(compressed) == 1
-    assert compressed[0].positions.tolist() == list(range(len(inst.constraints)))
+    assert len(inst.system.groups) == 1 and len(groups) == 1 + len(projections)
+    assert all(g.positions.tolist() == list(range(len(inst.constraints))) for g in groups)
 
 
 def test_walk_above_the_rows_decomposes_no_larger_gram(monkeypatch):
@@ -1580,7 +1594,7 @@ def test_a_solver_start_never_takes_the_row_space_phase(monkeypatch):
     sector, sigma = sector_pair(np.random.default_rng(47), "fermionic", 3, 6, 2, 20)
     for instance, full, bound in ((qudit, witness, 9), (sector, sigma, 15)):
         system = instance.system
-        m = 1 + sum(vc.shape[0] * vc.shape[2] ** 2 for _, vc in system.target_bases())
+        m = system.rhs[0].size
         assert system.square_sum_bound() == bound and bound ** 2 < m
         found = find_feasible(instance)
         assert found.converged and numerical_rank(found.state) <= bound

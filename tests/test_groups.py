@@ -15,7 +15,7 @@ from qmarginal.channels import (ChannelInstance, LocalChannel,
 from qmarginal.gallery import random_feasible_instance
 from qmarginal.hilbert import (partial_trace, partial_trace_index,
                                sector_isometry, sector_marginal_index,
-                               sector_partial_trace, sector_size, support_basis)
+                               sector_partial_trace, sector_size)
 from qmarginal.marginal import ConsistencyInstance, MarginalConstraint
 from qmarginal.numerics import hermitian_part, numerical_rank, rank_counts, support_mask
 
@@ -96,12 +96,11 @@ def reference_apply(c, x):
     return np.add.accumulate(y)[-1]
 
 
-def reference_rows(c, v, vc):
-    u = v[c.index]
+def reference_rows(c, v):
+    w = v[c.index]
     if c.weight is not None:
-        u = u * c.weight[:, :, None]
-    r, rc = v.shape[1], vc.shape[1]
-    w = (vc.conj().T @ u.reshape(u.shape[0], -1)).reshape(rc, -1, r)
+        w = w * c.weight[:, :, None]
+    rc = w.shape[0]
     wh = w.conj().transpose(0, 2, 1)
     _, a, b = _engine._coord_index(rc)
     g = wh[a] @ w[b]
@@ -134,9 +133,9 @@ def reference_nonzeros(system):
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
-def reference_affine_rows(system, v, bases):
+def reference_affine_rows(system, v):
     return np.vstack([_engine._herm_coords(np.eye(v.shape[1]))] + [
-        reference_rows(c, v, vc) for c, vc in zip(system.constraints, bases)])
+        reference_rows(c, v) for c in system.constraints])
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +178,7 @@ def weighted_sector_system():
 
 def mixed_rank_system():
     """All pairs of 4 qubits with targets of rank 1, 2 and 4: one group whose
-    compressed rows split by the width of the target supports."""
+    targets have three support widths."""
     rng = np.random.default_rng(89)
     pairs = list(combinations(range(4), 2))
     return ConsistencyInstance((2,) * 4, tuple(
@@ -206,18 +205,10 @@ def test_groups_stack_the_constraints_of_one_shape():
                 assert (g.weight is None) == (c.weight is None)
 
 
-def test_compressed_rows_split_by_support_width():
-    """One group, three support widths: three stacks of bases, whose
-    constraints cover the group once."""
-    bases = mixed_rank_system().target_bases()
-    assert sorted((vc.shape[-1], g.positions.tolist()) for g, vc in bases) == [
-        (1, [0, 4]), (2, [1, 3, 5]), (4, [2])]
-
-
 def test_groups_give_the_per_constraint_results_bit_for_bit():
-    """Residuals, compressed and full rows, the factor's nonzeros, the
-    square-sum bound and the target supports, at two rank tolerances, equal
-    the per-constraint formulas exactly."""
+    """Residuals, the rows on span(V) at four widths, the factor's nonzeros
+    and the square-sum bound at two rank tolerances equal the
+    per-constraint formulas exactly."""
     rng = np.random.default_rng(97)
     for name, system, _ in mixed_systems():
         d = system.dim
@@ -232,18 +223,10 @@ def test_groups_give_the_per_constraint_results_bit_for_bit():
         for rank_tol in (1e-9, 0.05):
             bound = math.isqrt(sum(numerical_rank(t, rank_tol) ** 2 for t in targets))
             assert system.square_sum_bound(rank_tol) == bound, name
-            supports = [support_basis(t, rank_tol)[0] for t in targets]
-            bases = system.target_bases(rank_tol)
-            got = system.in_order(bases)
-            assert all(np.array_equal(a, b) for a, b in zip(got, supports)), name
-            for r in (1, 2, d // 2 + 1, d):
-                v = np.linalg.qr(random_matrix(rng, d)[:, :r])[0]
-                assert np.array_equal(_engine._affine_rows(system, v, bases),
-                                      reference_affine_rows(system, v, supports)), (name, r)
-        full = [np.eye(t.shape[0]) for t in targets]
-        v = np.linalg.qr(random_matrix(rng, d)[:, :d - 1])[0]
-        assert np.array_equal(_engine._affine_rows(system, v),
-                              reference_affine_rows(system, v, full)), name
+        for r in (1, 2, d // 2 + 1, d - 1, d):
+            v = np.linalg.qr(random_matrix(rng, d)[:, :r])[0]
+            assert np.array_equal(_engine._affine_rows(system, v),
+                                  reference_affine_rows(system, v)), (name, r)
 
 
 def test_one_constraint_is_a_group_of_one():

@@ -23,8 +23,10 @@ the reduction's error).  For a CLI case it covers the exit code, the
 standard error and the bytes of the output document.  --compare reads two
 such files, prints every case whose line differs or that only one of them
 holds, and exits 1 if there is any; on standard error it gives the
-count of differing cases per workload and label, then each workload's
-failed count in both files, marking a failed share that rose.
+count of differing cases per workload and label, with how many of them
+differ in a verdict field (or are held by one file only), then each
+workload's failed count in both files, marking a failed share that rose,
+and the totals.
 """
 from __future__ import annotations
 
@@ -112,7 +114,7 @@ def compare(path_a: str, path_b: str) -> list[str]:
     """One message per case that differs between the two files."""
     a, b = _load(path_a), _load(path_b)
     out = []
-    cases, differing = Counter(), Counter()
+    cases, differing, verdicts = Counter(), Counter(), Counter()
     for key in sorted(a.keys() | b.keys(), key=repr):
         cases[key[0], key[2]] += 1
         if key not in a or key not in b:
@@ -123,14 +125,18 @@ def compare(path_a: str, path_b: str) -> list[str]:
         else:
             continue
         differing[key[0], key[2]] += 1
+        verdicts[key[0], key[2]] += key not in a or key not in b or any(
+            a[key][k] != b[key][k] for k in VERDICT)
     for (name, label), count in sorted(differing.items()):
-        print(f"{name} {label}: {count}/{cases[name, label]} differ", file=sys.stderr)
+        print(f"{name} {label}: {count}/{cases[name, label]} differ, "
+              f"{verdicts[name, label]} in a verdict", file=sys.stderr)
     for name in sorted({key[0] for key in a.keys() | b.keys()}):
         (fa, na), (fb, nb) = ((sum(d["failed"] for k, d in r.items() if k[0] == name),
                                sum(k[0] == name for k in r)) for r in (a, b))
         rose = "  (failed share rose)" if fb * na > fa * nb else ""
         print(f"{name}: failed {fa}/{na} -> {fb}/{nb}{rose}", file=sys.stderr)
-    print(f"{len(a.keys() | b.keys())} cases, {len(out)} differences", file=sys.stderr)
+    print(f"{len(a.keys() | b.keys())} cases, {len(out)} differences, "
+          f"{sum(verdicts.values())} verdict differences", file=sys.stderr)
     return out
 
 
