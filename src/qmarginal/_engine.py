@@ -27,9 +27,12 @@ one eigendecomposition of the D x D start, then r x r ones that rotate V
 inside its own span.  The rows on span(V), from one builder (_affine_rows),
 serve the affine projection of its repair (residual and correction on the
 support alone, one eigendecomposition of the rows' Gram matrix) and the
-descent null space: one orthonormal null basis per walk, built at the first
-support V0 and restricted to each later support, which lies in span(V0) by
-construction.  State-space operators are dense complex Hermitian matrices.
+descent null space, from which every direction is drawn: one orthonormal
+null basis per walk, built at the first support V0 with r0^2 <= m (m the
+number of rows) and restricted to each later support, which lies in
+span(V0) by construction; above that, a basis on isqrt(m) + 1 vectors of
+the support, embedded into it.  State-space operators are dense complex
+Hermitian matrices.
 """
 from __future__ import annotations
 
@@ -568,13 +571,15 @@ def _lbfgs_direction(q: np.ndarray, g: np.ndarray, eta: float, s: np.ndarray,
 
 
 def _least_cost_root(c3: float, c2: float, c1: float, c0: float) -> float:
-    """The real root t > 0 of c3 t^3 + c2 t^2 + c1 t + c0 (c3 > 0) of least
-    cost 2 c0 t + c1 t^2 + 2 c2 t^3 / 3 + c3 t^4 / 2, or 0 if there is none:
-    one in closed form (the largest in size if three are real), the others
-    from the quotient quadratic.  Newton steps polish each, then the cheapest,
-    which for c0 < 0 no t > 0 undercuts, so no candidate off a root does; a
-    polish that ends at t <= 0 (a candidate off every positive root, which
-    c0 > 0 allows) gives 0."""
+    """For c0 < 0, the real root t > 0 of c3 t^3 + c2 t^2 + c1 t + c0
+    (c3 > 0) of least cost 2 c0 t + c1 t^2 + 2 c2 t^3 / 3 + c3 t^4 / 2,
+    twice the integral of the cubic from 0; for c0 >= 0, where t = 0 is no descent
+    direction, 0.  Roots: one in closed form (the largest in size if three
+    are real), the others from the quotient quadratic.  Newton steps polish
+    each, then the cheapest, which for c0 < 0 no t > 0 undercuts, so no
+    candidate off a root does; a polish that ends at t <= 0 gives 0."""
+    if c0 >= 0:
+        return 0.0
     a, b, c = c2 / c3, c1 / c3, c0 / c3
     p, q = b - a * a / 3, (2 * a * a / 27 - b / 3) * a + c
     disc = q * q / 4 + p * p * p / 27
@@ -950,19 +955,22 @@ def _gram_eig(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam[keep], u[:, keep]
 
 
-def _row_space(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the row space of a, from eigh(a a^T)."""
-    lam, u = _gram_eig(a @ a.T)
-    q = a.T @ u
-    q /= np.sqrt(lam)
-    return q
-
-
 def _null_space(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the null space of a, from eigh(a^T a),
     with _gram_eig's rule for a zero eigenvalue."""
     lam, u = np.linalg.eigh(a.T @ a)
     return u[:, lam <= 1e-12 * lam[-1]]
+
+
+def _null_basis(system: ConstraintSystem, v: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(v0, n0): v0 the first s = isqrt(m) + 1 columns of v (all of v when
+    it has no more), m the number of affine rows, and n0 the null basis of
+    the rows on span(v0), from one eigh of their Gram matrix on its
+    coordinates.  With s columns, span(v0) has s^2 > m coordinates, so n0
+    is never empty, and no Gram matrix exceeds s^2 on a side."""
+    v0 = v[:, :math.isqrt(system.rhs[0].size) + 1]
+    return v0, _null_space(_affine_rows(system, v0))
 
 
 def _restricted_null_space(v0: np.ndarray, n0: np.ndarray,
@@ -972,7 +980,8 @@ def _restricted_null_space(v0: np.ndarray, n0: np.ndarray,
     with C^dag h = 0, C the complement of U = v0^dag v, mapped as U^dag h U.
     For span(v) inside span(v0) it is exactly the null space of the descent
     rows on span(v), since the rows are fixed functionals of the D x D
-    operator.
+    operator; for span(v0) inside span(v), U^dag h U embeds every null
+    direction on span(v0) into span(v), isometrically, with the same image.
     """
     r0, r = v0.shape[1], v.shape[1]
     u = v0.conj().T @ v
@@ -984,44 +993,29 @@ def _restricted_null_space(v0: np.ndarray, n0: np.ndarray,
     return _herm_coords(u.conj().T @ h @ u).T
 
 
-def descent_direction_core(v: np.ndarray, system: ConstraintSystem,
-                           rng: np.random.Generator, *,
-                           walk_basis: tuple[np.ndarray, np.ndarray] | None = None
-                           ) -> np.ndarray | None:
+def descent_direction_core(v: np.ndarray, q: np.ndarray, system: ConstraintSystem,
+                           rng: np.random.Generator) -> np.ndarray | None:
     """Random unit-norm traceless Hermitian h on span(v), in v's coordinates
     (r x r), such that the direction H = V h V^dag moves no constraint.
 
-    Parametrizes candidates on span(v), v the state's support basis, and
-    builds the linear system they must satisfy: an explicit trace row plus
-    every constraint's full rows on span(v) (_affine_rows, one build per
-    group).  The null space of the rows is the orthogonal complement of
-    their row space, which comes from one eigendecomposition of the m x m
-    Gram matrix (_row_space); a random seed is projected onto it.
-    walk_basis = (v0, n0), a null basis of the rows on a span(v0) that holds
-    span(v), replaces the rows: the direction is a normal combination of its
-    restriction to span(v).  One candidate is drawn and verified on H:
-    |Tr H| and every constraint image must stay below DEFAULT_DERIV_TOL.
-    Returns None when the null space is (numerically) empty or the
-    candidate fails, which a walk basis whose span misses span(v) does.
+    q is an orthonormal basis (columns) of directions on span(v) that the
+    affine rows (the trace row and every constraint's full rows) annihilate,
+    in v's coordinates, as _restricted_null_space gives it from _null_basis.
+    The direction is a normal combination of q's columns, cleared of its
+    rounding-level trace.  One candidate is drawn and verified on H: |Tr H|
+    and every constraint image must stay below DEFAULT_DERIV_TOL.  Returns
+    None, before any draw, when r <= 1 or q is empty, and None when the
+    candidate fails the check, as one from a stale basis, built on a span
+    unrelated to span(v), does.
     """
     r = v.shape[1]
-    if r <= 1:
-        return None
-    if walk_basis is not None:
-        q, null = _restricted_null_space(*walk_basis, v), True
-    else:
-        q, null = _row_space(_affine_rows(system, v)), False
-    if (q.shape[1] if null else r * r - q.shape[1]) == 0:
+    if r <= 1 or not q.shape[1]:
         return None
     trace_row = _herm_coords(np.eye(r))
     id_dir = trace_row / np.linalg.norm(trace_row)
-    y0 = rng.standard_normal(q.shape[1] if null else r * r)
-    y = q @ y0 if null else y0 - q @ (q.T @ y0)
+    y = q @ rng.standard_normal(q.shape[1])
     y -= (y @ id_dir) * id_dir
-    nrm = np.linalg.norm(y)
-    if nrm < 1e-10 * np.linalg.norm(y0):
-        return None
-    h = _coords_to_herm(y / nrm, r)  # coordinates are an isometry
+    h = _coords_to_herm(y / np.linalg.norm(y), r)  # coordinates are an isometry
     x = v @ h @ v.conj().T
     holds = abs(np.trace(x)) <= DEFAULT_DERIV_TOL and all(
         bool((_frobenius(_apply_maps(x, g.index, g.weight)) <= DEFAULT_DERIV_TOL).all())
@@ -1091,9 +1085,13 @@ def _repair(system: ConstraintSystem, v: np.ndarray, p: np.ndarray, *,
     Up to four rounds, until the residual is at most tol / 10, each an
     affine projection of diag(p) confined to the current support followed by
     a truncation; the factor comes back as it was when it needs no round.
-    More than one round is needed on starts that the solver's budget
-    stopped near its tolerance.  A residual above tol after the rounds
-    aborts the reduction.
+    The later rounds serve starts that the solver's budget stopped near its
+    tolerance: the entry's truncation at rank_tol moves such a start off the
+    slice, and the first round's projection is truncated in turn, which can
+    leave it further off than it began (all pairs of 5 qubits, rank-1
+    witness, stopped at 8.4e-9: 5.5e-8 after one round), while each later
+    round projects from a nearer point on the support the last one left.
+    A residual above tol after the rounds aborts the reduction.
     """
     x = hermitian_part((v * p) @ v.conj().T)
     before = cur = residual_report(system, x).max_residual
@@ -1123,19 +1121,25 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *,
     support-confined feasibility repair, and a strict rank comparison.
     Continues below the paper's bound, the square-sum bound of the targets
     that the trace records, while directions exist.
-    Every support lies in the span of the one before, so the first support
-    V0 with r0^2 <= m, m the number of descent rows, gets the walk's one
-    null basis of the rows (eigh of the r0^2 x r0^2 Gram matrix), which
-    each later step restricts.  While r^2 > m no r^2 x r^2 Gram is formed;
-    the direction comes from the row space of the rows (_row_space).  A
-    solve_feasible state has rank at most its factor's width, the
-    square-sum bound unless a stationary point padded it, and the bound's
-    square is at most m - 1, so its walk builds the null basis at the entry
-    and never takes that phase: it serves only states that a caller passes
-    in above the bound.  The returned state is the lift V diag(p) V^dag
-    that the last repair checked, and the trace's final rank is the size of
-    p.  Small eigenvalues are not truncated above rank_tol: a boundary step
-    removes them without moving any constraint.
+    Every direction comes from an explicit null basis (_null_basis),
+    restricted to the support before the draw.  Every support lies in the
+    span of the one before, so the first support V0 with r0^2 <= m, m the
+    number of descent rows, gets the walk's one null basis of the rows
+    (eigh of the r0^2 x r0^2 Gram matrix), which each later step restricts.
+    While r^2 > m, a step builds a basis on the first isqrt(m) + 1 columns
+    of its support, whose (isqrt(m) + 1)^2 > m coordinates hold a null
+    direction, and embeds it: no Gram matrix is larger.  A solve_feasible
+    state has rank at most its factor's width, the square-sum bound unless
+    a stationary point padded it, and the bound's square is at most m - 1,
+    so its walk builds its one basis at the entry; the sub-support bases
+    serve states that a caller passes in above the bound.  The walk ends
+    with null_space_exhausted True when the restricted basis is empty (or
+    r <= 1), the exit that the paper's counting argument covers, and False
+    when max_steps ends it or the one candidate drawn fails its check.  The
+    returned state is the lift V diag(p) V^dag that the last repair
+    checked, and the trace's final rank is the size of p.  Small eigenvalues
+    are not truncated above rank_tol: a boundary step removes them without
+    moving any constraint.
     """
     rng = np.random.default_rng(seed)
     x = hermitian_part(np.asarray(rho0, dtype=complex))
@@ -1158,11 +1162,13 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *,
         v, p = _truncate(np.eye(system.dim), x, rank_tol)
         v, p, x, _, _ = _repair(system, v, p, tol=repair_tol, rank_tol=rank_tol)
         while len(steps) < limit:
-            if walk_basis is None and p.size ** 2 <= m:
-                walk_basis = v, _null_space(_affine_rows(system, v))
-            h = descent_direction_core(v, system, rng, walk_basis=walk_basis)
-            if h is None:
-                return x, record(True)
+            basis = walk_basis or _null_basis(system, v)
+            if p.size ** 2 <= m:
+                walk_basis = basis
+            q = _restricted_null_space(*basis, v)
+            h = descent_direction_core(v, q, system, rng)
+            if h is None:  # an empty basis, or a candidate that failed its check
+                return x, record(p.size <= 1 or not q.shape[1])
             lam, sign = step_length_core(p, h)
             v_next, p_next, y, pre, after = _repair(
                 system, *_truncate(v, np.diag(p) - sign * lam * h, rank_tol),

@@ -31,12 +31,17 @@ def descent_direction(rho: np.ndarray, instance: ConsistencyInstance, *,
                       ) -> np.ndarray | None:
     """Unit-norm traceless Hermitian H on supp(rho) with vanishing marginals.
 
+    Drawn as a walk step draws it: from the null basis of the constraint
+    rows on the first isqrt(m) + 1 support vectors (the whole support when
+    it is narrower), m the number of rows, embedded into the support.
     Returns None when no such direction exists numerically (the null space
-    of the constraint rows on the support is empty, e.g. for pure states).
+    of the rows on the support is empty, e.g. for pure states) or the one
+    candidate fails its check.
     """
     rng = np.random.default_rng(seed)
     v = support_basis(rho, rank_tol)[0]
-    h = _engine.descent_direction_core(v, instance.system, rng)
+    q = _engine._restricted_null_space(*_engine._null_basis(instance.system, v), v)
+    h = _engine.descent_direction_core(v, q, instance.system, rng)
     return None if h is None else hermitian_part(v @ h @ v.conj().T)
 
 

@@ -1,6 +1,7 @@
 """tools/census.py records one line per benchmark case and compares two
-records; a smoke run on one seed of the infeasible-cli workload, and a
-comparison of hand-made records that counts differences per label."""
+records; a smoke run on one seed of the infeasible-cli workload and of the
+census's own walk-above-bound family, and a comparison of hand-made
+records that counts differences per label."""
 import json
 import os
 import subprocess
@@ -48,6 +49,23 @@ def test_census_records_and_compares_one_seed(tmp_path):
     assert "'contradictory'): failed False != True" in differ.stdout
     assert "'monogamy'): digest" in differ.stdout
     assert "'channel-clash'): only in" in differ.stdout
+
+
+def test_walk_above_bound_cases_are_judged_as_library_cases(tmp_path):
+    """One seed of walk-above-bound: two reductions from full-rank starts
+    above the bound, each passing the bench check at a rank within the
+    bound after at least one step, with no solver run."""
+    record = tmp_path / "walk.jsonl"
+    done = census("--cases", "walk-above-bound=1", "-o", str(record))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.strip() == "2 cases"
+    lines = [json.loads(text) for text in record.read_text().splitlines()]
+    assert [d["label"] for d in lines] == ["fullrank-allpairs-n5", "fermionic-N3-d6-k2"]
+    for d, bound in zip(lines, (12, 15)):
+        assert (d["workload"], d["seed"]) == ("walk-above-bound", 1)
+        assert d["failed"] is False and d["wrong"] is False
+        assert d["rank"] <= bound and d["steps"] >= 1 and d["iters"] is None
+        assert len(d["digest"]) == 64
 
 
 def test_compare_counts_differing_cases_per_label(tmp_path):

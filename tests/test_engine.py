@@ -147,27 +147,10 @@ def test_rows_match_reference_channel_with_tp_row():
     assert_rows_match(inst, choi)
 
 
-def test_row_space_projector_matches_svd_with_duplicate_rows():
-    """The same constraint listed twice makes exactly dependent rows; the
-    Gram projector must still equal the SVD one and find the same rank."""
-    inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 6, seed=3)
-    v, _ = support_basis(rho)
-    (group,) = inst.system.groups
-    first, second = _engine.constraint_rows(group, v)
-    a = np.vstack([first, second, first])
-    q = _engine._row_space(a)
-    _, s, vt = np.linalg.svd(a)
-    vk = vt[s > 1e-6 * s[0]].T
-    assert q.shape[1] == vk.shape[1] < a.shape[1]
-    assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-12
-    eye = np.eye(a.shape[1])
-    assert np.abs((eye - q @ q.T) - (eye - vk @ vk.T)).max() <= 1e-12
-
-
 def test_null_space_matches_svd_with_duplicate_rows():
-    """The same rows as above, with fewer columns than rows: the null basis
-    from the coordinate-side Gram matrix equals the SVD's null space and
-    complements the row space of _row_space."""
+    """The same constraint listed twice makes exactly dependent rows, with
+    fewer columns than rows: the null basis from the coordinate-side Gram
+    matrix equals the SVD's null space."""
     inst, rho = random_feasible_instance((2, 2, 2), [(0, 1), (1, 2)], 6, seed=3)
     v, _ = support_basis(rho)
     (group,) = inst.system.groups
@@ -180,8 +163,6 @@ def test_null_space_matches_svd_with_duplicate_rows():
     assert 0 < n.shape[1] == vn.shape[1]
     assert np.abs(n.T @ n - np.eye(n.shape[1])).max() <= 1e-12
     assert np.abs(n @ n.T - vn @ vn.T).max() <= 1e-12
-    q = _engine._row_space(a)
-    assert np.abs(q @ q.T + n @ n.T - np.eye(a.shape[1])).max() <= 1e-12
 
 
 def test_restricted_null_space_equals_a_fresh_build():
@@ -208,9 +189,48 @@ def test_restricted_null_space_equals_a_fresh_build():
             assert np.abs(got @ got.T - fresh @ fresh.T).max() <= 1e-10
 
 
+def test_restricted_null_space_embeds_a_smaller_span():
+    """For span(V0) inside span(V), the null basis on span(V0) embeds into
+    V's coordinates with nothing lost: an orthonormal basis of as many
+    directions, each the same D x D operator as before, with zero row
+    image on span(V).  Above the bound, _null_basis takes the first
+    isqrt(m) + 1 columns of V and its embedded basis is not empty."""
+    rng = np.random.default_rng(59)
+    inst, _ = random_feasible_instance((2,) * 4, list(combinations(range(4), 2)),
+                                       16, seed=2)
+    sector, _ = sector_pair(rng, "fermionic", 3, 6, 2, 20)
+    channel, _ = channel_pair()
+    for instance, r0, r in ((inst, 11, 14), (sector, 16, 19), (channel, 11, 14)):
+        system = instance.system
+        v = random_isometry(rng, system.dim, r)
+        v0 = v @ random_isometry(rng, r, r0)
+        n0 = _engine._null_space(_engine._affine_rows(system, v0))
+        got = _engine._restricted_null_space(v0, n0, v)
+        assert 0 < got.shape[1] == n0.shape[1]
+        assert np.abs(got.T @ got - np.eye(got.shape[1])).max() <= 1e-10
+        rows = _engine._affine_rows(system, v)
+        assert np.abs(rows @ got).max() <= 1e-10 * np.abs(rows).max()
+        for y0, y in zip(n0.T, got.T):
+            h0 = _engine._coords_to_herm(y0, r0)
+            h = _engine._coords_to_herm(y, r)
+            assert np.abs(lift(v, h) - lift(v0, h0)).max() <= 1e-12
+        m = system.rhs[0].size
+        assert r * r > m
+        w0, n = _engine._null_basis(system, v)
+        assert w0.shape[1] == math.isqrt(m) + 1 and np.array_equal(w0, v[:, :w0.shape[1]])
+        assert _engine._restricted_null_space(w0, n, v).shape[1] == n.shape[1] > 0
+
+
 def lift(v, h):
     """The D x D operator V h V^dag of a direction h on span(v)."""
     return v @ h @ v.conj().T
+
+
+def draw(v, system, rng):
+    """A walk's draw on span(v): the null basis of _null_basis restricted to
+    span(v), then descent_direction_core."""
+    q = _engine._restricted_null_space(*_engine._null_basis(system, v), v)
+    return _engine.descent_direction_core(v, q, system, rng)
 
 
 def test_duplicated_constraint_still_gives_a_direction():
@@ -218,7 +238,7 @@ def test_duplicated_constraint_still_gives_a_direction():
     twice = ConsistencyInstance(inst.dims, inst.constraints + inst.constraints[:1])
     system = twice.system
     v = support_basis(rho)[0]
-    h = _engine.descent_direction_core(v, system, np.random.default_rng(0))
+    h = draw(v, system, np.random.default_rng(0))
     assert h is not None and h.shape == (6, 6)
     assert abs(np.trace(lift(v, h))) <= 1e-9
     for c in system.constraints:
@@ -226,11 +246,13 @@ def test_duplicated_constraint_still_gives_a_direction():
 
 
 def assert_none_without_draws(rho, system):
-    """An empty null space is detected from the row rank alone, before any
-    random seed is drawn."""
+    """An empty null space is detected from the row rank alone, as an empty
+    basis, before any random seed is drawn."""
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    assert _engine.descent_direction_core(support_basis(rho)[0], system, rng) is None
+    v = support_basis(rho)[0]
+    assert _engine._restricted_null_space(*_engine._null_basis(system, v), v).shape[1] == 0
+    assert draw(v, system, rng) is None
     assert rng.bit_generator.state == before
 
 
@@ -249,22 +271,30 @@ def test_empty_null_space_fully_pinned():
     assert_none_without_draws(sigma, inst.system)
 
 
-def test_stale_walk_basis_is_caught_by_the_posts_check():
+def test_stale_walk_basis_is_caught_by_the_posts_check(monkeypatch):
     """A walk basis whose span does not hold the support gives candidates
     that move the constraints.  The posts check rejects the one candidate,
-    so the descent returns None; a walk basis built on the support itself
-    gives a unit traceless direction that moves no constraint."""
+    so the descent returns None, and a walk drawing from such a basis ends
+    at once with a nonempty basis: null_space_exhausted is False.  A walk
+    basis built on the support itself gives a unit traceless direction that
+    moves no constraint."""
     inst, _ = random_feasible_instance((2,) * 5, list(combinations(range(5), 2)),
                                        32, seed=0)
     system = inst.system
-    v, _ = support_basis(find_feasible(inst).state)
+    found = find_feasible(inst)
+    v, _ = support_basis(found.state)
     assert v.shape[1] ** 2 <= system.rhs[0].size
     rng = np.random.default_rng(61)
     other = random_isometry(rng, system.dim, v.shape[1])
     stale = other, _engine._null_space(_engine._affine_rows(system, other))
-    assert _engine.descent_direction_core(v, system, rng, walk_basis=stale) is None
-    fresh = v, _engine._null_space(_engine._affine_rows(system, v))
-    h = _engine.descent_direction_core(v, system, rng, walk_basis=fresh)
+    q = _engine._restricted_null_space(*stale, v)
+    assert q.shape[1] > 0
+    assert _engine.descent_direction_core(v, q, system, rng) is None
+    monkeypatch.setattr(_engine, "_null_basis", lambda *args: stale)
+    _, trace = _engine.reduce_core(found.state, system)
+    assert trace.steps == [] and not trace.null_space_exhausted
+    monkeypatch.undo()
+    h = draw(v, system, rng)
     assert h is not None and h.shape == (v.shape[1],) * 2
     assert abs(np.linalg.norm(h) - 1.0) <= 1e-12
     assert abs(np.trace(lift(v, h))) <= 1e-9
@@ -1191,6 +1221,27 @@ def test_line_search_never_steps_backwards():
         assert _engine._least_cost_root(*c) >= 0, c
 
 
+def test_line_search_step_is_a_positive_root_or_zero():
+    """The contract on 2,000 random cubics of each sign of c0 (c3 > 0,
+    coefficient scales 1e-3 to 1e3): for c0 < 0 the step is within 1e-6 of
+    a positive real root that np.roots finds; for c0 >= 0, where t = 0 is
+    no descent, the step is 0, not a t > 0 off every root, as the Newton
+    polish of a candidate could give."""
+    rng = np.random.default_rng(0)
+    for sign in (-1, 1):
+        for _ in range(2000):
+            c = rng.standard_normal(4) * 10.0 ** rng.uniform(-3, 3, 4)
+            c = tuple(map(float, (abs(c[0]), c[1], c[2], sign * abs(c[3]))))
+            t = _engine._least_cost_root(*c)
+            if sign > 0:
+                assert t == 0.0, c
+                continue
+            roots = [z.real for z in np.roots(c)
+                     if abs(z.imag) <= 1e-8 * abs(z) and z.real > 0]
+            assert any(abs(t - z) <= 1e-6 * max(1.0, z) for z in roots), (c, t, roots)
+    assert _engine._least_cost_root(1.0, -3.0, 2.0, 0.0) == 0.0
+
+
 def test_line_search_cubic_triple_root():
     """A triple root is fixed by its coefficients only to about the cube
     root of the rounding unit, np.roots included, so the step is compared
@@ -1431,6 +1482,39 @@ def test_budget_stopped_start_is_repaired_on_its_support(monkeypatch):
     assert check_consistency(inst, state).max_residual <= _engine.DEFAULT_TOL
 
 
+def test_later_repair_rounds_rescue_budget_stopped_starts(monkeypatch):
+    """All pairs of 5 qubits, rank-1 witness: budgets 669-672 stop the
+    solver converged at 8.4e-9 to 2.8e-9.  The entry's truncation moves
+    such a start off the slice, and one confined round leaves it above tol
+    (5.5e-8 at 669), so the entry's repair runs all four rounds, and the
+    reduced state ends within repair_tol."""
+    inst, _ = random_feasible_instance((2,) * 5, list(combinations(range(5), 2)),
+                                       1, seed=0)
+    repair, project = _engine._repair, _engine.project_affine
+    projections, rounds = [], []
+
+    def project_spy(*args):
+        projections.append(None)
+        return project(*args)
+
+    def repair_spy(*args, **kwargs):
+        before = len(projections)
+        out = repair(*args, **kwargs)
+        rounds.append(len(projections) - before)
+        return out
+
+    monkeypatch.setattr(_engine, "project_affine", project_spy)
+    monkeypatch.setattr(_engine, "_repair", repair_spy)
+    for budget in (669, 670, 671, 672):
+        found = find_feasible(inst, max_iters=budget)
+        assert found.converged and found.iterations == budget
+        assert 2e-9 < found.report.max_residual <= _engine.DEFAULT_TOL
+        rounds.clear()
+        state, _ = reduce_rank(found.state, inst)
+        assert rounds[0] == 4
+        assert check_consistency(inst, state).max_residual <= _engine.DEFAULT_TOL
+
+
 def test_reduction_error_carries_the_partial_trace(monkeypatch):
     """A repair that fails, at the start or after some steps, aborts the
     reduction with a trace of the steps taken so far."""
@@ -1525,23 +1609,62 @@ def test_walk_builds_the_descent_rows_once(monkeypatch):
     assert all(g.positions.tolist() == list(range(len(inst.constraints))) for g in groups)
 
 
-def test_walk_above_the_rows_decomposes_no_larger_gram(monkeypatch):
-    """Criterion 3's walk starts at rank 32, where r^2 = 1024 exceeds the
-    m = 161 descent rows.  Its Gram matrices stay m x m there, and no
-    eigh of the walk is larger: the r^2 x r^2 side is never formed."""
-    inst = maximally_mixed_klocal_instance(5, 2)
-    sizes = []
-    eigh = np.linalg.eigh
+def eigh_sizes(monkeypatch):
+    """A list that gathers the size of every np.linalg.eigh call from now on."""
+    sizes, eigh = [], np.linalg.eigh
 
     def spy(a, *args, **kwargs):
-        sizes.append(np.shape(a)[0])
+        sizes.append(np.shape(a)[-1])
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
+    return sizes
+
+
+def test_walk_above_the_rows_decomposes_no_larger_gram(monkeypatch):
+    """Criterion 3's walk starts at rank 32, where r^2 = 1024 exceeds the
+    m = 161 descent rows.  It draws from null bases on 13 = isqrt(161) + 1
+    support vectors there, so its largest eigh is the 169 x 169 Gram
+    matrix of their rows: the r^2 x r^2 side is never formed."""
+    inst = maximally_mixed_klocal_instance(5, 2)
+    sizes = eigh_sizes(monkeypatch)
     state, trace = reduce_rank(np.eye(32, dtype=complex) / 32, inst, seed=0)
     assert trace.steps[0].rank_before == 32
-    assert 161 in sizes and max(sizes) <= 161
+    assert 169 in sizes and max(sizes) == 169
     assert numerical_rank(state) <= trace.bound == 12
+
+
+def test_six_qubit_walk_from_the_maximally_mixed_state(monkeypatch):
+    """All pairs of 6 qubits from I/64: m = 241 descent rows, so the walk
+    draws from null bases on 16 support vectors while r^2 > m, and no eigh
+    is above 256 = 16^2, although r^2 starts at 4096.  It reaches rank 12, below the bound 15, in 52 steps, and ends on
+    an empty basis."""
+    inst = maximally_mixed_klocal_instance(6, 2)
+    assert inst.system.rhs[0].size == 241
+    sizes = eigh_sizes(monkeypatch)
+    state, trace = reduce_rank(np.eye(64, dtype=complex) / 64, inst, seed=0)
+    assert max(sizes) == 256
+    assert (trace.final_rank, len(trace.steps), trace.bound) == (12, 52, 15)
+    assert trace.null_space_exhausted and numerical_rank(state) == 12
+    assert check_consistency(inst, state).max_residual <= _engine.DEFAULT_TOL
+
+
+def test_a_walk_that_ends_on_an_empty_basis_is_exhausted(monkeypatch):
+    """The walk reads its restricted basis before it draws: from a rank-15
+    witness of all pairs of 4 qubits it ends where that basis is empty, and
+    only there does the trace record null_space_exhausted."""
+    inst, rho = random_feasible_instance((2,) * 4, list(combinations(range(4), 2)),
+                                         15, seed=0)
+    bases, restrict = [], _engine._restricted_null_space
+
+    def spy(*args):
+        bases.append(restrict(*args))
+        return bases[-1]
+
+    monkeypatch.setattr(_engine, "_restricted_null_space", spy)
+    _, trace = _engine.reduce_core(rho, inst.system)
+    assert trace.null_space_exhausted and len(bases) == len(trace.steps) + 1
+    assert bases[-1].shape[1] == 0 and all(q.shape[1] > 0 for q in bases[:-1])
 
 
 def test_each_support_lies_in_the_one_before(monkeypatch):
@@ -1549,7 +1672,8 @@ def test_each_support_lies_in_the_one_before(monkeypatch):
     witnesses: the solver's state keeps eigenvalues just above rank_tol, yet
     every support the walk descends from lies in the span of the one before
     to 1e-12, so the walk builds the null basis of its m = 161 descent rows
-    once and only restricts it."""
+    once and only restricts it, and every draw gets a nonempty basis on the
+    support it draws on but the last."""
     descent, null_space = _engine.descent_direction_core, _engine._null_space
     for rank in (1, 2):
         inst, _ = random_feasible_instance((2,) * 5, list(combinations(range(5), 2)),
@@ -1558,9 +1682,10 @@ def test_each_support_lies_in_the_one_before(monkeypatch):
         assert found.converged
         supports, builds = [], []
 
-        def descent_spy(v, *args, **kwargs):
+        def descent_spy(v, q, system, rng):
             supports.append(v)
-            return descent(v, *args, **kwargs)
+            assert q.shape[0] == v.shape[1] ** 2
+            return descent(v, q, system, rng)
 
         def null_spy(a):
             builds.append(a.shape[0] == 161)
@@ -1576,34 +1701,41 @@ def test_each_support_lies_in_the_one_before(monkeypatch):
         assert sum(builds) == 1
 
 
-def test_a_solver_start_never_takes_the_row_space_phase(monkeypatch):
+def test_a_solver_start_builds_one_null_basis_at_the_entry(monkeypatch):
     """find_feasible's state has rank at most the square-sum bound, and
     bound^2 <= m - 1 for m = 1 + sum_c rank(T_c)^2 descent rows, so the walk
-    builds its null basis at the entry and never calls _row_space: on all
-    pairs of 4 qubits and on a fermionic sector.  A full-rank witness above
-    the bound starts in the row-space phase and calls it."""
-    row_space, calls = _engine._row_space, []
+    builds its one null basis at the entry, on its whole support, and only
+    restricts it: on all pairs of 4 qubits and on a fermionic sector.  A
+    full-rank witness, and I/32 on all pairs of 5 qubits, start above the
+    bound: the walk builds a basis on isqrt(m) + 1 support vectors at every
+    step while r^2 > m, then one on the whole support that it keeps."""
+    null_basis, calls = _engine._null_basis, []
 
-    def spy(a):
-        calls.append(a.shape)
-        return row_space(a)
+    def spy(system, v):
+        calls.append(v.shape[1])
+        return null_basis(system, v)
 
-    monkeypatch.setattr(_engine, "_row_space", spy)
+    monkeypatch.setattr(_engine, "_null_basis", spy)
     qudit, witness = random_feasible_instance((2,) * 4, list(combinations(range(4), 2)),
                                               16, seed=1)
     sector, sigma = sector_pair(np.random.default_rng(47), "fermionic", 3, 6, 2, 20)
-    for instance, full, bound in ((qudit, witness, 9), (sector, sigma, 15)):
+    mixed = maximally_mixed_klocal_instance(5, 2)
+    for instance, full, bound in ((qudit, witness, 9), (sector, sigma, 15),
+                                  (mixed, np.eye(32) / 32, 12)):
         system = instance.system
         m = system.rhs[0].size
         assert system.square_sum_bound() == bound and bound ** 2 < m
-        found = find_feasible(instance)
-        assert found.converged and numerical_rank(found.state) <= bound
-        calls.clear()
-        _, trace = reduce_rank(found.state, instance)
-        assert len(trace.steps) >= 1 and calls == []
+        if instance is not mixed:
+            found = find_feasible(instance)
+            assert found.converged and numerical_rank(found.state) <= bound
+            calls.clear()
+            _, trace = reduce_rank(found.state, instance)
+            assert len(trace.steps) >= 1 and calls == [numerical_rank(found.state)]
         assert numerical_rank(full) == system.dim > bound
+        calls.clear()
         _, trace = reduce_rank(full, instance)
-        assert calls and all(a[1] > m for a in calls)
+        above = [s.rank_before for s in trace.steps if s.rank_before ** 2 > m]
+        assert above and calls[:-1] == above and calls[-1] ** 2 <= m
         assert trace.final_rank <= bound
 
 

@@ -5,21 +5,26 @@ that two source trees can be compared bit for bit.
     python3 tools/census.py --root ../parent -o parent.jsonl
     python3 tools/census.py --compare parent.jsonl change.jsonl
 
-The cases are those of bench/workloads.py, built and run in this process,
-one after another, from the src/ and bench/ directories of --root (by
-default the checkout that holds this file); nothing under bench/ is
-written.  BLAS threads are pinned to one before numpy loads, as the
+The cases are those of bench/workloads.py, plus one family of this file's
+own, built and run in this process, one after another, from the src/ and
+bench/ directories of --root (by default the checkout that holds this
+file); nothing under bench/ is written.  The family, walk-above-bound,
+runs reduce_rank from two full-rank starts whose rank r has r^2 above the
+m descent rows, a path that no benchmark workload takes: a full-rank
+all-pairs 5-qubit witness and a full-rank fermionic (3,6,2) state, drawn
+from the seed.  BLAS threads are pinned to one before numpy loads, as the
 benchmark pins them.  --cases WORKLOADS=SEEDS picks a comma-separated list
-of workloads ("all" for the four) and a seed range such as 1-8; it may be
-given more than once.  Without it the standard census runs: seeds 1-8 on
-all four workloads, and seeds 9-300 on reduce-fullrank, feasible-lowrank
-and sector-channel-cli, 3,624 cases.
+of workloads ("all" for the four of the benchmark) and a seed range such
+as 1-8; it may be given more than once.  Without it the standard census
+runs: seeds 1-8 on the four benchmark workloads, seeds 9-300 on
+reduce-fullrank, feasible-lowrank and sector-channel-cli, and seeds 1-100
+on walk-above-bound, 3,624 benchmark cases and 200 walk cases.
 
 Each output line is one case: its workload, seed and label, the bench
 check's (failed, wrong, rank, steps, iters), and a SHA-256 digest.  For a
 library case the digest covers the solver's state, residual history,
-iterations, width and message, and the reduced state with its steps (or
-the reduction's error).  For a CLI case it covers the exit code, the
+iterations, width and message (a walk case has no solver run), and the
+reduced state with its steps (or the reduction's error).  For a CLI case it covers the exit code, the
 standard error and the bytes of the output document.  --compare reads two
 such files, prints every case whose line differs or that only one of them
 holds, and exits 1 if there is any; on standard error it gives the
@@ -42,7 +47,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-STANDARD = ["all=1-8", "reduce-fullrank,feasible-lowrank,sector-channel-cli=9-300"]
+STANDARD = ["all=1-8", "reduce-fullrank,feasible-lowrank,sector-channel-cli=9-300",
+            "walk-above-bound=1-100"]
 VERDICT = ("failed", "wrong", "rank", "steps", "iters")
 
 
@@ -71,8 +77,9 @@ def _digest(result, out_path: str) -> str:
     # a float's repr round-trips, so the reprs of the history and steps
     # hold every bit
     found, reduced, err = result
-    add(found.state, found.residual_history, found.iterations, found.factor_rank,
-        found.converged, found.message)
+    if found is not None:
+        add(found.state, found.residual_history, found.iterations, found.factor_rank,
+            found.converged, found.message)
     if reduced is not None:
         state, trace = reduced
         add(state, trace.final_rank, trace.bound, trace.null_space_exhausted, trace.steps)
@@ -80,18 +87,72 @@ def _digest(result, out_path: str) -> str:
     return h.hexdigest()
 
 
+def walk_above_bound(seed: int, workdir: str) -> list:
+    """reduce_rank from two full-rank starts above the walk's bound, judged
+    as library cases are: a full-rank witness of all pairs of 5 qubits
+    (gallery seed = seed; rank 32, m = 161) and a full-rank fermionic
+    (3,6,2) state from default_rng(seed) with its 2-particle marginal as
+    the target (rank 20, m = 226)."""
+    from itertools import combinations
+
+    import numpy as np
+
+    import check
+    from qmarginal import gallery, reduction, sector
+    from qmarginal._engine import ReductionError
+    from workloads import Case
+
+    def case(label, inst, start, residual, bound):
+        def run():
+            try:
+                return None, reduction.reduce_rank(start, inst, seed=0), None
+            except ReductionError as err:
+                return None, None, err
+
+        def judge(result):
+            _, reduced, err = result
+            if reduced is None:
+                return check.gave_up_verdict(f"reduction aborted: {err}")
+            state, trace = reduced
+            return check.state_verdict(state, residual(state), bound,
+                                       steps=len(trace.steps))
+
+        return Case(label, run, judge)
+
+    qudit, witness = gallery.random_feasible_instance(
+        (2,) * 5, list(combinations(range(5), 2)), 32, seed=seed)
+    cons = [(c.subsystems, c.target) for c in qudit.constraints]
+    n, d, k = 3, 6, 2
+    wn, wk = (sector.sector_isometry("fermionic", p, d).isometry for p in (n, k))
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((wn.shape[1],) * 2) + 1j * rng.standard_normal((wn.shape[1],) * 2)
+    sigma = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    target = check.sector_marginal(sigma, wn, wk, d, n, k)
+    target = (target + target.conj().T) / 2
+    return [
+        case("fullrank-allpairs-n5", qudit, witness,
+             lambda x: check.qudit_residual(x, qudit.dims, cons),
+             check.square_sum_bound(t for _, t in cons)),
+        case("fermionic-N3-d6-k2", sector.SectorInstance("fermionic", n, d, k, target),
+             sigma, lambda x: float(np.linalg.norm(
+                 check.sector_marginal(x, wn, wk, d, n, k) - target)),
+             check.numerical_rank(target)),
+    ]
+
+
 def run(root: str, specs: list[str], out) -> int:
     """Run the cases of specs from root's src/ and bench/; one line each."""
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
     from workloads import BUILDERS
 
+    builders = {**BUILDERS, "walk-above-bound": walk_above_bound}
     count = 0
     for spec in specs:
         names, seeds = _spec(spec)
         for name in names or list(BUILDERS):
             for seed in seeds:
                 with tempfile.TemporaryDirectory() as workdir:
-                    for case in BUILDERS[name](seed, workdir):
+                    for case in builders[name](seed, workdir):
                         case.reset()
                         result = case.run()
                         verdict = case.check(result)
