@@ -177,9 +177,10 @@ class AffineFactor:
         """A coords(x) for Hermitian x, or for each of a stack of two, by one
         bincount that sums every row in the same order; reads upper triangles."""
         xr = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64).ravel()
-        row, col, val = (self.row, self.col, self.val) if x.ndim == 2 else self._pair
-        return np.bincount(row, val * xr[col], minlength=x.size // self.dim ** 2
-                           * self.target.size).reshape(x.shape[:-2] + (-1,))
+        if x.ndim == 2:
+            return np.bincount(self.row, self.val * xr[self.col], minlength=self.target.size)
+        row, col, val = self._pair
+        return np.bincount(row, val * xr[col], minlength=2 * self.target.size).reshape(2, -1)
 
     def gradient(self, dev: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """4 S G, the gradient of ||dev||^2 at the factor G, and 2 S, for
@@ -519,6 +520,7 @@ def project_affine(system: ConstraintSystem, v: np.ndarray,
 # come from L-BFGS, its memory a sliding window (_remember), whose initial
 # metric is (G^dag G + ||r|| I)^-1 on the right; without it, convergence to a
 # solution of rank below k is sublinear (spare columns shrink like f^(1/4)).
+# Products with a vector are ndarray.dot: the BLAS call of @, less dispatch.
 # ---------------------------------------------------------------------------
 
 def _remember(pairs: np.ndarray, mats: np.ndarray, lo: int, m: int,
@@ -531,13 +533,13 @@ def _remember(pairs: np.ndarray, mats: np.ndarray, lo: int, m: int,
     keeps R^-1[1:, 1:].  At the buffers' end the window moves to the front."""
     if m == LBFGS_MEMORY:  # drop the oldest pair
         lo, m = lo + 1, m - 1
-    if lo + m == len(pairs[0]):
+    if lo + m == pairs.shape[1]:
         pairs[:, :m], mats[:, :m, :m], lo = pairs[:, lo:], mats[:, lo:, lo:], 0
-    (ss, ys), (sy, rinv) = pairs[:, lo:], mats[:, lo:, lo:]
-    ss[m], ys[m] = s, y
-    col = ss[:m + 1] @ y
-    sy[:m + 1, m], sy[m, :m] = col, ys[:m] @ s
-    rinv[:m, m], rinv[m, m] = rinv[:m, :m] @ col[:m] / -col[m], 1 / col[m]
+    hi = lo + m
+    pairs[0, hi], pairs[1, hi] = s, y
+    col = pairs[0, lo:hi + 1].dot(y)
+    mats[0, lo:hi + 1, hi], mats[0, hi, lo:hi] = col, pairs[1, lo:hi].dot(s)
+    mats[1, lo:hi, hi], mats[1, hi, hi] = mats[1, lo:hi, lo:hi].dot(col[:m]) / -col[m], 1 / col[m]
     return lo, m + 1
 
 
@@ -553,21 +555,17 @@ def _lbfgs_direction(q: np.ndarray, g: np.ndarray, eta: float, s: np.ndarray,
     H q = H0 q + S R^-T ((D + Y^T H0 Y) R^-1 S^T q - Y^T H0 q) - H0 Y R^-1 S^T q,
     R the upper triangle of sy = S^T Y, rinv = R^-1 and D the diagonal."""
     gram = g.conj().T @ g
-    gram.flat[::gram.shape[0] + 1] += eta
+    gram.reshape(-1)[::len(gram) + 1] += eta  # a strided view of the diagonal
     minv = np.linalg.inv(gram)
-
-    def metric(*rows: np.ndarray) -> np.ndarray:
-        v = np.concatenate(rows).view(np.complex128).reshape(-1, g.shape[1])
-        return (v @ minv).view(np.float64).reshape(len(rows), -1)
-
     if len(s) == 0:
-        return -metric(q)[0]
-    ra = rinv @ (s @ q)
-    h0q, h0y_ra, h0y = metric(q, ra @ y, y[-1])
-    gamma = sy[-1, -1] / (y[-1] @ h0y)
-    h0y_ra = gamma * h0y_ra
-    c = (sy.diagonal() * ra + y @ h0y_ra - gamma * (y @ h0q)) @ rinv
-    return -(gamma * h0q - h0y_ra + c @ s)
+        return -(q.view(np.complex128).reshape(-1, len(minv)) @ minv).view(np.float64).ravel()
+    ra = rinv.dot(s.dot(q))
+    v = np.concatenate((q, ra.dot(y), y[-1])).view(np.complex128).reshape(-1, len(minv)) @ minv
+    h0q, h0y_ra, h0y = v.view(np.float64).reshape(3, -1)
+    gamma = sy[-1, -1] / y[-1].dot(h0y)
+    h0y_ra *= gamma
+    c = (sy.diagonal() * ra + y.dot(h0y_ra) - gamma * y.dot(h0q)).dot(rinv)
+    return -(gamma * h0q - h0y_ra + c.dot(s))
 
 
 def _least_cost_root(c3: float, c2: float, c1: float, c0: float) -> float:
@@ -594,13 +592,16 @@ def _least_cost_root(c3: float, c2: float, c1: float, c0: float) -> float:
     f = -c / t if abs(t * t * t) > abs(c) else b + (a + t) * t
     e = (f - b) / t if abs(t * t * t) > abs(c) else a + t
     h = -(e + math.copysign(math.sqrt(max(e * e - 4 * f, 0.0)), e)) / 2
-    def newton(t: float) -> float:  # three steps, none where the slope vanishes
-        for _ in range(3):
+    step, cost = 0.0, math.inf  # the first t > 0 of least cost, 0 while none
+    for t in (t, h, f / h) if h else (t,):
+        for _ in range(3):  # Newton steps, none where the slope vanishes
             t -= (((t + a) * t + b) * t + c) / ((3 * t + 2 * a) * t + b or math.inf)
-        return t
-    t = min((t for t in map(newton, [t, h, f / h] if h else [t]) if t > 0), default=0.0,
-            key=lambda t: t * (2 * c0 + t * (c1 + t * (2 * c2 / 3 + t * c3 / 2))))
-    return max(newton(t), 0.0) if t else 0.0
+        if t > 0 and ((u := t * (2 * c0 + t * (c1 + t * (2 * c2 / 3 + t * c3 / 2)))) < cost
+                      or not step):
+            step, cost = t, u
+    for _ in range(3 if step else 0):
+        step -= (((step + a) * step + b) * step + c) / ((3 * step + 2 * a) * step + b or math.inf)
+    return max(step, 0.0)
 
 
 def _exact_step(f: AffineFactor, g: np.ndarray, p: np.ndarray,
@@ -609,13 +610,12 @@ def _exact_step(f: AffineFactor, g: np.ndarray, p: np.ndarray,
     dev + t a1 + t^2 a2, the deviation at G + t P.  The quartic's derivative
     has a positive root: its leading coefficient is positive (a2 holds
     Tr(P P^dag) > 0), its constant term negative for a descent direction."""
-    d = len(g)
-    x = (np.concatenate([g, p]) @ p.conj().T).reshape(2, d, d)  # G P^dag, P P^dag
+    x = (np.concatenate([g, p]) @ p.conj().T).reshape(2, len(g), -1)  # G P^dag, P P^dag
     gp = x[0]
     gp += gp.conj().T  # G P^dag + P G^dag
     a1, a2 = f.apply(x)
-    t = _least_cost_root(2 * float(a2 @ a2), 3 * float(a1 @ a2),
-                         float(a1 @ a1 + 2 * (dev @ a2)), float(dev @ a1))
+    t = _least_cost_root(2 * float(a2.dot(a2)), 3 * float(a1.dot(a2)),
+                         float(a1.dot(a1) + 2 * dev.dot(a2)), float(dev.dot(a1)))
     return t, dev + t * a1 + (t * t) * a2
 
 
@@ -800,7 +800,7 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
             dev, grad, two_s, res = evaluate(g)
             if res <= tol / 100:
                 return result(True, f"converged in {it} iterations")
-        rnorm = math.sqrt(dev @ dev)
+        rnorm = math.sqrt(dev.dot(dev))
         # ||G||^2 = Tr G G^dag, which the trace row of dev holds
         gnorm = math.sqrt(dev[0] + b[0])
         stationary = np.vdot(grad, grad).real <= (STATIONARY_RTOL * rnorm * gnorm) ** 2
@@ -828,9 +828,8 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
         hi = lo + kept
         p = _lbfgs_direction(q, g, rnorm, pairs[0, lo:hi], pairs[1, lo:hi],
                              mats[0, lo:hi, lo:hi], mats[1, lo:hi, lo:hi])
-        if p @ q >= 0:
-            kept = 0
-            p = -q
+        if p.dot(q) >= 0:
+            kept, p = 0, -q
         p = p.view(np.complex128).reshape(g.shape)
         t, dev = _exact_step(f, g, p, dev)
         if t == 0 and kept == hi - lo:  # nothing moves: every later iteration is this one
@@ -843,7 +842,7 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
         dev, grad_next, two_s, res = evaluate(g_next, dev)
         s = (g_next - g).view(np.float64).ravel()
         y = (grad_next - grad).view(np.float64).ravel()
-        if s @ y > 0:
+        if s.dot(y) > 0:
             lo, kept = _remember(pairs, mats, lo, kept, s, y)
         g, grad = g_next, grad_next
         if res < best_res:

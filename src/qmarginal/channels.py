@@ -105,7 +105,7 @@ def _vec(k: np.ndarray) -> np.ndarray:
     return k.T.reshape(-1)
 
 
-def check_kraus(kraus, dim_in: int, dim_out: int) -> list[np.ndarray]:
+def check_kraus(kraus, dim_in: int, dim_out: int, tp_tol: float = TP_TOL) -> list[np.ndarray]:
     kraus = [np.asarray(k, dtype=complex) for k in kraus]
     if not kraus:
         raise ValueError("need at least one Kraus operator")
@@ -117,7 +117,7 @@ def check_kraus(kraus, dim_in: int, dim_out: int) -> list[np.ndarray]:
             raise ValueError("Kraus operator has non-finite entries")
     total = sum(k.conj().T @ k for k in kraus)
     defect = float(np.linalg.norm(total - np.eye(dim_in)))
-    if defect > TP_TOL:
+    if defect > tp_tol:
         raise ValueError(
             f"Kraus set is not trace preserving: ||sum K^dag K - I|| = {defect:.3e}")
     return kraus
@@ -136,13 +136,13 @@ def choi_from_kraus(kraus, in_dims, out_dims) -> ChannelRepr:
     return ChannelRepr(in_dims, out_dims, choi / din)
 
 
-def kraus_from_choi(channel: ChannelRepr, *,
-                    rank_tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
+def kraus_from_choi(channel: ChannelRepr, *, rank_tol: float = DEFAULT_RANK_TOL,
+                    tp_tol: float = TP_TOL) -> list[np.ndarray]:
     """Kraus operators from the Choi eigendecomposition.
 
     Raises ValueError when the Choi state is not positive semidefinite
     within CP_TOL (not completely positive) or when the extracted set is not
-    trace preserving within TP_TOL.
+    trace preserving within tp_tol (dim_in times the input marginal's error).
     """
     din, dout = channel.dim_in, channel.dim_out
     w, v = np.linalg.eigh(channel.choi)
@@ -153,7 +153,7 @@ def kraus_from_choi(channel: ChannelRepr, *,
     keep = support_mask(w, rank_tol)
     kraus = [math.sqrt(din * wi) * vi.reshape(din, dout).T
              for wi, vi in zip(w[keep], v.T[keep])]
-    return check_kraus(kraus, din, dout)
+    return check_kraus(kraus, din, dout, tp_tol)
 
 
 def apply_channel(channel: ChannelRepr, rho: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from ._engine import (DEFAULT_MAX_ITERS, DEFAULT_RANK_TOL, DEFAULT_TOL,
                       ReductionError)
-from .channels import (DEFAULT_CHANNEL_TOL, ChannelFeasibilityError,
+from .channels import (DEFAULT_CHANNEL_TOL, TP_TOL, ChannelFeasibilityError,
                        kraus_count_bounds, kraus_from_choi, reduce_kraus_rank,
                        sub_channel)
 from .documents import (channel_from_doc,
@@ -202,8 +202,9 @@ def cmd_channel_reduce(args) -> int:
     except ReductionError as err:
         _fail(f"rank reduction aborted: {err}")
         return 1
-    try:  # the Choi state meets --tol; its Kraus set must also meet TP_TOL
-        kraus = kraus_from_choi(channel, rank_tol=args.rank_tol)
+    try:  # the input marginal meets --tol, so the Kraus set meets dim_in tol
+        kraus = kraus_from_choi(channel, rank_tol=args.rank_tol,
+                                tp_tol=max(TP_TOL, channel.dim_in * args.tol))
     except ValueError as err:
         _fail(f"reduced channel rejected: {err}")
         return 1

@@ -271,6 +271,24 @@ def test_empty_null_space_fully_pinned():
     assert_none_without_draws(sigma, inst.system)
 
 
+def test_trace_half_of_the_posts_check_rejects_a_non_orthonormal_support():
+    """The trace half of the posts check, driven alone.  With no
+    constraints the constraint half holds vacuously, and q spans the
+    traceless directions on span(v).  The candidate h is traceless, so on
+    an orthonormal V, H = V h V^dag is traceless too and the draw returns
+    h.  With V's columns scaled by (1, 2, 3, 4), Tr H = sum_i i^2 h_ii is
+    of order 1, so the same draw (same seed) comes back None."""
+    r, system = 4, _engine.ConstraintSystem(6, ())
+    q = _engine._null_space(_engine._herm_coords(np.eye(r))[None, :])
+    assert q.shape == (r * r, r * r - 1)
+    v = np.eye(system.dim, r, dtype=complex)
+    h = _engine.descent_direction_core(v, q, system, np.random.default_rng(62))
+    assert h is not None and abs(np.trace(lift(v, h))) <= 1e-12
+    scaled = v * np.arange(1, r + 1)
+    assert abs(np.trace(lift(scaled, h))) > 1e-3
+    assert _engine.descent_direction_core(scaled, q, system, np.random.default_rng(62)) is None
+
+
 def test_stale_walk_basis_is_caught_by_the_posts_check(monkeypatch):
     """A walk basis whose span does not hold the support gives candidates
     that move the constraints.  The posts check rejects the one candidate,
@@ -1254,6 +1272,139 @@ def test_line_search_cubic_triple_root():
         cost = t * (2 * c[3] + t * (c[2] + t * (2 * c[1] / 3 + t * c[0] / 2)))
         least = root * (2 * c[3] + root * (c[2] + root * (2 * c[1] / 3 + root * c[0] / 2)))
         assert abs(cost - least) <= 1e-12 * abs(least)
+
+
+def reference_least_cost_root(c3, c2, c1, c0):
+    """The line search's root as it was first written, with a closure for
+    the Newton polish and min/max over generators with key functions: the
+    arithmetic that _least_cost_root keeps to the last bit."""
+    if c0 >= 0:
+        return 0.0
+    a, b, c = c2 / c3, c1 / c3, c0 / c3
+    p, q = b - a * a / 3, (2 * a * a / 27 - b / 3) * a + c
+    disc = q * q / 4 + p * p * p / 27
+    if disc < 0:
+        r = 2 * math.sqrt(-p / 3)
+        phi = math.acos(max(-1.0, min(1.0, 3 * q / (p * r))))
+        t = max((r * math.cos((phi - 2 * math.pi * j) / 3) - a / 3 for j in range(3)), key=abs)
+    else:
+        w = -math.copysign((abs(q) / 2 + math.sqrt(disc)) ** (1 / 3), q)
+        t = (w - p / (3 * w) if w else 0.0) - a / 3
+    # x^2 + e x + f = cubic / (x - t), from the end that does not cancel
+    f = -c / t if abs(t * t * t) > abs(c) else b + (a + t) * t
+    e = (f - b) / t if abs(t * t * t) > abs(c) else a + t
+    h = -(e + math.copysign(math.sqrt(max(e * e - 4 * f, 0.0)), e)) / 2
+    def newton(t: float) -> float:  # three steps, none where the slope vanishes
+        for _ in range(3):
+            t -= (((t + a) * t + b) * t + c) / ((3 * t + 2 * a) * t + b or math.inf)
+        return t
+    t = min((t for t in map(newton, [t, h, f / h] if h else [t]) if t > 0), default=0.0,
+            key=lambda t: t * (2 * c0 + t * (c1 + t * (2 * c2 / 3 + t * c3 / 2))))
+    return max(newton(t), 0.0) if t else 0.0
+
+
+def root_branches(c3, c2, c1, c0):
+    """The branches of the root's closed form that coefficients take:
+    c0 >= 0, disc < 0 or disc >= 0, the quotient from |t^3| <= |c|, and
+    h = 0 (a single candidate)."""
+    if c0 >= 0:
+        return {"c0 >= 0"}
+    a, b, c = c2 / c3, c1 / c3, c0 / c3
+    p, q = b - a * a / 3, (2 * a * a / 27 - b / 3) * a + c
+    disc = q * q / 4 + p * p * p / 27
+    if disc < 0:
+        r = 2 * math.sqrt(-p / 3)
+        phi = math.acos(max(-1.0, min(1.0, 3 * q / (p * r))))
+        t = max((r * math.cos((phi - 2 * math.pi * j) / 3) - a / 3 for j in range(3)), key=abs)
+    else:
+        w = -math.copysign((abs(q) / 2 + math.sqrt(disc)) ** (1 / 3), q)
+        t = (w - p / (3 * w) if w else 0.0) - a / 3
+    out = {"disc < 0" if disc < 0 else "disc >= 0"}
+    if abs(t * t * t) <= abs(c):
+        out.add("quotient")
+        f, e = b + (a + t) * t, a + t
+    else:
+        f = -c / t
+        e = (f - b) / t
+    if not -(e + math.copysign(math.sqrt(max(e * e - 4 * f, 0.0)), e)) / 2:
+        out.add("h = 0")
+    return out
+
+
+def same_float(a, b):
+    """Equal to the last bit, the sign of zero included."""
+    return type(a) is type(b) is float and np.float64(a).view(np.int64) == np.float64(b).view(
+        np.int64)
+
+
+def test_line_search_root_equals_its_first_form_bit_for_bit():
+    """_least_cost_root against its first form on 10,000 random coefficient
+    sets (c3 > 0, either sign of c0, scales 1e-8 to 1e8) and on one case of
+    every branch: c0 >= 0, disc < 0 (three real roots), disc >= 0, the
+    quotient taken from |t^3| <= |c| (a small real root beside a large
+    complex pair), h = 0 ((x - 1/2)(x^2 + 1/4), and c underflowing to -0),
+    and a triple root."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for _ in range(10000):
+        c = rng.standard_normal(4) * 10.0 ** rng.uniform(-8, 8, 4)
+        cases.append((abs(float(c[0])), float(c[1]), float(c[2]), float(c[3])))
+    branchy = {"c0 >= 0": (1.0, -3.0, 2.0, 0.0), "disc < 0": cubic([0.5, 2.0, 3.0]),
+               "disc >= 0": cubic([0.3, 1 + 2j, 1 - 2j], 7.0),
+               "quotient": cubic([0.1, 10j, -10j]), "h = 0": (1.0, -0.5, 0.25, -0.125),
+               "h = 0, c = -0": (1e300, 0.0, 0.0, -1e-300)}
+    for name, c in branchy.items():
+        assert name.split(",")[0] in root_branches(*c), (name, root_branches(*c))
+    seen = set()
+    for c in cases + list(branchy.values()) + [cubic([2.0] * 3), cubic([1e-3] * 3, 1e6)]:
+        seen |= root_branches(*c)
+        t, expected = _engine._least_cost_root(*c), reference_least_cost_root(*c)
+        assert same_float(t, expected), (c, t, expected)
+    assert seen == {"c0 >= 0", "disc < 0", "disc >= 0", "quotient", "h = 0"}
+
+
+def reference_remember(pairs, mats, lo, m, s, y):
+    """The L-BFGS memory update as it was first written, on views of the
+    window: the arithmetic and the writes that _remember keeps."""
+    if m == _engine.LBFGS_MEMORY:  # drop the oldest pair
+        lo, m = lo + 1, m - 1
+    if lo + m == len(pairs[0]):
+        pairs[:, :m], mats[:, :m, :m], lo = pairs[:, lo:], mats[:, lo:, lo:], 0
+    (ss, ys), (sy, rinv) = pairs[:, lo:], mats[:, lo:, lo:]
+    ss[m], ys[m] = s, y
+    col = ss[:m + 1] @ y
+    sy[:m + 1, m], sy[m, :m] = col, ys[:m] @ s
+    rinv[:m, m], rinv[m, m] = rinv[:m, :m] @ col[:m] / -col[m], 1 / col[m]
+    return lo, m + 1
+
+
+def test_lbfgs_memory_equals_its_first_form_bit_for_bit():
+    """_remember against its first form on the same 150 pairs: appends past
+    LBFGS_MEMORY, a window that reaches the buffers' end and moves to their
+    front four times, and two resets to an empty memory (as an ascent
+    fallback makes), at the widths of a 3-qubit and a 5-qubit factor.
+    Both buffers, S and Y, S Y^T and R^-1, and the window agree to the last
+    bit after every append."""
+    rng = np.random.default_rng(32)
+    for size in (2 * 8 * 3, 2 * 32 * 12):
+        bufs = [(np.zeros((2, 2 * _engine.LBFGS_MEMORY, size)),
+                 np.zeros((2, 2 * _engine.LBFGS_MEMORY, 2 * _engine.LBFGS_MEMORY)))
+                for _ in range(2)]
+        windows = [(0, 0), (0, 0)]
+        moves = 0
+        for i in range(150):
+            s = rng.standard_normal(size)
+            y = s + 0.1 * rng.standard_normal(size)
+            if i in (57, 120):
+                windows = [(lo, 0) for lo, _ in windows]
+            new = _engine._remember(*bufs[0], *windows[0], s, y)
+            ref = reference_remember(*bufs[1], *windows[1], s, y)
+            assert new == ref
+            moves += new[0] < windows[0][0]
+            windows = [new, ref]
+            for a, b in zip(*bufs):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert moves == 4
 
 
 def assert_fresh_memory(s, y, sy, rinv):
