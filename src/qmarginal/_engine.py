@@ -7,12 +7,16 @@ instances) has unit weights; a sector marginal runs over occupations with
 signed or arrangement weights.  A system stacks its constraints of one
 index shape (all weighted or all not) into a group, so the maps, the
 constraint rows, their nonzeros and the targets' eigendecompositions are
-one batched operation per group, never a loop over constraints.  The
-forward map and the constraint rows are both derived from the map, so the
-same code serves every instance.  The full-space rows A (the unit-trace row
-and every constraint's rows) are sparse, and the system keeps their
-nonzeros, built in closed form by index arithmetic on the same map, against
-the entries of the state's real view, without forming the dense rows.
+one batched operation per group, never a loop over constraints.  Inside
+the engine everything per constraint (rows, right-hand side, duals, face
+projectors) runs in group order, each group's constraints in turn;
+constraint order is restored only where a result leaves the engine
+(residual_report, InfeasibilityCertificate).  The forward map and the
+constraint rows are both derived from the map, so the same code serves
+every instance.  The full-space rows A (the unit-trace row and every
+constraint's rows) are sparse, and the system keeps their nonzeros, one
+gather per group on the same map against the entries of the state's real
+view, without forming the dense rows.
 Feasibility is a least-squares problem over factors: minimise
 ||A coords(G G^dag) - b||^2 for G of size D x k, k the paper's square-sum
 rank bound, with G on the face that rank-deficient targets force (an
@@ -148,15 +152,15 @@ class AffineFactor:
     """The full-space affine rows, as the feasibility solver and the
     projection use them.
 
-    A, the unit-trace row then the full rows of every constraint, acts on
-    the real coordinates of a Hermitian matrix, and each coordinate is a
-    fixed multiple of one real or imaginary part of an entry on or above
-    the diagonal.  So A is kept as its nonzeros against the real view of
-    the D x D matrix itself: (A coords(x))[row[i]] sums
-    val[i] * x.view(float).ravel()[col[i]], and no product with A or A^T
-    converts to coordinates.  target is b, the right-hand side of
-    A coords(y) = b in the same row order; offsets are the first rows of
-    the trace block and of each constraint's block.
+    A, the unit-trace row then the full rows of every constraint in group
+    order, acts on the real coordinates of a Hermitian matrix, and each
+    coordinate is a fixed multiple of the real or imaginary part of an
+    entry, read on either side of the diagonal.  So A is kept as its
+    nonzeros against the real view of the D x D matrix itself:
+    (A coords(x))[row[i]] sums val[i] * x.view(float).ravel()[col[i]], and
+    no product with A or A^T converts to coordinates.  target is b, the
+    right-hand side of A coords(y) = b in the same row order; offsets are
+    the first rows of the trace block and of each constraint's block.
     """
 
     dim: int
@@ -175,7 +179,7 @@ class AffineFactor:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A coords(x) for Hermitian x, or for each of a stack of two, by one
-        bincount that sums every row in the same order; reads upper triangles."""
+        bincount that sums every row in the same order."""
         xr = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64).ravel()
         if x.ndim == 2:
             return np.bincount(self.row, self.val * xr[self.col], minlength=self.target.size)
@@ -185,9 +189,9 @@ class AffineFactor:
     def gradient(self, dev: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """4 S G, the gradient of ||dev||^2 at the factor G, and 2 S, for
         S = coords^-1(A^T dev), the Hermitian S with <dev, A coords(x)> =
-        Tr(S x).  A^T dev puts half of each off-diagonal entry of S above
-        the diagonal and none below it, so 2 S is that matrix plus its
-        conjugate transpose; the gradient is 2 ((2 S) G)."""
+        Tr(S x).  A^T dev, scattered onto the real view, is a matrix W
+        with <dev, A coords(x)> = Re Tr(W^dag x), so 2 S = W + W^dag; the
+        gradient is 2 ((2 S) G)."""
         d = self.dim
         w = np.bincount(self.col, self.val * dev[self.row], minlength=2 * d * d)
         w = w.view(np.complex128).reshape(d, d)
@@ -204,7 +208,7 @@ class AffineFactor:
 
 class Face(NamedTuple):
     """ConstraintSystem.face: the projectors P_c off the targets' supports,
-    in constraint order, the eigenvalues (ascending) and eigenvectors of
+    one stack per group, the eigenvalues (ascending) and eigenvectors of
     Q = sum_c M_c*(P_c), and dim, the dimension D' of ker Q, whose basis is
     the first dim eigenvectors."""
 
@@ -219,10 +223,11 @@ class ConstraintSystem:
     """The state dimension and the constraints, as given and as groups.
 
     groups stacks the constraints of one shape (see ConstraintGroup), so
-    every map, row and nonzero build runs once per group; results go back
-    to the constraints' positions, so reports keep one residual per
-    constraint, in order.  The full-space affine factor and the targets'
-    eigendecompositions are built on first use and kept with the system.
+    every map, row and nonzero build runs once per group, in group order;
+    results go back to the constraints' positions as they leave the
+    engine, so reports keep one residual per constraint, in order.  The
+    full-space affine factor and the targets' eigendecompositions are built
+    on first use and kept with the system.
     """
 
     dim: int
@@ -243,7 +248,8 @@ class ConstraintSystem:
 
     def in_order(self, stacks) -> list:
         """The slices of per-group stacks, (group, stack) pairs with one
-        slice per constraint of the group, in the system's constraint order."""
+        slice per constraint of the group, in the system's constraint order:
+        a certificate's duals as it leaves the engine."""
         out = [None] * len(self.constraints)
         for g, stack in stacks:
             for p, item in zip(g.positions.tolist(), stack):
@@ -270,30 +276,29 @@ class ConstraintSystem:
         masks = [~support_mask(w, rank_tol) for w, _ in spectra]
         if not any(m.any() for m in masks):
             return None
-        perps = [(g, (v * m[..., None, :]) @ v.conj().swapaxes(-1, -2))
-                 for g, (_, v), m in zip(self.groups, spectra, masks)]
+        perps = tuple((v * m[..., None, :]) @ v.conj().swapaxes(-1, -2)
+                      for (_, v), m in zip(spectra, masks))
         w, u = np.linalg.eigh(sum(_adjoint_maps(p, g.index, g.weight, self.dim)
-                                  for g, p in perps))
-        return Face(tuple(self.in_order(perps)), w, u,
-                    int(np.count_nonzero(~support_mask(w, rank_tol))))
+                                  for g, p in zip(self.groups, perps)))
+        return Face(perps, w, u, int(np.count_nonzero(~support_mask(w, rank_tol))))
 
     @cached_property
     def rhs(self) -> tuple[np.ndarray, np.ndarray]:
         """b, the right-hand side of A coords(y) = b (the trace row's 1,
-        then every target's coordinates, in order), and the first rows of
-        its trace block and of each constraint's block.  Kept apart from
+        then every target's coordinates, group by group), and the first rows
+        of its trace block and of each constraint's block.  Kept apart from
         affine, so the repair's projection reads b without the nonzeros."""
-        blocks = [[1.0]] + self.in_order((g, _herm_coords(g.target)) for g in self.groups)
-        return (np.concatenate(blocks),
-                np.cumsum([0] + [len(b) for b in blocks[:-1]]))
+        sizes = [1] + [g.target.shape[-1] ** 2 for g in self.groups for _ in g.positions]
+        b = [_herm_coords(g.target).ravel() for g in self.groups]
+        return np.concatenate([[1.0]] + b), np.cumsum([0] + sizes[:-1])
 
     @cached_property
     def affine(self) -> AffineFactor:
         """The full-space affine factor of the solver, built on first use
-        and then kept with the system.  Its nonzeros are those of the dense
-        rows _affine_rows(self, I), in the same order, each moved onto its
-        entry of the real view and scaled with it, without forming the
-        rows; its target and offsets are rhs."""
+        and then kept with the system: the rows of _affine_rows(self, I),
+        in the same order, as nonzeros gathered from the index maps
+        (_constraint_nonzeros) without forming the rows; its target and
+        offsets are rhs."""
         row, col, val = _affine_nonzeros(self)
         return AffineFactor(self.dim, row, col, val, *self.rhs)
 
@@ -336,13 +341,14 @@ class FeasibilityResult:
     state is G G^dag / Tr for the solver's best iterate G; when converged is
     False, it is a diagnostic, not a solution.  residual_history holds, per
     iteration, the best residual reached so far, so it never increases.
-    factor_rank is the width of that G: min(D', square-sum bound), D' the
-    dimension of the face that rank-deficient targets force (D when every
-    target has full rank), or D' if an iterate after the pad to D' columns
-    is the best, so a run whose pad never improves reports the smaller
-    width even when its message names rank D'.  An empty face certified
-    before any iteration reports D, for its state I/D.  certificate is set
-    when the run ended on a proof that no state exists.
+    factor_rank is the width of that G: max(1, min(D', square-sum bound)),
+    D' the dimension of the face that rank-deficient targets force (D when
+    every target has full rank; a bound of 0, every target eigenvalue at or
+    below rank_tol, still gives one column), or D' if an iterate after the
+    pad to D' columns is the best, so a run whose pad never improves
+    reports the smaller width even when its message names rank D'.  An
+    empty face certified before any iteration reports D, for its state I/D.
+    certificate is set when the run ended on a proof that no state exists.
     """
 
     state: np.ndarray
@@ -398,15 +404,16 @@ def residual_report(system: ConstraintSystem, x: np.ndarray) -> ResidualReport:
 # ---------------------------------------------------------------------------
 # The affine rows A: the unit-trace row plus every constraint's rows,
 # constraint_rows(group, V) for each group, in the coordinates of
-# corrections V herm(y) V^dag.  A group's rows are one batched build, placed
-# back at its constraints' positions.  The trace row rides along even though
-# the marginal rows imply it; this keeps a projected point exactly on the
-# trace-one slice regardless of rounding in the other rows.  A row of a
-# constraint has at most one nonzero per summed index e among its D^2
-# entries, so the full-space A (V = I) is kept as its nonzeros, against the
-# entries of the D x D matrix (AffineFactor), and each product with A or A^T
-# is one bincount over them.  The nonzeros come in closed form from each
-# group's stacked index maps, never from the dense m x D^2 rows.
+# corrections V herm(y) V^dag.  A group's rows are one batched build, and
+# the rows, like b, run in group order: each group's constraints in turn.
+# The trace row rides along even though the marginal rows imply it; this
+# keeps a projected point exactly on the trace-one slice regardless of
+# rounding in the other rows.  A row of a constraint has at most one
+# nonzero per summed index e among its D^2 entries, so the full-space A
+# (V = I) is kept as its nonzeros, against the entries of the D x D matrix
+# (AffineFactor), and each product with A or A^T is one bincount over them.
+# The nonzeros are one gather per group on its stacked index maps, never
+# the dense m x D^2 rows; they agree with those rows to rounding.
 #
 # The feasibility solver uses the full-space products.  The rank reduction
 # keeps its state on span(V), x = V m V^dag, and its repair projects with
@@ -423,65 +430,45 @@ def residual_report(system: ConstraintSystem, x: np.ndarray) -> ResidualReport:
 
 def _affine_rows(system: ConstraintSystem, v: np.ndarray) -> np.ndarray:
     """The dense affine rows on span(v): the trace row, then every
-    constraint's full rows."""
-    return np.vstack([_herm_coords(np.eye(v.shape[1]))] + system.in_order(
-        (g, constraint_rows(g, v)) for g in system.groups))
+    constraint's full rows, group by group."""
+    r2 = v.shape[1] ** 2
+    return np.vstack([_herm_coords(np.eye(v.shape[1]))] + [
+        constraint_rows(g, v).reshape(-1, r2) for g in system.groups])
 
 
 def _affine_nonzeros(system: ConstraintSystem
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row, real-view entry and value of every nonzero of
-    _affine_rows(system, I), in np.nonzero's order of rows and coordinates:
-    the groups' nonzeros, sorted stably by row, which puts the constraints
-    in order and keeps each one's own order.  The trace row is a one at
-    every diagonal entry."""
+    _affine_rows(system, I): the trace row, a one at every diagonal entry,
+    then each group's nonzeros, its rows starting where the last group's
+    ended."""
     d = system.dim
-    sizes = np.zeros(len(system.constraints), dtype=np.intp)
-    for g in system.groups:
-        sizes[g.positions] = g.target.shape[-1] ** 2
-    starts = 1 + np.cumsum(sizes) - sizes
     parts = [(np.zeros(d, dtype=np.intp), 2 * (d + 1) * np.arange(d), np.ones(d))]
-    parts += [_constraint_nonzeros(g, d, starts[g.positions]) for g in system.groups]
-    row, col, val = (np.concatenate(a) for a in zip(*parts))
-    order = np.argsort(row, kind="stable")
-    return row[order], col[order], val[order]
+    start = 1
+    for g in system.groups:
+        parts.append(_constraint_nonzeros(g, d, start))
+        start += g.target.size
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
-def _constraint_nonzeros(g: ConstraintGroup, d: int, starts: np.ndarray
+def _constraint_nonzeros(g: ConstraintGroup, d: int, start: int
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzeros of constraint_rows(g, I), by index arithmetic, each
-    at its entry of the real view of the D x D matrix; the rows of
-    constraint c start at starts[c], and each constraint's nonzeros are
-    contiguous.
-
-    With P = the index of one constraint and w its weights, target basis
-    element a pins sum_e w[a,e]^2 |P[a,e]><P[a,e]|: w[a,e]^2 at the diagonal
-    entries P[a, :], real view entry 2 (P D + P).  The pair (a, b) pins
-    G = sum_e w[a,e] w[b,e] |P[a,e]><P[b,e]| through the real and imaginary
-    parts of the upper-triangle entries (lo, hi) of (P[a,e], P[b,e]), real
-    view entries 2 (lo D + hi) and one more.  Where w is nonzero, P[a, :]
-    ascends in e (a partial trace's factors count up, and adding a fixed
-    occupation a keeps the order of the occupations e), and
-    P[a,e] != P[b,e].  So every entry is one product p, off the diagonal,
-    and each row's coordinates ascend in e.  Its value is the coordinate's
-    value sqrt(2) Re((p + 0j) / sqrt(2)) times sqrt(2), the coordinate's
-    scale, computed as the dense rows compute it: numpy's complex division
-    multiplies by the reciprocal, and p / sqrt(2) rounds differently.  The
-    imaginary row negates it for an entry below the diagonal.  Zero weights
-    are dropped.
-    """
+    """The nonzeros of constraint_rows(g, I), rows numbered from start, by
+    one gather on the index map P with weights w: the coordinate of target
+    basis pair (a, b), a <= b in _coord_index's order, reads
+    sum_e w[a,e] w[b,e] x[P[a,e], P[b,e]], the real part at real-view
+    entry 2 (P[a,e] D + P[b,e]) and, off the diagonal, the imaginary part
+    at the next one, each scaled by sqrt(2) off the diagonal.  Zero weights
+    are dropped."""
     p = g.index
     w = np.ones(p.shape) if g.weight is None else g.weight
-    n, rc, n_rest = p.shape
-    _, a, b = _coord_index(rc)
-    pa, pb = p[:, a], p[:, b]
-    re = 2 * (np.minimum(pa, pb) * d + np.maximum(pa, pb)).reshape(n, -1)
-    s2 = math.sqrt(2)
-    pair = s2 * ((w[:, a] * w[:, b]).reshape(n, -1).astype(complex) / s2).real * s2
-    row = np.repeat(np.arange(rc + 2 * a.size), n_rest) + starts[:, None]
-    col = np.concatenate([2 * (d + 1) * p.reshape(n, -1), re, re + 1], axis=1)
-    val = np.concatenate([(w * w).reshape(n, -1), pair,
-                          np.where((pa < pb).reshape(n, -1), pair, -pair)], axis=1)
+    diag, a, b = _coord_index(p.shape[1])
+    sizes = [diag.size, a.size, a.size]
+    i, j = np.concatenate([diag, a, a]), np.concatenate([diag, b, b])
+    col = 2 * (p[:, i] * d + p[:, j]) + np.repeat([0, 0, 1], sizes)[:, None]
+    val = w[:, i] * w[:, j] * np.repeat([1.0, math.sqrt(2), math.sqrt(2)], sizes)[:, None]
+    row = np.broadcast_to(start + np.arange(col.shape[0] * i.size).reshape(-1, i.size, 1),
+                          col.shape)
     nz = val != 0
     return row[nz], col[nz], val[nz]
 
@@ -510,7 +497,7 @@ def project_affine(system: ConstraintSystem, v: np.ndarray,
 # ---------------------------------------------------------------------------
 # Feasibility: least squares over factors rho = G G^dag (Burer-Monteiro).
 # The paper guarantees a solution of rank at most the square-sum bound
-# whenever one exists, so G is D x k with k = min(D', bound) and its
+# whenever one exists, so G is D x k with k = max(1, min(D', bound)) and its
 # columns on the face ker Q of dimension D' (ConstraintSystem.face; D' = D
 # without one).  With r = A coords(G G^dag) - b, f(G) = ||r||^2 has
 # gradient 4 S G for S = coords^-1(A^T r).  Along a direction P, r(t) = r + t a1 + t^2 a2 with
@@ -621,16 +608,18 @@ def _exact_step(f: AffineFactor, g: np.ndarray, p: np.ndarray,
 
 def _checked_dual(system: ConstraintSystem, y0: float, duals: tuple[np.ndarray, ...],
                   tol: float) -> tuple[float, tuple[np.ndarray, ...], float] | None:
-    """(y0, duals, lower) of a checked InfeasibilityCertificate, or None.
-    The check uses the maps and the true targets, not A or a face:
+    """(y0, duals, lower) of a checked InfeasibilityCertificate, or None,
+    duals one stack per group.  The check uses the maps and the true
+    targets, not A or a face:
     lambda_min(y0 I + sum_c M_c*(duals[c])) >= 0 and, for gap = y0 +
     sum_c <duals[c], T_c>, lower = -gap / ||(y0, duals)|| > tol sqrt(C) for
     C constraints, so gap < 0 and no state meets every target within tol."""
     d = system.dim
-    z = y0 * np.eye(d) + sum(_adjoint_maps(np.stack([duals[p] for p in g.positions]),
-                                           g.index, g.weight, d) for g in system.groups)
-    gap = y0 + sum(np.vdot(y, c.target).real for y, c in zip(duals, system.constraints))
-    lower = -gap / math.sqrt(y0 * y0 + sum(np.vdot(y, y).real for y in duals))
+    z = y0 * np.eye(d) + sum(_adjoint_maps(ys, g.index, g.weight, d)
+                             for ys, g in zip(duals, system.groups))
+    gap = y0 + sum(np.vdot(y, t).real for ys, g in zip(duals, system.groups)
+                   for y, t in zip(ys, g.target))
+    lower = -gap / math.sqrt(y0 * y0 + sum(np.vdot(y, y).real for ys in duals for y in ys))
     if lower <= tol * math.sqrt(len(system.constraints)) or np.linalg.eigvalsh(z)[0] < 0:
         return None
     return y0, duals, lower
@@ -686,8 +675,9 @@ def _screen(system: ConstraintSystem, dev: np.ndarray, two_s: np.ndarray,
             np.outer(lam, lam))
         lift = max(0.0, -np.linalg.eigvalsh(schur)[0]) + slack / lam[0]
         y0 = float(dev[0]) + t
-    duals = tuple(_coords_to_herm(z, c.target.shape[0]) for z, c in
-                  zip(np.split(dev, f.offsets[1:])[1:], system.constraints))
+    ends = np.cumsum([g.target.size for g in system.groups])
+    duals = tuple(_coords_to_herm(z.reshape(len(g.positions), -1), g.target.shape[-1])
+                  for z, g in zip(np.split(dev[1:], ends[:-1]), system.groups))
     if face is not None:
         duals = tuple(y + lift * p for y, p in zip(duals, face.projectors))
     return _checked_dual(system, y0, duals, tol)
@@ -706,7 +696,7 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
     iteration, with the state I/D; if the check rejects it, the run goes
     on in the full space.  Otherwise it minimises ||A coords(G G^dag) -
     b||^2 over G = V H of size D x k, V a basis of ker Q (V = I and D' = D
-    without a face) and k = min(D', square-sum bound at rank_tol), by
+    without a face) and k = max(1, min(D', square-sum bound at rank_tol)), by
     L-BFGS with exact line searches from a fixed-seed Gaussian G on the
     face, each gradient projected onto it, so runs are deterministic and
     stay on the face.  Each step is one iteration of max_iters.  The
@@ -751,7 +741,9 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
         x = x / np.trace(x).real
         report, cert = residual_report(system, x), None
         if dual is not None:
-            cert = InfeasibilityCertificate(*dual, math.hypot(*report.residuals))
+            y0, duals, lower = dual
+            duals = tuple(system.in_order(zip(system.groups, duals)))
+            cert = InfeasibilityCertificate(y0, duals, lower, math.hypot(*report.residuals))
             message = (f"certified infeasible after {it} iterations: the targets lie at "
                        f"a distance in [{cert.lower:.3e}, {cert.upper:.3e}] from "
                        f"consistent ones")
@@ -770,7 +762,7 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
     width = d if v is None else face.dim
     f = system.affine
     b = f.target
-    k = min(width, system.square_sum_bound(rank_tol))
+    k = max(1, min(width, system.square_sum_bound(rank_tol)))
     rng = np.random.default_rng(0)
     g = rng.standard_normal((width, k)) + 1j * rng.standard_normal((width, k))
     if v is not None:

@@ -45,6 +45,14 @@ def _positive_float(text: str) -> float:
     return float(text)
 
 
+def _rank_tol(text: str) -> float:
+    """A rank tolerance in [0, 1): eigenvalues are judged against rank_tol
+    times max(1, max |w|), so from 1 on every state has rank 0."""
+    if not 0 <= float(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1), got {text!r}")
+    return float(text)
+
+
 def _fail(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -222,7 +230,7 @@ def _add_common(p: argparse.ArgumentParser, *, tol: float = DEFAULT_TOL) -> None
     p.add_argument("--tol", type=_positive_float, default=tol,
                    help="residual tolerance of the search, of every repair "
                         f"and of the final check (default {tol:g})")
-    p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
+    p.add_argument("--rank-tol", type=_rank_tol, default=DEFAULT_RANK_TOL,
                    help="relative eigenvalue threshold for ranks "
                         f"(default {DEFAULT_RANK_TOL:g})")
     p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS,
@@ -254,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="print the two rank bounds")
     p_bounds.add_argument("instance")
-    p_bounds.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
+    p_bounds.add_argument("--rank-tol", type=_rank_tol, default=DEFAULT_RANK_TOL)
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_ex = sub.add_parser("example", help="emit a gallery instance or state")
@@ -273,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     example("mm-klocal", cmd_mm_klocal, "--n").add_argument("--k", **k_flag)
     p_boson = example("boson-sigma", cmd_boson_sigma, "--n", "--N")
     p_boson.add_argument("--p", type=int, default=1, help="excitation number")
-    p_boson.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
+    p_boson.add_argument("--rank-tol", type=_rank_tol, default=DEFAULT_RANK_TOL)
     p_rand = example("random-feasible", cmd_random_feasible, "--n")
     p_rand.add_argument("--k", **k_flag)
     p_rand.add_argument("--rank", type=int, default=None, help="witness rank (default: full)")

@@ -45,6 +45,7 @@ def test_census_records_and_compares_one_seed(tmp_path):
         "infeasible-cli contradictory: 1/1 differ, 1 in a verdict",
         "infeasible-cli monogamy: 1/1 differ, 0 in a verdict",
         "infeasible-cli: failed 0/3 -> 1/2  (failed share rose)",
+        "infeasible-cli contradictory: failed 0/1 -> 1/1  (failed share rose)",
         "3 cases, 3 differences, 2 verdict differences"]
     assert "'contradictory'): failed False != True" in differ.stdout
     assert "'monogamy'): digest" in differ.stdout
@@ -99,4 +100,29 @@ def test_compare_counts_differing_cases_per_label(tmp_path):
     assert done.stderr.splitlines() == ["w a: 2/3 differ, 0 in a verdict",
                                         "w b: 5/5 differ, 5 in a verdict",
                                         "w: failed 0/6 -> 1/8  (failed share rose)",
+                                        "w b: failed 0/3 -> 1/5  (failed share rose)",
                                         "8 cases, 7 differences, 5 verdict differences"]
+
+
+def test_compare_marks_a_label_whose_failed_share_rose(tmp_path):
+    """One label's failed share rises while another's falls by as much: the
+    workload's count stays 3/6 and is not marked, but the label that rose
+    is, on a line of its own; a label that fails nothing in either file
+    gets no line."""
+    def record(path, failed):
+        path.write_text("".join(json.dumps(
+            {"workload": "w", "seed": seed, "label": label, "failed": (seed, label) in failed,
+             "wrong": False, "rank": 1, "steps": 0, "iters": 1, "digest": "0" * 64}) + "\n"
+            for seed in (1, 2) for label in "abc"))
+        return str(path)
+
+    done = census("--compare", record(tmp_path / "a.jsonl", {(1, "a"), (1, "b"), (2, "b")}),
+                  record(tmp_path / "b.jsonl", {(1, "a"), (2, "a"), (1, "b")}))
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "w a: 1/2 differ, 1 in a verdict",
+        "w b: 1/2 differ, 1 in a verdict",
+        "w: failed 3/6 -> 3/6",
+        "w a: failed 1/2 -> 2/2  (failed share rose)",
+        "w b: failed 2/2 -> 1/2",
+        "6 cases, 2 differences, 2 verdict differences"]

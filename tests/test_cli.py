@@ -418,6 +418,23 @@ def test_solve_aborted_reduction_exits_one(tmp_path, capsys, monkeypatch):
     assert not out_path.exists()
 
 
+def test_solve_at_a_rank_tol_that_drops_every_target_eigenvalue(tmp_path, capsys):
+    """At --rank-tol 0.3 every target eigenvalue 1/4 counts as zero: the
+    search still converges, so --no-reduce writes a solution, while the
+    reduction's entry truncation leaves no state and exits 1."""
+    inst_path = write_instance(tmp_path / "mm3.json", maximally_mixed_klocal_instance(3, 2))
+    out_path = tmp_path / "sol.json"
+    assert main(["solve", inst_path, "--rank-tol", "0.3", "--no-reduce",
+                 "-o", str(out_path)]) == 0
+    doc = json.loads(out_path.read_text(encoding="utf-8"))
+    assert doc["feasibility"]["message"].startswith("converged in")
+    assert doc["feasibility"]["factor_rank"] == 8 and max(doc["residuals"]) <= 1e-8
+    capsys.readouterr()
+    assert main(["solve", inst_path, "--rank-tol", "0.3"]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "rank reduction aborted: state vanished after eigenvalue truncation")
+
+
 def test_channel_reduce_aborted_reduction_exits_one(tmp_path, capsys, monkeypatch):
     inst_path = tmp_path / "chinst.json"
     dump_document(channel_instance_to_doc(two_qubit_channel_instance()),
@@ -613,3 +630,13 @@ def test_non_positive_tol_exits_two(argv, tol, capsys):
     """The parser refuses the tolerance before any file is read."""
     assert main(argv + [f"--tol={tol}"]) == 2
     assert f"expected a positive number, got '{tol}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["solve", "i.json"], ["channel", "reduce", "i.json"],
+                                  ["bounds", "i.json"], ["example", "boson-sigma"]])
+@pytest.mark.parametrize("rank_tol", ["nan", "inf", "1", "-1e-9"])
+def test_rank_tol_outside_zero_to_one_exits_two(argv, rank_tol, capsys):
+    """From rank_tol 1 on every state has rank 0, so the parser refuses it,
+    a negative or non-finite one too, before any file is read."""
+    assert main(argv + [f"--rank-tol={rank_tol}"]) == 2
+    assert f"expected a number in [0, 1), got '{rank_tol}'" in capsys.readouterr().err

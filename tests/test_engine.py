@@ -405,10 +405,19 @@ def test_projection_on_a_contradictory_instance_is_least_squares():
     assert np.abs((y - x) - reference_correction(inst, x, np.eye(4))).max() <= 1e-10
 
 
+def group_order(system):
+    """The constraints' positions in the engine's row order: each group's
+    constraints in turn."""
+    return np.concatenate([g.positions for g in system.groups]).tolist()
+
+
 def test_row_residuals_match_the_maps():
     """The norms of the blocks of A coords(x) - b, split at the factor's
     offsets, are the trace defect and the Frobenius residual of every
-    constraint map, and the feasibility solver's residual is the largest."""
+    constraint map, matched by position in group order, and the
+    feasibility solver's residual is the largest.  The channel's TP row
+    shares its shape with the first local but not the second, so its
+    groups interleave."""
     rng = np.random.default_rng(29)
     for instance in projection_cases():
         system = instance.system
@@ -416,8 +425,8 @@ def test_row_residuals_match_the_maps():
         f = system.affine
         dev = f.apply(x) - f.target
         got = np.sqrt(np.add.reduceat(dev * dev, f.offsets))
-        want = [abs(np.trace(x) - 1.0)] + [np.linalg.norm(c.apply(x) - c.target)
-                                           for c in system.constraints]
+        cons = [system.constraints[p] for p in group_order(system)]
+        want = [abs(np.trace(x) - 1.0)] + [np.linalg.norm(c.apply(x) - c.target) for c in cons]
         assert got.shape == (len(want),)
         assert np.abs(got - want).max() <= 1e-12
         assert f.max_block_norm(dev) == got.max()
@@ -442,26 +451,9 @@ def test_full_space_rows_keep_only_their_nonzeros():
     assert f.row.size == f.col.size == f.val.size == 64 * (1 + 15 * 4) == 3904
 
 
-def dense_factor(system):
-    """The factor's arrays from the dense rows _affine_rows(system, I): their
-    nonzeros in np.nonzero's order, moved onto the entries of the real view
-    of the D x D matrix, and the targets' coordinates with block offsets."""
-    d = system.dim
-    rows = _engine._affine_rows(system, np.eye(d, dtype=complex))
-    row, coord = np.nonzero(rows)
-    diag, iu, ju = _engine._coord_index(d)
-    upper = 2 * (iu * d + ju)
-    entry = np.concatenate([2 * (diag * d + diag), upper, upper + 1])
-    scale = np.repeat([1.0, math.sqrt(2)], [d, 2 * iu.size])
-    blocks = [[1.0]] + [_engine._herm_coords(c.target) for c in system.constraints]
-    return {"row": row, "col": entry[coord], "val": rows[row, coord] * scale[coord],
-            "target": np.concatenate(blocks),
-            "offsets": np.cumsum([0] + [len(b) for b in blocks[:-1]])}
-
-
 def weighted_system():
     """Partial-trace index maps on dims (2, 3, 2) with random real weights,
-    about a fifth of them exactly 0, so the factor's closed-form values meet
+    about a fifth of them exactly 0, so the factor's gathered values meet
     products other than the unit, fermionic and bosonic ones."""
     rng = np.random.default_rng(67)
     constraints = []
@@ -496,16 +488,24 @@ def factor_cases():
     yield "random weights with zeros", weighted_system()
 
 
-def test_factor_equals_the_dense_rows_bit_for_bit():
-    """The factor is built from the maps' structure, but its arrays are
-    those of the dense rows exactly: same order, dtypes and float64 values,
-    so the solver's iterates do not move."""
+def test_factor_applies_the_dense_rows():
+    """The factor is gathered from the maps, never from the dense rows
+    _affine_rows(system, I), yet it keeps exactly their nonzeros and applies
+    as they do, to one Hermitian matrix and to a stack of two: row i within
+    1e-14 ||A_i|| ||x||, which is 1e-14 ||x|| for a unit row and scales
+    with the weights (up to 2 x 10^3 here); its target is the right-hand
+    side b in the same row order."""
+    rng = np.random.default_rng(31)
     for name, system in factor_cases():
-        f = system.affine
-        for key, want in dense_factor(system).items():
-            got = getattr(f, key)
-            assert got.dtype == want.dtype, (name, key)
-            assert np.array_equal(got, want), (name, key)
+        d, f = system.dim, system.affine
+        rows = _engine._affine_rows(system, np.eye(d, dtype=complex))
+        assert f.row.size == f.col.size == f.val.size == np.count_nonzero(rows), name
+        assert np.array_equal(f.target, system.rhs[0]), name
+        x = np.stack([random_hermitian(rng, d) for _ in range(2)])
+        want = _engine._herm_coords(x) @ rows.T
+        scale = 1e-14 * np.linalg.norm(rows, axis=1)
+        for got, xs, ys in ((f.apply(x[0]), x[0], want[0]), (f.apply(x), x, want)):
+            assert (np.abs(got - ys) <= scale * np.linalg.norm(xs)).all(), name
 
 
 def build_peak(system):
@@ -721,6 +721,19 @@ def test_factor_rank_is_the_width_of_the_best_iterate(monkeypatch):
                                                        rel=1e-9)
 
 
+def test_a_bound_of_zero_still_gives_the_factor_a_column():
+    """At rank_tol 0.3 every eigenvalue 1/4 of the 2-local maximally mixed
+    targets on 3 qubits counts as zero, so every rank and the square-sum
+    bound are 0 and the face is empty; its certificate fails, because the
+    instance is feasible.  The run goes on in the full space from one
+    column, not zero, and converges after the pad to D = 8."""
+    inst = maximally_mixed_klocal_instance(3, 2)
+    assert inst.system.square_sum_bound(0.3) == 0 and inst.system.face(0.3).dim == 0
+    found = find_feasible(inst, rank_tol=0.3)
+    assert found.converged and found.certificate is None
+    assert found.factor_rank == 8 and found.report.max_residual <= 1e-8
+
+
 def test_stationary_point_below_full_rank_is_never_reported(monkeypatch):
     """At k = 1 the monogamy instance has a stationary point far above tol;
     without the screen and the face, the factor is padded to D = 8 and the
@@ -761,7 +774,8 @@ def test_adjoint_maps_are_the_adjoint_of_the_maps():
     """<Y, M(X)> = Tr(M*(Y)^dag X) for every group of a weighted sector
     system and of a channel with its TP row, for complex X and Y; and the
     2 S that the solver's gradient returns for a deviation y is twice
-    y_0 I + sum_c M_c*(Y_c), Y_c its constraint blocks as matrices."""
+    y_0 I + sum_c M_c*(Y_c), Y_c its constraint blocks as matrices, read in
+    group order and sent back by hilbert's adjoints, not the engine's."""
     rng = np.random.default_rng(47)
     sector, _ = sector_pair(rng, "fermionic", 3, 5, 2, 4)
     channel, _ = channel_pair()
@@ -777,12 +791,11 @@ def test_adjoint_maps_are_the_adjoint_of_the_maps():
             assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
         f = system.affine
         dev = rng.standard_normal(f.target.size)
-        blocks = np.split(dev, f.offsets[1:])
-        duals = [_engine._coords_to_herm(z, c.target.shape[0])
-                 for z, c in zip(blocks[1:], system.constraints)]
+        blocks = dict(zip(group_order(system), np.split(dev, f.offsets[1:])[1:]))
         s = dev[0] * np.eye(d) + sum(
-            _engine._adjoint_maps(np.stack([duals[p] for p in g.positions]),
-                                  g.index, g.weight, d) for g in system.groups)
+            adjoint(_engine._coords_to_herm(blocks[p], c.target.shape[0]))
+            for p, (c, (_, adjoint)) in enumerate(zip(system.constraints,
+                                                      reference_maps(instance))))
         two_s = f.gradient(dev, np.empty((d, 0)))[1]
         assert np.abs(two_s / 2 - s).max() <= 1e-12 * np.abs(s).max()
 

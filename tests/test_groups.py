@@ -2,11 +2,13 @@
 every map, row, nonzero and target-spectrum build runs once per group.  The
 groups must give exactly what the same formulas give one constraint at a
 time, which this file keeps as the reference, on systems whose constraints
-fall into several groups."""
+fall into several groups, in the engine's group order; the factor's
+products, gathered rather than formed from the rows, agree to rounding."""
 import math
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from qmarginal import _engine
 from qmarginal.channels import (ChannelInstance, LocalChannel,
@@ -110,32 +112,11 @@ def reference_rows(c, v):
                            _engine._herm_coords(1j * (g - gh) / math.sqrt(2))])
 
 
-def reference_nonzeros(system):
-    d = system.dim
-    parts = [(np.zeros(d, dtype=np.intp), 2 * (d + 1) * np.arange(d), np.ones(d))]
-    start = 1
-    for c in system.constraints:
-        p = c.index
-        w = np.ones(p.shape) if c.weight is None else c.weight
-        rc, n_rest = p.shape
-        _, a, b = _engine._coord_index(rc)
-        pa, pb = p[a], p[b]
-        re = 2 * (np.minimum(pa, pb) * d + np.maximum(pa, pb)).ravel()
-        s2 = math.sqrt(2)
-        pair = s2 * ((w[a] * w[b]).ravel().astype(complex) / s2).real * s2
-        row = np.repeat(np.arange(rc + 2 * a.size), n_rest)
-        col = np.concatenate([2 * (d + 1) * p.ravel(), re, re + 1])
-        val = np.concatenate([(w * w).ravel(), pair,
-                              np.where((pa < pb).ravel(), pair, -pair)])
-        nz = val != 0
-        parts.append((row[nz] + start, col[nz], val[nz]))
-        start += rc ** 2
-    return tuple(np.concatenate(a) for a in zip(*parts))
-
-
 def reference_affine_rows(system, v):
+    """The trace row, then the rows of every constraint in the engine's row
+    order, each group's constraints in turn."""
     return np.vstack([_engine._herm_coords(np.eye(v.shape[1]))] + [
-        reference_rows(c, v) for c in system.constraints])
+        reference_rows(system.constraints[p], v) for g in system.groups for p in g.positions])
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +187,10 @@ def test_groups_stack_the_constraints_of_one_shape():
 
 
 def test_groups_give_the_per_constraint_results_bit_for_bit():
-    """Residuals, the rows on span(V) at four widths, the factor's nonzeros
-    and the square-sum bound at two rank tolerances equal the
-    per-constraint formulas exactly."""
+    """Residuals, the rows on span(V) at four widths and the square-sum
+    bound at two rank tolerances equal the per-constraint formulas exactly;
+    the factor applies as the per-constraint rows on the full space do, row
+    i within 1e-14 ||A_i|| ||x||."""
     rng = np.random.default_rng(97)
     for name, system, _ in mixed_systems():
         d = system.dim
@@ -218,8 +200,9 @@ def test_groups_give_the_per_constraint_results_bit_for_bit():
         want = tuple(float(np.linalg.norm(reference_apply(c, x) - c.target))
                      for c in system.constraints)
         assert _engine.residual_report(system, x).residuals == want, name
-        for key, ref in zip(("row", "col", "val"), reference_nonzeros(system)):
-            assert np.array_equal(getattr(system.affine, key), ref), (name, key)
+        rows = reference_affine_rows(system, np.eye(d, dtype=complex))
+        err = np.abs(system.affine.apply(x) - rows @ _engine._herm_coords(x))
+        assert (err <= 1e-14 * np.linalg.norm(rows, axis=1) * np.linalg.norm(x)).all(), name
         for rank_tol in (1e-9, 0.05):
             bound = math.isqrt(sum(numerical_rank(t, rank_tol) ** 2 for t in targets))
             assert system.square_sum_bound(rank_tol) == bound, name
@@ -227,6 +210,32 @@ def test_groups_give_the_per_constraint_results_bit_for_bit():
             v = np.linalg.qr(random_matrix(rng, d)[:, :r])[0]
             assert np.array_equal(_engine._affine_rows(system, v),
                                   reference_affine_rows(system, v)), (name, r)
+
+
+def test_solver_on_interleaved_groups_returns_results_in_constraint_order():
+    """Two systems whose groups interleave, solved end to end: the channel
+    converges to a state that residual_report passes, and the weighted
+    sector system ends on a certificate whose duals, back in constraint
+    order, pass a check made one constraint at a time."""
+    found = _engine.solve_feasible(channel_system())
+    assert found.converged
+    assert _engine.residual_report(channel_system(), found.state).is_consistent(1e-8)
+
+    system = weighted_sector_system()
+    found = _engine.solve_feasible(system)
+    cert = found.certificate
+    assert not found.converged and cert is not None
+    cons = system.constraints
+    assert [y.shape for y in cert.duals] == [c.target.shape for c in cons]
+    z = cert.trace_dual * np.eye(system.dim) + sum(
+        _engine._adjoint_maps(y, c.index, c.weight, system.dim) for y, c in zip(cert.duals, cons))
+    gap = cert.trace_dual + sum(np.vdot(y, c.target).real for y, c in zip(cert.duals, cons))
+    norm = math.sqrt(cert.trace_dual ** 2 + sum(np.linalg.norm(y) ** 2 for y in cert.duals))
+    assert np.linalg.eigvalsh(z)[0] >= 0 and gap < 0
+    assert math.isclose(cert.lower, -gap / norm, rel_tol=1e-12)
+    residuals = [np.linalg.norm(reference_apply(c, found.state) - c.target) for c in cons]
+    assert found.report.residuals == pytest.approx(residuals, rel=1e-12)
+    assert cert.upper == pytest.approx(np.linalg.norm(residuals), rel=1e-12)
 
 
 def test_one_constraint_is_a_group_of_one():

@@ -30,8 +30,10 @@ such files, prints every case whose line differs or that only one of them
 holds, and exits 1 if there is any; on standard error it gives the
 count of differing cases per workload and label, with how many of them
 differ in a verdict field (or are held by one file only), then each
-workload's failed count in both files, marking a failed share that rose,
-and the totals.
+workload's failed count in both files, followed by the same count for each
+of its labels that fails a case in either file, marking every failed share
+that rose, and the totals.  So a label whose share rose shows even when
+another label's fall hides it in its workload's count.
 """
 from __future__ import annotations
 
@@ -191,11 +193,18 @@ def compare(path_a: str, path_b: str) -> list[str]:
     for (name, label), count in sorted(differing.items()):
         print(f"{name} {label}: {count}/{cases[name, label]} differ, "
               f"{verdicts[name, label]} in a verdict", file=sys.stderr)
-    for name in sorted({key[0] for key in a.keys() | b.keys()}):
-        (fa, na), (fb, nb) = ((sum(d["failed"] for k, d in r.items() if k[0] == name),
-                               sum(k[0] == name for k in r)) for r in (a, b))
+
+    def failed(title, match):
+        (fa, na), (fb, nb) = ((sum(d["failed"] for k, d in r.items() if match(k)),
+                               sum(map(match, r))) for r in (a, b))
         rose = "  (failed share rose)" if fb * na > fa * nb else ""
-        print(f"{name}: failed {fa}/{na} -> {fb}/{nb}{rose}", file=sys.stderr)
+        print(f"{title}: failed {fa}/{na} -> {fb}/{nb}{rose}", file=sys.stderr)
+
+    for name in sorted({key[0] for key in a.keys() | b.keys()}):
+        failed(name, lambda k: k[0] == name)
+        for label in sorted({k[2] for r in (a, b) for k, d in r.items()
+                             if k[0] == name and d["failed"]}):
+            failed(f"{name} {label}", lambda k: (k[0], k[2]) == (name, label))
     print(f"{len(a.keys() | b.keys())} cases, {len(out)} differences, "
           f"{sum(verdicts.values())} verdict differences", file=sys.stderr)
     return out
