@@ -282,6 +282,20 @@ class ConstraintSystem:
                                   for g, p in zip(self.groups, perps)))
         return Face(perps, w, u, int(np.count_nonzero(~support_mask(w, rank_tol))))
 
+    def trusted_face(self, rank_tol: float = DEFAULT_RANK_TOL, tol: float = DEFAULT_TOL
+                     ) -> tuple[Face | None, tuple[float, tuple[np.ndarray, ...], float] | None]:
+        """(face, dual): the face solve_feasible searches, None for the
+        full space, and the checked certificate an empty face gives.  An
+        empty face offers Y_c = P_c and y0 = -lambda_min(Q) plus a rounding
+        margin; when the check at tol rejects them, the face is not trusted
+        and the full space is searched, as when every target has full rank."""
+        face = self.face(rank_tol)
+        if face is None or face.dim > 0:
+            return face, None
+        w = face.values
+        dual = _checked_dual(self, -w[0] + _margin(w), face.projectors, tol)
+        return (None if dual is None else face), dual
+
     @cached_property
     def rhs(self) -> tuple[np.ndarray, np.ndarray]:
         """b, the right-hand side of A coords(y) = b (the trace row's 1,
@@ -690,8 +704,8 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
     report failure.
 
     A presolve takes the face that rank-deficient targets force
-    (ConstraintSystem.face at rank_tol; none when every target has full
-    rank), ker Q of dimension D'.  At D' = 0, Y_c = P_c and y_0 =
+    (ConstraintSystem.trusted_face at rank_tol; none when every target has
+    full rank), ker Q of dimension D'.  At D' = 0, Y_c = P_c and y_0 =
     -lambda_min(Q) plus a rounding margin give a certificate before any
     iteration, with the state I/D; if the check rejects it, the run goes
     on in the full space.  Otherwise it minimises ||A coords(G G^dag) -
@@ -750,14 +764,10 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
         return FeasibilityResult(x, report, converged, it, message,
                                  tuple(history), best_g.shape[1], cert)
 
-    face = system.face(rank_tol)
-    if face is not None and face.dim == 0:
-        w = face.values
-        dual = _checked_dual(system, -w[0] + _margin(w), face.projectors, tol)
-        if dual is not None:
-            best_g = np.eye(d)
-            return result(False, dual=dual)
-        face = None
+    face, dual = system.trusted_face(rank_tol, tol)
+    if dual is not None:
+        best_g = np.eye(d)
+        return result(False, dual=dual)
     v = None if face is None else face.vectors[:, :face.dim]
     width = d if v is None else face.dim
     f = system.affine

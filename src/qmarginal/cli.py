@@ -94,8 +94,10 @@ def cmd_bounds(args) -> int:
     instance = instance_from_doc(load_document(args.instance))
     t, b = theorem1_bound(instance, args.rank_tol), barvinok_bound(instance)
     marker = "" if instance.targets else " (degenerate)"
-    # no solution has a rank above the dimension of the face
-    face = instance.system.face(args.rank_tol)
+    # no solution has a rank above the dimension of the face that
+    # solve_feasible searches: an empty face whose certificate fails the
+    # check at the default tol is not trusted, and the full space counts
+    face, _ = instance.system.trusted_face(args.rank_tol)
     print(f"theorem1: {t}{marker}, barvinok: {b}, "
           f"face: {instance.system.dim if face is None else face.dim}")
     return 0

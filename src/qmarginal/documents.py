@@ -50,7 +50,11 @@ def loads_document(text: str, source: str = "<string>") -> dict:
 
 
 def dump_document(doc: dict, path: str | None) -> str:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The document's text, also written to path when given: one line with
+    sorted keys and compact separators, which json encodes in C (indent
+    would force its pure-Python encoder).  Floats print as their repr, so
+    the text parses back to the same object."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -27,6 +27,8 @@ def test_census_records_and_compares_one_seed(tmp_path):
         assert (d["workload"], d["seed"]) == ("infeasible-cli", 1)
         assert d["failed"] is False and d["wrong"] is False
         assert len(d["digest"]) == 64 and int(d["digest"], 16) >= 0
+        # no document is written, so the content digest is the byte digest
+        assert d["content"] == d["digest"]
 
     again = tmp_path / "b.jsonl"
     assert census("--cases", "infeasible-cli=1", "-o", str(again)).returncode == 0
@@ -42,8 +44,8 @@ def test_census_records_and_compares_one_seed(tmp_path):
     assert differ.returncode == 1
     assert differ.stderr.splitlines() == [
         "infeasible-cli channel-clash: 1/1 differ, 1 in a verdict",
-        "infeasible-cli contradictory: 1/1 differ, 1 in a verdict",
-        "infeasible-cli monogamy: 1/1 differ, 0 in a verdict",
+        "infeasible-cli contradictory: 1/1 differ, 1 in a verdict, 1 equal in content",
+        "infeasible-cli monogamy: 1/1 differ, 0 in a verdict, 1 equal in content",
         "infeasible-cli: failed 0/3 -> 1/2  (failed share rose)",
         "infeasible-cli contradictory: failed 0/1 -> 1/1  (failed share rose)",
         "3 cases, 3 differences, 2 verdict differences"]
@@ -126,3 +128,32 @@ def test_compare_marks_a_label_whose_failed_share_rose(tmp_path):
         "w a: failed 1/2 -> 2/2  (failed share rose)",
         "w b: failed 2/2 -> 1/2",
         "6 cases, 2 differences, 2 verdict differences"]
+
+
+def test_compare_counts_cases_equal_in_content(tmp_path):
+    """CLI cases carry a content digest beside the byte digest: of three
+    differing cases of one label, the two whose content digests agree (a
+    document in another layout) count as equal in content, the third does
+    not; a label without content digests keeps its line as it was."""
+    def record(path, cases):
+        path.write_text("".join(json.dumps(
+            {"workload": "w", "seed": seed, "label": label, "failed": False,
+             "wrong": False, "rank": 1, "steps": 0, "iters": 1, **fields}) + "\n"
+            for (seed, label), fields in cases.items()))
+        return str(path)
+
+    base = {(seed, "cli"): {"digest": "0" * 64, "content": "a" * 64} for seed in (1, 2, 3, 4)}
+    base.update({(seed, "lib"): {"digest": "0" * 64} for seed in (1, 2)})
+    changed = {**base, **{(seed, "cli"): {"digest": "1" * 64, "content": "a" * 64}
+                          for seed in (1, 2)},
+               (3, "cli"): {"digest": "1" * 64, "content": "b" * 64},
+               (1, "lib"): {"digest": "1" * 64}}
+    done = census("--compare", record(tmp_path / "a.jsonl", base),
+                  record(tmp_path / "b.jsonl", changed))
+    assert done.returncode == 1 and len(done.stdout.splitlines()) == 4
+    assert done.stderr.splitlines() == [
+        "w cli: 3/4 differ, 0 in a verdict, 2 equal in content",
+        "w lib: 1/2 differ, 0 in a verdict",
+        "w: failed 0/6 -> 0/6",
+        "6 cases, 4 differences, 0 verdict differences"]
+    assert "content 'aaaa" in done.stdout

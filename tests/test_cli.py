@@ -101,6 +101,18 @@ def test_bounds_degenerate(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "theorem1: 0 (degenerate), barvinok: 0, face: 4"
 
 
+def test_bounds_does_not_trust_an_empty_face_that_fails_its_check(tmp_path, capsys):
+    """At rank_tol 0.3 the 2-local maximally mixed targets on 3 qubits lose
+    every eigenvalue, so their face is empty; its certificate fails the
+    check and solve_feasible solves in the full space, where it finds a
+    state of rank 8, so bounds prints the dimension 8, not 0."""
+    path = str(tmp_path / "mm.json")
+    assert main(["example", "mm-klocal", "--n", "3", "--k", "2", "-o", path]) == 0
+    capsys.readouterr()
+    assert main(["bounds", path, "--rank-tol", "0.3"]) == 0
+    assert capsys.readouterr().out.strip() == "theorem1: 0, barvinok: 9, face: 8"
+
+
 def test_check_consistent_state(tmp_path, capsys):
     inst_path = write_instance(tmp_path / "mm.json",
                                maximally_mixed_klocal_instance(5, 2))
@@ -144,6 +156,20 @@ def test_solve_writes_solution(tmp_path, capsys):
     m = np.array(doc["matrix"]["re"]) + 1j * np.array(doc["matrix"]["im"])
     assert numerical_rank(m) == doc["rank"]
     assert all(e["rank_after"] < e["rank_before"] for e in doc["trace"])
+
+
+def test_solve_prints_one_document_line_and_its_summary_on_stderr(tmp_path, capsys):
+    """Without -o the document is the whole of stdout, on one line, and the
+    summary goes to stderr."""
+    inst_path = write_instance(tmp_path / "mm3.json",
+                               maximally_mixed_klocal_instance(3, 2))
+    assert main(["solve", inst_path]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("\n") and captured.out.count("\n") == 1
+    doc = json.loads(captured.out)
+    assert doc["rank"] <= 6 and max(doc["residuals"]) <= 1e-7
+    assert captured.err.startswith(f"rank: {doc['rank']} (theorem1 bound 6,")
+    assert "max residual:" in captured.err
 
 
 def test_solve_document_holds_the_feasibility_run(tmp_path):

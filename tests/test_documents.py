@@ -1,4 +1,6 @@
 """JSON document encoding: matrices, instances, states, channels, solutions."""
+import json
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,40 @@ def test_dump_document_writes_file(tmp_path):
     text = dump_document({"a": 1}, str(path))
     assert path.read_text(encoding="utf-8") == text
     assert text.endswith("\n")
+
+
+def test_dump_document_writes_one_line_with_sorted_keys():
+    text = dump_document({"b": [1.5, -0.0], "a": {"z": 1, "y": "x"}}, None)
+    assert text == '{"a":{"y":"x","z":1},"b":[1.5,-0.0]}\n'
+
+
+def test_matrix_roundtrip_through_text_bit_exact():
+    """A complex matrix keeps every bit through dump_document and
+    loads_document, subnormals and exponents of either sign included."""
+    rng = np.random.default_rng(11)
+    m = random_complex(rng, 7) * 10.0 ** rng.integers(-300, 300, (7, 7))
+    m[0, 0] = 5e-324 - 5e-324j
+    back = matrix_from_doc(loads_document(dump_document(matrix_to_doc(m), None)))
+    assert back.tobytes() == m.tobytes()
+
+
+def test_documents_in_the_indented_layout_still_load():
+    """Readers accept any layout: a document written with indent=2, as
+    earlier versions wrote them, loads to the same instance and state."""
+    inst = small_instance()
+    rng = np.random.default_rng(2)
+    rho = random_complex(rng, 4)
+    for doc in (instance_to_doc(inst), state_to_doc(rho, (2, 2), rank=4)):
+        indented = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert indented.count("\n") > 1
+        assert loads_document(indented) == loads_document(dump_document(doc, None))
+    back = instance_from_doc(loads_document(json.dumps(instance_to_doc(inst), indent=2)))
+    assert back.dims == inst.dims
+    for a, b in zip(back.constraints, inst.constraints):
+        assert a.subsystems == b.subsystems
+        assert np.array_equal(a.target, b.target)
+    state = state_from_doc(loads_document(json.dumps(state_to_doc(rho, (2, 2)), indent=2)))
+    assert state.tobytes() == rho.tobytes()
 
 
 def test_solution_doc_fields():

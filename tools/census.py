@@ -24,16 +24,20 @@ Each output line is one case: its workload, seed and label, the bench
 check's (failed, wrong, rank, steps, iters), and a SHA-256 digest.  For a
 library case the digest covers the solver's state, residual history,
 iterations, width and message (a walk case has no solver run), and the
-reduced state with its steps (or the reduction's error).  For a CLI case it covers the exit code, the
-standard error and the bytes of the output document.  --compare reads two
-such files, prints every case whose line differs or that only one of them
-holds, and exits 1 if there is any; on standard error it gives the
-count of differing cases per workload and label, with how many of them
-differ in a verdict field (or are held by one file only), then each
-workload's failed count in both files, followed by the same count for each
-of its labels that fails a case in either file, marking every failed share
-that rose, and the totals.  So a label whose share rose shows even when
-another label's fall hides it in its workload's count.
+reduced state with its steps (or the reduction's error).  For a CLI case
+it covers the exit code, the standard error and the bytes of the output
+document; a second digest, content, covers the same with the document
+parsed and re-encoded canonically (sorted keys, compact separators), so it
+holds across layouts of one document.  --compare reads two such files,
+prints every case whose line differs or that only one of them holds, and
+exits 1 if there is any; on standard error it gives the count of differing
+cases per workload and label, with how many of them differ in a verdict
+field (or are held by one file only) and, for CLI cases held by both
+files, how many are equal in content, then each workload's failed count in
+both files, followed by the same count for each of its labels that fails a
+case in either file, marking every failed share that rose, and the totals.
+So a label whose share rose shows even when another label's fall hides it
+in its workload's count.
 """
 from __future__ import annotations
 
@@ -60,33 +64,41 @@ def _spec(text: str) -> tuple[list[str] | None, range]:
     return (None if names == "all" else names.split(",")), range(int(lo), int(hi or lo) + 1)
 
 
-def _digest(result, out_path: str) -> str:
-    """SHA-256 of a case's outputs: a library case's (found, reduced, err),
-    or a CLI case's (code, stderr) and its output document."""
+def _sha256(*items) -> str:
     h = hashlib.sha256()
+    for item in items:
+        h.update(item if isinstance(item, bytes) else
+                 item.tobytes() if hasattr(item, "tobytes") else repr(item).encode())
+    return h.hexdigest()
 
-    def add(*items):
-        for item in items:
-            h.update(item.tobytes() if hasattr(item, "tobytes") else repr(item).encode())
 
+def _digests(result, out_path: str) -> dict:
+    """{"digest": SHA-256 of a case's outputs}: a library case's (found,
+    reduced, err), or a CLI case's (code, stderr) and the bytes of its
+    output document.  A CLI case also gets "content", the same over the
+    document parsed and re-encoded canonically, so two layouts of one
+    document share it."""
     if isinstance(result[0], int):
         code, stderr = result
-        add(code, stderr)
+        text = canonical = b""
         if os.path.exists(out_path):
             with open(out_path, "rb") as fh:
-                h.update(fh.read())
-        return h.hexdigest()
+                text = fh.read()
+            canonical = json.dumps(json.loads(text), sort_keys=True,
+                                   separators=(",", ":")).encode()
+        return {"digest": _sha256(code, stderr, text),
+                "content": _sha256(code, stderr, canonical)}
     # a float's repr round-trips, so the reprs of the history and steps
     # hold every bit
     found, reduced, err = result
+    items = []
     if found is not None:
-        add(found.state, found.residual_history, found.iterations, found.factor_rank,
-            found.converged, found.message)
+        items += [found.state, found.residual_history, found.iterations, found.factor_rank,
+                  found.converged, found.message]
     if reduced is not None:
         state, trace = reduced
-        add(state, trace.final_rank, trace.bound, trace.null_space_exhausted, trace.steps)
-    add(str(err))
-    return h.hexdigest()
+        items += [state, trace.final_rank, trace.bound, trace.null_space_exhausted, trace.steps]
+    return {"digest": _sha256(*items, str(err))}
 
 
 def walk_above_bound(seed: int, workdir: str) -> list:
@@ -160,8 +172,8 @@ def run(root: str, specs: list[str], out) -> int:
                         verdict = case.check(result)
                         line = {"workload": name, "seed": seed, "label": case.label}
                         line.update((k, getattr(verdict, k)) for k in VERDICT)
-                        line["digest"] = _digest(
-                            result, os.path.join(workdir, f"{case.label}.out.json"))
+                        line.update(_digests(
+                            result, os.path.join(workdir, f"{case.label}.out.json")))
                         out.write(json.dumps(line) + "\n")
                         count += 1
     return count
@@ -177,7 +189,7 @@ def compare(path_a: str, path_b: str) -> list[str]:
     """One message per case that differs between the two files."""
     a, b = _load(path_a), _load(path_b)
     out = []
-    cases, differing, verdicts = Counter(), Counter(), Counter()
+    cases, differing, verdicts, content = Counter(), Counter(), Counter(), {}
     for key in sorted(a.keys() | b.keys(), key=repr):
         cases[key[0], key[2]] += 1
         if key not in a or key not in b:
@@ -190,9 +202,14 @@ def compare(path_a: str, path_b: str) -> list[str]:
         differing[key[0], key[2]] += 1
         verdicts[key[0], key[2]] += key not in a or key not in b or any(
             a[key][k] != b[key][k] for k in VERDICT)
+        if "content" in a.get(key, {}) and "content" in b.get(key, {}):
+            content[key[0], key[2]] = content.get((key[0], key[2]), 0) + (
+                a[key]["content"] == b[key]["content"])
     for (name, label), count in sorted(differing.items()):
+        same = "" if (name, label) not in content else \
+            f", {content[name, label]} equal in content"
         print(f"{name} {label}: {count}/{cases[name, label]} differ, "
-              f"{verdicts[name, label]} in a verdict", file=sys.stderr)
+              f"{verdicts[name, label]} in a verdict{same}", file=sys.stderr)
 
     def failed(title, match):
         (fa, na), (fb, nb) = ((sum(d["failed"] for k, d in r.items() if match(k)),
