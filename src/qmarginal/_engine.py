@@ -355,12 +355,13 @@ class FeasibilityResult:
     state is G G^dag / Tr for the solver's best iterate G; when converged is
     False, it is a diagnostic, not a solution.  residual_history holds, per
     iteration, the best residual reached so far, so it never increases.
-    factor_rank is the width of that G: max(1, min(D', square-sum bound)),
-    D' the dimension of the face that rank-deficient targets force (D when
-    every target has full rank; a bound of 0, every target eigenvalue at or
-    below rank_tol, still gives one column), or D' if an iterate after the
-    pad to D' columns is the best, so a run whose pad never improves
-    reports the smaller width even when its message names rank D'.  An
+    factor_rank is the width of that G, the width of the rung it was
+    reached on: the start's max(1, min(D', square-sum bound)), D' the
+    dimension of the face that rank-deficient targets force (D when every
+    target has full rank; a bound of 0, every target eigenvalue at or below
+    rank_tol, still gives one column), or D' if a step after the pad to D'
+    columns is the best, so a run whose padded rung never improves reports
+    the smaller width even when its message names rank D'.  An
     empty face certified before any iteration reports D, for its state I/D.
     certificate is set when the run ended on a proof that no state exists.
     """
@@ -707,37 +708,45 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
     (ConstraintSystem.trusted_face at rank_tol; none when every target has
     full rank), ker Q of dimension D'.  At D' = 0, Y_c = P_c and y_0 =
     -lambda_min(Q) plus a rounding margin give a certificate before any
-    iteration, with the state I/D; if the check rejects it, the run goes
-    on in the full space.  Otherwise it minimises ||A coords(G G^dag) -
-    b||^2 over G = V H of size D x k, V a basis of ker Q (V = I and D' = D
-    without a face) and k = max(1, min(D', square-sum bound at rank_tol)), by
-    L-BFGS with exact line searches from a fixed-seed Gaussian G on the
-    face, each gradient projected onto it, so runs are deterministic and
-    stay on the face.  Each step is one iteration of max_iters.  The
-    residual of an iterate is the largest block norm of A coords(rho) - b
-    at rho = G G^dag / Tr, the state it stands for; the run is converged
-    when that is at most tol.  It keeps polishing to tol / 100, or until
-    the budget ends: the rank reduction truncates the state's eigenvalues
-    below rank_tol before its first step, and a state handed over just
-    under tol would then sit above the inner tolerance (its tol / 10) of
-    its repair and pay confined repair rounds that cannot reach it.  A
-    zero step that leaves the L-BFGS memory as it was also ends the run,
-    after the screen that every later iteration would repeat: a face that
-    drops target eigenvalues above tol / 100 floors the residual there.
-    Above 10 tol, _screen seeks a dual
-    certificate at iterations 0, 1, 2, 4, 8, ... and at every stationary
-    point, lifted off the face when there is one; one that passes its
-    check ends the run, not converged, with the certificate.  The screen
-    writes nothing, so no iterate changes.  A stationary point above
-    10 tol that the screen does not certify is never reported at k < D':
-    G gains D' - k small random columns inside the face and the search
-    goes on at k = D', where every stationary point is a global
-    least-squares minimum on the face.  There it stops the run with a
-    residual plateau: evidence of infeasibility, not a proof.  No step
-    calls a constraint map or decomposes a state but a screen past its
-    first filters.  The returned state is checked by residual_report, a
-    certificate by the maps and the true targets, so a support misjudged at
-    rank_tol can fail a run but not return a wrong state or certificate.
+    iteration, with the state I/D; if the check rejects it, the run goes on
+    in the full space.  Otherwise it minimises ||A coords(G G^dag) - b||^2
+    over G = V H of size D x k, V a basis of ker Q (V = I and D' = D without
+    a face), by L-BFGS with exact line searches, each gradient projected
+    onto the face, on a ladder of widths.  Each rung of it draws its new
+    columns as Gaussians on the face from the run's one generator,
+    default_rng(0), so runs are deterministic and stay on the face; it
+    evaluates its factor once and starts an empty L-BFGS memory.  The first
+    rung starts at k = max(1, min(D', square-sum bound at rank_tol)) with G
+    of unit norm; the second, the pad, follows a stationary point below D'
+    (see below).  The iteration count, and with it the screen schedule and
+    the budget, the residual history and the best iterate run on across
+    rungs; a padded start is checked like any iterate but becomes the best
+    only through a later step.  Each step is one iteration of max_iters.
+    The residual of an iterate is the largest block norm of A coords(rho) -
+    b at rho = G G^dag / Tr, the state it stands for; the run is converged
+    when that is at most tol.  It keeps polishing to tol / 100, or until the
+    budget ends: the rank reduction truncates the state's eigenvalues below
+    rank_tol before its first step, and a state handed over just under tol
+    would then sit above the inner tolerance (its tol / 10) of its repair
+    and pay confined repair rounds that cannot reach it.  A zero step that
+    leaves the L-BFGS memory as it was also ends the run, after the screen
+    that every later iteration would repeat: a face that drops target
+    eigenvalues above tol / 100 floors the residual there.  Above 10 tol,
+    _screen seeks a dual certificate at iterations 0, 1, 2, 4, 8, ... and
+    at every stationary point, lifted off the face when there is one; one
+    that passes its check ends the run, not converged, with the certificate.
+    The screen writes nothing, so no iterate changes.  A stationary point
+    above 10 tol that the screen does not certify is never reported at
+    k < D': it ends the rung, and the pad gives G D' - k random columns
+    inside the face, 1e-3 of its norm, for the rung at D', where every
+    stationary point is a global least-squares minimum on the face.  There
+    it stops the run with a residual plateau: evidence of infeasibility, not
+    a proof.  The budget and a zero step end the run alike, converged if the
+    best residual is at most tol.  No step calls a constraint map or decomposes a
+    state but a screen past its first filters.  The returned state is
+    checked by residual_report, a certificate by the maps and the true
+    targets, so a support misjudged at rank_tol can fail a run but not
+    return a wrong state or certificate.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -772,12 +781,12 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
     width = d if v is None else face.dim
     f = system.affine
     b = f.target
-    k = max(1, min(width, system.square_sum_bound(rank_tol)))
     rng = np.random.default_rng(0)
-    g = rng.standard_normal((width, k)) + 1j * rng.standard_normal((width, k))
-    if v is not None:
-        g = v @ g
-    g /= np.linalg.norm(g)
+
+    def columns(c: int) -> np.ndarray:
+        """c Gaussian columns on the face, drawn from the run's one generator."""
+        x = rng.standard_normal((width, c)) + 1j * rng.standard_normal((width, c))
+        return x if v is None else v @ x
 
     def evaluate(g: np.ndarray, dev: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -792,68 +801,70 @@ def solve_feasible(system: ConstraintSystem, *, tol: float = DEFAULT_TOL,
             grad = v @ (v.conj().T @ grad)
         return dev, grad, two_s, f.max_block_norm(scaled)
 
-    dev, grad, two_s, res = evaluate(g)
-    best_res, best_g = res, g
-    pairs, lo, kept = np.empty((2, 2 * LBFGS_MEMORY, 2 * g.size)), 0, 0  # see _remember
-    mats = np.zeros((2, 2 * LBFGS_MEMORY, 2 * LBFGS_MEMORY))
-    while True:
-        if res <= tol / 100:
-            # steps carry dev forward; confirm it on G itself
-            dev, grad, two_s, res = evaluate(g)
-            if res <= tol / 100:
-                return result(True, f"converged in {it} iterations")
-        rnorm = math.sqrt(dev.dot(dev))
-        # ||G||^2 = Tr G G^dag, which the trace row of dev holds
-        gnorm = math.sqrt(dev[0] + b[0])
-        stationary = np.vdot(grad, grad).real <= (STATIONARY_RTOL * rnorm * gnorm) ** 2
-        if best_res > 10 * tol and (stationary or not it & (it - 1)):
-            dual = _screen(system, dev, two_s, tol, face)
-            if dual is not None:
-                return result(False, dual=dual)
-            if stationary and g.shape[1] == width:
-                return result(False, f"residual plateau at {best_res:.3e} after {it} "
-                                     f"iterations (stationary point of the rank-{width} "
-                                     f"least squares); instance possibly infeasible")
-            if stationary:  # small random columns move G off where rank k stalled
-                pad = (rng.standard_normal((width, width - g.shape[1]))
-                       + 1j * rng.standard_normal((width, width - g.shape[1])))
-                if v is not None:
-                    pad = v @ pad
-                g = np.hstack([g, 1e-3 * np.linalg.norm(g) / np.linalg.norm(pad) * pad])
-                dev, grad, two_s, res = evaluate(g)
-                rnorm = math.sqrt(dev @ dev)
-                pairs, lo, kept = np.empty((2, 2 * LBFGS_MEMORY, 2 * g.size)), 0, 0
-        if it == max_iters:
-            break
-        it += 1
-        q = grad.view(np.float64).ravel()
-        hi = lo + kept
-        p = _lbfgs_direction(q, g, rnorm, pairs[0, lo:hi], pairs[1, lo:hi],
-                             mats[0, lo:hi, lo:hi], mats[1, lo:hi, lo:hi])
-        if p.dot(q) >= 0:
-            kept, p = 0, -q
-        p = p.view(np.complex128).reshape(g.shape)
-        t, dev = _exact_step(f, g, p, dev)
-        if t == 0 and kept == hi - lo:  # nothing moves: every later iteration is this one
-            history.append(best_res)
-            dual = _screen(system, dev, two_s, tol, face) if best_res > 10 * tol else None
-            if dual is not None:  # the one screen that later iterations would repeat
-                return result(False, dual=dual)
-            break
-        g_next = g + t * p
-        dev, grad_next, two_s, res = evaluate(g_next, dev)
-        s = (g_next - g).view(np.float64).ravel()
-        y = (grad_next - grad).view(np.float64).ravel()
-        if s.dot(y) > 0:
-            lo, kept = _remember(pairs, mats, lo, kept, s, y)
-        g, grad = g_next, grad_next
-        if res < best_res:
+    def stop() -> FeasibilityResult:
+        """The end at the budget or at a zero step."""
+        if best_res <= tol:
+            return result(True, f"converged in {it} iterations")
+        return result(False, f"no convergence after {it} iterations; "
+                             f"best residual {best_res:.3e}")
+
+    g = columns(max(1, min(width, system.square_sum_bound(rank_tol))))
+    g /= np.linalg.norm(g)
+    best_g, mats = None, np.zeros((2, 2 * LBFGS_MEMORY, 2 * LBFGS_MEMORY))
+    while True:  # one rung per width: the start at k, then the pad to D'
+        dev, grad, two_s, res = evaluate(g)
+        if best_g is None:  # a padded start is best only once a step improves on it
             best_res, best_g = res, g
-        history.append(best_res)
-    if best_res <= tol:
-        return result(True, f"converged in {it} iterations")
-    return result(False, f"no convergence after {it} iterations; "
-                         f"best residual {best_res:.3e}")
+        pairs, lo, kept = np.empty((2, 2 * LBFGS_MEMORY, 2 * g.size)), 0, 0  # see _remember
+        while True:
+            if res <= tol / 100:
+                # steps carry dev forward; confirm it on G itself
+                dev, grad, two_s, res = evaluate(g)
+                if res <= tol / 100:
+                    return result(True, f"converged in {it} iterations")
+            rnorm = math.sqrt(dev.dot(dev))
+            # ||G||^2 = Tr G G^dag, which the trace row of dev holds
+            gnorm = math.sqrt(dev[0] + b[0])
+            stationary = np.vdot(grad, grad).real <= (STATIONARY_RTOL * rnorm * gnorm) ** 2
+            if best_res > 10 * tol and (stationary or not it & (it - 1)):
+                dual = _screen(system, dev, two_s, tol, face)
+                if dual is not None:
+                    return result(False, dual=dual)
+                if stationary:
+                    break
+            if it == max_iters:
+                return stop()
+            it += 1
+            q = grad.view(np.float64).ravel()
+            hi = lo + kept
+            p = _lbfgs_direction(q, g, rnorm, pairs[0, lo:hi], pairs[1, lo:hi],
+                                 mats[0, lo:hi, lo:hi], mats[1, lo:hi, lo:hi])
+            if p.dot(q) >= 0:
+                kept, p = 0, -q
+            p = p.view(np.complex128).reshape(g.shape)
+            t, dev = _exact_step(f, g, p, dev)
+            if t == 0 and kept == hi - lo:  # nothing moves: every later iteration is this one
+                history.append(best_res)
+                dual = _screen(system, dev, two_s, tol, face) if best_res > 10 * tol else None
+                if dual is not None:  # the one screen that later iterations would repeat
+                    return result(False, dual=dual)
+                return stop()
+            g_next = g + t * p
+            dev, grad_next, two_s, res = evaluate(g_next, dev)
+            s = (g_next - g).view(np.float64).ravel()
+            y = (grad_next - grad).view(np.float64).ravel()
+            if s.dot(y) > 0:
+                lo, kept = _remember(pairs, mats, lo, kept, s, y)
+            g, grad = g_next, grad_next
+            if res < best_res:
+                best_res, best_g = res, g
+            history.append(best_res)
+        if g.shape[1] == width:
+            return result(False, f"residual plateau at {best_res:.3e} after {it} "
+                                 f"iterations (stationary point of the rank-{width} "
+                                 f"least squares); instance possibly infeasible")
+        pad = columns(width - g.shape[1])  # small random columns move G off where it stalled
+        g = np.hstack([g, 1e-3 * np.linalg.norm(g) / np.linalg.norm(pad) * pad])
 
 
 # ---------------------------------------------------------------------------
@@ -1146,10 +1157,10 @@ def reduce_core(rho0: np.ndarray, system: ConstraintSystem, *,
     x = hermitian_part(np.asarray(rho0, dtype=complex))
     if x.shape != (system.dim, system.dim):
         raise ValueError(f"state shape {x.shape} does not match dimension {system.dim}")
-    start_res = residual_report(system, x).max_residual
-    if start_res > 1e-6:
-        raise ValueError(
-            f"starting state is not feasible: residual {start_res:.3e} exceeds 1.0e-06")
+    start_res, start_tol = residual_report(system, x).max_residual, max(1e-6, repair_tol)
+    if start_res > start_tol:
+        raise ValueError(f"starting state is not feasible: residual {start_res:.3e} "
+                         f"exceeds {start_tol:.1e}")
     steps: list[ReductionStep] = []
     m = system.rhs[0].size  # the descent rows: the trace row and d_c^2 per constraint
     bound = system.square_sum_bound(rank_tol)

@@ -7,6 +7,7 @@ that do not parse or validate).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from functools import lru_cache
 
@@ -40,8 +41,8 @@ def _int_csv(text: str) -> tuple[int, ...]:
 
 
 def _positive_float(text: str) -> float:
-    if not float(text) > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    if not 0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
     return float(text)
 
 

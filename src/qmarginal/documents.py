@@ -53,8 +53,9 @@ def dump_document(doc: dict, path: str | None) -> str:
     """The document's text, also written to path when given: one line with
     sorted keys and compact separators, which json encodes in C (indent
     would force its pure-Python encoder).  Floats print as their repr, so
-    the text parses back to the same object."""
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    the text parses back to the same object; a NaN or an infinity, which
+    JSON cannot hold, raises ValueError and writes nothing."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -92,7 +93,9 @@ def matrix_from_doc(obj: Any, context: str = "matrix") -> np.ndarray:
     if im_arr.shape != re_arr.shape:
         raise DocumentError(f"{context}: 're' shape {re_arr.shape} and 'im' "
                             f"shape {im_arr.shape} differ")
-    return re_arr + 1j * im_arr
+    m = np.empty(re_arr.shape, dtype=complex)  # re + 1j * im would drop a -0.0
+    m.real, m.imag = re_arr, im_arr
+    return m
 
 
 def _int_list(obj: Any, key: str, context: str) -> list[int]:

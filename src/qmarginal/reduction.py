@@ -75,9 +75,9 @@ def reduce_rank(rho0: np.ndarray, instance: ConsistencyInstance | SectorInstance
 
     Every repair of the walk must end within repair_tol, so the returned
     state meets it; pass the tol that find_feasible met.  The trace records
-    theorem1_bound(instance) as its bound.  Raises ValueError when rho0 is
-    not feasible for the instance, and ReductionError (with a partial
-    trace attached) if a repair fails.
+    theorem1_bound(instance) as its bound.  Raises ValueError when rho0's
+    residual exceeds max(1e-6, repair_tol), and ReductionError (with a
+    partial trace attached) if a repair fails.
     """
     return _engine.reduce_core(
         np.asarray(rho0, dtype=complex), instance.system,

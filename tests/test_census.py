@@ -157,3 +157,42 @@ def test_compare_counts_cases_equal_in_content(tmp_path):
         "w: failed 0/6 -> 0/6",
         "6 cases, 4 differences, 0 verdict differences"]
     assert "content 'aaaa" in done.stdout
+
+
+def test_compare_names_where_two_histories_part(tmp_path):
+    """A library case's line holds its residual history, one float per
+    iteration.  When two digests differ, --compare names the first
+    iteration at which the histories part, or says that they agree, so the
+    reduction alone differs, and prints neither list.  A record written
+    before histories were kept compares equal to one that holds them."""
+    record = tmp_path / "lib.jsonl"
+    assert census("--cases", "reduce-fullrank=1", "-o", str(record)).returncode == 0
+    for d in map(json.loads, record.read_text().splitlines()):
+        assert len(d["history"]) == d["iters"] > 0
+        assert all(type(h) is float for h in d["history"])
+
+    def write(path, histories):
+        path.write_text("".join(json.dumps(
+            {"workload": "w", "seed": seed, "label": "a", "failed": False, "wrong": False,
+             "rank": 1, "steps": 0, "iters": len(history), "digest": digest,
+             "history": history}) + "\n"
+            for seed, (digest, history) in enumerate(histories, 1)))
+        return str(path)
+
+    base = [("0" * 64, [0.5, 0.25, 0.125])] * 3
+    changed = [("1" * 64, [0.5, 0.25, 0.1]), ("1" * 64, [0.5, 0.25, 0.125]),
+               ("1" * 64, [0.5, 0.25])]
+    base_path = write(tmp_path / "a.jsonl", base)
+    bare = tmp_path / "bare.jsonl"
+    bare.write_text("".join(json.dumps({k: v for k, v in json.loads(text).items()
+                                        if k != "history"}) + "\n"
+                            for text in (tmp_path / "a.jsonl").read_text().splitlines()))
+    assert census("--compare", str(bare), base_path).returncode == 0
+    done = census("--compare", base_path, write(tmp_path / "b.jsonl", changed))
+    assert done.returncode == 1
+    lines = done.stdout.splitlines()
+    assert len(lines) == 3 and "history" not in done.stdout and "0.125" not in done.stdout
+    assert lines[0].endswith("1" * 64 + "', histories part at iteration 3")
+    assert lines[1].endswith(", histories agree")
+    assert lines[2].startswith("('w', 3, 'a'): iters 3 != 2, digest")
+    assert lines[2].endswith(", histories part at iteration 3")

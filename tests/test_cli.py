@@ -612,33 +612,55 @@ def test_channel_reduce_tol_drives_search_and_repair(tmp_path, capsys, monkeypat
     assert out_path.exists()
 
 
-def test_channel_reduce_at_a_loose_tol_passes_an_independent_check(tmp_path, capsys):
-    """At --tol 1e-6 the emitted document, read as plain arrays, holds a
-    Choi state whose local sub-channels and input marginal meet their
-    targets within 1e-6 (partial traces of the state) and a Kraus set whose
-    trace-preservation defect ||sum K^dag K - I|| is within dim_in tol =
-    4e-6."""
+def matrix(obj):
+    return np.array(obj["re"]) + 1j * np.array(obj["im"])
+
+
+def assert_channel_reduce_meets(tol, tmp_path):
+    """channel reduce --tol on the two-qubit channel instance exits 0, and
+    its document, read as plain arrays, holds a Choi state whose local
+    sub-channels and input marginal meet their targets within tol (partial
+    traces of the state) and a Kraus set whose trace-preservation defect
+    ||sum K^dag K - I|| is within dim_in tol."""
     instance = two_qubit_channel_instance()
     inst_path = tmp_path / "chinst.json"
     dump_document(channel_instance_to_doc(instance), str(inst_path))
     out_path = tmp_path / "red.json"
-    assert main(["channel", "reduce", str(inst_path), "--tol", "1e-6",
+    assert main(["channel", "reduce", str(inst_path), "--tol", str(tol),
                  "-o", str(out_path)]) == 0
-    capsys.readouterr()
     doc = json.loads(out_path.read_text(encoding="utf-8"))
-
-    def matrix(obj):
-        return np.array(obj["re"]) + 1j * np.array(obj["im"])
-
     choi = matrix(doc["channel"]["choi"])
     dims = (2, 2, 2, 2)  # in0, in1, out0, out1
     residuals = [np.linalg.norm(partial_trace(choi, dims, (0, 1)) - np.eye(4) / 4)]
     residuals += [np.linalg.norm(partial_trace(choi, dims, (i, 2 + i)) - local.channel.choi)
                   for i, local in enumerate(instance.locals)]
-    assert max(residuals) <= 1e-6
+    assert max(residuals) <= tol
     kraus = [matrix(k) for k in doc["kraus"]]
     assert len(kraus) == doc["kraus_count"]
-    assert np.linalg.norm(sum(k.conj().T @ k for k in kraus) - np.eye(4)) <= 4e-6
+    assert np.linalg.norm(sum(k.conj().T @ k for k in kraus) - np.eye(4)) <= 4 * tol
+
+
+def test_channel_reduce_at_a_loose_tol_passes_an_independent_check(tmp_path):
+    """At --tol 1e-6 the document meets 1e-6, and its Kraus set dim_in tol =
+    4e-6."""
+    assert_channel_reduce_meets(1e-6, tmp_path)
+
+
+def test_walk_takes_a_start_that_meets_a_tol_above_its_floor(tmp_path):
+    """The walk refuses a start above max(1e-6, --tol), not above 1e-6
+    alone: at --tol 1e-3 the solver hands over states 8e-6 and 9e-6 off
+    their targets, and solve and channel reduce each end with a document
+    that meets 1e-3."""
+    inst_path = str(tmp_path / "inst.json")
+    assert main(["example", "random-feasible", "--n", "3", "--k", "2", "--rank", "2",
+                 "-o", inst_path]) == 0
+    out_path = tmp_path / "sol.json"
+    assert main(["solve", inst_path, "--tol", "1e-3", "-o", str(out_path)]) == 0
+    instance = instance_from_doc(load_document(inst_path))
+    state = matrix(json.loads(out_path.read_text(encoding="utf-8"))["matrix"])
+    for c in instance.constraints:
+        assert np.linalg.norm(partial_trace(state, (2, 2, 2), c.subsystems) - c.target) <= 1e-3
+    assert_channel_reduce_meets(1e-3, tmp_path)
 
 
 @pytest.mark.parametrize("argv", [["example", "ring-graph", "--p", "2"],
@@ -651,11 +673,14 @@ def test_example_rejects_flags_it_does_not_read(argv, capsys):
 
 @pytest.mark.parametrize("argv", [["check", "i.json", "s.json"], ["solve", "i.json"],
                                   ["channel", "reduce", "i.json"]])
-@pytest.mark.parametrize("tol", ["0", "-1e-8", "nan"])
-def test_non_positive_tol_exits_two(argv, tol, capsys):
-    """The parser refuses the tolerance before any file is read."""
+@pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf"])
+def test_non_positive_tol_exits_two(argv, tol, capsys, tmp_path, monkeypatch):
+    """The parser refuses a tolerance that is not finite and positive before
+    any file is read, and writes nothing."""
+    monkeypatch.chdir(tmp_path)
     assert main(argv + [f"--tol={tol}"]) == 2
-    assert f"expected a positive number, got '{tol}'" in capsys.readouterr().err
+    assert f"expected a finite positive number, got '{tol}'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [["solve", "i.json"], ["channel", "reduce", "i.json"],

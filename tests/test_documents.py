@@ -138,12 +138,23 @@ def test_dump_document_writes_one_line_with_sorted_keys():
     assert text == '{"a":{"y":"x","z":1},"b":[1.5,-0.0]}\n'
 
 
+def test_dump_document_refuses_a_non_finite_float(tmp_path):
+    """JSON has no NaN or infinity, so no document holds one."""
+    path = tmp_path / "doc.json"
+    for x in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            dump_document({"tol": x}, str(path))
+    assert not path.exists()
+
+
 def test_matrix_roundtrip_through_text_bit_exact():
     """A complex matrix keeps every bit through dump_document and
-    loads_document, subnormals and exponents of either sign included."""
+    loads_document, subnormals, signed zeros and exponents of either sign
+    included."""
     rng = np.random.default_rng(11)
     m = random_complex(rng, 7) * 10.0 ** rng.integers(-300, 300, (7, 7))
     m[0, 0] = 5e-324 - 5e-324j
+    m[0, 1], m[1, 0], m[1, 1] = complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0)
     back = matrix_from_doc(loads_document(dump_document(matrix_to_doc(m), None)))
     assert back.tobytes() == m.tobytes()
 

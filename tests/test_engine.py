@@ -734,6 +734,36 @@ def test_a_bound_of_zero_still_gives_the_factor_a_column():
     assert found.factor_rank == 8 and found.report.max_residual <= 1e-8
 
 
+def test_screen_schedule_runs_on_across_the_pad(monkeypatch):
+    """The pad to D continues the run: on the 2-local maximally mixed
+    targets at rank_tol 0.3 (one column, screen on) the width-1 factor
+    stalls at iteration 12, where the stationary point is screened and
+    padded to width 8.  The screen keeps its schedule of powers of two,
+    with iteration 12 between them, the first padded step gets an empty
+    L-BFGS memory, and the run converges in 33 iterations."""
+    screen, lbfgs = _engine._screen, _engine._lbfgs_direction
+    widths, memories, screens = [], [], []
+
+    def screen_spy(*args):
+        screens.append(len(widths))
+        return screen(*args)
+
+    def direction_spy(q, g, eta, s, *args):
+        widths.append(g.shape[1])
+        memories.append(len(s))
+        return lbfgs(q, g, eta, s, *args)
+
+    monkeypatch.setattr(_engine, "_screen", screen_spy)
+    monkeypatch.setattr(_engine, "_lbfgs_direction", direction_spy)
+    found = find_feasible(maximally_mixed_klocal_instance(3, 2), rank_tol=0.3)
+    assert screens == [0, 1, 2, 4, 8, 12, 16]
+    pad = widths.index(8)
+    assert pad == 12 and set(widths[:pad]) == {1} and set(widths[pad:]) == {8}
+    assert memories[pad] == 0 and memories[pad - 1] > 0
+    assert found.converged and found.iterations == len(widths) == 33
+    assert found.message == "converged in 33 iterations"
+
+
 def test_stationary_point_below_full_rank_is_never_reported(monkeypatch):
     """At k = 1 the monogamy instance has a stationary point far above tol;
     without the screen and the face, the factor is padded to D = 8 and the

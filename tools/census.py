@@ -24,20 +24,24 @@ Each output line is one case: its workload, seed and label, the bench
 check's (failed, wrong, rank, steps, iters), and a SHA-256 digest.  For a
 library case the digest covers the solver's state, residual history,
 iterations, width and message (a walk case has no solver run), and the
-reduced state with its steps (or the reduction's error).  For a CLI case
-it covers the exit code, the standard error and the bytes of the output
-document; a second digest, content, covers the same with the document
-parsed and re-encoded canonically (sorted keys, compact separators), so it
-holds across layouts of one document.  --compare reads two such files,
-prints every case whose line differs or that only one of them holds, and
-exits 1 if there is any; on standard error it gives the count of differing
-cases per workload and label, with how many of them differ in a verdict
-field (or are held by one file only) and, for CLI cases held by both
-files, how many are equal in content, then each workload's failed count in
-both files, followed by the same count for each of its labels that fails a
-case in either file, marking every failed share that rose, and the totals.
-So a label whose share rose shows even when another label's fall hides it
-in its workload's count.
+reduced state with its steps (or the reduction's error); the line also
+holds the solver's residual history, whose floats JSON writes as their
+repr, which round-trips.  For a CLI case it covers the exit code, the
+standard error and the bytes of the output document; a second digest,
+content, covers the same with the document parsed and re-encoded
+canonically (sorted keys, compact separators), so it holds across layouts
+of one document.  --compare reads two such files, prints every case whose
+line differs or that only one of them holds, and exits 1 if there is any.
+For a library case whose digest differs it names the first iteration at
+which the two residual histories part, or says that they agree, so that
+only the reduction differs, in place of the two lists; on standard error
+it gives the count of differing cases per workload and label, with how
+many of them differ in a verdict field (or are held by one file only) and,
+for CLI cases held by both files, how many are equal in content, then each
+workload's failed count in both files, followed by the same count for each
+of its labels that fails a case in either file, marking every failed share
+that rose, and the totals.  So a label whose share rose shows even when
+another label's fall hides it in its workload's count.
 """
 from __future__ import annotations
 
@@ -77,7 +81,8 @@ def _digests(result, out_path: str) -> dict:
     reduced, err), or a CLI case's (code, stderr) and the bytes of its
     output document.  A CLI case also gets "content", the same over the
     document parsed and re-encoded canonically, so two layouts of one
-    document share it."""
+    document share it; a library case with a solver run gets "history",
+    its residual history."""
     if isinstance(result[0], int):
         code, stderr = result
         text = canonical = b""
@@ -98,7 +103,10 @@ def _digests(result, out_path: str) -> dict:
     if reduced is not None:
         state, trace = reduced
         items += [state, trace.final_rank, trace.bound, trace.null_space_exhausted, trace.steps]
-    return {"digest": _sha256(*items, str(err))}
+    digests = {"digest": _sha256(*items, str(err))}
+    if found is not None:
+        digests["history"] = list(found.residual_history)
+    return digests
 
 
 def walk_above_bound(seed: int, workdir: str) -> list:
@@ -185,6 +193,13 @@ def _load(path: str) -> dict:
     return {(d["workload"], d["seed"], d["label"]): d for d in lines}
 
 
+def _parting(a: list[float], b: list[float]) -> str:
+    """Where two residual histories part: entry i is iteration i + 1."""
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return ("histories agree" if i == len(a) == len(b)
+            else f"histories part at iteration {i + 1}")
+
+
 def compare(path_a: str, path_b: str) -> list[str]:
     """One message per case that differs between the two files."""
     a, b = _load(path_a), _load(path_b)
@@ -195,8 +210,13 @@ def compare(path_a: str, path_b: str) -> list[str]:
         if key not in a or key not in b:
             out.append(f"{key}: only in {path_a if key in a else path_b}")
         elif a[key] != b[key]:
-            fields = [k for k in a[key] if a[key][k] != b[key].get(k)]
-            out.append(f"{key}: {', '.join(f'{k} {a[key][k]!r} != {b[key][k]!r}' for k in fields)}")
+            fields = [k for k in a[key] if k != "history" and a[key][k] != b[key].get(k)]
+            if not fields:  # a record without histories, from before they were kept
+                continue
+            parts = [f"{k} {a[key][k]!r} != {b[key].get(k)!r}" for k in fields]
+            if "digest" in fields and "history" in a[key] and "history" in b[key]:
+                parts.append(_parting(a[key]["history"], b[key]["history"]))
+            out.append(f"{key}: {', '.join(parts)}")
         else:
             continue
         differing[key[0], key[2]] += 1
